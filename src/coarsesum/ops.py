@@ -26,7 +26,13 @@ from .rationals import format_rational, parse_rational
 from .representatives import Policy, rep_of_cell, rep_of_value
 
 
-@dataclass(frozen=True)
+#: Cells whose representatives one fold keeps at a time.  Absorbed and
+#: pinned streams revisit a handful of cells; a climbing sum meets a new cell
+#: almost every step, so the memo is emptied whenever it fills.
+_REP_MEMO_CELLS = 256
+
+
+@dataclass(frozen=True, slots=True)
 class FoldStep:
     """One step of a coarse fold: raw input, partial sum, and their cells."""
 
@@ -136,20 +142,41 @@ class CoarseContext:
         The first partial sum is the first input as given; later steps
         collapse.  Raises on an empty sequence, and range errors surfacing
         mid-fold carry the failing 1-based step index.
+
+        Each step is ``rep_add(s, x)`` computed through cells: the running
+        sum's cell, the input's cell and the cell of the exact sum of their
+        representatives.  A cell's representative is collapsed once per fold
+        and kept with the representative's own cell, which is the next sum's
+        cell (under the min policy it can be the cell below).
         """
+        partition, policy = self.partition, self.policy
+        index_of = partition.index_of
+        reps = {}  # cell index -> (representative, the representative's cell)
+
+        def collapse(cell, value):
+            hit = reps.get(cell)
+            if hit is None:
+                if len(reps) >= _REP_MEMO_CELLS:
+                    reps.clear()  # climbing sums rarely come back
+                rep = rep_of_value(partition, value, policy)
+                hit = reps[cell] = (rep, index_of(rep))
+            return hit
+
         steps = []
-        s = None
-        prev_cell = None
+        s = s_cell = None
         for n, raw in enumerate(values, start=1):
-            x = Fraction(raw)
+            x = raw if type(raw) is Fraction else Fraction(raw)
             try:
-                x_cell = self.partition.index_of(x)
-                s = x if n == 1 else self.rep_add(s, x)
-                s_cell = self.partition.index_of(s)
+                x_cell = index_of(x)
+                if n == 1:
+                    new_s, new_cell = x, x_cell
+                else:
+                    total = collapse(s_cell, s)[0] + collapse(x_cell, x)[0]
+                    new_s, new_cell = collapse(index_of(total), total)
             except OutOfRangeError as exc:
                 raise OutOfRangeError(f"step {n}: {exc}", step=n) from exc
-            steps.append(FoldStep(n, x, x_cell, s, s_cell, absorbed=(s_cell == prev_cell)))
-            prev_cell = s_cell
+            steps.append(FoldStep(n, x, x_cell, new_s, new_cell, absorbed=new_cell == s_cell))
+            s, s_cell = new_s, new_cell
         if not steps:
             raise ValueError("cannot fold an empty sequence")
         return FoldTrace(tuple(steps))

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import floor, isqrt
+from math import isqrt
 from typing import Union
 
 from .errors import DomainError, OutOfRangeError, SpecError
@@ -167,30 +167,228 @@ def from_widths(widths, origin: int = 0) -> ExplicitBounds:
     return ExplicitBounds(tuple(bounds), Domain.INTEGERS)
 
 
-def _check_spec(spec: PartitionSpec) -> None:
-    if isinstance(spec, FixedWidth):
+# ------------------------------------------------------------------ layouts
+# Each family's rules live in one layout object, resolved once when the
+# partition is built.  ``index`` receives an exact ``int`` or ``Fraction``
+# and decides membership on its numerator and denominator; ``cell`` builds
+# the cell with a given (already validated) 1-based index.
+
+def _not_integer(x) -> DomainError:
+    return DomainError(f"{x} is not an integer")
+
+
+def _below(x, origin) -> DomainError:
+    return DomainError(f"{x} is below the partition origin {origin}")
+
+
+def _natural(x) -> int:
+    """The value as a nonnegative integer, or the domain error it deserves."""
+    n = x.numerator
+    if x.denominator != 1:
+        raise _not_integer(x)
+    if n < 0:
+        raise _below(x, 0)
+    return n
+
+
+class _Unbounded:
+    """Generated families: cells from 0 upward, extended lazily without end."""
+
+    origin = Fraction(0)
+    max_index = None
+
+
+class _FixedWidthLayout(_Unbounded):
+    domain = Domain.INTEGERS
+
+    def __init__(self, spec: FixedWidth):
         if not isinstance(spec.width, int) or isinstance(spec.width, bool) or spec.width < 1:
             raise SpecError(f"width: must be a positive integer, got {spec.width!r}")
-    elif isinstance(spec, Fibonacci):
-        pass
-    elif isinstance(spec, EpsilonGrowth):
+        self.width = spec.width
+
+    def index(self, x) -> int:
+        return _natural(x) // self.width + 1
+
+    def cell(self, index: int) -> Cell:
+        w = self.width
+        return Cell(index, Fraction(w * (index - 1)), Fraction(w * index - 1),
+                    True, True, Domain.INTEGERS)
+
+
+class _FibonacciLayout(_Unbounded):
+    domain = Domain.INTEGERS
+
+    def __init__(self, spec: Fibonacci):
+        # starts[i] begins cell i+1.  Sizes follow Fibonacci, so each start is
+        # 2*starts[-1] - starts[-3].  The list only ever grows, so readers that
+        # find what they need in it never take the lock.
+        self.starts = [0, 1, 2]
+        self.lock = threading.Lock()
+
+    def _grow(self, cells: int = 0, cover: int = -1) -> None:
+        with self.lock:
+            starts = self.starts
+            while len(starts) <= cells or starts[-1] <= cover:
+                starts.append(2 * starts[-1] - starts[-3])
+
+    def index(self, x) -> int:
+        n = _natural(x)
+        if self.starts[-1] <= n:
+            self._grow(cover=n)
+        return bisect_right(self.starts, n)
+
+    def cell(self, index: int) -> Cell:
+        if len(self.starts) <= index:
+            self._grow(cells=index)
+        return Cell(index, Fraction(self.starts[index - 1]), Fraction(self.starts[index] - 1),
+                    True, True, Domain.INTEGERS)
+
+
+class _EpsilonGrowthLayout(_Unbounded):
+    """Bounds ``1/2 + (T(i) - 1)/eps`` with ``T(i) = i(i+1)/2`` and ``eps = p/q``."""
+
+    domain = Domain.REALS
+
+    def __init__(self, spec: EpsilonGrowth):
         if spec.epsilon <= 0:
             raise SpecError(f"epsilon: must be positive, got {spec.epsilon}")
-    elif isinstance(spec, SingletonGrid):
+        self.p, self.q = spec.epsilon.numerator, spec.epsilon.denominator
+
+    def bound(self, i: int) -> Fraction:
+        """Upper bound of cell i: (p + 2(T(i) - 1)q) / 2p."""
+        return Fraction(self.p + (i * (i + 1) - 2) * self.q, 2 * self.p)
+
+    def index(self, x) -> int:
+        a, b = x.numerator, x.denominator
+        if 2 * a <= b:
+            if a < 0:
+                raise _below(x, 0)
+            return 1
+        # x lies in the smallest cell i with T(i) >= eps*(x - 1/2) + 1; T(i) is
+        # an integer, so that is the smallest i with T(i) >= c below.
+        c = -(-self.p * (2 * a - b) // (2 * self.q * b)) + 1
+        i = (isqrt(8 * c + 1) - 1) // 2          # largest i with T(i) <= c
+        return i if i * (i + 1) // 2 == c else i + 1
+
+    def cell(self, index: int) -> Cell:
+        if index == 1:
+            return Cell(1, Fraction(0), Fraction(1, 2), True, True, Domain.REALS)
+        return Cell(index, self.bound(index - 1), self.bound(index), False, True, Domain.REALS)
+
+
+class _SingletonGridLayout(_Unbounded):
+    domain = Domain.REALS
+
+    def __init__(self, spec: SingletonGrid):
         if spec.step <= 0:
             raise SpecError(f"step: must be positive, got {spec.step}")
-    elif isinstance(spec, ExplicitBounds):
-        if len(spec.bounds) < 2:
+        self.step = spec.step
+        self.u, self.v = spec.step.numerator, spec.step.denominator
+
+    def index(self, x) -> int:
+        a = x.numerator
+        if a < 0:
+            raise _below(x, 0)
+        # x / (u/v) = a*v / (b*u) must be an integer
+        k, r = divmod(a * self.v, x.denominator * self.u)
+        if r:
+            raise DomainError(f"{x} is not a multiple of the grid step {self.step}")
+        return k + 1
+
+    def cell(self, index: int) -> Cell:
+        v = Fraction((index - 1) * self.u, self.v)
+        return Cell(index, v, v, True, True, Domain.REALS)
+
+
+class _ExplicitBoundsLayout:
+    def __init__(self, spec: ExplicitBounds):
+        b = spec.bounds
+        if len(b) < 2:
             raise SpecError("bounds: need at least two boundaries (one cell)")
-        for a, b in zip(spec.bounds, spec.bounds[1:]):
-            if b <= a:
-                raise SpecError(f"bounds: must be strictly ascending, got {a} before {b}")
+        for lo, hi in zip(b, b[1:]):
+            if hi <= lo:
+                raise SpecError(f"bounds: must be strictly ascending, got {lo} before {hi}")
         if spec.domain is Domain.INTEGERS:
-            for b in spec.bounds:
-                if b.denominator != 1:
-                    raise SpecError(f"bounds: integer-domain boundaries must be integers, got {b}")
-    else:
-        raise SpecError(f"unknown partition description: {spec!r}")
+            for v in b:
+                if v.denominator != 1:
+                    raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
+        self.bounds = b
+        self.domain = spec.domain
+        # integer-domain lookups bisect plain ints rather than Fractions
+        self.keys = tuple(int(v) for v in b) if spec.domain is Domain.INTEGERS else b
+        self.origin = b[0]
+        self.max_index = len(b) - 1
+
+    def index(self, x) -> int:
+        b = self.bounds
+        if self.domain is Domain.INTEGERS:
+            n, keys = x.numerator, self.keys
+            if x.denominator != 1:
+                raise _not_integer(x)
+            if n < keys[0]:
+                raise _below(x, b[0])
+            if n >= keys[-1]:
+                raise OutOfRangeError(f"{x} is beyond the last covered integer {b[-1] - 1}")
+            return bisect_right(keys, n)
+        if x < b[0]:
+            raise _below(x, b[0])
+        if x > b[-1]:
+            raise OutOfRangeError(f"{x} is beyond the last explicit bound {b[-1]}")
+        if x <= b[1]:
+            return 1
+        return bisect_left(b, x)
+
+    def cell(self, index: int) -> Cell:
+        if index > self.max_index:
+            raise OutOfRangeError(f"cell {index} is beyond the last explicit cell {self.max_index}")
+        lo, hi = self.bounds[index - 1], self.bounds[index]
+        if self.domain is Domain.INTEGERS:
+            return Cell(index, lo, hi - 1, True, True, Domain.INTEGERS)
+        return Cell(index, lo, hi, index == 1, True, Domain.REALS)
+
+
+class _CellsLayout:
+    """Explicit cells taken as given; lookup is a scan over their memberships."""
+
+    def __init__(self, cells):
+        self.cells = tuple(cells)
+        self.max_index = len(self.cells)
+
+    @property
+    def domain(self) -> Domain:
+        return self.cells[0].domain
+
+    @property
+    def origin(self) -> Fraction:
+        return self.cells[0].lower
+
+    def index(self, x) -> int:
+        for c in self.cells:
+            if c.contains(x):
+                return c.index
+        raise OutOfRangeError(f"{x} is not covered by any provided cell")
+
+    def cell(self, index: int) -> Cell:
+        if index > len(self.cells):
+            raise OutOfRangeError(f"cell {index} is beyond the {len(self.cells)} provided cells")
+        return self.cells[index - 1]
+
+
+_LAYOUTS = {
+    FixedWidth: _FixedWidthLayout,
+    Fibonacci: _FibonacciLayout,
+    EpsilonGrowth: _EpsilonGrowthLayout,
+    SingletonGrid: _SingletonGridLayout,
+    ExplicitBounds: _ExplicitBoundsLayout,
+}
+
+
+def _layout_for(spec: PartitionSpec):
+    """Validate a spec and build its family's layout."""
+    for cls in type(spec).__mro__:
+        if cls in _LAYOUTS:
+            return _LAYOUTS[cls](spec)
+    raise SpecError(f"unknown partition description: {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -214,14 +412,8 @@ class Partition:
     """An indexed family of cells; see the module docstring for conventions."""
 
     def __init__(self, spec: PartitionSpec):
-        _check_spec(spec)
+        self._layout = _layout_for(spec)
         self._spec = spec
-        self._raw_cells = None
-        self._lock = threading.Lock()
-        if isinstance(spec, Fibonacci):
-            # sizes of cells 1.. and cumulative starts; starts[i] begins cell i+1
-            self._fib_sizes = [1, 1]
-            self._fib_starts = [0, 1, 2]
 
     @classmethod
     def from_cells(cls, cells) -> "Partition":
@@ -233,8 +425,7 @@ class Partition:
         """
         p = object.__new__(cls)
         p._spec = None
-        p._raw_cells = tuple(cells)
-        p._lock = threading.Lock()
+        p._layout = _CellsLayout(cells)
         return p
 
     # ------------------------------------------------------------- structure
@@ -245,49 +436,16 @@ class Partition:
 
     @property
     def domain(self) -> Domain:
-        if self._spec is None:
-            return self._raw_cells[0].domain
-        if isinstance(self._spec, (FixedWidth, Fibonacci)):
-            return Domain.INTEGERS
-        if isinstance(self._spec, ExplicitBounds):
-            return self._spec.domain
-        return Domain.REALS
+        return self._layout.domain
 
     @property
     def origin(self) -> Fraction:
-        if self._spec is None:
-            return self._raw_cells[0].lower
-        if isinstance(self._spec, ExplicitBounds):
-            return self._spec.bounds[0]
-        return Fraction(0)
+        return self._layout.origin
 
     @property
     def max_index(self) -> int | None:
         """Last valid cell index, or None for lazily unbounded families."""
-        if self._spec is None:
-            return len(self._raw_cells)
-        if isinstance(self._spec, ExplicitBounds):
-            return len(self._spec.bounds) - 1
-        return None
-
-    # ----------------------------------------------------------- fib helpers
-
-    def _fib_ensure_cells(self, n: int) -> None:
-        with self._lock:
-            while len(self._fib_sizes) < n:
-                self._fib_sizes.append(self._fib_sizes[-1] + self._fib_sizes[-2])
-                self._fib_starts.append(self._fib_starts[-1] + self._fib_sizes[-1])
-
-    def _fib_ensure_cover(self, x: int) -> None:
-        with self._lock:
-            while self._fib_starts[-1] <= x:
-                self._fib_sizes.append(self._fib_sizes[-1] + self._fib_sizes[-2])
-                self._fib_starts.append(self._fib_starts[-1] + self._fib_sizes[-1])
-
-    def _eps_bound(self, i: int) -> Fraction:
-        # upper bound of cell i: 1/2 + (T(i) - 1)/epsilon with T(i) = i(i+1)/2
-        eps = self._spec.epsilon
-        return Fraction(1, 2) + Fraction(i * (i + 1) // 2 - 1, 1) / eps
+        return self._layout.max_index
 
     # -------------------------------------------------------------- accessors
 
@@ -295,86 +453,13 @@ class Partition:
         """The cell with the given 1-based index."""
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise DomainError(f"cell index must be a positive integer, got {index!r}")
-        spec = self._spec
-        if spec is None:
-            if index > len(self._raw_cells):
-                raise OutOfRangeError(
-                    f"cell {index} is beyond the {len(self._raw_cells)} provided cells")
-            return self._raw_cells[index - 1]
-        if isinstance(spec, FixedWidth):
-            w = spec.width
-            return Cell(index, Fraction(w * (index - 1)), Fraction(w * index - 1),
-                        True, True, Domain.INTEGERS)
-        if isinstance(spec, Fibonacci):
-            self._fib_ensure_cells(index)
-            lo = self._fib_starts[index - 1]
-            return Cell(index, Fraction(lo), Fraction(self._fib_starts[index] - 1),
-                        True, True, Domain.INTEGERS)
-        if isinstance(spec, EpsilonGrowth):
-            if index == 1:
-                return Cell(1, Fraction(0), Fraction(1, 2), True, True, Domain.REALS)
-            return Cell(index, self._eps_bound(index - 1), self._eps_bound(index),
-                        False, True, Domain.REALS)
-        if isinstance(spec, SingletonGrid):
-            v = (index - 1) * spec.step
-            return Cell(index, v, v, True, True, Domain.REALS)
-        # ExplicitBounds
-        last = len(spec.bounds) - 1
-        if index > last:
-            raise OutOfRangeError(f"cell {index} is beyond the last explicit cell {last}")
-        lo, hi = spec.bounds[index - 1], spec.bounds[index]
-        if spec.domain is Domain.INTEGERS:
-            return Cell(index, lo, hi - 1, True, True, Domain.INTEGERS)
-        if index == 1:
-            return Cell(1, lo, hi, True, True, Domain.REALS)
-        return Cell(index, lo, hi, False, True, Domain.REALS)
+        return self._layout.cell(index)
 
     def index_of(self, value) -> int:
         """Index of the unique cell containing ``value``."""
-        x = Fraction(value)
-        spec = self._spec
-        if spec is None:
-            for c in self._raw_cells:
-                if c.contains(x):
-                    return c.index
-            raise OutOfRangeError(f"{x} is not covered by any provided cell")
-        if self.domain is Domain.INTEGERS and x.denominator != 1:
-            raise DomainError(f"{x} is not an integer")
-        if x < self.origin:
-            raise DomainError(f"{x} is below the partition origin {self.origin}")
-        if isinstance(spec, FixedWidth):
-            return int(x) // spec.width + 1
-        if isinstance(spec, Fibonacci):
-            n = int(x)
-            self._fib_ensure_cover(n)
-            return bisect_right(self._fib_starts, n)
-        if isinstance(spec, EpsilonGrowth):
-            if x <= Fraction(1, 2):
-                return 1
-            # smallest i with T(i) >= y, where y = eps*(x - 1/2) + 1 > 1
-            y = spec.epsilon * (x - Fraction(1, 2)) + 1
-            i = max(1, (isqrt(8 * floor(y) + 1) - 1) // 2 - 1)
-            while Fraction(i * (i + 1), 2) < y:
-                i += 1
-            while i > 2 and Fraction((i - 1) * i, 2) >= y:
-                i -= 1
-            return i
-        if isinstance(spec, SingletonGrid):
-            q = x / spec.step
-            if q.denominator != 1:
-                raise DomainError(f"{x} is not a multiple of the grid step {spec.step}")
-            return int(q) + 1
-        # ExplicitBounds
-        b = spec.bounds
-        if spec.domain is Domain.INTEGERS:
-            if x >= b[-1]:
-                raise OutOfRangeError(f"{x} is beyond the last covered integer {b[-1] - 1}")
-            return bisect_right(b, x)
-        if x > b[-1]:
-            raise OutOfRangeError(f"{x} is beyond the last explicit bound {b[-1]}")
-        if x <= b[1]:
-            return 1
-        return bisect_left(b, x)
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        return self._layout.index(value)
 
     def cell_of(self, value) -> Cell:
         """The unique cell containing ``value``."""
@@ -423,7 +508,7 @@ class Partition:
 
     def __repr__(self) -> str:
         if self._spec is None:
-            return f"Partition.from_cells(<{len(self._raw_cells)} cells>)"
+            return f"Partition.from_cells(<{len(self._layout.cells)} cells>)"
         return f"Partition({self._spec!r})"
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
 
-import numpy as np
-
 from .errors import SpecError
 from .inertness import InertVerdict, constant, detect_inert_stream, detect_inert_trace, first_absorbing_cell
 from .ops import CoarseContext
@@ -137,6 +135,8 @@ def sample_gamble(gamble: Gamble, trials: int, seed: int) -> list:
     generator (see :data:`RNG_ALGORITHM`), capped at the truncation depth;
     payoffs are exact Python integers.
     """
+    import numpy as np  # only sampling needs numpy, so no other command loads it
+
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.Generator(np.random.Philox(seed))

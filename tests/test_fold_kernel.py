@@ -1,0 +1,216 @@
+"""The cell-state fold and integer cell lookup against their plain definitions.
+
+``CoarseContext.fold`` carries each partial sum's cell and collapses every
+cell once; the oracle here is a left fold of ``rep_add`` with cells read off
+``index_of``.  ``EpsilonGrowth`` lookup works on numerators and denominators;
+its oracle is ``Cell.contains`` on cells whose bounds are recomputed from
+``1/2 + (T(k) - 1)/eps`` by ``Fraction`` arithmetic.
+"""
+
+import subprocess
+import sys
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
+                       Fibonacci, FixedWidth, FoldStep, OutOfRangeError, Partition,
+                       Policy, SingletonGrid, build_partition)
+
+POLICIES = list(Policy)
+
+
+def rep_add_fold(ctx, values):
+    """Left fold of ``rep_add``, or the error it stopped on and the step of it."""
+    steps, s, prev = [], None, None
+    for n, raw in enumerate(values, start=1):
+        x = F(raw)
+        try:
+            x_cell = ctx.partition.index_of(x)
+            s = x if n == 1 else ctx.rep_add(s, x)
+            cell = ctx.partition.index_of(s)
+        except (OutOfRangeError, DomainError) as exc:
+            return type(exc), n
+        steps.append(FoldStep(n, x, x_cell, s, cell, cell == prev))
+        prev = cell
+    return tuple(steps)
+
+
+def assert_fold_matches(ctx, values):
+    expected = rep_add_fold(ctx, values)
+    if isinstance(expected[0], FoldStep):
+        assert ctx.fold(values).steps == expected
+        return
+    error, step = expected
+    with pytest.raises(error) as exc:
+        ctx.fold(values)
+    if error is OutOfRangeError:
+        assert exc.value.step == step
+
+
+def _fractions(hi, den):
+    return st.fractions(min_value=0, max_value=hi, max_denominator=den)
+
+
+def _grid_values(step):
+    return st.integers(min_value=0, max_value=30).map(lambda k: k * step)
+
+
+FAMILIES = {
+    "FixedWidth": st.integers(1, 9).map(
+        lambda w: (FixedWidth(w), st.integers(0, 60))),
+    "Fibonacci": st.just((Fibonacci(), st.integers(0, 300))),
+    "EpsilonGrowth": st.sampled_from([F(10), F(1, 3), F(101, 3), F(2), F(5, 2)]).map(
+        lambda eps: (EpsilonGrowth(eps), _fractions(6, 12))),
+    "ExplicitBounds": st.sampled_from([
+        (ExplicitBounds((0, 3, 6, 17)), st.integers(0, 16)),
+        (ExplicitBounds((-4, 1, 2, 9, 30, 100)), st.integers(-4, 40)),
+        (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), _fractions(8, 9)),
+    ]),
+    "SingletonGrid": st.sampled_from([F(1, 2), F(1, 3), F(3, 4), F(2)]).map(
+        lambda step: (SingletonGrid(step), _grid_values(step))),
+}
+
+
+@st.composite
+def fold_cases(draw, family):
+    spec, values = draw(FAMILIES[family])
+    pool = draw(st.lists(values, min_size=1, max_size=4))
+    # repeats from a small pool revisit cells; fresh draws meet new ones
+    stream = draw(st.lists(st.one_of(st.sampled_from(pool), values), min_size=1,
+                           max_size=40))
+    return spec, stream
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fold_is_a_left_fold_of_rep_add(family, policy, data):
+    spec, stream = data.draw(fold_cases(family))
+    assert_fold_matches(CoarseContext(build_partition(spec), policy), stream)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("spec, values", [
+    (SingletonGrid(F(1, 2)), [F(1, 2)] * 700),                  # a new cell every step
+    (FixedWidth(1), [1, 0, 2] * 250),
+    (EpsilonGrowth(F(1, 3)), [F(5, 2), F(1, 4)] * 400),
+    (Fibonacci(), [3] * 600),
+], ids=["grid", "width-1", "eps-1/3", "fibonacci"])
+def test_long_folds_match_past_the_representative_memo(spec, values, policy):
+    assert_fold_matches(CoarseContext(build_partition(spec), policy), values)
+
+
+def test_min_policy_sums_can_fall_below_their_cell():
+    # Under min, cell 2 = (1/2, 7/10] collapses to its infimum 1/2, which lies
+    # in cell 1; the fold keeps that, so the sum drops back to 0.
+    ctx = CoarseContext(build_partition(EpsilonGrowth(10)), Policy.MIN)
+    trace = ctx.fold([F(3, 5), F(3, 5), F(3, 10)])
+    assert [s.s for s in trace] == [F(3, 5), F(7, 10), 0]
+    assert [s.s_cell for s in trace] == [2, 2, 1]
+    assert [s.absorbed for s in trace] == [False, True, False]
+    assert trace.steps == rep_add_fold(ctx, [F(3, 5), F(3, 5), F(3, 10)])
+
+
+@pytest.mark.parametrize("values, step, cause", [
+    ([1, 1, 20], 3, "20 is beyond the last covered integer 16"),   # the input's own cell
+    ([10, 10, 10], 2, "22 is beyond the last covered integer 16"),  # the sum's cell
+    ([7, 2, 2, 7], 4, "22 is beyond the last covered integer 16"),  # after memo hits
+])
+def test_range_errors_mid_fold_carry_their_step(tiers_ctx, values, step, cause):
+    with pytest.raises(OutOfRangeError) as exc:
+        tiers_ctx.fold(values)
+    assert exc.value.step == step
+    assert str(exc.value) == f"step {step}: {cause}"
+    assert rep_add_fold(tiers_ctx, values) == (OutOfRangeError, step)
+
+
+def test_range_errors_carry_their_step_on_explicit_cells():
+    cells = [build_partition(FixedWidth(2)).cell_at(i) for i in (1, 2)]
+    ctx = CoarseContext(Partition.from_cells(cells))
+    with pytest.raises(OutOfRangeError) as exc:
+        ctx.fold([1, 3, 3])                 # reps 2 + 2 = 4 lies past both cells
+    assert exc.value.step == 3
+
+
+# ------------------------------------------------------- EpsilonGrowth lookup
+
+def eps_bound(eps, k):
+    """Upper bound of cell k, straight from the definition."""
+    return F(1, 2) + F(k * (k + 1) // 2 - 1) / eps
+
+
+EPSILONS = st.one_of(
+    st.sampled_from([F(1, 3), F(101, 3), F(10), F(2)]),
+    st.fractions(min_value=F(1, 100), max_value=500, max_denominator=100))
+
+VALUES = st.one_of(
+    st.fractions(min_value=0, max_value=60, max_denominator=1000),
+    st.integers(min_value=0, max_value=2**80),
+    st.builds(F, st.integers(min_value=0, max_value=2**80), st.integers(1, 2**20)))
+
+
+def assert_index_matches_membership(partition, x):
+    eps = partition.spec.epsilon
+    i = partition.index_of(x)
+    cell = partition.cell_at(i)
+    assert cell.contains(x)
+    if i > 1:
+        assert (cell.lower, cell.upper) == (eps_bound(eps, i - 1), eps_bound(eps, i))
+        assert not partition.cell_at(i - 1).contains(x)
+    assert not partition.cell_at(i + 1).contains(x)
+
+
+@settings(max_examples=300)
+@given(eps=EPSILONS, x=VALUES)
+def test_epsilon_index_agrees_with_membership(eps, x):
+    assert_index_matches_membership(build_partition(EpsilonGrowth(eps)), x)
+
+
+@settings(max_examples=300)
+@given(eps=EPSILONS, k=st.one_of(st.integers(1, 2000), st.integers(1, 2**40)))
+def test_epsilon_index_at_exact_bounds(eps, k):
+    p = build_partition(EpsilonGrowth(eps))
+    b = eps_bound(eps, k)
+    assert p.index_of(b) == k              # upper bounds are closed
+    for x in (b, b + F(1, 10**30), b - F(1, 10**30)):
+        assert_index_matches_membership(p, x)
+
+
+# --------------------------------------------------------------- lazy numpy
+
+def _cli(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    out = _cli("-c", "import sys, coarsesum.cli; print('numpy' in sys.modules)")
+    assert out == "False\n"
+
+
+STPETE_TRIALS_OUTPUT = """\
+doubling-gamble valuation  (eps = 10, depth = 50)
+  classical sum of expected increments : 25
+  absorbing cell (closed form)         : 6
+  absorbing cell (margin scan)         : 6
+  agreement                            : yes
+  verdict                              : inert at cell 6 from step 6, value 2.2 (certified)
+  sampled payoffs: trials = 300, seed = 7, rng = numpy-philox4x64, truncation depth = 64
+    mean payoff      : 4.74333
+    coarse final sum : 1066.2 (cell 146)
+    verdict          : inert at cell 146 from step 294, value 1066.2 (observed)
+    round counts     : 1:145  2:79  3:42  4:19  5:6  6:4  7:3  8:1  9:1
+  exact-addition control (singleton grid):
+    verdict          : no verdict after 50 steps
+    final sum        : 25
+"""
+
+
+def test_sampling_through_the_cli_prints_the_same_report():
+    out = _cli("-m", "coarsesum.cli", "stpete", "--eps", "10", "--depth", "50",
+               "--trials", "300", "--seed", "7")
+    assert out == STPETE_TRIALS_OUTPUT

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
@@ -178,6 +181,38 @@ def test_lazy_extension_is_stable(fib):
     b = fib.cell_at(200)
     assert a == b
     assert fib.index_of(a.lower) == 200
+
+
+def test_lazy_extension_under_concurrent_queries():
+    # Fibonacci cells grow under a lock, but lookups read them without one.
+    expected = fib_cells_by_recurrence(400)
+    shared = build_partition(Fibonacci())
+    errors = []
+
+    def query(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                i = rng.randint(1, 400)
+                lo, hi = expected[i - 1]
+                cell = shared.cell_at(i)
+                assert (cell.lower, cell.upper) == (lo, hi)
+                assert shared.index_of(rng.randint(lo, hi)) == i
+        except Exception as exc:  # a worker's failure must reach the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 # --- construction errors -----------------------------------------------------
