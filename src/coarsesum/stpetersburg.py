@@ -18,12 +18,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import floor
+from operator import index
 
 from .errors import SpecError
-from .inertness import InertVerdict, constant, detect_inert_stream, detect_inert_trace, first_absorbing_cell
+from .inertness import (InertVerdict, Outcome, constant, detect_inert_stream,
+                        detect_inert_trace, first_absorbing_cell)
 from .ops import CoarseContext
-from .partitions import EpsilonGrowth, SingletonGrid, build_partition
+from .partitions import EpsilonGrowth, build_partition
 from .rationals import format_rational, parse_rational
 from .representatives import Policy
 
@@ -128,21 +131,83 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     )
 
 
+# ------------------------------------------------------------------ sampling
+# numpy's Philox4x64-10 stream and its geometric(1/2) draws, in integer
+# arithmetic.  The generator is Salmon et al., "Parallel random numbers: as
+# easy as 1, 2, 3" (SC'11); the key comes from numpy's SeedSequence.
+
+_M32, _M64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _philox_key(seed: int) -> tuple:
+    """numpy's ``SeedSequence(seed).generate_state(2, uint64)``."""
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    const = 0x8B51F9DD
+    w = [hashmix(word, 0x58F38DED) for word in pool]
+    return w[0] | w[1] << 32, w[2] | w[3] << 32
+
+
+def _philox_words(key: tuple):
+    """The raw 64-bit words of numpy's Philox4x64-10 under ``key``, without end.
+
+    The 256-bit counter is incremented before each block of four words; a
+    carry out of its low word would take 2**64 blocks, so only that word moves.
+    """
+    k0, k1 = key
+    keys = [((k0 + r * 0x9E3779B97F4A7C15) & _M64, (k1 + r * 0xBB67AE8584CAA73B) & _M64)
+            for r in range(10)]
+    counter = 0
+    while True:
+        counter += 1
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        for r0, r1 in keys:
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ r0, p1 & _M64, p0 >> 64 ^ c3 ^ r1, p0 & _M64
+        yield from (c0, c1, c2, c3)
+
+
 def sample_gamble(gamble: Gamble, trials: int, seed: int) -> list:
     """Draw ``trials`` truncated payoffs, deterministically in the seed.
 
-    Round counts are geometric(1/2) draws from a Philox counter-based
-    generator (see :data:`RNG_ALGORITHM`), capped at the truncation depth;
-    payoffs are exact Python integers.
+    Round counts are the geometric(1/2) draws of
+    ``numpy.random.Generator(numpy.random.Philox(seed)).geometric(0.5)``
+    (see :data:`RNG_ALGORITHM`), reimplemented bit for bit in integer
+    arithmetic, so sampling needs no numpy.  Each draw takes one 64-bit word;
+    numpy's search over the partial sums 1 - 2**-k for its 53-bit uniform
+    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m.  Round counts
+    are capped at the truncation depth; payoffs are exact Python integers.
     """
-    import numpy as np  # only sampling needs numpy, so no other command loads it
-
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    rounds = rng.geometric(0.5, size=trials)
+    words = islice(_philox_words(_philox_key(seed)), trials)
     depth = gamble.truncation_depth
-    return [1 << (min(int(n), depth) - 1) for n in rounds]
+    return [1 << (min(max(1, 54 - ((1 << 53) - (w >> 11)).bit_length()), depth) - 1)
+            for w in words]
 
 
 @dataclass(frozen=True)
@@ -152,9 +217,11 @@ class ComparisonReport:
     The sampled fold treats each drawn payoff as one increment of the coarse
     sum; it is exploratory (payoffs are unbounded, so no certificate
     applies) and its verdict only describes the sampled window.  The
-    classical section folds the expected increments over a singleton grid,
-    where coarse addition is exact addition, reproducing the divergent
-    classical partial sums.
+    classical section is the fold of the expected increments over the
+    singleton grid of step 1/2, where coarse addition is exact addition.
+    It is given in closed form: after t steps the sum is t/2, in cell t + 1,
+    so the sums climb one cell per step and the verdict over ``depth`` steps
+    is no verdict with an increasing run of ``depth``.
     """
 
     valuation: ValuationReport
@@ -203,10 +270,6 @@ def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
     trace = ctx.fold(payoffs)
     counts = Counter(p.bit_length() for p in payoffs)
 
-    grid = CoarseContext(build_partition(SingletonGrid(Fraction(1, 2))),
-                         Policy.MEDIAN_LOWER)
-    classical_verdict = detect_inert_stream(grid, constant(INCREMENT_BOUND), horizon=depth)
-
     return ComparisonReport(
         valuation=valuation,
         trials=trials,
@@ -218,6 +281,7 @@ def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
         sampled_final_cell=trace.final_cell,
         sampled_mean=Fraction(sum(payoffs), trials),
         round_counts=dict(counts),
-        classical_verdict=classical_verdict,
+        classical_verdict=InertVerdict(Outcome.NO_VERDICT, horizon=depth,
+                                       increasing_run=depth),
         classical_final=Fraction(depth, 2),
     )

@@ -180,7 +180,7 @@ def test_epsilon_index_at_exact_bounds(eps, k):
         assert_index_matches_membership(p, x)
 
 
-# --------------------------------------------------------------- lazy numpy
+# ------------------------------------------------------------ without numpy
 
 def _cli(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -214,3 +214,14 @@ def test_sampling_through_the_cli_prints_the_same_report():
     out = _cli("-m", "coarsesum.cli", "stpete", "--eps", "10", "--depth", "50",
                "--trials", "300", "--seed", "7")
     assert out == STPETE_TRIALS_OUTPUT
+
+
+def test_sampling_runs_where_numpy_cannot_be_imported():
+    # A None entry in sys.modules makes every ``import numpy`` raise ImportError.
+    out = _cli("-c", "import sys; sys.modules['numpy'] = None\n"
+               "from coarsesum import cli\n"
+               "code = cli.main(['stpete', '--eps', '10', '--depth', '50',"
+               " '--trials', '300', '--seed', '7'])\n"
+               "print(code, sys.modules['numpy'],"
+               " [m for m in sys.modules if m.startswith('numpy.')])")
+    assert out == STPETE_TRIALS_OUTPUT + "0 None []\n"

@@ -1,14 +1,16 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
-                       Gamble, Outcome, SpecError, coarse_value,
-                       compare_valuations, expected_increment_series,
-                       sample_gamble)
+from coarsesum import (INCREMENT_BOUND, RNG_ALGORITHM, CoarseContext, ComparisonReport,
+                       Gamble, Outcome, SingletonGrid, SpecError, build_partition,
+                       coarse_value, compare_valuations, constant, detect_inert_stream,
+                       expected_increment_series, sample_gamble)
 
 
 def eps_rep(eps: F, i: int) -> F:
@@ -148,6 +150,17 @@ def test_zero_trials_gives_empty_sample():
         sample_gamble(Gamble(30), -1, seed=0)
 
 
+def test_negative_seed_is_rejected():
+    for trials in (0, 5):
+        with pytest.raises(ValueError):
+            sample_gamble(Gamble(8), trials, seed=-1)
+    run = subprocess.run([sys.executable, "-m", "coarsesum.cli", "stpete", "--eps", "10",
+                          "--trials", "5", "--seed", "-1"], capture_output=True, text=True)
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ")
+
+
 def test_sampled_frequencies_track_the_geometric_law():
     n_trials = 200_000
     draws = sample_gamble(Gamble(30), n_trials, seed=2026)
@@ -175,6 +188,14 @@ def test_comparison_report_fields():
     assert r.classical_verdict.outcome is Outcome.NO_VERDICT
     assert r.classical_verdict.horizon == 100
     assert r.valuation.cell_from_scan == 6
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 300, 1000])
+def test_closed_form_control_matches_the_singleton_grid_fold(depth):
+    grid = CoarseContext(build_partition(SingletonGrid(F(1, 2))))
+    r = compare_valuations(10, Gamble(8), trials=5, seed=0, depth=depth)
+    assert r.classical_verdict == detect_inert_stream(grid, constant(F(1, 2)), horizon=depth)
+    assert r.classical_final == grid.fold([F(1, 2)] * depth).final_sum
 
 
 def test_comparison_sampled_fold_is_reproducible():
