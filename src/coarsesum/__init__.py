@@ -13,11 +13,10 @@ from fractions import Fraction
 from .errors import CoarseError, DomainError, OutOfRangeError, SpecError
 from .inertness import (InertVerdict, Outcome, constant, detect_inert_stream,
                         detect_inert_trace, first_absorbing_cell, geometric, harmonic)
-from .ops import CoarseContext, FoldStep, FoldTrace, coarse_fold
+from .ops import CoarseContext, FoldStep, FoldTrace
 from .partitions import (Cell, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                          FixedWidth, Partition, PartitionSpec, SingletonGrid,
-                         ValidationReport, Violation, build_partition, from_widths,
-                         spec_from_json, spec_to_json)
+                         build_partition, from_widths, spec_from_json, spec_to_json)
 from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import Policy, margin_neg, margin_pos, rep_of_cell, rep_of_value
 from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
@@ -32,10 +31,9 @@ __all__ = [
     "CoarseError", "DomainError", "OutOfRangeError", "SpecError",
     "Cell", "Domain", "Partition", "PartitionSpec",
     "FixedWidth", "Fibonacci", "EpsilonGrowth", "ExplicitBounds", "SingletonGrid",
-    "ValidationReport", "Violation", "build_partition", "from_widths",
-    "spec_from_json", "spec_to_json",
+    "build_partition", "from_widths", "spec_from_json", "spec_to_json",
     "Policy", "rep_of_cell", "rep_of_value", "margin_pos", "margin_neg",
-    "CoarseContext", "FoldStep", "FoldTrace", "coarse_fold",
+    "CoarseContext", "FoldStep", "FoldTrace",
     "InertVerdict", "Outcome", "detect_inert_trace", "detect_inert_stream",
     "first_absorbing_cell", "constant", "harmonic", "geometric",
     "Gamble", "ValuationReport", "ComparisonReport", "RNG_ALGORITHM",

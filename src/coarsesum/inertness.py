@@ -25,18 +25,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .ops import CoarseContext, FoldTrace
-from .partitions import EpsilonGrowth, Fibonacci, FixedWidth, Partition, SingletonGrid
+from .partitions import Partition
 from .rationals import format_rational, parse_rational
 from .representatives import Policy, margin_pos, rep_of_cell
 
 
 class Outcome(Enum):
     INERT = "inert"
+    # No outcome claims divergence: a finite window cannot tell it from slow
+    # stabilization, so NO_VERDICT carries growth evidence instead.
     NO_VERDICT = "no_verdict"
-    # Reserved in the wire format.  Non-stabilization over a finite window is
-    # indistinguishable from slow stabilization, so the built-in detectors
-    # report NO_VERDICT plus growth evidence instead of claiming divergence.
-    DIVERGES = "diverges"
 
 
 @dataclass(frozen=True)
@@ -117,13 +115,10 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
 
     if partition.max_index is not None:
         return next((i for i in range(1, partition.max_index + 1) if hit(i)), None)
-    spec = partition.spec
-    if policy is Policy.MAX or isinstance(spec, (FixedWidth, SingletonGrid)):
-        # margins are identical for every cell in these families
+    if policy is Policy.MAX or partition.spec.constant_margins:
+        # every cell has the same margin (zero under max)
         return 1 if hit(1) else None
-    if not isinstance(spec, (Fibonacci, EpsilonGrowth)):
-        raise ValueError(f"cannot bound the margin scan for {spec!r}")
-    # cell widths grow without bound, so under min or median the scan ends
+    # the other unbounded families grow cells without bound: under min or median the scan ends
     i = 1
     while not hit(i):
         i += 1

@@ -180,8 +180,3 @@ class CoarseContext:
         if not steps:
             raise ValueError("cannot fold an empty sequence")
         return FoldTrace(tuple(steps))
-
-
-def coarse_fold(ctx: CoarseContext, values: Iterable) -> FoldTrace:
-    """Function form of :meth:`CoarseContext.fold`."""
-    return ctx.fold(values)

@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldStep, OutOfRangeError, Partition,
-                       Policy, SingletonGrid, build_partition)
+                       Fibonacci, FixedWidth, FoldStep, OutOfRangeError, Policy,
+                       SingletonGrid, build_partition)
 
 POLICIES = list(Policy)
 
@@ -128,9 +128,9 @@ def test_range_errors_mid_fold_carry_their_step(tiers_ctx, values, step, cause):
     assert rep_add_fold(tiers_ctx, values) == (OutOfRangeError, step)
 
 
+
 def test_range_errors_carry_their_step_on_explicit_cells():
-    cells = [build_partition(FixedWidth(2)).cell_at(i) for i in (1, 2)]
-    ctx = CoarseContext(Partition.from_cells(cells))
+    ctx = CoarseContext(build_partition(ExplicitBounds((0, 2, 4))))   # {0, 1}, {2, 3}
     with pytest.raises(OutOfRangeError) as exc:
         ctx.fold([1, 3, 3])                 # reps 2 + 2 = 4 lies past both cells
     assert exc.value.step == 3

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (CoarseContext, EpsilonGrowth, Fibonacci, FixedWidth,
-                       InertVerdict, Outcome, Policy, SingletonGrid,
+from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds, Fibonacci,
+                       FixedWidth, InertVerdict, Outcome, Policy, SingletonGrid,
                        build_partition, constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, geometric,
-                       harmonic, rep_of_cell)
+                       harmonic, margin_pos, rep_of_cell)
 
 
 # ------------------------------------------------------- judging fold traces
@@ -97,12 +97,27 @@ def test_first_absorbing_cell_golden_cases(fib, eps10, tiers):
     assert first_absorbing_cell(fib, med, 0, strict=False) == 1
 
 
-def test_first_absorbing_cell_matches_enumerated_margins(fib):
-    from coarsesum import margin_pos
-    for inc in (0, 1, 2, 3, 5, 9):
-        want = next(i for i in range(1, 40)
-                    if margin_pos(fib.cell_at(i)) > inc)
-        assert first_absorbing_cell(fib, Policy.MEDIAN_LOWER, inc) == want
+ABSORB_SPECS = [FixedWidth(3), Fibonacci(), EpsilonGrowth(2),
+                ExplicitBounds((0, 3, 6, 17)), SingletonGrid(F(1, 2))]
+
+
+def test_first_absorbing_cell_matches_enumerated_margins():
+    for spec in ABSORB_SPECS:
+        p = build_partition(spec)
+        last = 40 if p.max_index is None else p.max_index
+        for policy in Policy:
+            margins = [margin_pos(p.cell_at(i), policy) for i in range(1, last + 1)]
+            if spec.constant_margins:   # so a miss at cell 1 is a miss everywhere
+                assert len(set(margins)) == 1, (spec, policy)
+            growing = (p.max_index is None and not spec.constant_margins
+                       and policy is not Policy.MAX)
+            for inc in (0, F(1, 2), 1, 2, 3, 5, 9):
+                for strict in (True, False):
+                    want = next((i for i, m in enumerate(margins, start=1)
+                                 if (m > inc if strict else m >= inc)), None)
+                    case = (spec, policy, inc, strict)
+                    assert want is not None or not growing, case   # window holds it
+                    assert first_absorbing_cell(p, policy, inc, strict) == want, case
 
 
 def test_constant_margin_families_absorb_or_never_do():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, EpsilonGrowth, Fibonacci, FixedWidth,
                        FoldTrace, OutOfRangeError, Policy, build_partition,
-                       coarse_fold, margin_pos, rep_of_cell)
+                       margin_pos, rep_of_cell)
 
 
 # ---------------------------------------------------------------- rep_add
@@ -164,12 +164,6 @@ def test_fold_range_error_carries_step(tiers_ctx):
         tiers_ctx.fold([10, 10, 10])
     assert exc.value.step == 2              # 11 + 11 = 22 leaves the covered range
     assert "step 2" in str(exc.value)
-
-
-def test_coarse_fold_alias(fib_ctx):
-    a = fib_ctx.fold([1, 2, 3])
-    b = coarse_fold(fib_ctx, [1, 2, 3])
-    assert [s.s for s in a.steps] == [s.s for s in b.steps]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=30))

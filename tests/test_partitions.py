@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (Cell, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, OutOfRangeError, Partition,
-                       SingletonGrid, SpecError, build_partition, from_widths,
-                       spec_from_json, spec_to_json)
+from coarsesum import (Domain, DomainError, EpsilonGrowth, ExplicitBounds, Fibonacci,
+                       FixedWidth, OutOfRangeError, SingletonGrid, SpecError,
+                       build_partition, from_widths, spec_from_json, spec_to_json)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -184,7 +183,7 @@ def test_lazy_extension_is_stable(fib):
 
 
 def test_lazy_extension_under_concurrent_queries():
-    # Fibonacci cells grow under a lock, but lookups read them without one.
+    # Fibonacci cells grow lazily while other threads look them up.
     expected = fib_cells_by_recurrence(400)
     shared = build_partition(Fibonacci())
     errors = []
@@ -232,48 +231,42 @@ def test_invalid_specs_name_the_field():
         build_partition(ExplicitBounds((0, F(3, 2), 4)))
 
 
-# --- validation --------------------------------------------------------------
+# --- cell laws ---------------------------------------------------------------
 
-def test_validate_generated_families_pass(fib, eps10, tiers):
-    assert fib.validate(20).ok
-    assert eps10.validate(20).ok
-    assert tiers.validate(3).ok
-    assert build_partition(SingletonGrid(F(1, 2))).validate(30).ok
-    assert build_partition(FixedWidth(5)).validate(40).ok
-
-
-def test_validate_reports_overlap():
-    cells = (
-        Cell(1, F(0), F(5), True, True, Domain.INTEGERS),
-        Cell(2, F(4), F(9), True, True, Domain.INTEGERS),  # overlaps cell 1
-    )
-    report = Partition.from_cells(cells).validate(2)
-    assert not report.ok
-    assert any(v.kind == "disjointness" for v in report.violations)
+FAMILY_SPECS = [
+    FixedWidth(5),
+    Fibonacci(),
+    EpsilonGrowth(F(10)),
+    EpsilonGrowth(F(5, 2)),
+    ExplicitBounds((-4, 1, 2, 9, 30, 100)),
+    ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS),
+    SingletonGrid(F(1, 2)),
+]
 
 
-def test_validate_reports_gap_and_order():
-    gap = (
-        Cell(1, F(0), F(2), True, True, Domain.INTEGERS),
-        Cell(2, F(5), F(9), True, True, Domain.INTEGERS),  # 3, 4 uncovered
-    )
-    assert any(v.kind == "coverage"
-               for v in Partition.from_cells(gap).validate(2).violations)
-    unordered = (
-        Cell(1, F(5), F(9), True, True, Domain.INTEGERS),
-        Cell(2, F(0), F(2), True, True, Domain.INTEGERS),
-    )
-    kinds = {v.kind for v in Partition.from_cells(unordered).validate(2).violations}
-    assert "ordering" in kinds
+def assert_cell_laws(spec):
+    p = build_partition(spec)
+    last = 40 if p.max_index is None else p.max_index
+    cells = [p.cell_at(i) for i in range(1, last + 1)]
+    assert cells[0].lower == p.origin and cells[0].lower_closed
+    for a, b in zip(cells, cells[1:]):
+        assert a.lower <= a.upper <= b.lower, ("ordered", spec, a.index)
+        assert a.upper < b.lower or not (a.upper_closed and b.lower_closed), \
+            ("disjoint", spec, a.index)
+        if isinstance(spec, SingletonGrid):
+            assert b.lower == a.upper + spec.step, ("step-spaced on the grid", spec, a.index)
+        elif p.domain is Domain.INTEGERS:
+            assert b.lower == a.upper + 1, ("gapless", spec, a.index)
+        else:
+            assert b.lower == a.upper, ("gapless", spec, a.index)
+            assert a.upper_closed != b.lower_closed, ("one owner per boundary", spec, a.index)
+    for c in cells:
+        assert p.index_of(c.lower if c.lower_closed else c.upper) == c.index, (spec, c.index)
 
 
-def test_validate_real_boundary_ownership():
-    cells = (
-        Cell(1, F(0), F(1), True, False, Domain.REALS),
-        Cell(2, F(1), F(2), False, True, Domain.REALS),  # 1 in neither cell
-    )
-    report = Partition.from_cells(cells).validate(2)
-    assert any(v.kind == "coverage" for v in report.violations)
+def test_validate_generated_families_pass():
+    for spec in FAMILY_SPECS:
+        assert_cell_laws(spec)
 
 
 # --- serialization -----------------------------------------------------------
@@ -306,3 +299,14 @@ def test_spec_json_rejects_garbage():
         spec_from_json({"kind": "fixed_width"})
     with pytest.raises(SpecError):
         spec_from_json([1, 2, 3])
+    for bad in ({"kind": "fixed_width", "width": 2.5},
+                {"kind": "fixed_width", "width": True},
+                {"kind": "explicit", "bounds": "0123"}):
+        with pytest.raises(SpecError):
+            spec_from_json(bad)
+
+
+def test_spec_json_accepts_quoted_integers():
+    assert spec_from_json({"kind": "fixed_width", "width": "3"}) == FixedWidth(3)
+    assert spec_from_json({"kind": "explicit", "bounds": ["0", 3, "17/2"], "domain": "real"}) \
+        == ExplicitBounds((0, 3, F(17, 2)), Domain.REALS)
