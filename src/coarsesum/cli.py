@@ -51,6 +51,17 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
                    help="representative policy (default: median)")
 
 
+def _count(text: str) -> int:
+    """A positive integer flag value; anything else is a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return n
+
+
 def _spec_from_args(args):
     if args.fibonacci:
         return Fibonacci()
@@ -229,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="print cells, representatives, and margins")
     _add_partition_flags(p)
-    p.add_argument("--cells", type=int, default=8, metavar="N",
+    p.add_argument("--cells", type=_count, default=8, metavar="N",
                    help="how many cells to print (default: 8)")
     p.add_argument("--format", choices=["table", "json", "csv"], default="table")
     p.set_defaults(func=cmd_partition)
@@ -260,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stpete", help="value the doubling gamble coarsely")
     p.add_argument("--eps", required=True, metavar="P/Q", help="cell-growth rate")
-    p.add_argument("--depth", type=int, default=10_000, metavar="N",
+    p.add_argument("--depth", type=_count, default=10_000, metavar="N",
                    help="length of the expected-increment stream (default: 10000)")
     p.add_argument("--trials", type=int, default=0, metavar="N",
                    help="also draw N payoffs and fold them (default: 0, skip)")

@@ -143,23 +143,25 @@ class CoarseContext:
         collapse.  Raises on an empty sequence, and range errors surfacing
         mid-fold carry the failing 1-based step index.
 
-        Each step is ``rep_add(s, x)`` computed through cells: the running
-        sum's cell, the input's cell and the cell of the exact sum of their
-        representatives.  A cell's representative is collapsed once per fold
-        and kept with the representative's own cell, which is the next sum's
-        cell (under the min policy it can be the cell below).
+        Each step is ``rep_add(s, x)`` computed through cells, on the
+        partition's integer scale: the running sum's cell, the input's cell and
+        the cell of the scaled sum of their representatives.  A cell's
+        representative is collapsed once per fold and kept scaled, as a
+        ``Fraction`` for the row and with the representative's own cell, which
+        is the next sum's cell (under the min policy it can be the cell below).
         """
         partition, policy = self.partition, self.policy
-        index_of = partition.index_of
-        reps = {}  # cell index -> (representative, the representative's cell)
+        spec = partition.spec
+        # inputs are made Fractions below, so the spec's own lookups need no coercion
+        index_of, scale, locate = spec.index, spec.scale, spec.index_scaled
+        reps = {}  # cell -> (scaled representative, representative, its own cell)
 
         def collapse(cell, value):
-            hit = reps.get(cell)
-            if hit is None:
-                if len(reps) >= _REP_MEMO_CELLS:
-                    reps.clear()  # climbing sums rarely come back
-                rep = rep_of_value(partition, value, policy)
-                hit = reps[cell] = (rep, index_of(rep))
+            if len(reps) >= _REP_MEMO_CELLS:
+                reps.clear()  # climbing sums rarely come back
+            rep = rep_of_value(partition, value, policy)
+            scaled = rep.numerator * (scale // rep.denominator)
+            hit = reps[cell] = (scaled, rep, locate(scaled))
             return hit
 
         steps = []
@@ -171,8 +173,11 @@ class CoarseContext:
                 if n == 1:
                     new_s, new_cell = x, x_cell
                 else:
-                    total = collapse(s_cell, s)[0] + collapse(x_cell, x)[0]
-                    new_s, new_cell = collapse(index_of(total), total)
+                    total = ((reps.get(s_cell) or collapse(s_cell, s))[0]
+                             + (reps.get(x_cell) or collapse(x_cell, x))[0])
+                    cell = locate(total)
+                    _, new_s, new_cell = reps.get(cell) or collapse(
+                        cell, total if scale == 1 else Fraction(total, scale))
             except OutOfRangeError as exc:
                 raise OutOfRangeError(f"step {n}: {exc}", step=n) from exc
             steps.append(FoldStep(n, x, x_cell, new_s, new_cell, absorbed=new_cell == s_cell))

@@ -20,12 +20,15 @@ Built-in cell-layout families:
 * :class:`SingletonGrid` -- each multiple of a step is its own one-point grain.
 
 Each family is one frozen dataclass that holds all of its rules: it checks
-its fields when built, so an invalid spec cannot exist; ``index(x)`` takes an
-exact ``int`` or ``Fraction`` and decides membership on its numerator and
-denominator; ``cell(i)`` builds the cell with a given positive index; and
-``domain``, ``origin``, ``max_index`` (None when unbounded),
-``constant_margins`` (every cell has the same margins), the wire ``kind`` and
-``to_json()`` describe it.  :class:`Partition` puts the lookup API in front.
+its fields when built, so an invalid spec cannot exist.  Its cells are
+described in integers: on the family's ``scale`` D every boundary and every
+representative (median, min or max) is a multiple of 1/D, and ``span(i)``
+gives the bounds of cell i in units of 1/D.  ``index(x)`` finds the cell of an
+exact ``int`` or ``Fraction`` from its numerator and denominator, and
+``index_scaled(n)`` the cell of n/D.  ``domain``, ``origin``, ``max_index``
+(None when unbounded), ``constant_margins`` (every cell has the same margins),
+the wire ``kind`` and ``to_json()`` describe it.  :class:`Partition` puts the
+lookup API in front and builds each :class:`Cell` from its span.
 
 Generated families extend lazily to any index and are pure functions of the
 index, so concurrent queries for the same cell always agree.  Explicit
@@ -34,11 +37,11 @@ families are finite and refuse indexes beyond their last cell.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union, get_args
 
 from .errors import DomainError, OutOfRangeError, SpecError
@@ -108,14 +111,11 @@ def _below(x, origin) -> DomainError:
     return DomainError(f"{x} is below the partition origin {origin}")
 
 
-def _natural(x) -> int:
-    """The value as a nonnegative integer, or the domain error it deserves."""
-    n = x.numerator
+def _integer(x) -> int:
+    """The value as an int, or the domain error of an integer family."""
     if x.denominator != 1:
         raise _not_integer(x)
-    if n < 0:
-        raise _below(x, 0)
-    return n
+    return x.numerator
 
 
 def _rational(field: str, value) -> Fraction:
@@ -147,6 +147,7 @@ class FixedWidth:
     origin = Fraction(0)
     max_index = None
     constant_margins = True
+    scale = 1
 
     def __post_init__(self):
         width = self.width
@@ -157,12 +158,16 @@ class FixedWidth:
         _settle(self, width=width)
 
     def index(self, x) -> int:
-        return _natural(x) // self.width + 1
+        return self.index_scaled(_integer(x))
 
-    def cell(self, index: int) -> Cell:
+    def index_scaled(self, n: int) -> int:
+        if n < 0:
+            raise _below(n, 0)
+        return n // self.width + 1
+
+    def span(self, index: int) -> tuple:
         w = self.width
-        return Cell(index, Fraction(w * (index - 1)), Fraction(w * index - 1),
-                    True, True, Domain.INTEGERS)
+        return w * (index - 1), w * index - 1
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "width": self.width, "domain": "int"}
@@ -177,6 +182,7 @@ class Fibonacci:
     origin = Fraction(0)
     max_index = None
     constant_margins = False
+    scale = 1
 
     def __post_init__(self):
         # _starts[i] begins cell i+1.  Sizes follow Fibonacci, so each start is
@@ -193,18 +199,21 @@ class Fibonacci:
         return starts
 
     def index(self, x) -> int:
-        n = _natural(x)
+        return self.index_scaled(_integer(x))
+
+    def index_scaled(self, n: int) -> int:
+        if n < 0:
+            raise _below(n, 0)
         starts = self._starts
         if starts[-1] <= n:
             starts = self._grown(cover=n)
         return bisect_right(starts, n)
 
-    def cell(self, index: int) -> Cell:
+    def span(self, index: int) -> tuple:
         starts = self._starts
         if len(starts) <= index:
             starts = self._grown(cells=index)
-        return Cell(index, Fraction(starts[index - 1]), Fraction(starts[index] - 1),
-                    True, True, Domain.INTEGERS)
+        return starts[index - 1], starts[index] - 1
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "domain": "int"}
@@ -217,7 +226,9 @@ class EpsilonGrowth:
     Cell i (i >= 2) is ``(b, b + i/epsilon]`` where b is the previous upper
     bound, so widths grow linearly and upward margins grow without bound.
     With ``T(i) = i(i+1)/2`` the upper bound of cell i is
-    ``1/2 + (T(i) - 1)/epsilon``.
+    ``1/2 + (T(i) - 1)/epsilon``.  For ``epsilon = p/q`` that is
+    ``(2p + 2q(i(i+1) - 2)) / 4p``: on the scale 4p every bound is even, so
+    every midpoint is an integer too.
     """
 
     epsilon: Fraction
@@ -232,28 +243,33 @@ class EpsilonGrowth:
         eps = _rational("epsilon", self.epsilon)
         if eps <= 0:
             raise SpecError(f"epsilon: must be positive, got {eps}")
-        _settle(self, epsilon=eps, _p=eps.numerator, _q=eps.denominator)
-
-    def bound(self, i: int) -> Fraction:
-        """Upper bound of cell i: (p + 2(T(i) - 1)q) / 2p for epsilon = p/q."""
-        return Fraction(self._p + (i * (i + 1) - 2) * self._q, 2 * self._p)
+        p, q = eps.numerator, eps.denominator
+        _settle(self, epsilon=eps, scale=4 * p, _half=2 * p, _q2=2 * q, _q4=4 * q)
 
     def index(self, x) -> int:
-        a, b = x.numerator, x.denominator
-        if 2 * a <= b:
-            if a < 0:
-                raise _below(x, 0)
+        a = x.numerator
+        if a < 0:
+            raise _below(x, 0)
+        # cells are closed above, so x lies where the ceiling of x*scale does
+        return self.index_scaled(-(-a * self.scale // x.denominator))
+
+    def index_scaled(self, n: int) -> int:
+        half = self._half
+        if n <= half:
+            if n < 0:
+                raise _below(Fraction(n, self.scale), 0)
             return 1
-        # x lies in the smallest cell i with T(i) >= eps*(x - 1/2) + 1; T(i) is
+        # n lies in the smallest cell i with T(i) >= (n - 2p)/4q + 1; T(i) is
         # an integer, so that is the smallest i with T(i) >= c below.
-        c = -(-self._p * (2 * a - b) // (2 * self._q * b)) + 1
+        c = -((half - n) // self._q4) + 1
         i = (isqrt(8 * c + 1) - 1) // 2          # largest i with T(i) <= c
         return i if i * (i + 1) // 2 == c else i + 1
 
-    def cell(self, index: int) -> Cell:
+    def span(self, index: int) -> tuple:
+        half, q2 = self._half, self._q2
         if index == 1:
-            return Cell(1, Fraction(0), Fraction(1, 2), True, True, Domain.REALS)
-        return Cell(index, self.bound(index - 1), self.bound(index), False, True, Domain.REALS)
+            return 0, half
+        return half + q2 * (index * index - index - 2), half + q2 * (index * index + index - 2)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "epsilon": format_rational(self.epsilon), "domain": "real"}
@@ -265,7 +281,8 @@ class ExplicitBounds:
 
     In the integer domain cell i is ``[b[i-1], b[i] - 1]``; boundaries may
     start at a negative origin.  In the real domain cell 1 is
-    ``[b[0], b[1]]`` and cell i is ``(b[i-1], b[i]]``.
+    ``[b[0], b[1]]`` and cell i is ``(b[i-1], b[i]]``; there the scale is
+    twice the common denominator, so every boundary and midpoint is an integer.
     """
 
     bounds: tuple
@@ -291,36 +308,36 @@ class ExplicitBounds:
         for v in b:
             if ints and v.denominator != 1:
                 raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
-        # integer-domain lookups bisect plain ints rather than Fractions
+        scale = 1 if ints else 2 * lcm(*(v.denominator for v in b))
+        # _open: real cells (k[i-1], k[i]] hold the scaled integers k[i-1] + 1 .. k[i]
         _settle(self, bounds=b, domain=domain, origin=b[0], max_index=len(b) - 1,
-                _keys=tuple(int(v) for v in b) if ints else b)
+                scale=scale, _keys=tuple(v.numerator * (scale // v.denominator) for v in b),
+                _open=0 if ints else 1)
 
     def index(self, x) -> int:
-        b = self.bounds
-        if self.domain is Domain.INTEGERS:
-            n, keys = x.numerator, self._keys
-            if x.denominator != 1:
-                raise _not_integer(x)
-            if n < keys[0]:
-                raise _below(x, b[0])
-            if n >= keys[-1]:
-                raise OutOfRangeError(f"{x} is beyond the last covered integer {b[-1] - 1}")
-            return bisect_right(keys, n)
-        if x < b[0]:
-            raise _below(x, b[0])
-        if x > b[-1]:
-            raise OutOfRangeError(f"{x} is beyond the last explicit bound {b[-1]}")
-        if x <= b[1]:
-            return 1
-        return bisect_left(b, x)
+        # real cells are closed above, so x lies where the ceiling of x*scale does
+        n = -(-x.numerator * self.scale // x.denominator) if self._open else _integer(x)
+        return self.index_scaled(n, x)
 
-    def cell(self, index: int) -> Cell:
+    def index_scaled(self, n: int, x=None) -> int:
+        """Cell of n/scale; errors name the value x, n/scale when omitted."""
+        keys, shift = self._keys, self._open
+        if keys[0] <= n < keys[-1] + shift:
+            return bisect_right(keys, n - shift) or 1
+        if x is None:
+            x = Fraction(n, self.scale)
+        b = self.bounds
+        if n < keys[0]:
+            raise _below(x, b[0])
+        if not shift:
+            raise OutOfRangeError(f"{x} is beyond the last covered integer {b[-1] - 1}")
+        raise OutOfRangeError(f"{x} is beyond the last explicit bound {b[-1]}")
+
+    def span(self, index: int) -> tuple:
         if index > self.max_index:
             raise OutOfRangeError(f"cell {index} is beyond the last explicit cell {self.max_index}")
-        lo, hi = self.bounds[index - 1], self.bounds[index]
-        if self.domain is Domain.INTEGERS:
-            return Cell(index, lo, hi - 1, True, True, Domain.INTEGERS)
-        return Cell(index, lo, hi, index == 1, True, Domain.REALS)
+        keys = self._keys
+        return keys[index - 1], keys[index] - 1 + self._open
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "bounds": [rational_to_json(b) for b in self.bounds],
@@ -333,7 +350,8 @@ class SingletonGrid:
 
     The identity coarse structure on a rational grid: representatives are the
     values themselves, every margin is zero, and coarse addition collapses to
-    exact addition for values on the grid.
+    exact addition for values on the grid.  For ``step = u/v`` the scale is v,
+    so grid point k is the integer k*u.
     """
 
     step: Fraction
@@ -348,21 +366,27 @@ class SingletonGrid:
         step = _rational("step", self.step)
         if step <= 0:
             raise SpecError(f"step: must be positive, got {step}")
-        _settle(self, step=step, _u=step.numerator, _v=step.denominator)
+        _settle(self, step=step, scale=step.denominator, _u=step.numerator)
 
     def index(self, x) -> int:
         a = x.numerator
         if a < 0:
             raise _below(x, 0)
         # x / (u/v) = a*v / (b*u) must be an integer
-        k, r = divmod(a * self._v, x.denominator * self._u)
+        k, r = divmod(a * self.scale, x.denominator * self._u)
         if r:
             raise DomainError(f"{x} is not a multiple of the grid step {self.step}")
         return k + 1
 
-    def cell(self, index: int) -> Cell:
-        v = Fraction((index - 1) * self._u, self._v)
-        return Cell(index, v, v, True, True, Domain.REALS)
+    def index_scaled(self, n: int) -> int:
+        k, r = divmod(n, self._u)
+        if r or n < 0:
+            return self.index(Fraction(n, self.scale))  # raises the value's error
+        return k + 1
+
+    def span(self, index: int) -> tuple:
+        n = (index - 1) * self._u
+        return n, n
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "step": format_rational(self.step), "domain": "real"}
@@ -380,7 +404,7 @@ def from_widths(widths, origin: int = 0) -> ExplicitBounds:
     if not widths:
         raise SpecError("widths: need at least one block width")
     for w in widths:
-        if not isinstance(w, int) or w < 1:
+        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise SpecError(f"widths: block widths must be positive integers, got {w!r}")
     bounds = [origin]
     for w in widths:
@@ -413,7 +437,14 @@ class Partition:
         """The cell with the given 1-based index."""
         if not isinstance(index, int) or isinstance(index, bool) or index < 1:
             raise DomainError(f"cell index must be a positive integer, got {index!r}")
-        return self.spec.cell(index)
+        spec = self.spec
+        lo, hi = spec.span(index)
+        d = spec.scale
+        lower = Fraction(lo) if d == 1 else Fraction(lo, d)  # one argument skips the gcd
+        upper = lower if hi == lo else Fraction(hi) if d == 1 else Fraction(hi, d)
+        # real cells are open below, except the first and one-point cells
+        return Cell(index, lower, upper,
+                    spec.domain is Domain.INTEGERS or index == 1 or lo == hi, True, spec.domain)
 
     def index_of(self, value) -> int:
         """Index of the unique cell containing ``value``."""

@@ -16,27 +16,30 @@ def parse_rational(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
+    text = str(value).strip()
     try:
-        return Fraction(str(value).strip())
+        if text.isdecimal():  # plain digits: int() gives the same value, cheaper
+            return Fraction(int(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {value!r}") from exc
 
 
 def format_rational(value) -> str:
     """Render as ``p/q``; the denominator is kept even when it is 1."""
-    f = Fraction(value)
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
 
 def rational_to_json(value):
     """Integers become JSON integers, everything else a ``p/q`` string."""
-    f = Fraction(value)
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     return f.numerator if f.denominator == 1 else format_rational(f)
 
 
 def format_decimal(value, places: int = 6) -> str:
     """Decimal rendering for tables: exact when terminating, rounded otherwise."""
-    f = Fraction(value)
+    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     den = f.denominator
@@ -51,6 +54,6 @@ def format_decimal(value, places: int = 6) -> str:
         exp = max(twos, fives)
         scaled = abs(f.numerator) * 10**exp // f.denominator
         digits = str(scaled).rjust(exp + 1, "0")
-        sign = "-" if f < 0 else ""
+        sign = "-" if f.numerator < 0 else ""
         return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
     return f"{float(f):.{places}g}"

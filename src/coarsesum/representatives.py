@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from math import floor
 
 from .partitions import Cell, Domain, Partition
 
@@ -25,6 +26,17 @@ class Policy(Enum):
     MAX = "max"
 
 
+def _pick(lo, hi, policy: Policy):
+    """The policy's choice between a cell's bounds; the median rounds down."""
+    if policy is Policy.MEDIAN_LOWER:
+        return (lo + hi) // 2
+    if policy is Policy.MIN:
+        return lo
+    if policy is Policy.MAX:
+        return hi
+    raise ValueError(f"unknown policy {policy!r}")
+
+
 def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
     """Representative of a cell; singletons map to their lone value.
 
@@ -33,22 +45,20 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
     to that boundary.  Median and max always return a member (upper bounds
     are attained under this package's cell conventions).
     """
-    if cell.lower == cell.upper:
-        return cell.lower
-    if policy is Policy.MIN:
-        return cell.lower
-    if policy is Policy.MAX:
-        return cell.upper
     if policy is not Policy.MEDIAN_LOWER:
-        raise ValueError(f"unknown policy {policy!r}")
-    if cell.domain is Domain.INTEGERS:
-        return cell.lower + (cell.count - 1) // 2
-    return (cell.lower + cell.upper) / 2
+        return _pick(cell.lower, cell.upper, policy)
+    mid = (cell.lower + cell.upper) / 2
+    return mid if cell.domain is Domain.REALS else Fraction(floor(mid))
 
 
 def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
-    """Collapse a value to the representative of its own cell (idempotent)."""
-    return rep_of_cell(partition.cell_of(value), policy)
+    """Collapse a value to the representative of its own cell (idempotent).
+
+    Read off the cell's integer span, on which real midpoints need no rounding.
+    """
+    spec = partition.spec
+    n = _pick(*spec.span(partition.index_of(value)), policy)
+    return Fraction(n) if spec.scale == 1 else Fraction(n, spec.scale)  # skips the gcd at 1
 
 
 def margin_pos(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:

@@ -113,6 +113,8 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     that the formula undershoots (the first cell's margin is an exact tie,
     never a strict winner) and the report flags the disagreement.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     eps = parse_rational(epsilon)
     ctx = CoarseContext(build_partition(EpsilonGrowth(eps)), Policy.MEDIAN_LOWER)
     cell_formula = floor(eps / 2) + 1

@@ -325,6 +325,21 @@ def test_usage_errors_exit_two(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (["partition", "--width", "3", "--cells", "0"], "--cells", "'0'"),
+    (["partition", "--width", "3", "--cells", "-2", "--format", "json"], "--cells", "'-2'"),
+    (["stpete", "--eps", "10", "--depth", "0"], "--depth", "'0'"),
+    (["stpete", "--eps", "10", "--depth", "-1", "--trials", "5"], "--depth", "'-1'"),
+])
+def test_counts_below_one_are_usage_errors(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert f"argument {flag}: must be a positive integer, got {value}" in err
+
+
 def test_parser_builds_all_subcommands():
     parser = build_parser()
     subactions = [a for a in parser._actions

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldStep, OutOfRangeError, Policy,
-                       SingletonGrid, build_partition)
+                       Fibonacci, FixedWidth, FoldStep, OutOfRangeError, Partition, Policy,
+                       SingletonGrid, build_partition, format_decimal, format_rational,
+                       parse_rational, rep_of_cell, rep_of_value)
+from coarsesum import representatives
 
 POLICIES = list(Policy)
 
@@ -178,6 +180,172 @@ def test_epsilon_index_at_exact_bounds(eps, k):
     assert p.index_of(b) == k              # upper bounds are closed
     for x in (b, b + F(1, 10**30), b - F(1, 10**30)):
         assert_index_matches_membership(p, x)
+
+
+# ------------------------------------------- integer spans and scaled lookup
+# Every family describes its cells as integer spans on a scale D.  The oracle
+# for the representative works on the Cell's exact bounds.
+
+def oracle_rep(cell, policy):
+    if policy is Policy.MIN:
+        return cell.lower
+    if policy is Policy.MAX:
+        return cell.upper
+    if cell.domain is Domain.INTEGERS:
+        return cell.lower + (cell.count - 1) // 2
+    return (cell.lower + cell.upper) / 2
+
+
+@st.composite
+def real_bounds(draw):
+    """Real explicit layouts whose boundaries mix denominators."""
+    start = draw(st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    steps = draw(st.lists(st.fractions(min_value=F(1, 15), max_value=9, max_denominator=15),
+                          min_size=1, max_size=8))
+    bounds = [start]
+    for w in steps:
+        bounds.append(bounds[-1] + w)
+    return ExplicitBounds(tuple(bounds), Domain.REALS)
+
+
+SPECS = st.one_of(
+    st.integers(1, 9).map(FixedWidth),
+    st.just(Fibonacci()),
+    st.one_of(st.sampled_from([F(1, 3), F(5, 2), F(101, 3), F(10), F(2)]),
+              st.fractions(min_value=F(1, 50), max_value=200, max_denominator=60)
+              ).map(EpsilonGrowth),
+    st.sampled_from([ExplicitBounds((0, 3, 6, 17)), ExplicitBounds((-4, 1, 2, 9, 30, 100)),
+                     ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS),
+                     ExplicitBounds((F(-3, 4), F(1, 6), F(2, 5), 3, F(22, 7)), Domain.REALS)]),
+    real_bounds(),
+    st.fractions(min_value=F(1, 20), max_value=7, max_denominator=20).map(SingletonGrid),
+)
+
+
+def _cell_indexes(spec, draw):
+    top = spec.max_index or 400
+    return draw(st.lists(st.integers(1, top), min_size=1, max_size=12))
+
+
+@settings(max_examples=300)
+@given(spec=SPECS, data=st.data())
+def test_cells_and_representatives_agree_with_integer_spans(spec, data):
+    partition, d = build_partition(spec), spec.scale
+    assert type(d) is int and d >= 1
+    for i in _cell_indexes(spec, data.draw):
+        lo, hi = spec.span(i)
+        cell = partition.cell_at(i)
+        assert type(lo) is int and type(hi) is int
+        assert (cell.lower, cell.upper) == (F(lo, d), F(hi, d))
+        for policy in POLICIES:
+            rep = oracle_rep(cell, policy)
+            assert rep_of_cell(cell, policy) == rep
+            assert (rep * d).denominator == 1          # on the scale, as the fold keeps it
+            member = cell.upper                         # upper bounds are closed
+            assert rep_of_value(partition, member, policy) == rep
+            assert type(rep_of_value(partition, member, policy)) is F
+
+
+@settings(max_examples=300)
+@given(spec=SPECS, data=st.data())
+def test_scaled_lookup_agrees_with_index_of(spec, data):
+    partition, d = build_partition(spec), spec.scale
+    first = spec.span(1)[0]
+    last = spec.span(spec.max_index)[1] if spec.max_index else first + 50 * d * d
+    for n in data.draw(st.lists(st.integers(first - 3, last + 3), min_size=1, max_size=20)):
+        try:
+            expected = partition.index_of(F(n, d))
+        except (DomainError, OutOfRangeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                spec.index_scaled(n)
+            assert str(got.value) == str(exc)
+        else:
+            assert spec.index_scaled(n) == expected
+
+
+_FORBIDDEN = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+              "__truediv__", "__floordiv__", "__lt__", "__le__", "__gt__", "__ge__")
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("spec, values", [
+    (FixedWidth(7), [F(v) for v in (7, 20, 27, 9, 1, 1, 1)] * 30),
+    (Fibonacci(), [F(2**t) for t in range(60)] + [F(1)] * 20),
+    (EpsilonGrowth(F(10)), [F(3001, 7), F(2500, 3)] * 40 + [F(1, 2)] * 20),
+    (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [F(1, k) for k in range(3, 7)]),
+    (SingletonGrid(F(3, 4)), [F(3, 4), F(0), F(3, 2)] * 30),
+], ids=["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"])
+def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, policy,
+                                                             monkeypatch):
+    ctx = CoarseContext(build_partition(spec), policy)
+    expected = rep_add_fold(ctx, values)
+
+    def forbidden(*args):
+        raise AssertionError("the fold reached Fraction arithmetic or built a Cell")
+    for name in _FORBIDDEN:
+        monkeypatch.setattr(F, name, forbidden)
+    monkeypatch.setattr(Partition, "cell_at", forbidden)
+    monkeypatch.setattr(representatives, "rep_of_cell", forbidden)
+    steps = ctx.fold(values).steps
+    monkeypatch.undo()
+    assert steps == expected
+
+
+# --------------------------------------------------------- rational row I/O
+
+DIGITS = "0123456789"
+TEXTS = st.one_of(
+    st.text(alphabet=DIGITS, min_size=1, max_size=30),
+    st.text(alphabet=DIGITS + " +-_/.e\u00b2\u0663\uff11\u2007\t", max_size=12),
+    st.sampled_from(["+5", "007", "1_000", "\u0663", "\u00b2", "\uff11\uff12", " 42 ",
+                     "-0", "1/0", "", " ", "0x10", "1e3", "3/", "/3", "4" * 5000]),
+)
+
+
+@settings(max_examples=500)
+@given(text=TEXTS)
+def test_parse_rational_equals_fraction_of_the_text(text):
+    try:
+        expected = F(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match="not a rational number"):
+            parse_rational(text)
+        return
+    got = parse_rational(text)
+    assert type(got) is F and got == expected
+
+
+def reference_format_rational(value):
+    f = F(value)
+    return f"{f.numerator}/{f.denominator}"
+
+
+def reference_format_decimal(value, places=6):
+    """Decimal rendering worked out on ``Fraction(value)``, step by step."""
+    f = F(value)
+    if f.denominator == 1:
+        return str(f.numerator)
+    den, exp = f.denominator, 0
+    while den % 2 == 0 or den % 5 == 0:
+        den //= 2 if den % 2 == 0 else 5
+    if den != 1:
+        return f"{float(f):.{places}g}"
+    while (f * 10**exp).denominator != 1:
+        exp += 1
+    digits = str(abs(f.numerator) * 10**exp // f.denominator).rjust(exp + 1, "0")
+    return f"{'-' if f < 0 else ''}{digits[:-exp]}.{digits[-exp:]}"
+
+
+@settings(max_examples=500)
+@given(value=st.one_of(st.integers(-10**40, 10**40), st.booleans(),
+                       st.fractions(max_denominator=10**12),
+                       st.builds(F, st.integers(-10**9, 10**9), st.sampled_from(
+                           [2**k * 5**j for k in range(12) for j in range(12)])),
+                       st.floats(allow_nan=False, allow_infinity=False)))
+def test_formatting_reads_ints_fractions_and_floats_as_before(value):
+    assert format_rational(value) == reference_format_rational(value)
+    assert format_decimal(value) == reference_format_decimal(value)
+    assert format_decimal(value, 3) == reference_format_decimal(value, 3)
 
 
 # ------------------------------------------------------------ without numpy

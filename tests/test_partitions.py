@@ -112,6 +112,15 @@ def test_from_widths_helper():
         [(0, 2), (3, 5), (6, 16)]
 
 
+@pytest.mark.parametrize("widths", [[True, 2], [3, False], [2, 0], [2, -1], [2.0], ["2"], []])
+def test_from_widths_rejects_what_fixed_width_rejects(widths):
+    with pytest.raises(SpecError, match="widths"):
+        from_widths(widths)
+    if widths and isinstance(widths[0], bool):
+        with pytest.raises(SpecError, match="width"):
+            FixedWidth(widths[0])
+
+
 # --- membership --------------------------------------------------------------
 
 def test_cell_of_boundary_membership_eps10(eps10):

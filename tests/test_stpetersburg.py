@@ -211,6 +211,14 @@ def test_comparison_requires_trials():
         compare_valuations(10, Gamble(8), trials=0, seed=0)
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_valuations_name_a_depth_below_one(depth):
+    with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
+        coarse_value(10, depth)
+    with pytest.raises(ValueError, match="depth must be"):
+        compare_valuations(10, Gamble(8), trials=5, seed=0, depth=depth)
+
+
 def test_comparison_json_shape():
     d = compare_valuations(10, Gamble(8), trials=50, seed=5, depth=40).to_json_dict()
     assert set(d) == {"valuation", "trials", "seed", "rng", "truncation_depth",
