@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from fractions import Fraction
+from pathlib import Path
 
 from .errors import CoarseError
 from .inertness import constant, detect_inert_stream, geometric, harmonic
-from .ops import CoarseContext
+from .ops import CoarseContext, FoldStep
 from .partitions import (Domain, EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth,
                          SingletonGrid, build_partition)
-from .rationals import format_decimal, format_rational, parse_rational
+from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, margin_neg, margin_pos, rep_of_cell
 from .stpetersburg import Gamble, coarse_value, compare_valuations
 
@@ -51,15 +52,31 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
                    help="representative policy (default: median)")
 
 
-def _count(text: str) -> int:
-    """A positive integer flag value; anything else is a usage error."""
+def _count(text: str, least: int = 1) -> int:
+    """An integer flag value of at least ``least`` (0 or 1); else a usage error."""
     try:
         n = int(text)
     except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        n = least - 1
+    if n < least:
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
     return n
+
+
+#: Flags whose value may start with "-", which argparse takes for an option name.
+_SIGNED_FLAGS = {"--bounds", "--eps", "--grid", "--const", "--bound"}
+
+
+def _join_signed_values(argv: list) -> list:
+    """``--eps -1/2`` becomes ``--eps=-1/2``, which argparse reads as a value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _spec_from_args(args):
@@ -81,15 +98,6 @@ def _context_from_args(args) -> CoarseContext:
 
 # ------------------------------------------------------------------ rendering
 
-def _render_table(headers, rows) -> str:
-    cols = range(len(headers))
-    widths = [max([len(headers[i])] + [len(r[i]) for r in rows]) for i in cols]
-    out = ["  ".join(headers[i].ljust(widths[i]) for i in cols).rstrip()]
-    for r in rows:
-        out.append("  ".join(r[i].ljust(widths[i]) for i in cols).rstrip())
-    return "\n".join(out)
-
-
 def _verdict_text(v) -> str:
     if v.inert:
         kind = "certified" if v.certified else "observed"
@@ -102,40 +110,20 @@ def _verdict_text(v) -> str:
 
 def cmd_partition(args) -> int:
     ctx = _context_from_args(args)
-    cells = [ctx.partition.cell_at(i) for i in range(1, args.cells + 1)]
-    triples = [(c, rep_of_cell(c, ctx.policy), margin_pos(c, ctx.policy),
-                margin_neg(c, ctx.policy)) for c in cells]
-    if args.format == "json":
-        for c, rep, mp, mn in triples:
-            print(json.dumps({
-                "index": c.index,
-                "lower": format_rational(c.lower),
-                "upper": format_rational(c.upper),
-                "lower_closed": c.lower_closed,
-                "upper_closed": c.upper_closed,
-                "rep": format_rational(rep),
-                "margin_pos": format_rational(mp),
-                "margin_neg": format_rational(mn),
-            }))
-    elif args.format == "csv":
-        print("index,lower,upper,lower_closed,upper_closed,rep,margin_pos,margin_neg")
-        for c, rep, mp, mn in triples:
-            print(f"{c.index},{format_rational(c.lower)},{format_rational(c.upper)},"
-                  f"{str(c.lower_closed).lower()},{str(c.upper_closed).lower()},"
-                  f"{format_rational(rep)},{format_rational(mp)},{format_rational(mn)}")
+    rows = [(c, rep_of_cell(c, ctx.policy), margin_pos(c, ctx.policy), margin_neg(c, ctx.policy))
+            for c in map(ctx.partition.cell_at, range(1, args.cells + 1))]
+    if args.format == "table":
+        head = "cell interval rep margin+ margin-".split()
+        rows = [(c.index, str(c), *r) for c, *r in rows]
     else:
-        rows = [[str(c.index), str(c), format_decimal(rep), format_decimal(mp),
-                 format_decimal(mn)] for c, rep, mp, mn in triples]
-        print(_render_table(["cell", "interval", "rep", "margin+", "margin-"], rows))
+        head = "index lower upper lower_closed upper_closed rep margin_pos margin_neg".split()
+        rows = [(c.index, c.lower, c.upper, c.lower_closed, c.upper_closed, *r) for c, *r in rows]
+    print(write_rows(head, rows, args.format))
     return 0
 
 
 def _read_values(path: str | None):
-    if path in (None, "-"):
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    text = sys.stdin.read() if path in (None, "-") else Path(path).read_text(encoding="utf-8")
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -153,14 +141,10 @@ def _read_values(path: str | None):
 def cmd_fold(args) -> int:
     ctx = _context_from_args(args)
     trace = ctx.fold(_read_values(args.input))
-    if args.format == "json":
-        print(trace.to_json_lines())
-    elif args.format == "csv":
-        print(trace.to_csv())
+    if args.format == "table":
+        print(write_rows(FoldStep._fields, trace.steps, "table"))
     else:
-        rows = [[str(s.n), format_decimal(s.x), str(s.x_cell), format_decimal(s.s),
-                 str(s.s_cell), "yes" if s.absorbed else "no"] for s in trace]
-        print(_render_table(["n", "x", "x_cell", "s", "s_cell", "absorbed"], rows))
+        print(trace.to_json_lines() if args.format == "json" else trace.to_csv())
     return 0
 
 
@@ -205,10 +189,13 @@ def cmd_stpete(args) -> int:
     if args.trials > 0:
         report = compare_valuations(eps, Gamble(args.truncation), args.trials,
                                     args.seed, depth=args.depth)
-        if args.format == "json":
-            print(json.dumps(report.to_json_dict(), indent=2))
-            return 0
-        _print_valuation_text(report.valuation)
+    else:
+        report = coarse_value(eps, depth=args.depth)
+    if args.format == "json":
+        print(json.dumps(report.to_json_dict(), indent=2))
+        return 0
+    _print_valuation_text(report.valuation if args.trials > 0 else report)
+    if args.trials > 0:
         print(f"  sampled payoffs: trials = {report.trials}, seed = {report.seed}, "
               f"rng = {report.rng_algorithm}, truncation depth = {report.truncation_depth}")
         print(f"    mean payoff      : {format_decimal(report.sampled_mean)}")
@@ -220,12 +207,6 @@ def cmd_stpete(args) -> int:
         print("  exact-addition control (singleton grid):")
         print(f"    verdict          : {_verdict_text(report.classical_verdict)}")
         print(f"    final sum        : {format_decimal(report.classical_final)}")
-        return 0
-    report = coarse_value(eps, depth=args.depth)
-    if args.format == "json":
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        _print_valuation_text(report)
     return 0
 
 
@@ -273,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True, metavar="P/Q", help="cell-growth rate")
     p.add_argument("--depth", type=_count, default=10_000, metavar="N",
                    help="length of the expected-increment stream (default: 10000)")
-    p.add_argument("--trials", type=int, default=0, metavar="N",
+    p.add_argument("--trials", type=lambda text: _count(text, 0), default=0, metavar="N",
                    help="also draw N payoffs and fold them (default: 0, skip)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="sampling seed (default: 0)")
@@ -287,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (CoarseError, ValueError, OSError) as exc:

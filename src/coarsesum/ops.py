@@ -18,11 +18,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import OutOfRangeError
 from .partitions import Partition
-from .rationals import format_rational, parse_rational
+from .rationals import parse_rational, write_rows
 from .representatives import Policy, rep_of_cell, rep_of_value
 
 
@@ -32,8 +32,7 @@ from .representatives import Policy, rep_of_cell, rep_of_value
 _REP_MEMO_CELLS = 256
 
 
-@dataclass(frozen=True, slots=True)
-class FoldStep:
+class FoldStep(NamedTuple):
     """One step of a coarse fold: raw input, partial sum, and their cells."""
 
     n: int
@@ -42,19 +41,6 @@ class FoldStep:
     s: Fraction
     s_cell: int
     absorbed: bool  # True when the sum's cell did not move from step n-1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "x": format_rational(self.x),
-            "x_cell": self.x_cell,
-            "s": format_rational(self.s),
-            "s_cell": self.s_cell,
-            "absorbed": self.absorbed,
-        }
-
-
-_CSV_HEADER = "n,x,x_cell,s,s_cell,absorbed"
 
 
 @dataclass(frozen=True)
@@ -78,33 +64,17 @@ class FoldTrace:
         return self.steps[-1].s_cell
 
     def to_json_lines(self) -> str:
-        return "\n".join(json.dumps(s.to_json_dict()) for s in self.steps)
+        return write_rows(FoldStep._fields, self.steps, "json")
 
     def to_csv(self) -> str:
-        rows = [_CSV_HEADER]
-        for s in self.steps:
-            rows.append(
-                f"{s.n},{format_rational(s.x)},{s.x_cell},"
-                f"{format_rational(s.s)},{s.s_cell},{'true' if s.absorbed else 'false'}")
-        return "\n".join(rows)
+        return write_rows(FoldStep._fields, self.steps, "csv")
 
     @classmethod
     def from_json_lines(cls, text: str) -> "FoldTrace":
-        steps = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            steps.append(FoldStep(
-                n=int(d["n"]),
-                x=parse_rational(d["x"]),
-                x_cell=int(d["x_cell"]),
-                s=parse_rational(d["s"]),
-                s_cell=int(d["s_cell"]),
-                absorbed=bool(d["absorbed"]),
-            ))
-        return cls(tuple(steps))
+        readers = (int, parse_rational, int, parse_rational, int, bool)  # one per field
+        rows = (json.loads(line) for line in text.splitlines() if line.strip())
+        return cls(tuple(FoldStep._make(read(d[k]) for read, k in zip(readers, FoldStep._fields))
+                         for d in rows))
 
 
 @dataclass(frozen=True)
@@ -180,7 +150,7 @@ class CoarseContext:
                         cell, total if scale == 1 else Fraction(total, scale))
             except OutOfRangeError as exc:
                 raise OutOfRangeError(f"step {n}: {exc}", step=n) from exc
-            steps.append(FoldStep(n, x, x_cell, new_s, new_cell, absorbed=new_cell == s_cell))
+            steps.append(FoldStep(n, x, x_cell, new_s, new_cell, new_cell == s_cell))
             s, s_cell = new_s, new_cell
         if not steps:
             raise ValueError("cannot fold an empty sequence")

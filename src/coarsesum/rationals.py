@@ -1,12 +1,13 @@
 """Exact rational parsing and formatting.
 
 Every quantity in this package is a :class:`fractions.Fraction`; floats never
-enter a computation.  These helpers pin down the one wire format ("p/q") and
-the decimal rendering used in human-readable tables.
+enter a computation.  These helpers pin down the one wire format ("p/q"), the
+decimal rendering used in human-readable tables, and the one writer of rows.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 
@@ -57,3 +58,26 @@ def format_decimal(value, places: int = 6) -> str:
         sign = "-" if f.numerator < 0 else ""
         return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
     return f"{float(f):.{places}g}"
+
+
+def write_rows(head, rows, fmt: str) -> str:
+    """Rows of exact values as JSON lines, CSV under a header, or an aligned table.
+
+    A column's type, read off its first row, picks its text: rationals are ``p/q`` in
+    JSON and CSV and decimals in tables; bools are JSON booleans, ``true``/``false`` in
+    CSV and ``yes``/``no`` in tables; ints and strings stay as they are.
+    """
+    columns = list(zip(*rows))
+    if fmt == "json":
+        columns = [map(format_rational, c) if isinstance(c[0], Fraction) else c for c in columns]
+        return "\n".join(json.dumps(dict(zip(head, row))) for row in zip(*columns))
+    rational, no, yes = ((format_decimal, "no", "yes") if fmt == "table"
+                         else (format_rational, "false", "true"))
+    columns = [map(rational, c) if isinstance(c[0], Fraction) else
+               [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c)
+               for c in columns]
+    lines = [head, *zip(*columns)]
+    if fmt == "csv":
+        return "\n".join(map(",".join, lines))
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in lines)

@@ -23,8 +23,7 @@ from math import floor
 from operator import index
 
 from .errors import SpecError
-from .inertness import (InertVerdict, Outcome, constant, detect_inert_stream,
-                        detect_inert_trace, first_absorbing_cell)
+from .inertness import InertVerdict, Outcome, constant, detect_inert_stream, detect_inert_trace
 from .ops import CoarseContext
 from .partitions import EpsilonGrowth, build_partition
 from .rationals import format_rational, parse_rational
@@ -33,8 +32,8 @@ from .representatives import Policy
 #: Deterministic counter-based generator used for all sampling.
 RNG_ALGORITHM = "numpy-philox4x64"
 
-#: Collapsed value of one expected increment 1/2: it always lands in the
-#: first growth cell [0, 1/2], whose midpoint representative is 1/4.
+#: Bound on every expected increment, which is exactly 1/2.  It lands in the
+#: first growth cell [0, 1/2] and collapses to that cell's midpoint 1/4.
 INCREMENT_BOUND = Fraction(1, 2)
 
 
@@ -118,10 +117,10 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     eps = parse_rational(epsilon)
     ctx = CoarseContext(build_partition(EpsilonGrowth(eps)), Policy.MEDIAN_LOWER)
     cell_formula = floor(eps / 2) + 1
-    cell_scan = first_absorbing_cell(ctx.partition, ctx.policy,
-                                     ctx.normalize(INCREMENT_BOUND), strict=True)
     verdict = detect_inert_stream(ctx, constant(INCREMENT_BOUND), horizon=depth,
                                   increment_bound=INCREMENT_BOUND)
+    # growth cells widen without bound, so the margin scan always certifies a cell
+    cell_scan = verdict.cell_index
     return ValuationReport(
         epsilon=eps,
         depth=depth,

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -39,3 +40,17 @@ def eps10():
 @pytest.fixture
 def eps10_ctx(eps10):
     return CoarseContext(eps10, Policy.MEDIAN_LOWER)
+
+
+@pytest.fixture(scope="session")
+def assert_csv_matches_json():
+    """Check that CSV rows carry the JSON lines' keys and values, bools lowercased."""
+    def check(csv_text, json_text):
+        head, *lines = csv_text.splitlines()
+        rows = [json.loads(line) for line in json_text.splitlines()]
+        assert len(lines) == len(rows) > 0
+        for line, row in zip(lines, rows):
+            assert head.split(",") == list(row)
+            assert line == ",".join(str(v).lower() if isinstance(v, bool) else str(v)
+                                    for v in row.values())
+    return check

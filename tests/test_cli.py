@@ -104,6 +104,19 @@ def test_partition_bounds_with_domain(capsys):
     assert "(0.5, 2]" in out
 
 
+@pytest.mark.parametrize("rep", ["median", "min", "max"])
+@pytest.mark.parametrize("family", [
+    ["--width", "3"], ["--fibonacci"], ["--eps", "1/3"], ["--bounds", "-4,1,2,9,30"],
+    ["--bounds", "0,1/2,1,7/3,10", "--domain", "real"], ["--grid", "3/4"],
+], ids=["width", "fibonacci", "eps", "bounds", "bounds-real", "grid"])
+def test_partition_csv_and_json_agree_cell_by_cell(family, rep, capsys,
+                                                   assert_csv_matches_json):
+    argv = ["partition", *family, "--rep", rep, "--cells", "4", "--format"]
+    _, csv_out, _ = run(argv + ["csv"], capsys)
+    _, json_out, _ = run(argv + ["json"], capsys)
+    assert_csv_matches_json(csv_out, json_out)
+
+
 # --------------------------------------------------------------------- fold
 
 FOLD_TABLE = """\
@@ -338,6 +351,37 @@ def test_counts_below_one_are_usage_errors(argv, flag, value, capsys):
     assert exc.value.code == 2
     assert out == ""
     assert f"argument {flag}: must be a positive integer, got {value}" in err
+
+
+def test_negative_trials_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stpete", "--eps", "10", "--trials", "-5"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    assert "argument --trials: must be a non-negative integer, got '-5'" in err
+    # zero still skips sampling
+    assert run(["stpete", "--eps", "10", "--trials", "0"], capsys) == run(
+        ["stpete", "--eps", "10"], capsys)
+
+
+@pytest.mark.parametrize("argv, flag, value, code", [
+    (["fold"], "--bounds", "-4,1,2,9,30", 0),                   # a negative origin
+    (["partition", "--domain", "real", "--cells", "2"], "--bounds", "-.5,1,2", 0),
+    (["partition"], "--eps", "-1/2", 1),
+    (["partition"], "--grid", "-1/3", 1),
+    (["inert", "--bounds", "-4,1,2,9,30", "--horizon", "5"], "--const", "-1", 0),
+    (["inert", "--width", "3"], "--const", "-1/2", 1),
+    (["inert", "--eps", "10", "--const", "1/2"], "--bound", "-1", 1),
+    (["stpete"], "--eps", "-1/2", 1),
+])
+def test_signed_flag_values_read_as_with_equals(argv, flag, value, code, capsys, monkeypatch):
+    results = []
+    for joined in ([flag, value], [f"{flag}={value}"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("-4\n3\n3\n"))
+        results.append(run([*argv, *joined], capsys))
+    assert results[0] == results[1]
+    assert results[0][0] == code
 
 
 def test_parser_builds_all_subcommands():

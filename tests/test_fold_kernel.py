@@ -16,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldStep, OutOfRangeError, Partition, Policy,
-                       SingletonGrid, build_partition, format_decimal, format_rational,
+                       Fibonacci, FixedWidth, FoldStep, FoldTrace, OutOfRangeError, Partition,
+                       Policy, SingletonGrid, build_partition, format_decimal, format_rational,
                        parse_rational, rep_of_cell, rep_of_value)
 from coarsesum import representatives
 
@@ -93,6 +93,22 @@ def fold_cases(draw, family):
 def test_fold_is_a_left_fold_of_rep_add(family, policy, data):
     spec, stream = data.draw(fold_cases(family))
     assert_fold_matches(CoarseContext(build_partition(spec), policy), stream)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_trace_rows_round_trip_and_csv_matches_json(family, policy, data,
+                                                    assert_csv_matches_json):
+    spec, stream = data.draw(fold_cases(family))
+    ctx = CoarseContext(build_partition(spec), policy)
+    expected = rep_add_fold(ctx, stream)
+    if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
+        stream = stream[:expected[1] - 1]
+    trace = ctx.fold(stream)
+    assert FoldTrace.from_json_lines(trace.to_json_lines()) == trace
+    assert_csv_matches_json(trace.to_csv(), trace.to_json_lines())
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)

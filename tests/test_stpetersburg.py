@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (INCREMENT_BOUND, RNG_ALGORITHM, CoarseContext, ComparisonReport,
-                       Gamble, Outcome, SingletonGrid, SpecError, build_partition,
-                       coarse_value, compare_valuations, constant, detect_inert_stream,
-                       expected_increment_series, sample_gamble)
+                       EpsilonGrowth, Gamble, Outcome, Policy, SingletonGrid, SpecError,
+                       build_partition, coarse_value, compare_valuations, constant,
+                       detect_inert_stream, expected_increment_series, first_absorbing_cell,
+                       sample_gamble)
+from coarsesum import inertness, stpetersburg
 
 
 def eps_rep(eps: F, i: int) -> F:
@@ -105,6 +107,24 @@ def test_scan_matches_formula_for_eps_at_least_two(eps):
     r = coarse_value(eps, depth=10)
     assert r.cell_from_scan == math.floor(eps / 2) + 1
     assert r.agreement
+
+
+@pytest.mark.parametrize("eps", [F(1, 3), 1, 2, F(5, 2), 10, F(101, 3)])
+def test_coarse_value_scans_for_the_absorbing_cell_once(eps, monkeypatch):
+    expected = coarse_value(eps, depth=30)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return first_absorbing_cell(*args, **kwargs)
+
+    monkeypatch.setattr(inertness, "first_absorbing_cell", counted)
+    monkeypatch.setattr(stpetersburg, "first_absorbing_cell", counted, raising=False)
+    report = coarse_value(eps, depth=30)
+    assert len(calls) == 1
+    assert report == expected
+    assert report.cell_from_scan == first_absorbing_cell(
+        build_partition(EpsilonGrowth(F(eps))), Policy.MEDIAN_LOWER, F(1, 4), strict=True)
 
 
 def test_valuation_json_shape():
