@@ -1,4 +1,4 @@
-"""Per-layer timings of coarsesum: one fold step, cell lookup and collapse, per family.
+"""Per-layer timings of coarsesum: the CLI import, and per family fold steps, lookup, collapse.
 
 Usage::
 
@@ -18,6 +18,13 @@ family the entries are, in microseconds:
 * ``index_of_us``, ``cell_at_us``, ``rep_of_value_us`` -- per call, over the
   inputs and cells of the climbing stream.
 
+The import layer, entry ``import coarsesum.cli``, times that import alone
+(``min_us`` and ``median_us``), each sample in a fresh interpreter started
+with the caller's environment and the tree first on ``PYTHONPATH``; the trees
+take turns, ``IMPORT_RUNS`` samples per tree and round.  Start-up depends on
+bytecode caching, so delete ``__pycache__`` in every tree and set
+``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark pays.
+
 The output JSON holds the machine, the Python version, every tree's entries
 and, with two or more trees, each later tree's entries divided by the first's.
 Only the standard library is used (``timeit``).
@@ -30,6 +37,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import timeit
@@ -37,6 +45,9 @@ from fractions import Fraction as F
 
 FOLD_REPEAT = 5
 CALL_REPEAT = 7
+IMPORT_RUNS = 10
+IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
+                "print(time.perf_counter() - t)")
 
 
 def cases():
@@ -111,6 +122,16 @@ def worker(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def import_seconds(src: str) -> float:
+    """``import coarsesum.cli`` from ``src``, timed in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                                 if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    return float(proc.stdout)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", action="append", default=[], metavar="[LABEL=]PATH",
@@ -131,8 +152,12 @@ def main(argv=None) -> int:
         label, _, path = item.rpartition("=")
         trees[label or path] = os.path.abspath(path)
     best = {label: None for label in trees}
+    imports = {label: [] for label in trees}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        for _ in range(IMPORT_RUNS):
+            for label in order:
+                imports[label].append(import_seconds(trees[label]))
         for label in order:
             got = worker(trees[label])
             if best[label] is None:
@@ -141,13 +166,18 @@ def main(argv=None) -> int:
             for family, entries in got.items():
                 for key, value in entries.items():
                     best[label][family][key] = min(best[label][family][key], value)
+    for label, samples in imports.items():
+        best[label]["import coarsesum.cli"] = {"min_us": min(samples) * 1e6,
+                                               "median_us": statistics.median(samples) * 1e6}
     report = {
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "processor": cpu_model() or platform.processor() or None, "cpus": os.cpu_count()},
         "python": platform.python_version(),
         "method": f"minimum over {args.rounds} interpreters per tree, taken in turns; "
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
-                  f"{CALL_REPEAT} passes / calls",
+                  f"{CALL_REPEAT} passes / calls; import: {IMPORT_RUNS} interpreters per "
+                  f"tree and round, taken in turns",
+        "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": best,
     }
     labels = list(trees)

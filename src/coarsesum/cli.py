@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from pathlib import Path
 
 from .errors import CoarseError
 from .inertness import constant, detect_inert_stream, geometric, harmonic
@@ -123,7 +123,11 @@ def cmd_partition(args) -> int:
 
 
 def _read_values(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else Path(path).read_text(encoding="utf-8")
+    if path in (None, "-"):
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     values = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -270,7 +274,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # end quietly, and send what is still buffered nowhere when Python exits
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CoarseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,14 @@ from __future__ import annotations
 
 
 class CoarseError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``step`` is the 1-based fold step of an error that surfaced inside a fold.
+    """
+
+    def __init__(self, *args, step: int | None = None):
+        super().__init__(*args)
+        self.step = step
 
 
 class SpecError(CoarseError, ValueError):
@@ -16,12 +23,4 @@ class DomainError(CoarseError, ValueError):
 
 
 class OutOfRangeError(CoarseError):
-    """A value or cell index falls outside the partition's covered range.
-
-    ``step`` carries the 1-based fold step at which the overflow happened,
-    when the error surfaced inside a fold.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """A value or cell index falls outside the partition's covered range."""

@@ -19,10 +19,9 @@ and both answers are meaningful.  See ``detect_inert_stream``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ops import CoarseContext, FoldTrace
 from .partitions import Partition
@@ -37,8 +36,7 @@ class Outcome(Enum):
     NO_VERDICT = "no_verdict"
 
 
-@dataclass(frozen=True)
-class InertVerdict:
+class InertVerdict(NamedTuple):
     """Outcome of an inertness check.
 
     ``certified`` is True only for margin-certificate verdicts, which hold

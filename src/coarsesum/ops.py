@@ -16,12 +16,11 @@ increment, it stops moving.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import OutOfRangeError
-from .partitions import Partition
+from .errors import CoarseError
+from .partitions import Partition, _Frozen, _settle
 from .rationals import parse_rational, write_rows
 from .representatives import Policy, rep_of_cell, rep_of_value
 
@@ -43,11 +42,13 @@ class FoldStep(NamedTuple):
     absorbed: bool  # True when the sum's cell did not move from step n-1
 
 
-@dataclass(frozen=True)
-class FoldTrace:
+class FoldTrace(_Frozen):
     """The complete record of a left-associative coarse fold."""
 
-    steps: tuple
+    _fields = ("steps",)
+
+    def __init__(self, steps: tuple):
+        _settle(self, steps=steps)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -77,8 +78,7 @@ class FoldTrace:
                          for d in rows))
 
 
-@dataclass(frozen=True)
-class CoarseContext:
+class CoarseContext(NamedTuple):
     """A partition plus a representative policy: everything the operators need."""
 
     partition: Partition
@@ -110,8 +110,8 @@ class CoarseContext:
         """Left-associative coarse partial sums over a finite sequence.
 
         The first partial sum is the first input as given; later steps
-        collapse.  Raises on an empty sequence, and range errors surfacing
-        mid-fold carry the failing 1-based step index.
+        collapse.  Raises on an empty sequence, and range and domain errors
+        surfacing mid-fold carry the failing 1-based step index.
 
         Each step is ``rep_add(s, x)`` computed through cells, on the
         partition's integer scale: the running sum's cell, the input's cell and
@@ -148,8 +148,8 @@ class CoarseContext:
                     cell = locate(total)
                     _, new_s, new_cell = reps.get(cell) or collapse(
                         cell, total if scale == 1 else Fraction(total, scale))
-            except OutOfRangeError as exc:
-                raise OutOfRangeError(f"step {n}: {exc}", step=n) from exc
+            except CoarseError as exc:
+                raise type(exc)(f"step {n}: {exc}", step=n) from exc
             steps.append(FoldStep(n, x, x_cell, new_s, new_cell, new_cell == s_cell))
             s, s_cell = new_s, new_cell
         if not steps:

@@ -19,7 +19,7 @@ Built-in cell-layout families:
 * :class:`ExplicitBounds` -- finitely many cells cut at given boundaries.
 * :class:`SingletonGrid` -- each multiple of a step is its own one-point grain.
 
-Each family is one frozen dataclass that holds all of its rules: it checks
+Each family is one immutable class that holds all of its rules: it checks
 its fields when built, so an invalid spec cannot exist.  Its cells are
 described in integers: on the family's ``scale`` D every boundary and every
 representative (median, min or max) is a multiple of 1/D, and ``span(i)``
@@ -38,7 +38,6 @@ families are finite and refuse indexes beyond their last cell.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
@@ -53,16 +52,49 @@ class Domain(Enum):
     REALS = "real"
 
 
-@dataclass(frozen=True)
-class Cell:
+def _settle(obj, **attrs) -> None:
+    """Store fields and derived lookup data on a frozen value, where reads are fastest."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
+
+
+class _Frozen:
+    """An immutable value, equal, hashed and shown by its class and ``_fields``."""
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Cell(_Frozen):
     """One grain: an interval of integers or reals with exact bounds."""
 
-    index: int
-    lower: Fraction
-    upper: Fraction
-    lower_closed: bool
-    upper_closed: bool
-    domain: Domain
+    _fields = ("index", "lower", "upper", "lower_closed", "upper_closed", "domain")
+
+    def __init__(self, index: int, lower: Fraction, upper: Fraction, lower_closed: bool,
+                 upper_closed: bool, domain: Domain):
+        # one dict update builds a cell faster than a store per field
+        vars(self).update(index=index, lower=lower, upper=upper, lower_closed=lower_closed,
+                          upper_closed=upper_closed, domain=domain)
 
     def contains(self, value) -> bool:
         x = Fraction(value)
@@ -128,20 +160,12 @@ def _rational(field: str, value) -> Fraction:
         raise SpecError(f"{field}: {exc}") from None
 
 
-def _settle(spec, **attrs) -> None:
-    """Store parsed fields and derived lookup data on a frozen spec."""
-    for name, value in attrs.items():
-        object.__setattr__(spec, name, value)
-
-
 # ----------------------------------------------------------------- families
 
-@dataclass(frozen=True)
-class FixedWidth:
+class FixedWidth(_Frozen):
     """Consecutive integer blocks of one fixed width, starting at 0."""
 
-    width: int
-
+    _fields = ("width",)
     kind = "fixed_width"
     domain = Domain.INTEGERS
     origin = Fraction(0)
@@ -149,13 +173,13 @@ class FixedWidth:
     constant_margins = True
     scale = 1
 
-    def __post_init__(self):
-        width = self.width
-        if isinstance(width, str) and width.strip().isdecimal():
-            width = int(width)  # the wire form may quote an integer
-        if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-            raise SpecError(f"width: must be a positive integer, got {self.width!r}")
-        _settle(self, width=width)
+    def __init__(self, width: int):
+        w = width
+        if isinstance(w, str) and w.strip().isdecimal():
+            w = int(w)  # the wire form may quote an integer
+        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
+            raise SpecError(f"width: must be a positive integer, got {width!r}")
+        _settle(self, width=w)
 
     def index(self, x) -> int:
         return self.index_scaled(_integer(x))
@@ -173,8 +197,7 @@ class FixedWidth:
         return {"kind": self.kind, "width": self.width, "domain": "int"}
 
 
-@dataclass(frozen=True)
-class Fibonacci:
+class Fibonacci(_Frozen):
     """Integer blocks whose sizes follow 1, 1, 2, 3, 5, 8, ..."""
 
     kind = "fibonacci"
@@ -184,7 +207,7 @@ class Fibonacci:
     constant_margins = False
     scale = 1
 
-    def __post_init__(self):
+    def __init__(self):
         # _starts[i] begins cell i+1.  Sizes follow Fibonacci, so each start is
         # 2*starts[-1] - starts[-3].  Growth swaps in a longer tuple, so every
         # lookup reads one consistent prefix and concurrent ones need no lock.
@@ -219,8 +242,7 @@ class Fibonacci:
         return {"kind": self.kind, "domain": "int"}
 
 
-@dataclass(frozen=True)
-class EpsilonGrowth:
+class EpsilonGrowth(_Frozen):
     """Real cells: ``[0, 1/2]`` first, then cell i spans ``i/epsilon``.
 
     Cell i (i >= 2) is ``(b, b + i/epsilon]`` where b is the previous upper
@@ -231,16 +253,15 @@ class EpsilonGrowth:
     every midpoint is an integer too.
     """
 
-    epsilon: Fraction
-
+    _fields = ("epsilon",)
     kind = "epsilon"
     domain = Domain.REALS
     origin = Fraction(0)
     max_index = None
     constant_margins = False
 
-    def __post_init__(self):
-        eps = _rational("epsilon", self.epsilon)
+    def __init__(self, epsilon: Fraction):
+        eps = _rational("epsilon", epsilon)
         if eps <= 0:
             raise SpecError(f"epsilon: must be positive, got {eps}")
         p, q = eps.numerator, eps.denominator
@@ -275,8 +296,7 @@ class EpsilonGrowth:
         return {"kind": self.kind, "epsilon": format_rational(self.epsilon), "domain": "real"}
 
 
-@dataclass(frozen=True)
-class ExplicitBounds:
+class ExplicitBounds(_Frozen):
     """Finitely many cells cut at the given strictly ascending boundaries.
 
     In the integer domain cell i is ``[b[i-1], b[i] - 1]``; boundaries may
@@ -285,32 +305,31 @@ class ExplicitBounds:
     twice the common denominator, so every boundary and midpoint is an integer.
     """
 
-    bounds: tuple
-    domain: Domain = Domain.INTEGERS
-
+    _fields = ("bounds", "domain")
+    domain = Domain.INTEGERS  # the default, so spec_from_json may omit it
     kind = "explicit"
     constant_margins = False
 
-    def __post_init__(self):
-        if not isinstance(self.bounds, (list, tuple)):
-            raise SpecError(f"bounds: expected a list of boundaries, got {self.bounds!r}")
-        b = tuple(_rational("bounds", v) for v in self.bounds)
+    def __init__(self, bounds: tuple, domain: Domain = Domain.INTEGERS):
+        if not isinstance(bounds, (list, tuple)):
+            raise SpecError(f"bounds: expected a list of boundaries, got {bounds!r}")
+        b = tuple(_rational("bounds", v) for v in bounds)
         try:
-            domain = Domain(self.domain)
+            dom = Domain(domain)
         except ValueError:
-            raise SpecError(f"domain: expected 'int' or 'real', got {self.domain!r}") from None
+            raise SpecError(f"domain: expected 'int' or 'real', got {domain!r}") from None
         if len(b) < 2:
             raise SpecError("bounds: need at least two boundaries (one cell)")
         for lo, hi in zip(b, b[1:]):
             if hi <= lo:
                 raise SpecError(f"bounds: must be strictly ascending, got {lo} before {hi}")
-        ints = domain is Domain.INTEGERS
+        ints = dom is Domain.INTEGERS
         for v in b:
             if ints and v.denominator != 1:
                 raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
         scale = 1 if ints else 2 * lcm(*(v.denominator for v in b))
         # _open: real cells (k[i-1], k[i]] hold the scaled integers k[i-1] + 1 .. k[i]
-        _settle(self, bounds=b, domain=domain, origin=b[0], max_index=len(b) - 1,
+        _settle(self, bounds=b, domain=dom, origin=b[0], max_index=len(b) - 1,
                 scale=scale, _keys=tuple(v.numerator * (scale // v.denominator) for v in b),
                 _open=0 if ints else 1)
 
@@ -344,8 +363,7 @@ class ExplicitBounds:
                 "domain": self.domain.value}
 
 
-@dataclass(frozen=True)
-class SingletonGrid:
+class SingletonGrid(_Frozen):
     """Every nonnegative multiple of ``step`` is its own one-point grain.
 
     The identity coarse structure on a rational grid: representatives are the
@@ -354,16 +372,15 @@ class SingletonGrid:
     so grid point k is the integer k*u.
     """
 
-    step: Fraction
-
+    _fields = ("step",)
     kind = "singleton_grid"
     domain = Domain.REALS
     origin = Fraction(0)
     max_index = None
     constant_margins = True
 
-    def __post_init__(self):
-        step = _rational("step", self.step)
+    def __init__(self, step: Fraction):
+        step = _rational("step", step)
         if step <= 0:
             raise SpecError(f"step: must be positive, got {step}")
         _settle(self, step=step, scale=step.denominator, _u=step.numerator)
@@ -394,7 +411,7 @@ class SingletonGrid:
 
 PartitionSpec = Union[FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBounds, SingletonGrid]
 
-#: Wire ``kind`` -> family; a family's JSON fields are its dataclass fields.
+#: Wire ``kind`` -> family; a family's JSON fields are its ``_fields``.
 _KINDS = {family.kind: family for family in get_args(PartitionSpec)}
 
 
@@ -480,7 +497,8 @@ def spec_from_json(data: dict) -> PartitionSpec:
     family = _KINDS.get(kind) if isinstance(kind, str) else None
     if family is None:
         raise SpecError(f"kind: unknown partition kind {kind!r}")
-    missing = [f.name for f in fields(family) if f.name not in data and f.default is MISSING]
+    # a field the class also holds has that value as its default and may be omitted
+    missing = [f for f in family._fields if f not in data and not hasattr(family, f)]
     if missing:
         raise SpecError(f"{missing[0]}: missing field for kind {kind!r}")
-    return family(**{f.name: data[f.name] for f in fields(family) if f.name in data})
+    return family(**{f: data[f] for f in family._fields if f in data})

@@ -16,16 +16,16 @@ gamble is the representative of that cell: finite, and tunable through eps.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import floor
 from operator import index
+from typing import NamedTuple
 
 from .errors import SpecError
 from .inertness import InertVerdict, Outcome, constant, detect_inert_stream, detect_inert_trace
 from .ops import CoarseContext
-from .partitions import EpsilonGrowth, build_partition
+from .partitions import EpsilonGrowth, _Frozen, _settle, build_partition
 from .rationals import format_rational, parse_rational
 from .representatives import Policy
 
@@ -37,8 +37,7 @@ RNG_ALGORITHM = "numpy-philox4x64"
 INCREMENT_BOUND = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class Gamble:
+class Gamble(_Frozen):
     """The doubling gamble, truncated at a maximum round count.
 
     Rounds beyond ``truncation_depth`` are folded into the final outcome, so
@@ -46,12 +45,13 @@ class Gamble:
     2**(depth-1) then carries probability 2**-(depth-1) instead of 2**-depth.
     """
 
-    truncation_depth: int = 64
+    _fields = ("truncation_depth",)
 
-    def __post_init__(self):
-        d = self.truncation_depth
+    def __init__(self, truncation_depth: int = 64):
+        d = truncation_depth
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
             raise SpecError(f"truncation_depth: must be a positive integer, got {d!r}")
+        _settle(self, truncation_depth=d)
 
     def payoff(self, n: int) -> int:
         """Payoff when the first tail shows on toss n (capped at the depth)."""
@@ -80,8 +80,7 @@ def expected_increment_series(depth: int) -> list:
     return [Fraction(1, 2)] * depth
 
 
-@dataclass(frozen=True)
-class ValuationReport:
+class ValuationReport(NamedTuple):
     """Coarse valuation of the expected-increment stream at one eps."""
 
     epsilon: Fraction
@@ -211,8 +210,7 @@ def sample_gamble(gamble: Gamble, trials: int, seed: int) -> list:
             for w in words]
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Expected-increment valuation next to a sampled-payoff fold.
 
     The sampled fold treats each drawn payoff as one increment of the coarse

@@ -188,6 +188,29 @@ def test_fold_out_of_range_reports_the_step(capsys, monkeypatch):
     assert "step 2" in err
 
 
+def test_fold_below_the_origin_reports_the_step(capsys, monkeypatch):
+    code, _, err = run(["fold", "--bounds=-4,1,2,9,30", "--rep", "min"], capsys, monkeypatch,
+                       stdin_text="-4\n-4\n")
+    assert code == 1
+    assert err == "error: step 2: -8 is below the partition origin -4\n"
+
+
+def test_fold_into_a_closed_pipe_ends_quietly(tmp_path):
+    # far more rows than a pipe buffers, so the writer is still writing when
+    # the reader leaves
+    path = tmp_path / "big.txt"
+    path.write_text("".join(f"{i}\n" for i in range(1, 20001)))
+    proc = subprocess.Popen([sys.executable, "-m", "coarsesum.cli", "fold", "--width", "7",
+                             "--input", str(path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().split()[0] == b"n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 # -------------------------------------------------------------------- inert
 
 def test_inert_certified_json(capsys):

@@ -48,8 +48,7 @@ def assert_fold_matches(ctx, values):
     error, step = expected
     with pytest.raises(error) as exc:
         ctx.fold(values)
-    if error is OutOfRangeError:
-        assert exc.value.step == step
+    assert exc.value.step == step
 
 
 def _fractions(hi, den):
@@ -152,6 +151,16 @@ def test_range_errors_carry_their_step_on_explicit_cells():
     with pytest.raises(OutOfRangeError) as exc:
         ctx.fold([1, 3, 3])                 # reps 2 + 2 = 4 lies past both cells
     assert exc.value.step == 3
+
+
+def test_domain_errors_carry_their_step_on_explicit_cells():
+    # under min, -4 + -4 = -8 falls below the origin on the second step
+    ctx = CoarseContext(build_partition(ExplicitBounds((-4, 1, 2, 9, 30))), Policy.MIN)
+    with pytest.raises(DomainError) as exc:
+        ctx.fold([-4, -4])
+    assert exc.value.step == 2
+    assert str(exc.value) == "step 2: -8 is below the partition origin -4"
+    assert rep_add_fold(ctx, [-4, -4]) == (DomainError, 2)
 
 
 # ------------------------------------------------------- EpsilonGrowth lookup
