@@ -8,26 +8,33 @@ Usage::
 Each ``--src [LABEL=]PATH`` names a source tree holding the ``coarsesum``
 package.  Every tree is timed in its own fresh interpreter, and the trees take
 turns for ``--rounds`` rounds so that drift on a shared machine hits them
-alike; each entry keeps its minimum over all rounds.  For every partition
-family the entries are, in microseconds:
+alike.  Each entry gives its spread over the rounds -- ``min``, ``q1``,
+``median`` and ``q3`` -- so a ratio can be read against the noise.  For every
+partition family the entries are, in microseconds:
 
 * ``fold_step_pinned_us``   -- ``CoarseContext.fold`` per step, on a stream
-  whose sum stays in one cell;
+  of one repeated value (one object, as the CLI reads a repeated line) whose
+  sum stays in one cell;
 * ``fold_step_climbing_us`` -- per step, on a stream whose sum enters a new
   cell on every step;
+* ``inert_stream_pinned_us`` -- ``detect_inert_stream`` per step, on a
+  stream with no period mark whose values take turns (the grid's only value
+  that keeps its sum still is 0) and whose sum stays in one cell, so the
+  stream is folded and judged to the horizon;
 * ``index_of_us``, ``cell_at_us``, ``rep_of_value_us`` -- per call, over the
   inputs and cells of the climbing stream.
 
 The import layer, entry ``import coarsesum.cli``, times that import alone
-(``min_us`` and ``median_us``), each sample in a fresh interpreter started
-with the caller's environment and the tree first on ``PYTHONPATH``; the trees
-take turns, ``IMPORT_RUNS`` samples per tree and round.  Start-up depends on
-bytecode caching, so delete ``__pycache__`` in every tree and set
-``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark pays.
+(``import_us``), each sample in a fresh interpreter started with the caller's
+environment and the tree first on ``PYTHONPATH``; the trees take turns,
+``IMPORT_RUNS`` samples per tree and round, and its spread is over all
+samples.  Start-up depends on bytecode caching, so delete ``__pycache__`` in
+every tree and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command
+of the benchmark pays.
 
 The output JSON holds the machine, the Python version, every tree's entries
-and, with two or more trees, each later tree's entries divided by the first's.
-Only the standard library is used (``timeit``).
+and, with two or more trees, each later tree's medians and minimums divided
+by the first's.  Only the standard library is used (``timeit``).
 """
 
 from __future__ import annotations
@@ -51,26 +58,36 @@ IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
 
 
 def cases():
-    """(family name, spec, pinned stream, climbing stream) for each family."""
+    """(family name, spec, pinned stream, climbing stream, turns) for each family.
+
+    ``turns`` are values that keep the sum in one cell when they take turns.
+    """
     from coarsesum import (Domain, EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth,
                            SingletonGrid)
     rng = random.Random(5)
     n = 2000
     out = [
-        ("FixedWidth(7)", FixedWidth(7), [1] * n, [rng.randint(7, 27) for _ in range(n)]),
+        # {0..6} collapses to 3, and 3 + 3 stays there
+        ("FixedWidth(7)", FixedWidth(7), [1] * n, [rng.randint(7, 27) for _ in range(n)],
+         (0, 1, 2)),
         # 1 + 1 stays in {2, 3}; powers of two outgrow the 1.6x Fibonacci cells
-        ("Fibonacci", Fibonacci(), [1] * n, [2**t for t in range(1, 401)]),
+        ("Fibonacci", Fibonacci(), [1] * n, [2**t for t in range(1, 401)], (0, 1)),
         ("EpsilonGrowth(10)", EpsilonGrowth(F(10)), [F(1, 2)] * n,
-         [F(rng.randint(2000 * q, 4000 * q), q) for q in (rng.randint(2, 9) for _ in range(n))]),
+         [F(rng.randint(2000 * q, 4000 * q), q) for q in (rng.randint(2, 9) for _ in range(n))],
+         (F(1, 2), F(1, 3), F(1, 5))),
         # cells of width 1000: 1 stays in [0, 999]; 1000 moves up one cell a step
         ("ExplicitBounds(1000-wide)", ExplicitBounds(tuple(range(0, 1000 * (n + 3), 1000)),
                                                      Domain.INTEGERS),
-         [1] * n, [1000] * n),
-        ("SingletonGrid(1/2)", SingletonGrid(F(1, 2)), [0] * n, [F(1, 2)] * n),
+         [1] * n, [1000] * n, (1, 2, 3)),
+        ("SingletonGrid(1/2)", SingletonGrid(F(1, 2)), [0] * n, [F(1, 2)] * n, (0,)),
     ]
-    # streams hold Fractions, as the CLI reads them
-    return [(name, spec, [F(v) for v in pinned], [F(v) for v in climbing])
-            for name, spec, pinned, climbing in out]
+    # streams hold Fractions, as the CLI reads them: one object per distinct line text
+    def read(values):
+        seen = {}
+        return [seen.setdefault(v, F(v)) for v in values]
+    return [(name, spec, read(pinned), read(climbing),
+             read(turns[t % len(turns)] for t in range(n)))
+            for name, spec, pinned, climbing, turns in out]
 
 
 def per_call(fn, args) -> float:
@@ -86,11 +103,18 @@ def per_step(ctx, values) -> float:
                              repeat=FOLD_REPEAT)) / len(values) * 1e6
 
 
+def per_verdict_step(ctx, values) -> float:
+    from coarsesum import detect_inert_stream
+    gen = lambda t: values[t - 1]  # no period mark: judged to the horizon
+    return min(timeit.repeat(lambda: detect_inert_stream(ctx, gen, len(values)), number=1,
+                             repeat=FOLD_REPEAT)) / len(values) * 1e6
+
+
 def measure() -> dict:
     """Entries for every family, timed in this interpreter's ``coarsesum``."""
     from coarsesum import CoarseContext, build_partition, rep_of_value
     out = {}
-    for name, spec, pinned, climbing in cases():
+    for name, spec, pinned, climbing, turns in cases():
         partition = build_partition(spec)
         ctx = CoarseContext(partition)
         trace = ctx.fold(climbing)
@@ -99,12 +123,21 @@ def measure() -> dict:
         out[name] = {
             "fold_step_pinned_us": per_step(ctx, pinned),
             "fold_step_climbing_us": per_step(ctx, climbing),
+            "inert_stream_pinned_us": per_verdict_step(ctx, turns),
             "index_of_us": per_call(partition.index_of, inputs),
             "cell_at_us": per_call(partition.cell_at, cells),
             "rep_of_value_us": per_call(lambda x: rep_of_value(partition, x), inputs),
             "climbing_new_cell_share": sum(not s.absorbed for s in trace) / len(trace),
         }
     return out
+
+
+def spread(values) -> dict:
+    """Minimum, quartiles and median of one entry's samples."""
+    ordered = sorted(values)
+    q1, median, q3 = (statistics.quantiles(ordered, n=4, method="inclusive")
+                      if len(ordered) > 1 else ordered * 3)
+    return {"min": ordered[0], "q1": q1, "median": median, "q3": q3}
 
 
 def cpu_model():
@@ -137,8 +170,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", default=[], metavar="[LABEL=]PATH",
                         help="source tree holding the coarsesum package (repeatable)")
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
-    parser.add_argument("--rounds", type=int, default=3,
-                        help="interpreters per tree, taken in turns (default: 3)")
+    parser.add_argument("--rounds", type=int, default=5,
+                        help="interpreters per tree, taken in turns (default: 5)")
     parser.add_argument("--worker", metavar="PATH", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
@@ -151,42 +184,42 @@ def main(argv=None) -> int:
     for item in args.src:
         label, _, path = item.rpartition("=")
         trees[label or path] = os.path.abspath(path)
-    best = {label: None for label in trees}
+    samples = {label: {} for label in trees}  # label -> family -> key -> per-round values
     imports = {label: [] for label in trees}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for _ in range(IMPORT_RUNS):
             for label in order:
-                imports[label].append(import_seconds(trees[label]))
+                imports[label].append(import_seconds(trees[label]) * 1e6)
         for label in order:
-            got = worker(trees[label])
-            if best[label] is None:
-                best[label] = got
-                continue
-            for family, entries in got.items():
+            for family, entries in worker(trees[label]).items():
                 for key, value in entries.items():
-                    best[label][family][key] = min(best[label][family][key], value)
-    for label, samples in imports.items():
-        best[label]["import coarsesum.cli"] = {"min_us": min(samples) * 1e6,
-                                               "median_us": statistics.median(samples) * 1e6}
+                    samples[label].setdefault(family, {}).setdefault(key, []).append(value)
+    for label, values in imports.items():
+        samples[label]["import coarsesum.cli"] = {"import_us": values}
+    result = {label: {family: {key: spread(values) if key.endswith("_us") else values[0]
+                               for key, values in entries.items()}
+                      for family, entries in families.items()}
+              for label, families in samples.items()}
     report = {
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "processor": cpu_model() or platform.processor() or None, "cpus": os.cpu_count()},
         "python": platform.python_version(),
-        "method": f"minimum over {args.rounds} interpreters per tree, taken in turns; "
+        "method": f"spread over {args.rounds} interpreters per tree, taken in turns; "
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
                   f"{CALL_REPEAT} passes / calls; import: {IMPORT_RUNS} interpreters per "
                   f"tree and round, taken in turns",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
-        "trees": best,
+        "trees": result,
     }
     labels = list(trees)
     if len(labels) > 1:
-        base = best[labels[0]]
+        base = result[labels[0]]
         report[f"ratio_to_{labels[0]}"] = {
-            label: {family: {key: round(value / base[family][key], 3)
+            label: {family: {key: {stat: round(value[stat] / base[family][key][stat], 3)
+                                   for stat in ("median", "min")}
                              for key, value in entries.items() if key.endswith("_us")}
-                    for family, entries in best[label].items()}
+                    for family, entries in result[label].items()}
             for label in labels[1:]}
     text = json.dumps(report, indent=2)
     if args.out:

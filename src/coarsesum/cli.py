@@ -128,15 +128,18 @@ def _read_values(path: str | None):
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    values = []
+    values, parsed = [], {}  # each distinct text is parsed once
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        try:
-            values.append(parse_rational(stripped))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
+        value = parsed.get(stripped)
+        if value is None:
+            try:
+                value = parsed[stripped] = parse_rational(stripped)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from exc
+        values.append(value)
     if not values:
         raise ValueError("no numbers in input")
     return values
@@ -246,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--geometric", nargs=2, metavar=("COEF", "RATIO"),
                    help="stream COEF*RATIO**t for t = 1, 2, ...")
     g.add_argument("--from-file", metavar="PATH", help="read the stream from a file")
-    p.add_argument("--horizon", type=int, default=1000, metavar="N",
+    p.add_argument("--horizon", type=_count, default=1000, metavar="N",
                    help="maximum steps to fold (default: 1000)")
     p.add_argument("--bound", metavar="B",
                    help="upper bound on the stream values; enables the certified "
@@ -262,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also draw N payoffs and fold them (default: 0, skip)")
     p.add_argument("--seed", type=int, default=0, metavar="S",
                    help="sampling seed (default: 0)")
-    p.add_argument("--truncation", type=int, default=64, metavar="D",
+    p.add_argument("--truncation", type=_count, default=64, metavar="D",
                    help="gamble truncation depth for sampling (default: 64)")
     p.add_argument("--allow-small-eps", action="store_true",
                    help="permit eps < 2, where formula and scan disagree")

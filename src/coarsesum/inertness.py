@@ -23,7 +23,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .ops import CoarseContext, FoldTrace
+from .ops import CoarseContext, FoldTrace, _fold_steps
 from .partitions import Partition
 from .rationals import format_rational, parse_rational
 from .representatives import Policy, margin_pos, rep_of_cell
@@ -77,21 +77,33 @@ def detect_inert_trace(trace: FoldTrace) -> InertVerdict:
     single trailing sample is no evidence, so the constant suffix must have
     at least two steps.  Anything else is NO_VERDICT at the window length.
     """
-    steps = trace.steps
-    if not steps:
+    return _judge(trace.steps, len(trace.steps))
+
+
+def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
+    """The one judge of fold steps, read once: see :func:`detect_inert_trace`.
+
+    It keeps only the step where the current run of equal sums began and the
+    length of the strictly climbing run of sum cells.  With ``settles`` (the
+    inputs are one repeated value), the first absorbed step is a fixed point:
+    from step 2 on a step depends only on the previous sum's cell and the
+    input's cell, so every later step repeats it, and reading stops there.
+    """
+    start = climb = 0
+    s = cell = None
+    for n, step in enumerate(steps, start=1):
+        if step.s is not s and step.s != s:  # a kept representative is the same object
+            start = n
+        climb = climb + 1 if cell is not None and step.s_cell > cell else 1
+        s, cell = step.s, step.s_cell
+        if settles and step.absorbed:
+            break
+    if not start:
         raise ValueError("cannot judge an empty trace")
-    horizon = len(steps)
-    final = steps[-1].s
-    n = horizon
-    while n > 1 and steps[n - 2].s == final:
-        n -= 1
-    if n < horizon:
-        return InertVerdict(Outcome.INERT, n_stable=n, cell_index=steps[-1].s_cell,
-                            fixed_value=final, horizon=horizon)
-    run = 1
-    while run < horizon and steps[horizon - run - 1].s_cell < steps[horizon - run].s_cell:
-        run += 1
-    return InertVerdict(Outcome.NO_VERDICT, horizon=horizon, increasing_run=run)
+    if start < horizon:
+        return InertVerdict(Outcome.INERT, n_stable=start, cell_index=cell,
+                            fixed_value=s, horizon=horizon)
+    return InertVerdict(Outcome.NO_VERDICT, horizon=horizon, increasing_run=climb)
 
 
 def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
@@ -137,8 +149,11 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     earlier cell without ever climbing; fold without a bound to observe
     that membership behavior.
 
-    Without a bound (or when no cell qualifies), the stream is folded to the
-    horizon and judged by :func:`detect_inert_trace`.
+    Without a bound (or when no cell qualifies), the stream is folded and
+    judged step by step, with no trace kept, to the verdict
+    :func:`detect_inert_trace` gives on the fold of ``gen(1) .. gen(horizon)``.
+    A stream marked with period 1 (see :func:`constant`) stops at its fixed
+    point, the first step after step 1 whose sum stays in its cell.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -152,17 +167,23 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
             value = rep_of_cell(ctx.partition.cell_at(target), ctx.policy)
             return InertVerdict(Outcome.INERT, n_stable=target, cell_index=target,
                                 fixed_value=value, horizon=horizon, certified=True)
-    trace = ctx.fold(gen(t) for t in range(1, horizon + 1))
-    return detect_inert_trace(trace)
+    return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon,
+                  settles=getattr(gen, "period", None) == 1)
 
 
 # ------------------------------------------------------------ input streams
 # Streams are pure functions of the 1-based step index, so reruns and
-# continued runs always see identical values.
+# continued runs always see identical values.  A stream may carry a
+# ``period`` attribute: period 1 promises that every step gives the same
+# value, so detect_inert_stream may stop at the fold's first fixed point and
+# still give the verdict of the whole horizon.  Only ``constant`` sets it; an
+# unmarked stream is folded to the horizon.
 
 def constant(value) -> Callable[[int], Fraction]:
     c = parse_rational(value)
-    return lambda t: c
+    stream = lambda t: c
+    stream.period = 1
+    return stream
 
 
 def harmonic() -> Callable[[int], Fraction]:

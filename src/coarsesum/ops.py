@@ -112,46 +112,61 @@ class CoarseContext(NamedTuple):
         The first partial sum is the first input as given; later steps
         collapse.  Raises on an empty sequence, and range and domain errors
         surfacing mid-fold carry the failing 1-based step index.
-
-        Each step is ``rep_add(s, x)`` computed through cells, on the
-        partition's integer scale: the running sum's cell, the input's cell and
-        the cell of the scaled sum of their representatives.  A cell's
-        representative is collapsed once per fold and kept scaled, as a
-        ``Fraction`` for the row and with the representative's own cell, which
-        is the next sum's cell (under the min policy it can be the cell below).
         """
-        partition, policy = self.partition, self.policy
-        spec = partition.spec
-        # inputs are made Fractions below, so the spec's own lookups need no coercion
-        index_of, scale, locate = spec.index, spec.scale, spec.index_scaled
-        reps = {}  # cell -> (scaled representative, representative, its own cell)
-
-        def collapse(cell, value):
-            if len(reps) >= _REP_MEMO_CELLS:
-                reps.clear()  # climbing sums rarely come back
-            rep = rep_of_value(partition, value, policy)
-            scaled = rep.numerator * (scale // rep.denominator)
-            hit = reps[cell] = (scaled, rep, locate(scaled))
-            return hit
-
-        steps = []
-        s = s_cell = None
-        for n, raw in enumerate(values, start=1):
-            x = raw if type(raw) is Fraction else Fraction(raw)
-            try:
-                x_cell = index_of(x)
-                if n == 1:
-                    new_s, new_cell = x, x_cell
-                else:
-                    total = ((reps.get(s_cell) or collapse(s_cell, s))[0]
-                             + (reps.get(x_cell) or collapse(x_cell, x))[0])
-                    cell = locate(total)
-                    _, new_s, new_cell = reps.get(cell) or collapse(
-                        cell, total if scale == 1 else Fraction(total, scale))
-            except CoarseError as exc:
-                raise type(exc)(f"step {n}: {exc}", step=n) from exc
-            steps.append(FoldStep(n, x, x_cell, new_s, new_cell, new_cell == s_cell))
-            s, s_cell = new_s, new_cell
+        steps = tuple(_fold_steps(self, values))
         if not steps:
             raise ValueError("cannot fold an empty sequence")
-        return FoldTrace(tuple(steps))
+        return FoldTrace(steps)
+
+
+def _fold_steps(ctx: CoarseContext, values: Iterable):
+    """The steps of ``ctx.fold(values)``, one at a time: the one fold kernel.
+
+    Each step is ``rep_add(s, x)`` computed through cells, on the partition's
+    integer scale: the running sum's cell, the input's cell and the cell of the
+    scaled sum of their representatives.  A cell's representative is collapsed
+    once per fold and kept scaled, as a ``Fraction`` for the row and with the
+    representative's own cell, which is the next sum's cell (under the min
+    policy it can be the cell below).  So from step 2 on, a step's sum and cell
+    depend only on the previous sum's cell and the input's cell: a step that
+    repeats the move of the step before, as every step of a pinned sum does,
+    keeps its result, and an input object repeated from the step before keeps
+    its cell.
+
+    Inputs are read lazily, so a consumer that stops early reads no further.
+    """
+    partition, policy = ctx.partition, ctx.policy
+    spec = partition.spec
+    # inputs are made Fractions below, so the spec's own lookups need no coercion
+    index_of, scale, locate = spec.index, spec.scale, spec.index_scaled
+    reps = {}  # cell -> (scaled representative, representative, its own cell)
+
+    def collapse(cell, value):
+        if len(reps) >= _REP_MEMO_CELLS:
+            reps.clear()  # climbing sums rarely come back
+        rep = rep_of_value(partition, value, policy)
+        scaled = rep.numerator * (scale // rep.denominator)
+        hit = reps[cell] = (scaled, rep, locate(scaled))
+        return hit
+
+    s_cell = moved_from = moved_by = None
+    last = object()  # no input is ``last`` before step 1
+    for n, raw in enumerate(values, start=1):
+        try:
+            if raw is not last:
+                last, x = raw, raw if type(raw) is Fraction else Fraction(raw)
+                x_cell = index_of(x)
+            if n == 1:
+                new_s, new_cell = x, x_cell
+            elif s_cell != moved_from or x_cell != moved_by:
+                total = ((reps.get(s_cell) or collapse(s_cell, s))[0]
+                         + (reps.get(x_cell) or collapse(x_cell, x))[0])
+                cell = locate(total)
+                _, new_s, new_cell = reps.get(cell) or collapse(
+                    cell, total if scale == 1 else Fraction(total, scale))
+                moved_from, moved_by = s_cell, x_cell
+            # else this is the move of the step before, whose result new_s, new_cell still hold
+        except CoarseError as exc:
+            raise type(exc)(f"step {n}: {exc}", step=n) from exc
+        yield FoldStep(n, x, x_cell, new_s, new_cell, new_cell == s_cell)
+        s, s_cell = new_s, new_cell

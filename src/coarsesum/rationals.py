@@ -60,20 +60,32 @@ def format_decimal(value, places: int = 6) -> str:
     return f"{float(f):.{places}g}"
 
 
+def _render_runs(render, column) -> list:
+    """``render`` of each value, called once per run of the identical value object."""
+    texts, last, text = [], object(), None  # no value is ``last`` before the first
+    for value in column:
+        if value is not last:
+            last, text = value, render(value)
+        texts.append(text)
+    return texts
+
+
 def write_rows(head, rows, fmt: str) -> str:
     """Rows of exact values as JSON lines, CSV under a header, or an aligned table.
 
     A column's type, read off its first row, picks its text: rationals are ``p/q`` in
     JSON and CSV and decimals in tables; bools are JSON booleans, ``true``/``false`` in
-    CSV and ``yes``/``no`` in tables; ints and strings stay as they are.
+    CSV and ``yes``/``no`` in tables; ints and strings stay as they are.  A run of one
+    rational object down a column, as a pinned fold's sums, is rendered once.
     """
     columns = list(zip(*rows))
     if fmt == "json":
-        columns = [map(format_rational, c) if isinstance(c[0], Fraction) else c for c in columns]
+        columns = [_render_runs(format_rational, c) if isinstance(c[0], Fraction) else c
+                   for c in columns]
         return "\n".join(json.dumps(dict(zip(head, row))) for row in zip(*columns))
     rational, no, yes = ((format_decimal, "no", "yes") if fmt == "table"
                          else (format_rational, "false", "true"))
-    columns = [map(rational, c) if isinstance(c[0], Fraction) else
+    columns = [_render_runs(rational, c) if isinstance(c[0], Fraction) else
                [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c)
                for c in columns]
     lines = [head, *zip(*columns)]

@@ -3,11 +3,14 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coarsesum import FoldTrace
-from coarsesum.cli import build_parser, main
+from coarsesum import FoldTrace, parse_rational
+from coarsesum.cli import _read_values, build_parser, main
 
 
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -211,6 +214,49 @@ def test_fold_into_a_closed_pipe_ends_quietly(tmp_path):
     assert err == b""
 
 
+def reference_read(text):
+    """The numbers of an input text, each line parsed on its own, or the error text."""
+    values = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            try:
+                values.append(parse_rational(stripped))
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    return values or "no numbers in input"
+
+
+LINES = ["1/2", " 1/2", "0.5", "3", "3 ", "007", "2/4", "", "   ", "# note", "#1/2",
+         "x", "1/0", "-4"]
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(st.sampled_from(LINES), max_size=30))
+def test_read_values_parses_each_text_once_with_the_same_values(lines):
+    text = "\n".join(lines)
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        try:
+            got = _read_values("-")
+        except ValueError as exc:
+            got = str(exc)
+    assert got == reference_read(text)
+    if isinstance(got, list):
+        assert all(type(v) is F for v in got)
+        kept = [t for t in map(str.strip, lines) if t and not t.startswith("#")]
+        by_text = {}   # a repeated text reads back as one object
+        for line, value in zip(kept, got):
+            assert by_text.setdefault(line, value) is value
+
+
+def test_a_repeated_bad_line_names_its_first_line(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("1\nx\n2\nx\n")
+    code, _, err = run(["fold", "--width", "3", "--input", str(path)], capsys)
+    assert code == 1
+    assert err == "error: line 2: not a rational number: 'x'\n"
+
+
 # -------------------------------------------------------------------- inert
 
 def test_inert_certified_json(capsys):
@@ -366,6 +412,11 @@ def test_usage_errors_exit_two(capsys):
     (["partition", "--width", "3", "--cells", "-2", "--format", "json"], "--cells", "'-2'"),
     (["stpete", "--eps", "10", "--depth", "0"], "--depth", "'0'"),
     (["stpete", "--eps", "10", "--depth", "-1", "--trials", "5"], "--depth", "'-1'"),
+    (["inert", "--eps", "10", "--const", "1/2", "--horizon", "0"], "--horizon", "'0'"),
+    (["inert", "--fibonacci", "--harmonic", "--horizon", "-3"], "--horizon", "'-3'"),
+    (["inert", "--width", "3", "--const", "1", "--horizon", "1e3"], "--horizon", "'1e3'"),
+    (["stpete", "--eps", "10", "--trials", "5", "--truncation", "0"], "--truncation", "'0'"),
+    (["stpete", "--eps", "10", "--truncation", "x"], "--truncation", "'x'"),
 ])
 def test_counts_below_one_are_usage_errors(argv, flag, value, capsys):
     with pytest.raises(SystemExit) as exc:

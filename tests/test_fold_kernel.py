@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, FoldStep, FoldTrace, OutOfRangeError, Partition,
-                       Policy, SingletonGrid, build_partition, format_decimal, format_rational,
-                       parse_rational, rep_of_cell, rep_of_value)
+                       Policy, SingletonGrid, build_partition, constant, detect_inert_stream,
+                       detect_inert_trace, format_decimal, format_rational, geometric,
+                       harmonic, parse_rational, rep_of_cell, rep_of_value)
+from coarsesum.rationals import write_rows
 from coarsesum import representatives
 
 POLICIES = list(Policy)
@@ -161,6 +163,94 @@ def test_domain_errors_carry_their_step_on_explicit_cells():
     assert exc.value.step == 2
     assert str(exc.value) == "step 2: -8 is below the partition origin -4"
     assert rep_add_fold(ctx, [-4, -4]) == (DomainError, 2)
+
+
+# ---------------------------------------------------------- streamed verdicts
+
+def verdict_or_error(judge):
+    """The verdict, or the type, step and text of the error the fold stopped on."""
+    try:
+        return judge()
+    except (OutOfRangeError, DomainError) as exc:
+        return type(exc), exc.step, str(exc)
+
+
+def assert_streamed_verdict_matches(ctx, gen, horizon):
+    """``detect_inert_stream`` equals the judged fold of ``gen(1) .. gen(horizon)``."""
+    streamed = verdict_or_error(lambda: detect_inert_stream(ctx, gen, horizon))
+    judged = verdict_or_error(
+        lambda: detect_inert_trace(ctx.fold([gen(t) for t in range(1, horizon + 1)])))
+    assert streamed == judged
+    assert [type(field) for field in streamed] == [type(field) for field in judged]
+    return streamed
+
+
+def first_fixed_step(ctx, value, steps=40):
+    """The first absorbed step after step 1 of a constant fold, or ``steps``."""
+    trace = verdict_or_error(lambda: ctx.fold([value] * steps))
+    if not isinstance(trace, FoldTrace):
+        return trace[1]
+    return next((s.n for s in trace if s.n > 1 and s.absorbed), steps)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_constant_streams_judge_as_their_folds(family, policy, data):
+    spec, values = data.draw(FAMILIES[family])
+    ctx = CoarseContext(build_partition(spec), policy)
+    value = data.draw(values)
+    k = first_fixed_step(ctx, value)
+    for horizon in sorted({1, 2, 3, max(1, k - 1), k, k + 1, k + 7}):
+        marked = assert_streamed_verdict_matches(ctx, constant(value), horizon)
+        # the same values with no period mark are folded to the horizon
+        assert assert_streamed_verdict_matches(ctx, lambda t: value, horizon) == marked
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_streams_judge_as_their_folds(family, policy, data):
+    spec, stream = data.draw(fold_cases(family))
+    ctx = CoarseContext(build_partition(spec), policy)
+    assert_streamed_verdict_matches(ctx, lambda t: stream[t - 1], len(stream))
+    horizon = data.draw(st.integers(1, 60))
+    assert_streamed_verdict_matches(ctx, harmonic(), horizon)
+    assert_streamed_verdict_matches(
+        ctx, geometric(data.draw(st.sampled_from([1, 3, F(1, 2)])),
+                       data.draw(st.sampled_from([F(1, 2), F(2, 3), 2]))), horizon)
+
+
+@pytest.mark.parametrize("spec, policy, gen, error, step", [
+    (ExplicitBounds((0, 3, 6, 17)), Policy.MEDIAN_LOWER, constant(10), OutOfRangeError, 2),
+    (ExplicitBounds((0, 3, 6, 17)), Policy.MAX, constant(3), OutOfRangeError, 3),
+    (ExplicitBounds((-4, 1, 2, 9, 30)), Policy.MIN, constant(-4), DomainError, 2),
+    (FixedWidth(3), Policy.MEDIAN_LOWER, harmonic(), DomainError, 2),
+    (SingletonGrid(F(1, 2)), Policy.MEDIAN_LOWER, harmonic(), DomainError, 3),
+], ids=["range-sum", "range-climb", "below-origin", "not-integer", "off-grid"])
+def test_streams_that_fail_mid_fold_fail_alike(spec, policy, gen, error, step):
+    ctx = CoarseContext(build_partition(spec), policy)
+    got = assert_streamed_verdict_matches(ctx, gen, 50)
+    assert got[:2] == (error, step)
+
+
+def test_constant_streams_stop_reading_at_their_fixed_point(eps10_ctx):
+    read = []
+
+    def half(t):
+        read.append(t)
+        return F(1, 2)
+    half.period = 1
+    verdict = detect_inert_stream(eps10_ctx, half, 10**9)
+    assert read == [1, 2]          # 1/4 + 1/4 stays in cell 1 at step 2
+    assert (verdict.n_stable, verdict.cell_index, verdict.fixed_value,
+            verdict.horizon) == (2, 1, F(1, 4), 10**9)
+    del half.period                # unmarked, the same values are read to the horizon
+    read.clear()
+    assert detect_inert_stream(eps10_ctx, half, 500) == verdict._replace(horizon=500)
+    assert read == list(range(1, 501))
 
 
 # ------------------------------------------------------- EpsilonGrowth lookup
@@ -371,6 +461,44 @@ def test_formatting_reads_ints_fractions_and_floats_as_before(value):
     assert format_rational(value) == reference_format_rational(value)
     assert format_decimal(value) == reference_format_decimal(value)
     assert format_decimal(value, 3) == reference_format_decimal(value, 3)
+
+
+def _copy(value):
+    """The same value as a new object, so that no two cells of a column are one object."""
+    return F(value.numerator, value.denominator) if isinstance(value, F) else value
+
+
+@settings(max_examples=200)
+@given(runs=st.lists(st.tuples(st.integers(1, 5),
+                               st.fractions(max_denominator=40, min_value=-9, max_value=99),
+                               st.integers(0, 300), st.booleans()), min_size=1, max_size=12),
+       fmt=st.sampled_from(["json", "csv", "table"]))
+def test_rows_with_runs_print_as_value_by_value(runs, fmt):
+    head = ("n", "x", "x_cell", "absorbed", "s")
+    rows = []
+    for length, value, cell, flag in runs:   # runs of one object in x and s
+        rows += [(len(rows) + 1, value, cell, flag, value)] * length
+    copied = [tuple(map(_copy, row)) for row in rows]
+    text = write_rows(head, rows, fmt)
+    assert text == write_rows(head, copied, fmt)
+    if fmt == "csv":   # and value by value, with no writer in between
+        assert text.splitlines() == [",".join(head)] + [
+            f"{n},{reference_format_rational(x)},{c},{str(a).lower()},"
+            f"{reference_format_rational(s)}" for n, x, c, a, s in rows]
+
+
+def test_a_run_of_one_value_is_rendered_once(monkeypatch):
+    from coarsesum import rationals
+    calls = []
+    for name in ("format_rational", "format_decimal"):
+        real = getattr(rationals, name)
+        monkeypatch.setattr(rationals, name, lambda v, real=real: calls.append(v) or real(v))
+    half, third = F(1, 2), F(1, 3)
+    rows = [(n, half, half if n < 500 else third) for n in range(1, 1001)]
+    for fmt in ("json", "csv", "table"):
+        calls.clear()
+        write_rows(("n", "x", "s"), rows, fmt)
+        assert calls == [half, half, third]
 
 
 # ------------------------------------------------------------ without numpy
