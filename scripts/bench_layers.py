@@ -1,4 +1,5 @@
-"""Per-layer timings of coarsesum: the CLI import, and per family fold steps, lookup, collapse.
+"""Per-layer timings of coarsesum: the CLI import, and per family fold steps, lookup, collapse
+and the certificate scan.
 
 Usage::
 
@@ -22,7 +23,11 @@ partition family the entries are, in microseconds:
   that keeps its sum still is 0) and whose sum stays in one cell, so the
   stream is folded and judged to the horizon;
 * ``index_of_us``, ``cell_at_us``, ``rep_of_value_us`` -- per call, over the
-  inputs and cells of the climbing stream.
+  inputs and cells of the climbing stream;
+* ``absorbing_scan_us`` -- ``first_absorbing_cell`` under the median policy,
+  per cell it visits, for the families whose scan visits many cells:
+  ``Fibonacci``, ``EpsilonGrowth(10)`` and ``ExplicitBounds(1000-wide)``
+  (see ``SCAN_INCREMENTS``).
 
 The import layer, entry ``import coarsesum.cli``, times that import alone
 (``import_us``), each sample in a fresh interpreter started with the caller's
@@ -53,6 +58,10 @@ from fractions import Fraction as F
 FOLD_REPEAT = 5
 CALL_REPEAT = 7
 IMPORT_RUNS = 10
+#: Increment per family for ``absorbing_scan_us``: Fibonacci settles in cell 436,
+#: EpsilonGrowth(10) in cell 2001, and no 1000-wide cell beats its own margin of 500.
+SCAN_INCREMENTS = {"Fibonacci": 2**300, "EpsilonGrowth(10)": 100,
+                   "ExplicitBounds(1000-wide)": 500}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
 
@@ -110,6 +119,13 @@ def per_verdict_step(ctx, values) -> float:
                              repeat=FOLD_REPEAT)) / len(values) * 1e6
 
 
+def per_cell_scanned(partition, increment) -> float:
+    from coarsesum import Policy, first_absorbing_cell
+    scan = lambda: first_absorbing_cell(partition, Policy.MEDIAN_LOWER, increment)
+    visited = scan() or partition.max_index
+    return min(timeit.repeat(scan, number=1, repeat=CALL_REPEAT)) / visited * 1e6
+
+
 def measure() -> dict:
     """Entries for every family, timed in this interpreter's ``coarsesum``."""
     from coarsesum import CoarseContext, build_partition, rep_of_value
@@ -129,6 +145,8 @@ def measure() -> dict:
             "rep_of_value_us": per_call(lambda x: rep_of_value(partition, x), inputs),
             "climbing_new_cell_share": sum(not s.absorbed for s in trace) / len(trace),
         }
+        if name in SCAN_INCREMENTS:
+            out[name]["absorbing_scan_us"] = per_cell_scanned(partition, SCAN_INCREMENTS[name])
     return out
 
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from .ops import CoarseContext, FoldTrace, _fold_steps
 from .partitions import Partition
 from .rationals import format_rational, parse_rational
-from .representatives import Policy, margin_pos, rep_of_cell
+from .representatives import Policy, _pick, rep_of_cell
 
 
 class Outcome(Enum):
@@ -116,16 +116,20 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
     grids, max policy, or finite explicit layouts).
     """
     inc = Fraction(increment_rep)
-    if inc < 0:
+    p, q = inc.as_integer_ratio()
+    if p < 0:
         raise ValueError(f"increment representative must be >= 0, got {inc}")
+    span, bar = partition.span, p * partition.scale
 
     def hit(i: int) -> bool:
-        m = margin_pos(partition.cell_at(i), policy)
-        return m > inc if strict else m >= inc
+        # margin (hi - pick)/scale against p/q, with both sides times scale*q
+        lo, hi = span(i)
+        m = (hi - _pick(lo, hi, policy)) * q
+        return m > bar if strict else m >= bar
 
     if partition.max_index is not None:
         return next((i for i in range(1, partition.max_index + 1) if hit(i)), None)
-    if policy is Policy.MAX or partition.spec.constant_margins:
+    if policy is Policy.MAX or partition.constant_margins:
         # every cell has the same margin (zero under max)
         return 1 if hit(1) else None
     # the other unbounded families grow cells without bound: under min or median the scan ends

@@ -136,9 +136,8 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
     partition, policy = ctx.partition, ctx.policy
-    spec = partition.spec
-    # inputs are made Fractions below, so the spec's own lookups need no coercion
-    index_of, scale, locate = spec.index, spec.scale, spec.index_scaled
+    # inputs are made Fractions below, so the family's own lookups need no coercion
+    index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     reps = {}  # cell -> (scaled representative, representative, its own cell)
 
     def collapse(cell, value):

@@ -19,16 +19,19 @@ Built-in cell-layout families:
 * :class:`ExplicitBounds` -- finitely many cells cut at given boundaries.
 * :class:`SingletonGrid` -- each multiple of a step is its own one-point grain.
 
-Each family is one immutable class that holds all of its rules: it checks
-its fields when built, so an invalid spec cannot exist.  Its cells are
+Each family is one immutable class that holds all of its rules, and it is
+the partition itself: every family is a :class:`Partition`.  It checks its
+fields when built, so an invalid spec cannot exist.  Its cells are
 described in integers: on the family's ``scale`` D every boundary and every
 representative (median, min or max) is a multiple of 1/D, and ``span(i)``
 gives the bounds of cell i in units of 1/D.  ``index(x)`` finds the cell of an
 exact ``int`` or ``Fraction`` from its numerator and denominator, and
 ``index_scaled(n)`` the cell of n/D.  ``domain``, ``origin``, ``max_index``
-(None when unbounded), ``constant_margins`` (every cell has the same margins),
-the wire ``kind`` and ``to_json()`` describe it.  :class:`Partition` puts the
-lookup API in front and builds each :class:`Cell` from its span.
+(None when unbounded), ``constant_margins`` (every cell has the same margins)
+and the wire ``kind`` describe it.  The shared base gives every family the
+lookup API (``index_of``, ``cell_at`` building each :class:`Cell` from its
+span, ``cell_of``) and one wire writer, ``to_json()``, which reads the same
+``_fields`` as :func:`spec_from_json`.
 
 Generated families extend lazily to any index and are pure functions of the
 index, so concurrent queries for the same cell always agree.  Explicit
@@ -162,7 +165,52 @@ def _rational(field: str, value) -> Fraction:
 
 # ----------------------------------------------------------------- families
 
-class FixedWidth(_Frozen):
+class Partition(_Frozen):
+    """The base of every family: cell lookup and the wire form; see the module docstring."""
+
+    @property
+    def spec(self) -> "Partition":
+        """The family itself, so that ``partition.spec`` names the family, as callers read it."""
+        return self
+
+    def cell_at(self, index: int) -> Cell:
+        """The cell with the given 1-based index."""
+        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+            raise DomainError(f"cell index must be a positive integer, got {index!r}")
+        lo, hi = self.span(index)
+        d = self.scale
+        lower = Fraction(lo) if d == 1 else Fraction(lo, d)  # one argument skips the gcd
+        upper = lower if hi == lo else Fraction(hi) if d == 1 else Fraction(hi, d)
+        # real cells are open below, except the first and one-point cells
+        return Cell(index, lower, upper,
+                    self.domain is Domain.INTEGERS or index == 1 or lo == hi, True, self.domain)
+
+    def index_of(self, value) -> int:
+        """Index of the unique cell containing ``value``."""
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        return self.index(value)
+
+    def cell_of(self, value) -> Cell:
+        """The unique cell containing ``value``."""
+        return self.cell_at(self.index_of(value))
+
+    def to_json(self) -> dict:
+        """``kind``, each of ``_fields`` and ``domain``; rationals print as ``p/q``."""
+        data = {"kind": self.kind}
+        for name in (*self._fields, "domain"):
+            v = getattr(self, name)
+            if isinstance(v, Fraction):
+                v = format_rational(v)
+            elif isinstance(v, tuple):
+                v = [rational_to_json(b) for b in v]
+            elif isinstance(v, Domain):
+                v = v.value
+            data[name] = v
+        return data
+
+
+class FixedWidth(Partition):
     """Consecutive integer blocks of one fixed width, starting at 0."""
 
     _fields = ("width",)
@@ -193,11 +241,8 @@ class FixedWidth(_Frozen):
         w = self.width
         return w * (index - 1), w * index - 1
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "width": self.width, "domain": "int"}
 
-
-class Fibonacci(_Frozen):
+class Fibonacci(Partition):
     """Integer blocks whose sizes follow 1, 1, 2, 3, 5, 8, ..."""
 
     kind = "fibonacci"
@@ -238,11 +283,8 @@ class Fibonacci(_Frozen):
             starts = self._grown(cells=index)
         return starts[index - 1], starts[index] - 1
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "domain": "int"}
 
-
-class EpsilonGrowth(_Frozen):
+class EpsilonGrowth(Partition):
     """Real cells: ``[0, 1/2]`` first, then cell i spans ``i/epsilon``.
 
     Cell i (i >= 2) is ``(b, b + i/epsilon]`` where b is the previous upper
@@ -292,11 +334,8 @@ class EpsilonGrowth(_Frozen):
             return 0, half
         return half + q2 * (index * index - index - 2), half + q2 * (index * index + index - 2)
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "epsilon": format_rational(self.epsilon), "domain": "real"}
 
-
-class ExplicitBounds(_Frozen):
+class ExplicitBounds(Partition):
     """Finitely many cells cut at the given strictly ascending boundaries.
 
     In the integer domain cell i is ``[b[i-1], b[i] - 1]``; boundaries may
@@ -358,12 +397,8 @@ class ExplicitBounds(_Frozen):
         keys = self._keys
         return keys[index - 1], keys[index] - 1 + self._open
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "bounds": [rational_to_json(b) for b in self.bounds],
-                "domain": self.domain.value}
 
-
-class SingletonGrid(_Frozen):
+class SingletonGrid(Partition):
     """Every nonnegative multiple of ``step`` is its own one-point grain.
 
     The identity coarse structure on a rational grid: representatives are the
@@ -405,9 +440,6 @@ class SingletonGrid(_Frozen):
         n = (index - 1) * self._u
         return n, n
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "step": format_rational(self.step), "domain": "real"}
-
 
 PartitionSpec = Union[FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBounds, SingletonGrid]
 
@@ -429,57 +461,11 @@ def from_widths(widths, origin: int = 0) -> ExplicitBounds:
     return ExplicitBounds(tuple(bounds), Domain.INTEGERS)
 
 
-class Partition:
-    """A partition spec behind the cell-lookup API; see the module docstring."""
-
-    def __init__(self, spec: PartitionSpec):
-        if getattr(spec, "kind", None) not in _KINDS:
-            raise SpecError(f"unknown partition description: {spec!r}")
-        self.spec = spec
-
-    @property
-    def domain(self) -> Domain:
-        return self.spec.domain
-
-    @property
-    def origin(self) -> Fraction:
-        return self.spec.origin
-
-    @property
-    def max_index(self) -> int | None:
-        """Last valid cell index, or None for lazily unbounded families."""
-        return self.spec.max_index
-
-    def cell_at(self, index: int) -> Cell:
-        """The cell with the given 1-based index."""
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-            raise DomainError(f"cell index must be a positive integer, got {index!r}")
-        spec = self.spec
-        lo, hi = spec.span(index)
-        d = spec.scale
-        lower = Fraction(lo) if d == 1 else Fraction(lo, d)  # one argument skips the gcd
-        upper = lower if hi == lo else Fraction(hi) if d == 1 else Fraction(hi, d)
-        # real cells are open below, except the first and one-point cells
-        return Cell(index, lower, upper,
-                    spec.domain is Domain.INTEGERS or index == 1 or lo == hi, True, spec.domain)
-
-    def index_of(self, value) -> int:
-        """Index of the unique cell containing ``value``."""
-        if type(value) is not int and type(value) is not Fraction:
-            value = Fraction(value)
-        return self.spec.index(value)
-
-    def cell_of(self, value) -> Cell:
-        """The unique cell containing ``value``."""
-        return self.cell_at(self.index_of(value))
-
-    def __repr__(self) -> str:
-        return f"Partition({self.spec!r})"
-
-
 def build_partition(spec: PartitionSpec) -> Partition:
-    """Wrap a cell-layout description, already checked when built, as a partition."""
-    return Partition(spec)
+    """The partition of a cell-layout description: the family itself, checked when built."""
+    if not isinstance(spec, Partition):
+        raise SpecError(f"unknown partition description: {spec!r}")
+    return spec
 
 
 # ------------------------------------------------------------- serialization

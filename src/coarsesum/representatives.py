@@ -56,9 +56,9 @@ def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOW
 
     Read off the cell's integer span, on which real midpoints need no rounding.
     """
-    spec = partition.spec
-    n = _pick(*spec.span(partition.index_of(value)), policy)
-    return Fraction(n) if spec.scale == 1 else Fraction(n, spec.scale)  # skips the gcd at 1
+    n = _pick(*partition.span(partition.index_of(value)), policy)
+    d = partition.scale
+    return Fraction(n) if d == 1 else Fraction(n, d)  # skips the gcd at 1
 
 
 def margin_pos(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:

@@ -15,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
+from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, FoldStep, FoldTrace, OutOfRangeError, Partition,
                        Policy, SingletonGrid, build_partition, constant, detect_inert_stream,
-                       detect_inert_trace, format_decimal, format_rational, geometric,
-                       harmonic, parse_rational, rep_of_cell, rep_of_value)
+                       detect_inert_trace, first_absorbing_cell, format_decimal,
+                       format_rational, geometric, harmonic, margin_pos, parse_rational,
+                       rep_of_cell, rep_of_value)
 from coarsesum.rationals import write_rows
 from coarsesum import representatives
 
@@ -394,16 +395,47 @@ def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, poli
                                                              monkeypatch):
     ctx = CoarseContext(build_partition(spec), policy)
     expected = rep_add_fold(ctx, values)
-
-    def forbidden(*args):
-        raise AssertionError("the fold reached Fraction arithmetic or built a Cell")
-    for name in _FORBIDDEN:
-        monkeypatch.setattr(F, name, forbidden)
-    monkeypatch.setattr(Partition, "cell_at", forbidden)
-    monkeypatch.setattr(representatives, "rep_of_cell", forbidden)
+    forbid_fraction_arithmetic_and_cells(monkeypatch)
     steps = ctx.fold(values).steps
     monkeypatch.undo()
     assert steps == expected
+
+
+def forbid_fraction_arithmetic_and_cells(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("reached Fraction arithmetic or built a Cell")
+    for name in _FORBIDDEN:
+        monkeypatch.setattr(F, name, forbidden)
+    monkeypatch.setattr(Partition, "cell_at", forbidden)
+    monkeypatch.setattr(Cell, "__init__", forbidden)
+    monkeypatch.setattr(representatives, "rep_of_cell", forbidden)
+
+
+def absorbing_by_cells(partition, policy, inc, strict):
+    """First cell among the first 200 whose ``margin_pos`` beats ``inc``."""
+    margins = (margin_pos(partition.cell_at(i), policy)
+               for i in range(1, (partition.max_index or 200) + 1))
+    return next((i for i, m in enumerate(margins, start=1)
+                 if (m > inc if strict else m >= inc)), None)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("spec, increments", [
+    (FixedWidth(7), [0, 2, F(5, 2), 3, 4]),
+    (Fibonacci(), [0, 1, F(7, 3), 40]),
+    (EpsilonGrowth(F(10)), [0, F(1, 4), F(7, 3), 5]),
+    (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [0, F(1, 2), 3, 20, 30]),
+    (SingletonGrid(F(3, 4)), [0, F(3, 4)]),
+], ids=["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"])
+def test_certificate_scan_does_no_fraction_arithmetic_and_builds_no_cells(spec, increments,
+                                                                         policy, monkeypatch):
+    partition = build_partition(spec)
+    cases = [(F(inc), strict) for inc in increments for strict in (True, False)]
+    expected = [absorbing_by_cells(partition, policy, inc, strict) for inc, strict in cases]
+    forbid_fraction_arithmetic_and_cells(monkeypatch)
+    got = [first_absorbing_cell(partition, policy, inc, strict) for inc, strict in cases]
+    monkeypatch.undo()
+    assert got == expected
 
 
 # --------------------------------------------------------- rational row I/O

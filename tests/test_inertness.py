@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds, Fibonacci,
+from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                        FixedWidth, InertVerdict, Outcome, Policy, SingletonGrid,
                        build_partition, constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, geometric,
@@ -118,6 +118,44 @@ def test_first_absorbing_cell_matches_enumerated_margins():
                     case = (spec, policy, inc, strict)
                     assert want is not None or not growing, case   # window holds it
                     assert first_absorbing_cell(p, policy, inc, strict) == want, case
+
+
+ABSORB_DRAWN = st.one_of(
+    st.builds(EpsilonGrowth, st.one_of(
+        st.sampled_from([F(1, 3), F(101, 3)]),
+        st.fractions(min_value=F(1, 50), max_value=200, max_denominator=60).filter(bool))),
+    # real layouts whose bounds have mixed denominators, and integer ones
+    st.lists(st.fractions(min_value=-20, max_value=200, max_denominator=12),
+             min_size=2, max_size=12, unique=True).map(
+        lambda b: ExplicitBounds(tuple(sorted(b)), Domain.REALS)),
+    st.lists(st.integers(-30, 300), min_size=2, max_size=12, unique=True).map(
+        lambda b: ExplicitBounds(tuple(sorted(b)))),
+    st.builds(FixedWidth, st.integers(1, 20)),
+    st.just(Fibonacci()),
+    st.builds(SingletonGrid, st.fractions(min_value=F(1, 20), max_value=5,
+                                          max_denominator=20).filter(bool)),
+)
+
+
+@settings(max_examples=200)
+@given(spec=ABSORB_DRAWN, policy=st.sampled_from(list(Policy)))
+def test_first_absorbing_cell_matches_enumerated_margins_drawn(spec, policy):
+    # increments at every margin in the window (exact ties), between them and
+    # beyond them, against a scan of the cells themselves
+    p = build_partition(spec)
+    last = 40 if p.max_index is None else p.max_index
+    margins = [margin_pos(p.cell_at(i), policy) for i in range(1, last + 1)]
+    levels = sorted(set(margins))
+    growing = (p.max_index is None and not spec.constant_margins and policy is not Policy.MAX)
+    incs = levels[:-1] if growing else levels + [levels[-1] + 1]  # the window holds each hit
+    incs += [(a + b) / 2 for a, b in zip(levels, levels[1:])] + [levels[0] / 2]
+    for inc in incs:
+        for strict in (True, False):
+            want = next((i for i, m in enumerate(margins, start=1)
+                         if (m > inc if strict else m >= inc)), None)
+            case = (spec, policy, inc, strict)
+            assert want is not None or not growing, case
+            assert first_absorbing_cell(p, policy, inc, strict) == want, case
 
 
 def test_constant_margin_families_absorb_or_never_do():

@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -294,11 +295,19 @@ def test_spec_json_roundtrip(spec):
 
 
 def test_spec_json_shapes():
-    assert spec_to_json(FixedWidth(3)) == {"kind": "fixed_width", "width": 3, "domain": "int"}
-    assert spec_to_json(Fibonacci()) == {"kind": "fibonacci", "domain": "int"}
-    assert spec_to_json(EpsilonGrowth(F(10))) == {"kind": "epsilon", "epsilon": "10/1", "domain": "real"}
-    assert spec_to_json(ExplicitBounds((0, 3, 6, 17))) == \
-        {"kind": "explicit", "bounds": [0, 3, 6, 17], "domain": "int"}
+    # the text, not the dict, so that the key order is pinned too
+    shapes = [
+        (FixedWidth(3), '{"kind": "fixed_width", "width": 3, "domain": "int"}'),
+        (Fibonacci(), '{"kind": "fibonacci", "domain": "int"}'),
+        (EpsilonGrowth(F(10)), '{"kind": "epsilon", "epsilon": "10/1", "domain": "real"}'),
+        (ExplicitBounds((0, 3, 6, 17)),
+         '{"kind": "explicit", "bounds": [0, 3, 6, 17], "domain": "int"}'),
+        (SingletonGrid(F(3, 4)), '{"kind": "singleton_grid", "step": "3/4", "domain": "real"}'),
+        (ExplicitBounds((F(-1, 2), 0, F(7, 3), 5), Domain.REALS),
+         '{"kind": "explicit", "bounds": ["-1/2", 0, "7/3", 5], "domain": "real"}'),
+    ]
+    for spec, text in shapes:
+        assert json.dumps(spec_to_json(spec)) == text
 
 
 def test_spec_json_rejects_garbage():

@@ -26,10 +26,10 @@ VALUES = {
                       "ExplicitBounds(bounds=(Fraction(-1, 2), Fraction(1, 1)), "
                       "domain=<Domain.REALS: 'real'>)"),
     "grid": (lambda: SingletonGrid("1/2"), "SingletonGrid(step=Fraction(1, 2))"),
-    "cell_int": (lambda: Partition(FixedWidth(3)).cell_at(2),
+    "cell_int": (lambda: FixedWidth(3).cell_at(2),
                  "Cell(index=2, lower=Fraction(3, 1), upper=Fraction(5, 1), lower_closed=True, "
                  "upper_closed=True, domain=<Domain.INTEGERS: 'int'>)"),
-    "cell_real": (lambda: Partition(EpsilonGrowth(2)).cell_at(2),
+    "cell_real": (lambda: EpsilonGrowth(2).cell_at(2),
                   "Cell(index=2, lower=Fraction(1, 2), upper=Fraction(3, 2), lower_closed=False, "
                   "upper_closed=True, domain=<Domain.REALS: 'real'>)"),
     "gamble": (Gamble, "Gamble(truncation_depth=64)"),
@@ -86,7 +86,7 @@ def test_distinct_values_and_classes_differ():
     assert ExplicitBounds((0, 1)) != ExplicitBounds((0, 1), Domain.REALS)
     assert Gamble(5) != Gamble(6)
     assert FixedWidth(3) != (3,)
-    assert Partition(FixedWidth(3)).cell_at(1) != Partition(FixedWidth(3)).cell_at(2)
+    assert FixedWidth(3).cell_at(1) != FixedWidth(3).cell_at(2)
 
 
 def test_fields_compare_after_parsing():
@@ -150,3 +150,27 @@ def test_cli_import_loads_every_module_and_not_dataclasses():
     assert proc.stdout.split() == ["coarsesum"] + [
         f"coarsesum.{m}" for m in ("cli", "errors", "inertness", "ops", "partitions",
                                    "rationals", "representatives", "stpetersburg")]
+
+
+FAMILIES = [FixedWidth(3), Fibonacci(), EpsilonGrowth(F(10)), ExplicitBounds((0, 2, 4)),
+            ExplicitBounds(("-1/2", 1), Domain.REALS), SingletonGrid("1/2")]
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=repr)
+def test_the_family_is_the_partition(family):
+    assert isinstance(family, Partition)
+    assert build_partition(family) is family
+    assert family.spec is family                    # the tracer splits calls by it
+    a = CoarseContext(build_partition(family))
+    b = CoarseContext(build_partition(pickle.loads(pickle.dumps(family))))
+    assert a == b and hash(a) == hash(b)
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert a != CoarseContext(build_partition(FixedWidth(7)))
+
+
+@pytest.mark.parametrize("other", [FixedWidth, "fixed_width", 3, None, {"kind": "fibonacci"}],
+                         ids=repr)
+def test_build_partition_refuses_what_is_not_a_family(other):
+    with pytest.raises(SpecError) as exc:
+        build_partition(other)
+    assert str(exc.value) == f"unknown partition description: {other!r}"
