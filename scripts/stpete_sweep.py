@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Sweep the cell-growth rate and tabulate the gamble's coarse value.
+"""Sweep the cell-growth rate and tabulate the gamble's absorbing cell.
 
 For each eps the expected-increment stream of the doubling gamble (one exact
 1/2 per round) is valued on the EpsilonGrowth(eps) partition: the closed-form
 absorbing cell floor(eps/2) + 1 is printed next to the strict margin scan and
-the certified verdict, so the table doubles as a regression sweep for their
-agreement.  Optionally draws payoffs and folds them for comparison.
+the representative of the scanned cell, the certified verdict's value, so the
+table doubles as a regression sweep for their agreement.  The sums never
+pass that cell, but it is not where they settle: a fold of the 1/2 stream
+pins at cell 1, value 1/4, from step 2, for every eps.  Optionally draws
+payoffs and folds them for comparison.
 
 Usage:
     python3 scripts/stpete_sweep.py
@@ -38,13 +41,13 @@ def main() -> None:
         ap.error("need --step > 0 and --eps-from >= 2")
 
     print(f"{'eps':>8}  {'formula':>7}  {'scan':>4}  {'agree':>5}  "
-          f"{'coarse value':>12}  {'classical sum':>13}")
+          f"{'absorbing rep':>13}  {'classical sum':>13}")
     eps = lo
     while eps <= hi:
         r = coarse_value(eps, depth=args.depth)
         print(f"{format_decimal(eps):>8}  {r.cell_from_formula:>7}  "
               f"{r.cell_from_scan:>4}  {'yes' if r.agreement else 'NO':>5}  "
-              f"{format_decimal(r.verdict.fixed_value):>12}  "
+              f"{format_decimal(r.verdict.fixed_value):>13}  "
               f"{format_decimal(r.classical_sum):>13}")
         eps += step
 

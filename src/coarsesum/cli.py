@@ -110,8 +110,9 @@ def _verdict_text(v) -> str:
 
 def cmd_partition(args) -> int:
     ctx = _context_from_args(args)
+    last = min(args.cells, ctx.partition.max_index or args.cells)  # a finite layout ends early
     rows = [(c, rep_of_cell(c, ctx.policy), margin_pos(c, ctx.policy), margin_neg(c, ctx.policy))
-            for c in map(ctx.partition.cell_at, range(1, args.cells + 1))]
+            for c in map(ctx.partition.cell_at, range(1, last + 1))]
     if args.format == "table":
         head = "cell interval rep margin+ margin-".split()
         rows = [(c.index, str(c), *r) for c, *r in rows]

@@ -9,12 +9,12 @@ which needs an upper bound on future increments.
 The certificate: collapsing is monotone, so if every input is at most b,
 every collapsed increment is at most the representative of b's cell.  The
 first cell whose upward margin strictly exceeds that representative absorbs
-all further increments, and running sums (which can never jump past it,
-because margins below it are too small to matter and widths above it are
-larger than any increment) settle there.  The strict inequality means the
-certificate never fires on an exact boundary tie; membership-style folding
-of a tied stream can therefore settle earlier than the certificate's cell,
-and both answers are meaningful.  See ``detect_inert_stream``.
+all further increments, and running sums can never jump past it (margins
+below it are too small to matter and widths above it are larger than any
+increment), so they settle in it or below it.  The strict inequality means
+the certificate never fires on an exact boundary tie.  The certificate names
+a cell the sums never pass, not the cell or step where the fold settles,
+which can lie well below it.  See ``detect_inert_stream``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 from .ops import CoarseContext, FoldTrace, _fold_steps
 from .partitions import Partition
 from .rationals import format_rational, parse_rational
-from .representatives import Policy, _pick, rep_of_cell
+from .representatives import Policy, _pick
 
 
 class Outcome(Enum):
@@ -147,11 +147,11 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     between 0 and b), the certificate applies before any folding: the first
     cell whose upward margin strictly exceeds b's collapsed representative
     absorbs the rest of the stream, and the verdict is certified with that
-    cell.  Its step index mirrors the cell index, the natural reading of
-    "sums settle once they reach the absorbing cell": one collapsed
-    increment per cell climbed.  A tied stream can also pin itself to an
-    earlier cell without ever climbing; fold without a bound to observe
-    that membership behavior.
+    cell and its representative, read off its span.  N is that cell's index,
+    not a step, and can exceed the horizon; the fold may settle lower: the
+    constant 1/2 on ``EpsilonGrowth(10)`` is certified at cell 6, value 11/5,
+    but its fold pins at cell 1, value 1/4, from step 2.  Fold without a
+    bound to see where the sums settle.
 
     Without a bound (or when no cell qualifies), the stream is folded and
     judged step by step, with no trace kept, to the verdict
@@ -168,7 +168,7 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
                 f"increment bound must collapse to a nonnegative value, got {rep_b}")
         target = first_absorbing_cell(ctx.partition, ctx.policy, rep_b, strict=True)
         if target is not None:
-            value = rep_of_cell(ctx.partition.cell_at(target), ctx.policy)
+            value = ctx.partition.unscaled(_pick(*ctx.partition.span(target), ctx.policy))
             return InertVerdict(Outcome.INERT, n_stable=target, cell_index=target,
                                 fixed_value=value, horizon=horizon, certified=True)
     return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon,

@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import CoarseError
-from .partitions import Partition, _Frozen, _settle
+from .partitions import Partition, _cell_index, _Frozen, _settle
 from .rationals import parse_rational, write_rows
-from .representatives import Policy, rep_of_cell, rep_of_value
+from .representatives import Policy, _pick, rep_of_value
 
 
 #: Cells whose representatives one fold keeps at a time.  Absorbed and
@@ -93,10 +93,10 @@ class CoarseContext(NamedTuple):
         return self.normalize(self.normalize(x) + self.normalize(y))
 
     def cell_add(self, i: int, k: int) -> int:
-        """Coarse addition on cell indexes."""
-        total = (rep_of_cell(self.partition.cell_at(i), self.policy)
-                 + rep_of_cell(self.partition.cell_at(k), self.policy))
-        return self.partition.index_of(total)
+        """Coarse addition on cell indexes, read off their integer spans."""
+        span, policy = self.partition.span, self.policy
+        return self.partition.index_scaled(_pick(*span(_cell_index(i)), policy)
+                                           + _pick(*span(_cell_index(k)), policy))
 
     def absorbs(self, i: int, k: int) -> bool:
         """Does cell i swallow cell k, leaving the sum in cell i?"""

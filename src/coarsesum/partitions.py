@@ -23,15 +23,16 @@ Each family is one immutable class that holds all of its rules, and it is
 the partition itself: every family is a :class:`Partition`.  It checks its
 fields when built, so an invalid spec cannot exist.  Its cells are
 described in integers: on the family's ``scale`` D every boundary and every
-representative (median, min or max) is a multiple of 1/D, and ``span(i)``
-gives the bounds of cell i in units of 1/D.  ``index(x)`` finds the cell of an
-exact ``int`` or ``Fraction`` from its numerator and denominator, and
-``index_scaled(n)`` the cell of n/D.  ``domain``, ``origin``, ``max_index``
-(None when unbounded), ``constant_margins`` (every cell has the same margins)
-and the wire ``kind`` describe it.  The shared base gives every family the
-lookup API (``index_of``, ``cell_at`` building each :class:`Cell` from its
-span, ``cell_of``) and one wire writer, ``to_json()``, which reads the same
-``_fields`` as :func:`spec_from_json`.
+representative (median, min or max) is a multiple of 1/D, ``span(i)`` gives
+the bounds of cell i in units of 1/D, and ``index_scaled(n, x=None)`` finds
+the cell of n/D (errors name x, the value n came from, if given).  ``domain``,
+``origin``, ``max_index`` (None when unbounded), ``constant_margins`` (every
+cell has the same margins) and the wire ``kind`` describe it.  The base reads
+the rest off those: ``index(x)`` finds the cell of an exact ``int`` or
+``Fraction`` from x*D, ``unscaled(n)`` turns n back into n/D, and it gives
+every family the lookup API (``index_of``, ``cell_at`` building each
+:class:`Cell` from its span, ``cell_of``) and one wire writer, ``to_json()``,
+which reads the same ``_fields`` as :func:`spec_from_json`.
 
 Generated families extend lazily to any index and are pure functions of the
 index, so concurrent queries for the same cell always agree.  Explicit
@@ -53,6 +54,9 @@ from .rationals import format_decimal, format_rational, parse_rational, rational
 class Domain(Enum):
     INTEGERS = "int"
     REALS = "real"
+
+
+_INTEGERS = Domain.INTEGERS  # read once: an Enum member read off its class costs a lookup
 
 
 def _settle(obj, **attrs) -> None:
@@ -138,19 +142,15 @@ class Cell(_Frozen):
 
 # ------------------------------------------------------------------ helpers
 
-def _not_integer(x) -> DomainError:
-    return DomainError(f"{x} is not an integer")
-
-
 def _below(x, origin) -> DomainError:
     return DomainError(f"{x} is below the partition origin {origin}")
 
 
-def _integer(x) -> int:
-    """The value as an int, or the domain error of an integer family."""
-    if x.denominator != 1:
-        raise _not_integer(x)
-    return x.numerator
+def _cell_index(index) -> int:
+    """A cell index, or the error that refuses anything but a positive int."""
+    if not isinstance(index, int) or isinstance(index, bool) or index < 1:
+        raise DomainError(f"cell index must be a positive integer, got {index!r}")
+    return index
 
 
 def _rational(field: str, value) -> Fraction:
@@ -173,17 +173,32 @@ class Partition(_Frozen):
         """The family itself, so that ``partition.spec`` names the family, as callers read it."""
         return self
 
+    def unscaled(self, n: int) -> Fraction:
+        """The rational n/scale, for a bound or representative read off a span."""
+        d = self.scale
+        return Fraction(n) if d == 1 else Fraction(n, d)  # one argument skips the gcd
+
+    def index(self, x) -> int:
+        """Cell of an exact ``int`` or ``Fraction``, from x*scale; errors name x."""
+        n, d = x.numerator * self.scale, x.denominator
+        if d != 1:
+            n, r = divmod(n, d)
+            if r:  # x is off the scale
+                if self.domain is _INTEGERS:
+                    raise DomainError(f"{x} is not an integer")
+                if n < self.span(1)[0]:  # the floor of x*scale is below the origin
+                    raise _below(x, self.origin)
+                n += 1  # real cells are closed above, so x lies where the ceiling does
+        return self.index_scaled(n, x)
+
     def cell_at(self, index: int) -> Cell:
         """The cell with the given 1-based index."""
-        if not isinstance(index, int) or isinstance(index, bool) or index < 1:
-            raise DomainError(f"cell index must be a positive integer, got {index!r}")
-        lo, hi = self.span(index)
-        d = self.scale
-        lower = Fraction(lo) if d == 1 else Fraction(lo, d)  # one argument skips the gcd
-        upper = lower if hi == lo else Fraction(hi) if d == 1 else Fraction(hi, d)
+        lo, hi = self.span(_cell_index(index))
+        lower = self.unscaled(lo)
+        upper = lower if hi == lo else self.unscaled(hi)
         # real cells are open below, except the first and one-point cells
         return Cell(index, lower, upper,
-                    self.domain is Domain.INTEGERS or index == 1 or lo == hi, True, self.domain)
+                    self.domain is _INTEGERS or index == 1 or lo == hi, True, self.domain)
 
     def index_of(self, value) -> int:
         """Index of the unique cell containing ``value``."""
@@ -229,12 +244,9 @@ class FixedWidth(Partition):
             raise SpecError(f"width: must be a positive integer, got {width!r}")
         _settle(self, width=w)
 
-    def index(self, x) -> int:
-        return self.index_scaled(_integer(x))
-
-    def index_scaled(self, n: int) -> int:
+    def index_scaled(self, n: int, x=None) -> int:
         if n < 0:
-            raise _below(n, 0)
+            raise _below(n, 0)  # on scale 1, n is the value
         return n // self.width + 1
 
     def span(self, index: int) -> tuple:
@@ -266,12 +278,9 @@ class Fibonacci(Partition):
         _settle(self, _starts=starts)
         return starts
 
-    def index(self, x) -> int:
-        return self.index_scaled(_integer(x))
-
-    def index_scaled(self, n: int) -> int:
+    def index_scaled(self, n: int, x=None) -> int:
         if n < 0:
-            raise _below(n, 0)
+            raise _below(n, 0)  # on scale 1, n is the value
         starts = self._starts
         if starts[-1] <= n:
             starts = self._grown(cover=n)
@@ -309,18 +318,11 @@ class EpsilonGrowth(Partition):
         p, q = eps.numerator, eps.denominator
         _settle(self, epsilon=eps, scale=4 * p, _half=2 * p, _q2=2 * q, _q4=4 * q)
 
-    def index(self, x) -> int:
-        a = x.numerator
-        if a < 0:
-            raise _below(x, 0)
-        # cells are closed above, so x lies where the ceiling of x*scale does
-        return self.index_scaled(-(-a * self.scale // x.denominator))
-
-    def index_scaled(self, n: int) -> int:
+    def index_scaled(self, n: int, x=None) -> int:
         half = self._half
         if n <= half:
             if n < 0:
-                raise _below(Fraction(n, self.scale), 0)
+                raise _below(self.unscaled(n) if x is None else x, 0)
             return 1
         # n lies in the smallest cell i with T(i) >= (n - 2p)/4q + 1; T(i) is
         # an integer, so that is the smallest i with T(i) >= c below.
@@ -372,18 +374,13 @@ class ExplicitBounds(Partition):
                 scale=scale, _keys=tuple(v.numerator * (scale // v.denominator) for v in b),
                 _open=0 if ints else 1)
 
-    def index(self, x) -> int:
-        # real cells are closed above, so x lies where the ceiling of x*scale does
-        n = -(-x.numerator * self.scale // x.denominator) if self._open else _integer(x)
-        return self.index_scaled(n, x)
-
     def index_scaled(self, n: int, x=None) -> int:
         """Cell of n/scale; errors name the value x, n/scale when omitted."""
         keys, shift = self._keys, self._open
         if keys[0] <= n < keys[-1] + shift:
             return bisect_right(keys, n - shift) or 1
         if x is None:
-            x = Fraction(n, self.scale)
+            x = self.unscaled(n)
         b = self.bounds
         if n < keys[0]:
             raise _below(x, b[0])
@@ -433,7 +430,7 @@ class SingletonGrid(Partition):
     def index_scaled(self, n: int) -> int:
         k, r = divmod(n, self._u)
         if r or n < 0:
-            return self.index(Fraction(n, self.scale))  # raises the value's error
+            return self.index(self.unscaled(n))  # raises the value's error
         return k + 1
 
     def span(self, index: int) -> tuple:

@@ -52,13 +52,12 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
 
 
 def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
-    """Collapse a value to the representative of its own cell (idempotent).
+    """Collapse a value to the representative of its own cell, read off the cell's span.
 
-    Read off the cell's integer span, on which real midpoints need no rounding.
+    Under min a real cell open below collapses to its lower bound, in the cell
+    below, so collapsing again can move it: on ``EpsilonGrowth(10)``, 3/5 -> 1/2 -> 0.
     """
-    n = _pick(*partition.span(partition.index_of(value)), policy)
-    d = partition.scale
-    return Fraction(n) if d == 1 else Fraction(n, d)  # skips the gcd at 1
+    return partition.unscaled(_pick(*partition.span(partition.index_of(value)), policy))
 
 
 def margin_pos(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:

@@ -8,9 +8,10 @@ halves, grows without bound.
 Folding the same stream of expected increments coarsely over a growing-cell
 real partition tells a different story: cells eventually become wide enough
 that their upward margin strictly exceeds the collapsed increment 1/4, and
-the margin certificate pins the sums to the first such cell,
-floor(eps/2) + 1 for cell-growth rate eps >= 2.  The coarse value of the
-gamble is the representative of that cell: finite, and tunable through eps.
+the margin certificate names the first such cell, floor(eps/2) + 1 for
+cell-growth rate eps >= 2, which the sums never pass.  Its representative,
+finite and growing with eps, is the certified value; the fold itself pins
+at sum 1/4, in cell 1, from step 2, for every eps.
 """
 
 from __future__ import annotations

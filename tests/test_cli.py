@@ -107,6 +107,18 @@ def test_partition_bounds_with_domain(capsys):
     assert "(0.5, 2]" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_partition_prints_all_of_a_layout_shorter_than_cells(fmt, capsys):
+    code, out, err = run(["partition", "--bounds", "0,3,6", "--format", fmt], capsys)
+    _, full, _ = run(["partition", "--bounds", "0,3,6", "--cells", "2", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == full
+    if fmt == "table":
+        assert out == ("cell  interval  rep  margin+  margin-\n"
+                       "1     {0..2}    1    1        1\n"
+                       "2     {3..5}    4    1        1\n")
+
+
 @pytest.mark.parametrize("rep", ["median", "min", "max"])
 @pytest.mark.parametrize("family", [
     ["--width", "3"], ["--fibonacci"], ["--eps", "1/3"], ["--bounds", "-4,1,2,9,30"],
@@ -196,6 +208,13 @@ def test_fold_below_the_origin_reports_the_step(capsys, monkeypatch):
                        stdin_text="-4\n-4\n")
     assert code == 1
     assert err == "error: step 2: -8 is below the partition origin -4\n"
+
+
+def test_fold_below_a_real_origin_is_an_error(capsys, monkeypatch):
+    code, out, err = run(["fold", "--bounds", "0,1,2", "--domain", "real"], capsys, monkeypatch,
+                         stdin_text="-1/10\n")
+    assert (code, out) == (1, "")
+    assert err == "error: step 1: -1/10 is below the partition origin 0\n"
 
 
 def test_fold_into_a_closed_pipe_ends_quietly(tmp_path):

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldStep, FoldTrace, OutOfRangeError, Partition,
-                       Policy, SingletonGrid, build_partition, constant, detect_inert_stream,
+                       Fibonacci, FixedWidth, FoldStep, FoldTrace, InertVerdict, Outcome,
+                       OutOfRangeError, Partition, Policy, SingletonGrid, build_partition,
+                       constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, format_decimal,
                        format_rational, geometric, harmonic, margin_pos, parse_rational,
                        rep_of_cell, rep_of_value)
@@ -403,9 +404,15 @@ def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, poli
 
 def forbid_fraction_arithmetic_and_cells(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("reached Fraction arithmetic or built a Cell")
+        raise AssertionError("reached Fraction arithmetic")
     for name in _FORBIDDEN:
         monkeypatch.setattr(F, name, forbidden)
+    forbid_cells(monkeypatch)
+
+
+def forbid_cells(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("built a Cell")
     monkeypatch.setattr(Partition, "cell_at", forbidden)
     monkeypatch.setattr(Cell, "__init__", forbidden)
     monkeypatch.setattr(representatives, "rep_of_cell", forbidden)
@@ -436,6 +443,56 @@ def test_certificate_scan_does_no_fraction_arithmetic_and_builds_no_cells(spec, 
     got = [first_absorbing_cell(partition, policy, inc, strict) for inc, strict in cases]
     monkeypatch.undo()
     assert got == expected
+
+
+def cell_add_by_cells(partition, policy, i, k):
+    """``cell_add`` from its definition, or the type and text of its error."""
+    try:
+        return partition.index_of(rep_of_cell(partition.cell_at(i), policy)
+                                  + rep_of_cell(partition.cell_at(k), policy))
+    except (DomainError, OutOfRangeError) as exc:
+        return type(exc), str(exc)
+
+
+def certified_by_cells(ctx, bound, horizon):
+    """The verdict on a constant stream under ``bound``, with the certificate read off cells."""
+    rep_b = rep_of_cell(ctx.partition.cell_of(bound), ctx.policy)
+    target = absorbing_by_cells(ctx.partition, ctx.policy, rep_b, strict=True)
+    if target is None:
+        return verdict_or_error(lambda: detect_inert_trace(ctx.fold([bound] * horizon)))
+    value = rep_of_cell(ctx.partition.cell_at(target), ctx.policy)
+    return InertVerdict(Outcome.INERT, n_stable=target, cell_index=target, fixed_value=value,
+                        horizon=horizon, certified=True)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("spec, bounds", [
+    (FixedWidth(7), [0, 3, 10, 27]),
+    (Fibonacci(), [0, 1, 5, 40]),
+    (EpsilonGrowth(F(10)), [0, F(1, 2), F(7, 3), 5]),
+    (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [0, F(1, 2), 3, 20]),
+    (SingletonGrid(F(3, 4)), [0, F(3, 4), F(3, 2)]),
+], ids=["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"])
+def test_cell_add_and_certified_verdicts_read_spans_and_build_no_cells(spec, bounds, policy,
+                                                                      monkeypatch):
+    ctx, horizon = CoarseContext(spec, policy), 30
+    pairs = [(i, k) for i in range(1, (spec.max_index or 12) + 1) for k in range(1, 13)]
+    sums = [cell_add_by_cells(spec, policy, i, k) for i, k in pairs]
+    verdicts = [certified_by_cells(ctx, b, horizon) for b in bounds]
+    forbid_cells(monkeypatch)
+    got_sums = []
+    for i, k in pairs:
+        try:
+            got_sums.append(ctx.cell_add(i, k))
+        except (DomainError, OutOfRangeError) as exc:
+            got_sums.append((type(exc), str(exc)))
+    got_verdicts = [verdict_or_error(lambda: detect_inert_stream(ctx, constant(b), horizon,
+                                                                 increment_bound=b))
+                    for b in bounds]
+    monkeypatch.undo()
+    assert got_sums == sums
+    assert got_verdicts == verdicts
+    assert [list(map(type, v)) for v in got_verdicts] == [list(map(type, v)) for v in verdicts]
 
 
 # --------------------------------------------------------- rational row I/O

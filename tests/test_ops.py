@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (CoarseContext, EpsilonGrowth, Fibonacci, FixedWidth,
+from coarsesum import (CoarseContext, DomainError, EpsilonGrowth, Fibonacci, FixedWidth,
                        FoldTrace, OutOfRangeError, Policy, build_partition,
                        margin_pos, rep_of_cell)
 
@@ -36,6 +36,24 @@ def test_cell_add_matches_definition(fib_ctx, fib):
     for i, k in itertools.product(range(1, 9), repeat=2):
         s = rep_of_cell(fib.cell_at(i)) + rep_of_cell(fib.cell_at(k))
         assert fib_ctx.cell_add(i, k) == fib.index_of(s)
+
+
+@pytest.mark.parametrize("bad", [0, -1, True, 1.5])
+def test_cell_add_refuses_what_is_not_a_cell_index(fib_ctx, bad):
+    for i, k in ((bad, 1), (1, bad)):
+        with pytest.raises(DomainError) as exc:
+            fib_ctx.cell_add(i, k)
+        assert str(exc.value) == f"cell index must be a positive integer, got {bad!r}"
+
+
+def test_cell_add_stops_at_the_end_of_a_finite_layout(tiers_ctx):
+    for i, k in ((4, 1), (1, 4)):
+        with pytest.raises(OutOfRangeError) as exc:
+            tiers_ctx.cell_add(i, k)
+        assert str(exc.value) == "cell 4 is beyond the last explicit cell 3"
+    with pytest.raises(OutOfRangeError) as exc:
+        tiers_ctx.cell_add(3, 3)               # 11 + 11 = 22, past {6..16}
+    assert str(exc.value) == "22 is beyond the last covered integer 16"
 
 
 def test_absorption_iff_increment_rep_fits_in_margin(fib_ctx, fib):

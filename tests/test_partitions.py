@@ -177,6 +177,79 @@ def test_domain_errors():
         g.index_of(F(1, 3))
 
 
+# --- every accepted value lies in its cell -----------------------------------
+
+@st.composite
+def real_layouts(draw):
+    """Real explicit layouts from the origins 0, -1/2 and 1/3, with mixed denominators."""
+    bounds = [draw(st.sampled_from([F(0), F(-1, 2), F(1, 3)]))]
+    for w in draw(st.lists(st.fractions(min_value=F(1, 9), max_value=5, max_denominator=9),
+                           min_size=1, max_size=5)):
+        bounds.append(bounds[-1] + w)
+    return ExplicitBounds(tuple(bounds), Domain.REALS)
+
+
+LAYOUTS = st.one_of(
+    st.integers(1, 9).map(FixedWidth),
+    st.just(Fibonacci()),
+    st.one_of(st.sampled_from([F(1, 3), F(10), F(101, 3)]),
+              st.fractions(min_value=F(1, 50), max_value=200, max_denominator=60)
+              ).map(EpsilonGrowth),
+    st.sampled_from([ExplicitBounds((0, 3, 6, 17)), ExplicitBounds((-4, 1, 2, 9, 30))]),
+    real_layouts(),
+    st.fractions(min_value=F(1, 20), max_value=7, max_denominator=20).map(SingletonGrid),
+)
+
+
+@st.composite
+def values_near_bounds(draw, spec):
+    """Values within two scale units of a cell bound, on the scale or off it."""
+    i = draw(st.integers(1, spec.max_index or 30))
+    edge = draw(st.sampled_from(spec.span(i)))
+    units = draw(st.one_of(
+        st.integers(-2, 2),
+        st.fractions(min_value=-2, max_value=2, max_denominator=7),
+        st.fractions(min_value=-1, max_value=0, max_denominator=10**6)))  # just below the edge
+    return F(edge + units) / spec.scale
+
+
+def on_the_points(spec, x):
+    """Whether x is a point the family can hold: an integer, a grid point, or any real."""
+    if isinstance(spec, SingletonGrid):
+        return (x / spec.step).denominator == 1
+    return spec.domain is Domain.REALS or x.denominator == 1
+
+
+def accepts(spec, x):
+    """Whether x lies in some cell, read off the cells' exact bounds."""
+    return (on_the_points(spec, x) and x >= spec.origin
+            and (spec.max_index is None or x <= spec.cell_at(spec.max_index).upper))
+
+
+@settings(max_examples=400)
+@given(spec=LAYOUTS, data=st.data())
+def test_every_value_index_of_accepts_lies_in_its_cell(spec, data):
+    for x in data.draw(st.lists(values_near_bounds(spec), min_size=1, max_size=12)):
+        try:
+            i = spec.index_of(x)
+        except (DomainError, OutOfRangeError) as exc:
+            assert not accepts(spec, x), (x, str(exc))
+            if x < spec.origin and on_the_points(spec, x):
+                assert str(exc) == f"{x} is below the partition origin {spec.origin}"
+        else:
+            assert accepts(spec, x) and spec.cell_at(i).contains(x), (x, i)
+
+
+@pytest.mark.parametrize("origin", [F(0), F(-1, 2), F(1, 3)])
+def test_a_value_just_below_a_real_origin_is_refused(origin):
+    spec = ExplicitBounds((origin, origin + 1, origin + 2), Domain.REALS)
+    for x in (origin - F(1, 10), origin - F(1, 10**9), origin - F(1, 2 * spec.scale)):
+        with pytest.raises(DomainError) as exc:
+            spec.index_of(x)
+        assert str(exc.value) == f"{x} is below the partition origin {origin}"
+    assert spec.index_of(origin) == 1
+
+
 def test_finite_partition_range_errors(tiers):
     with pytest.raises(OutOfRangeError):
         tiers.cell_at(4)
