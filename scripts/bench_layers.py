@@ -24,6 +24,8 @@ partition family the entries are, in microseconds:
   stream is folded and judged to the horizon;
 * ``index_of_us``, ``cell_at_us``, ``rep_of_value_us`` -- per call, over the
   inputs and cells of the climbing stream;
+* ``render_row_json_us``, ``render_row_csv_us``, ``render_row_table_us`` -- the
+  row writer per row of the climbing fold's trace, in each output format;
 * ``absorbing_scan_us`` -- ``first_absorbing_cell`` under the median policy,
   per cell it visits, for the families whose scan visits many cells:
   ``Fibonacci``, ``EpsilonGrowth(10)`` and ``ExplicitBounds(1000-wide)``
@@ -33,9 +35,12 @@ The import layer, entry ``import coarsesum.cli``, times that import alone
 (``import_us``), each sample in a fresh interpreter started with the caller's
 environment and the tree first on ``PYTHONPATH``; the trees take turns,
 ``IMPORT_RUNS`` samples per tree and round, and its spread is over all
-samples.  Start-up depends on bytecode caching, so delete ``__pycache__`` in
-every tree and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command
-of the benchmark pays.
+samples.  The whole-process entry, ``cli_run_us``, is timed the same way from
+outside: the wall time of one ``python -m coarsesum.cli partition --width 3
+--cells 1`` from interpreter start to exit, so it also holds what the process
+spends after its work, at exit.  Start-up depends on bytecode caching, so
+delete ``__pycache__`` in every tree and set ``PYTHONDONTWRITEBYTECODE=1`` to
+time what each command of the benchmark pays.
 
 The output JSON holds the machine, the Python version, every tree's entries
 and, with two or more trees, each later tree's medians and minimums divided
@@ -52,6 +57,7 @@ import random
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from fractions import Fraction as F
 
@@ -64,6 +70,8 @@ SCAN_INCREMENTS = {"Fibonacci": 2**300, "EpsilonGrowth(10)": 100,
                    "ExplicitBounds(1000-wide)": 500}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
+CLI_RUN = ["-m", "coarsesum.cli", "partition", "--width", "3", "--cells", "1"]
+FORMATS = ("json", "csv", "table")
 
 
 def cases():
@@ -119,6 +127,14 @@ def per_verdict_step(ctx, values) -> float:
                              repeat=FOLD_REPEAT)) / len(values) * 1e6
 
 
+def per_row(trace, fmt) -> float:
+    from coarsesum import FoldStep
+    from coarsesum.rationals import write_rows
+    rows = trace.steps
+    return min(timeit.repeat(lambda: write_rows(FoldStep._fields, rows, fmt), number=1,
+                             repeat=CALL_REPEAT)) / len(rows) * 1e6
+
+
 def per_cell_scanned(partition, increment) -> float:
     from coarsesum import Policy, first_absorbing_cell
     scan = lambda: first_absorbing_cell(partition, Policy.MEDIAN_LOWER, increment)
@@ -143,6 +159,7 @@ def measure() -> dict:
             "index_of_us": per_call(partition.index_of, inputs),
             "cell_at_us": per_call(partition.cell_at, cells),
             "rep_of_value_us": per_call(lambda x: rep_of_value(partition, x), inputs),
+            **{f"render_row_{fmt}_us": per_row(trace, fmt) for fmt in FORMATS},
             "climbing_new_cell_share": sum(not s.absorbed for s in trace) / len(trace),
         }
         if name in SCAN_INCREMENTS:
@@ -173,14 +190,26 @@ def worker(src: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def import_seconds(src: str) -> float:
-    """``import coarsesum.cli`` from ``src``, timed in a fresh interpreter."""
+def tree_env(src: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
                                                  if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+    return env
+
+
+def import_seconds(src: str) -> float:
+    """``import coarsesum.cli`` from ``src``, timed in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=tree_env(src),
                           capture_output=True, text=True, check=True)
     return float(proc.stdout)
+
+
+def cli_run_seconds(src: str) -> float:
+    """One whole ``CLI_RUN`` process from ``src``, interpreter start to exit."""
+    env = tree_env(src)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, *CLI_RUN], env=env, capture_output=True, check=True)
+    return time.perf_counter() - start
 
 
 def main(argv=None) -> int:
@@ -204,17 +233,20 @@ def main(argv=None) -> int:
         trees[label or path] = os.path.abspath(path)
     samples = {label: {} for label in trees}  # label -> family -> key -> per-round values
     imports = {label: [] for label in trees}
+    runs = {label: [] for label in trees}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for _ in range(IMPORT_RUNS):
             for label in order:
                 imports[label].append(import_seconds(trees[label]) * 1e6)
+                runs[label].append(cli_run_seconds(trees[label]) * 1e6)
         for label in order:
             for family, entries in worker(trees[label]).items():
                 for key, value in entries.items():
                     samples[label].setdefault(family, {}).setdefault(key, []).append(value)
     for label, values in imports.items():
         samples[label]["import coarsesum.cli"] = {"import_us": values}
+        samples[label]["python " + " ".join(CLI_RUN)] = {"cli_run_us": runs[label]}
     result = {label: {family: {key: spread(values) if key.endswith("_us") else values[0]
                                for key, values in entries.items()}
                       for family, entries in families.items()}
@@ -225,8 +257,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "method": f"spread over {args.rounds} interpreters per tree, taken in turns; "
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
-                  f"{CALL_REPEAT} passes / calls; import: {IMPORT_RUNS} interpreters per "
-                  f"tree and round, taken in turns",
+                  f"{CALL_REPEAT} passes / calls (rows: / rows); import and cli run: "
+                  f"{IMPORT_RUNS} interpreters per tree and round, taken in turns",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": result,
     }

@@ -17,7 +17,7 @@ them as decimals.
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import re
 import sys
@@ -149,10 +149,8 @@ def _read_values(path: str | None):
 def cmd_fold(args) -> int:
     ctx = _context_from_args(args)
     trace = ctx.fold(_read_values(args.input))
-    if args.format == "table":
-        print(write_rows(FoldStep._fields, trace.steps, "table"))
-    else:
-        print(trace.to_json_lines() if args.format == "json" else trace.to_csv())
+    print(write_rows(FoldStep._fields, trace.steps, "table") if args.format == "table" else
+          trace.to_json_lines() if args.format == "json" else trace.to_csv())
     return 0
 
 
@@ -174,6 +172,7 @@ def cmd_inert(args) -> int:
     if args.format == "table":
         print(_verdict_text(verdict))
     else:
+        import json
         print(json.dumps(verdict.to_json_dict()))
     return 0 if verdict.inert else 3
 
@@ -200,6 +199,7 @@ def cmd_stpete(args) -> int:
     else:
         report = coarse_value(eps, depth=args.depth)
     if args.format == "json":
+        import json
         print(json.dumps(report.to_json_dict(), indent=2))
         return 0
     _print_valuation_text(report.valuation if args.trials > 0 else report)
@@ -290,5 +290,12 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    # The process entry.  What the imports built lives to exit, so no collection need
+    # walk it; main does not freeze, as its in-process callers would keep every later cycle.
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

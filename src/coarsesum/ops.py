@@ -15,7 +15,6 @@ increment, it stops moving.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -72,6 +71,7 @@ class FoldTrace(_Frozen):
 
     @classmethod
     def from_json_lines(cls, text: str) -> "FoldTrace":
+        import json
         readers = (int, parse_rational, int, parse_rational, int, bool)  # one per field
         rows = (json.loads(line) for line in text.splitlines() if line.strip())
         return cls(tuple(FoldStep._make(read(d[k]) for read, k in zip(readers, FoldStep._fields))
@@ -122,30 +122,34 @@ class CoarseContext(NamedTuple):
 def _fold_steps(ctx: CoarseContext, values: Iterable):
     """The steps of ``ctx.fold(values)``, one at a time: the one fold kernel.
 
-    Each step is ``rep_add(s, x)`` computed through cells, on the partition's
-    integer scale: the running sum's cell, the input's cell and the cell of the
-    scaled sum of their representatives.  A cell's representative is collapsed
-    once per fold and kept scaled, as a ``Fraction`` for the row and with the
-    representative's own cell, which is the next sum's cell (under the min
-    policy it can be the cell below).  So from step 2 on, a step's sum and cell
-    depend only on the previous sum's cell and the input's cell: a step that
-    repeats the move of the step before, as every step of a pinned sum does,
-    keeps its result, and an input object repeated from the step before keeps
-    its cell.
+    Each step is ``rep_add(s, x)`` computed through cells, on the partition's integer
+    scale: the running sum's cell, the input's cell and the cell of the scaled sum of
+    their representatives.  A cell is collapsed once per fold, a sum's off its span and
+    an input through ``rep_of_value``, and kept as its scaled representative, as a
+    ``Fraction`` for the row and with its own cell, the next sum's cell (under the min
+    policy it can be the cell below).  So from step 2 on, a step's sum and cell depend
+    only on the previous sum's cell and the input's cell: a step that repeats the move of
+    the step before, as every step of a pinned sum does, keeps its result, and an input
+    object repeated from the step before keeps its cell.
 
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
     partition, policy = ctx.partition, ctx.policy
     # inputs are made Fractions below, so the family's own lookups need no coercion
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
+    span, unscaled, below = partition.span, partition.unscaled, policy is Policy.MIN
     reps = {}  # cell -> (scaled representative, representative, its own cell)
 
-    def collapse(cell, value):
+    def collapse(cell, value=None):
         if len(reps) >= _REP_MEMO_CELLS:
             reps.clear()  # climbing sums rarely come back
-        rep = rep_of_value(partition, value, policy)
-        scaled = rep.numerator * (scale // rep.denominator)
-        hit = reps[cell] = (scaled, rep, locate(scaled))
+        if value is None:  # a sum's cell
+            scaled = _pick(*span(cell), policy)
+            rep = unscaled(scaled)
+        else:
+            rep = rep_of_value(partition, value, policy)
+            scaled = rep.numerator * (scale // rep.denominator)
+        hit = reps[cell] = (scaled, rep, locate(scaled) if below else cell)
         return hit
 
     s_cell = moved_from = moved_by = None
@@ -158,14 +162,12 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
             if n == 1:
                 new_s, new_cell = x, x_cell
             elif s_cell != moved_from or x_cell != moved_by:
-                total = ((reps.get(s_cell) or collapse(s_cell, s))[0]
-                         + (reps.get(x_cell) or collapse(x_cell, x))[0])
-                cell = locate(total)
-                _, new_s, new_cell = reps.get(cell) or collapse(
-                    cell, total if scale == 1 else Fraction(total, scale))
+                cell = locate((reps.get(s_cell) or collapse(s_cell))[0]
+                              + (reps.get(x_cell) or collapse(x_cell, x))[0])
+                _, new_s, new_cell = reps.get(cell) or collapse(cell)
                 moved_from, moved_by = s_cell, x_cell
             # else this is the move of the step before, whose result new_s, new_cell still hold
         except CoarseError as exc:
             raise type(exc)(f"step {n}: {exc}", step=n) from exc
         yield FoldStep(n, x, x_cell, new_s, new_cell, new_cell == s_cell)
-        s, s_cell = new_s, new_cell
+        s_cell = new_cell

@@ -48,7 +48,7 @@ from math import isqrt, lcm
 from typing import Union, get_args
 
 from .errors import DomainError, OutOfRangeError, SpecError
-from .rationals import format_decimal, format_rational, parse_rational, rational_to_json
+from .rationals import format_decimal, format_rational, parse_rational
 
 
 class Domain(Enum):
@@ -56,7 +56,7 @@ class Domain(Enum):
     REALS = "real"
 
 
-_INTEGERS = Domain.INTEGERS  # read once: an Enum member read off its class costs a lookup
+_INTEGERS, _REALS = Domain.INTEGERS, Domain.REALS  # read once: a read off the Enum costs more
 
 
 def _settle(obj, **attrs) -> None:
@@ -105,7 +105,7 @@ class Cell(_Frozen):
 
     def contains(self, value) -> bool:
         x = Fraction(value)
-        if self.domain is Domain.INTEGERS and x.denominator != 1:
+        if self.domain is _INTEGERS and x.denominator != 1:
             return False
         if x < self.lower or (x == self.lower and not self.lower_closed):
             return False
@@ -126,12 +126,12 @@ class Cell(_Frozen):
     @property
     def count(self) -> int:
         """Number of elements; defined for integer-domain cells only."""
-        if self.domain is not Domain.INTEGERS:
+        if self.domain is not _INTEGERS:
             raise DomainError("count is defined for integer cells only")
         return int(self.upper - self.lower) + 1
 
     def __str__(self) -> str:
-        if self.domain is Domain.INTEGERS:
+        if self.domain is _INTEGERS:
             if self.is_singleton:
                 return "{%s}" % self.lower
             return "{%s..%s}" % (self.lower, self.upper)
@@ -218,7 +218,7 @@ class Partition(_Frozen):
             if isinstance(v, Fraction):
                 v = format_rational(v)
             elif isinstance(v, tuple):
-                v = [rational_to_json(b) for b in v]
+                v = [b.numerator if b.denominator == 1 else format_rational(b) for b in v]
             elif isinstance(v, Domain):
                 v = v.value
             data[name] = v
@@ -361,18 +361,18 @@ class ExplicitBounds(Partition):
             raise SpecError(f"domain: expected 'int' or 'real', got {domain!r}") from None
         if len(b) < 2:
             raise SpecError("bounds: need at least two boundaries (one cell)")
-        for lo, hi in zip(b, b[1:]):
-            if hi <= lo:
-                raise SpecError(f"bounds: must be strictly ascending, got {lo} before {hi}")
-        ints = dom is Domain.INTEGERS
-        for v in b:
-            if ints and v.denominator != 1:
-                raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
-        scale = 1 if ints else 2 * lcm(*(v.denominator for v in b))
+        ints = dom is _INTEGERS  # every bound is an integer key on the scale, real midpoints too
+        scale = lcm(*(v.denominator for v in b)) * (1 if ints else 2)
+        keys = tuple(v.numerator * (scale // v.denominator) for v in b)
+        if not all(map(int.__lt__, keys, keys[1:])):
+            lo, hi = next((lo, hi) for lo, hi in zip(b, b[1:]) if hi <= lo)
+            raise SpecError(f"bounds: must be strictly ascending, got {lo} before {hi}")
+        if scale != 1 and ints:
+            v = next(v for v in b if v.denominator != 1)
+            raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
         # _open: real cells (k[i-1], k[i]] hold the scaled integers k[i-1] + 1 .. k[i]
         _settle(self, bounds=b, domain=dom, origin=b[0], max_index=len(b) - 1,
-                scale=scale, _keys=tuple(v.numerator * (scale // v.denominator) for v in b),
-                _open=0 if ints else 1)
+                scale=scale, _keys=keys, _open=0 if ints else 1)
 
     def index_scaled(self, n: int, x=None) -> int:
         """Cell of n/scale; errors name the value x, n/scale when omitted."""

@@ -7,7 +7,6 @@ decimal rendering used in human-readable tables, and the one writer of rows.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 
@@ -30,12 +29,6 @@ def format_rational(value) -> str:
     """Render as ``p/q``; the denominator is kept even when it is 1."""
     f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def rational_to_json(value):
-    """Integers become JSON integers, everything else a ``p/q`` string."""
-    f = value if isinstance(value, (int, Fraction)) else Fraction(value)
-    return f.numerator if f.denominator == 1 else format_rational(f)
 
 
 def format_decimal(value, places: int = 6) -> str:
@@ -76,20 +69,27 @@ def write_rows(head, rows, fmt: str) -> str:
     A column's type, read off its first row, picks its text: rationals are ``p/q`` in
     JSON and CSV and decimals in tables; bools are JSON booleans, ``true``/``false`` in
     CSV and ``yes``/``no`` in tables; ints and strings stay as they are.  A run of one
-    rational object down a column, as a pinned fold's sums, is rendered once.
+    rational object down a column, as a pinned fold's sums, is rendered once.  JSON and
+    table rows fill one ``%`` line template.
     """
     columns = list(zip(*rows))
     if fmt == "json":
-        columns = [_render_runs(format_rational, c) if isinstance(c[0], Fraction) else c
-                   for c in columns]
-        return "\n".join(json.dumps(dict(zip(head, row))) for row in zip(*columns))
+        from json import dumps
+        plain = {int: str, bool: ("false", "true").__getitem__}  # else json.dumps value by value
+        texts, fields = [], []
+        for key, c in zip(head, columns):
+            kinds, q = set(map(type, c)), '"' if isinstance(c[0], Fraction) else ""
+            texts.append(_render_runs(format_rational, c) if q else  # the template quotes p/q
+                         map(plain.get(kinds.pop(), dumps) if len(kinds) == 1 else dumps, c))
+            fields.append(dumps(key).replace("%", "%%") + f": {q}%s{q}")
+        return "\n".join(map(("{" + ", ".join(fields) + "}").__mod__, zip(*texts)))
     rational, no, yes = ((format_decimal, "no", "yes") if fmt == "table"
                          else (format_rational, "false", "true"))
     columns = [_render_runs(rational, c) if isinstance(c[0], Fraction) else
                [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c)
                for c in columns]
-    lines = [head, *zip(*columns)]
+    lines = [tuple(head), *zip(*columns)]
     if fmt == "csv":
         return "\n".join(map(",".join, lines))
-    widths = [max(map(len, column)) for column in zip(*lines)]
-    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in lines)
+    line = "  ".join("%%-%ds" % max(map(len, column)) for column in zip(*lines))
+    return "\n".join(map(str.rstrip, map(line.__mod__, lines)))

@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from math import floor
 
-from .partitions import Cell, Domain, Partition
+from .partitions import _REALS, Cell, Partition
 
 
 class Policy(Enum):
@@ -48,7 +48,7 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
     if policy is not Policy.MEDIAN_LOWER:
         return _pick(cell.lower, cell.upper, policy)
     mid = (cell.lower + cell.upper) / 2
-    return mid if cell.domain is Domain.REALS else Fraction(floor(mid))
+    return mid if cell.domain is _REALS else Fraction(floor(mid))
 
 
 def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:

@@ -1,8 +1,11 @@
+import gc
 import io
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import FoldTrace, parse_rational
+from coarsesum import cli
 from coarsesum.cli import _read_values, build_parser, main
 
 
@@ -491,3 +495,34 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].split() == ["1", "{0}", "0", "0", "0"]
+
+
+def test_main_in_process_freezes_nothing(tmp_path, capsys):
+    path = tmp_path / "values.txt"
+    path.write_text("1\n2\n")
+    before = gc.get_freeze_count()
+    assert main(["partition", "--width", "3", "--cells", "1"]) == 0
+    assert main(["fold", "--width", "3", "--input", str(path), "--format", "json"]) == 0
+    assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_the_process_entry_freezes_the_import_heap():
+    probe = ("import gc, runpy, sys\n"
+             "sys.argv = ['coarsesum', 'partition', '--width', '3', '--cells', '1']\n"
+             "print('frozen before', gc.get_freeze_count(), file=sys.stderr)\n"
+             "try:\n"
+             "    runpy.run_module('coarsesum.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print('exit', exc.code, 'frozen', gc.get_freeze_count(), file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True)
+    assert "frozen before 0\n" in proc.stderr
+    assert int(re.search(r"^exit 0 frozen (\d+)$", proc.stderr, re.M).group(1)) > 0
+    assert proc.stdout.splitlines()[1].split() == ["1", "{0..2}", "1", "1", "1"]
+
+
+def test_the_console_script_enters_through_run():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    entry = re.search(r'\[project\.scripts\]\ncoarsesum = "coarsesum\.cli:(\w+)"', text)
+    assert getattr(cli, entry.group(1)) is cli.run

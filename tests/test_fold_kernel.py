@@ -7,6 +7,7 @@ its oracle is ``Cell.contains`` on cells whose bounds are recomputed from
 ``1/2 + (T(k) - 1)/eps`` by ``Fraction`` arithmetic.
 """
 
+import json
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -402,6 +403,44 @@ def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, poli
     assert steps == expected
 
 
+CLIMBING = [   # a sum that enters a new cell on (nearly) every step, past the memo's 256 cells
+    (FixedWidth(7), [F(7 + (t * 5) % 21) for t in range(300)]),
+    (Fibonacci(), [F(3**t // 2**t) for t in range(1, 300)]),
+    (EpsilonGrowth(F(10)), [F(2000 + t % 7 * 300, 2 + t % 5) for t in range(300)]),
+    (ExplicitBounds(tuple(range(0, 1000 * 1203, 1000))), [F(1000)] * 300),
+    (SingletonGrid(F(1, 2)), [F(1, 2)] * 300),
+]
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@pytest.mark.parametrize("spec, values", CLIMBING, ids=[type(c[0]).__name__ for c in CLIMBING])
+def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, monkeypatch):
+    """Sums collapse off the cell the kernel holds; only inputs go through ``rep_of_value``."""
+    from coarsesum import ops
+    ctx = CoarseContext(build_partition(spec), policy)
+    expected = rep_add_fold(ctx, values)
+    lookups, collapsed = [0], []
+    family = type(spec)
+    real_lookup, real_collapse = family.index_scaled, ops.rep_of_value
+    def counted(self, *args):
+        lookups[0] += 1
+        return real_lookup(self, *args)
+    monkeypatch.setattr(family, "index_scaled", counted)
+    monkeypatch.setattr(ops, "rep_of_value", lambda p, v, pol: collapsed.append(v)
+                        or real_collapse(p, v, pol))
+    steps = ctx.fold(values).steps
+    monkeypatch.undo()
+    assert steps == expected
+    assert sum(not step.absorbed for step in steps) >= 0.8 * len(steps)   # it climbs
+    # each collapse through rep_of_value is an input's own object
+    assert all(any(v is x for x in values) for v in collapsed)
+    # a step looks up its input and its sum; an input collapse looks up the input once
+    # more.  Under min a collapse also looks up where the representative lies, the cell
+    # below, which the next step collapses in turn.
+    per_collapse, per_step = (2, 4) if policy is Policy.MIN else (1, 2)
+    assert lookups[0] <= per_step * len(steps) + per_collapse * len(collapsed)
+
+
 def forbid_fraction_arithmetic_and_cells(monkeypatch):
     def forbidden(*args):
         raise AssertionError("reached Fraction arithmetic")
@@ -588,6 +627,57 @@ def test_a_run_of_one_value_is_rendered_once(monkeypatch):
         calls.clear()
         write_rows(("n", "x", "s"), rows, fmt)
         assert calls == [half, half, third]
+
+
+def oracle_write_rows(head, rows, fmt):
+    """The row writer as it was: ``json.dumps`` of each row's dict, ``str.ljust`` columns."""
+    columns = list(zip(*rows))
+    if fmt == "json":
+        columns = [list(map(format_rational, c)) if isinstance(c[0], F) else c for c in columns]
+        return "\n".join(json.dumps(dict(zip(head, row))) for row in zip(*columns))
+    rational, no, yes = ((format_decimal, "no", "yes") if fmt == "table"
+                         else (format_rational, "false", "true"))
+    columns = [list(map(rational, c)) if isinstance(c[0], F) else
+               [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c)
+               for c in columns]
+    lines = [head, *zip(*columns)]
+    if fmt == "csv":
+        return "\n".join(map(",".join, lines))
+    widths = [max(map(len, column)) for column in zip(*lines)]
+    return "\n".join("  ".join(map(str.ljust, line, widths)).rstrip() for line in lines)
+
+
+ROW_TEXT = st.text(st.one_of(st.sampled_from('"\\%,é€𝄞 \t'), st.characters()), max_size=6)
+ROW_VALUES = {   # one strategy per column kind; "mixed" never starts with a Fraction
+    "int": st.integers(-10**30, 10**30),
+    "bool": st.booleans(),
+    "fraction": st.fractions(min_value=-99, max_value=99, max_denominator=60),
+    "none": st.none(),
+    "text": ROW_TEXT,
+    "mixed": st.one_of(st.integers(-9, 9), st.booleans(), st.none(), ROW_TEXT),
+}
+
+
+@st.composite
+def row_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(ROW_VALUES)), min_size=1, max_size=5))
+    head = tuple(draw(st.lists(ROW_TEXT, min_size=len(kinds), max_size=len(kinds),
+                               unique=True)))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):   # each row repeated: runs of one object
+        row = tuple(draw(ROW_VALUES[kind]) for kind in kinds)
+        rows += [row] * draw(st.integers(1, 3))
+    for i, kind in enumerate(kinds):   # a Fraction column may hold ints after its first row
+        if kind == "fraction" and len(rows) > 1 and draw(st.booleans()):
+            rows[-1] = rows[-1][:i] + (draw(st.integers(-9, 9)),) + rows[-1][i + 1:]
+    return head, rows
+
+
+@settings(max_examples=400)
+@given(table=row_tables(), fmt=st.sampled_from(["json", "csv", "table"]))
+def test_write_rows_prints_what_the_dumps_and_ljust_writer_printed(table, fmt):
+    head, rows = table
+    assert write_rows(head, rows, fmt) == oracle_write_rows(head, rows, fmt)
 
 
 # ------------------------------------------------------------ without numpy

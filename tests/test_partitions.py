@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import threading
@@ -312,6 +313,39 @@ def test_invalid_specs_name_the_field():
         build_partition(ExplicitBounds((0,)))
     with pytest.raises(SpecError, match="integer"):
         build_partition(ExplicitBounds((0, F(3, 2), 4)))
+
+
+def explicit_bounds_by_pairs(bounds, domain):
+    """The bounds checks as pairwise ``Fraction`` comparisons: (error text) or (scale, keys)."""
+    b = [F(v) for v in bounds]
+    if len(b) < 2:
+        return "bounds: need at least two boundaries (one cell)"
+    for lo, hi in zip(b, b[1:]):
+        if hi <= lo:
+            return f"bounds: must be strictly ascending, got {lo} before {hi}"
+    for v in b:
+        if domain is Domain.INTEGERS and v.denominator != 1:
+            return f"bounds: integer-domain boundaries must be integers, got {v}"
+    scale = 1
+    for v in b:
+        scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    scale *= 1 if domain is Domain.INTEGERS else 2
+    return scale, tuple(int(v * scale) for v in b)
+
+
+@settings(max_examples=400)
+@given(bounds=st.lists(st.one_of(st.integers(-9, 30), st.fractions(-9, 30, max_denominator=7)),
+                       max_size=7).map(lambda b: sorted(b) if len(b) % 3 else b),
+       domain=st.sampled_from(list(Domain)))
+def test_explicit_bounds_check_order_and_integers_as_pairwise_comparisons(bounds, domain):
+    expected = explicit_bounds_by_pairs(bounds, domain)
+    if isinstance(expected, str):
+        with pytest.raises(SpecError) as exc:
+            ExplicitBounds(tuple(bounds), domain)
+        assert str(exc.value) == expected
+    else:
+        spec = ExplicitBounds(tuple(bounds), domain)
+        assert (spec.scale, spec._keys) == expected
 
 
 # --- cell laws ---------------------------------------------------------------
