@@ -15,8 +15,8 @@ from .inertness import (InertVerdict, Outcome, constant, detect_inert_stream,
                         detect_inert_trace, first_absorbing_cell, geometric, harmonic)
 from .ops import CoarseContext, FoldStep, FoldTrace
 from .partitions import (Cell, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                         FixedWidth, Partition, PartitionSpec, SingletonGrid,
-                         build_partition, from_widths, spec_from_json, spec_to_json)
+                         FixedWidth, Partition, SingletonGrid, build_partition,
+                         from_widths, spec_from_json, spec_to_json)
 from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import Policy, margin_neg, margin_pos, rep_of_cell, rep_of_value
 from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Fraction",
     "CoarseError", "DomainError", "OutOfRangeError", "SpecError",
-    "Cell", "Domain", "Partition", "PartitionSpec",
+    "Cell", "Domain", "Partition",
     "FixedWidth", "Fibonacci", "EpsilonGrowth", "ExplicitBounds", "SingletonGrid",
     "build_partition", "from_widths", "spec_from_json", "spec_to_json",
     "Policy", "rep_of_cell", "rep_of_value", "margin_pos", "margin_neg",

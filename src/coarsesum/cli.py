@@ -25,8 +25,7 @@ import sys
 from .errors import CoarseError
 from .inertness import constant, detect_inert_stream, geometric, harmonic
 from .ops import CoarseContext, FoldStep
-from .partitions import (Domain, EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth,
-                         SingletonGrid, build_partition)
+from .partitions import Domain, EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, margin_neg, margin_pos, rep_of_cell
 from .stpetersburg import Gamble, coarse_value, compare_valuations
@@ -79,7 +78,7 @@ def _join_signed_values(argv: list) -> list:
     return out
 
 
-def _spec_from_args(args):
+def _partition_from_args(args):
     if args.fibonacci:
         return Fibonacci()
     if args.width is not None:
@@ -93,7 +92,7 @@ def _spec_from_args(args):
 
 
 def _context_from_args(args) -> CoarseContext:
-    return CoarseContext(build_partition(_spec_from_args(args)), Policy(args.rep))
+    return CoarseContext(_partition_from_args(args), Policy(args.rep))
 
 
 # ------------------------------------------------------------------ rendering

@@ -19,20 +19,21 @@ Built-in cell-layout families:
 * :class:`ExplicitBounds` -- finitely many cells cut at given boundaries.
 * :class:`SingletonGrid` -- each multiple of a step is its own one-point grain.
 
-Each family is one immutable class that holds all of its rules, and it is
-the partition itself: every family is a :class:`Partition`.  It checks its
-fields when built, so an invalid spec cannot exist.  Its cells are
-described in integers: on the family's ``scale`` D every boundary and every
-representative (median, min or max) is a multiple of 1/D, ``span(i)`` gives
-the bounds of cell i in units of 1/D, and ``index_scaled(n, x=None)`` finds
-the cell of n/D (errors name x, the value n came from, if given).  ``domain``,
-``origin``, ``max_index`` (None when unbounded), ``constant_margins`` (every
-cell has the same margins) and the wire ``kind`` describe it.  The base reads
-the rest off those: ``index(x)`` finds the cell of an exact ``int`` or
-``Fraction`` from x*D, ``unscaled(n)`` turns n back into n/D, and it gives
-every family the lookup API (``index_of``, ``cell_at`` building each
-:class:`Cell` from its span, ``cell_of``) and one wire writer, ``to_json()``,
-which reads the same ``_fields`` as :func:`spec_from_json`.
+Each family is one immutable class that holds all of its rules, and it is the
+partition itself: every family is a :class:`Partition`, checked when built, so
+an invalid spec cannot exist.  Its cells are described in integers: on the
+family's ``scale`` D every boundary and every representative (median, min or
+max) is a multiple of 1/D, ``span(i)`` gives the bounds of cell i in units of
+1/D, and ``index_scaled(n, x=None)`` finds the cell of n/D (errors name x, the
+value n came from, if given).  A family declares its wire ``kind`` and
+``_fields``, and ``domain``, ``scale``, ``max_index`` (None when unbounded) or
+``constant_margins`` (every cell has the same margins) only where they differ
+from the base's int, 1, None and False.  The base reads the rest off those:
+``origin`` is span(1)'s lower bound, ``index(x)`` finds the cell of an exact
+``int`` or ``Fraction`` from x*D, ``unscaled(n)`` turns n back into n/D, and
+it gives every family the lookup API (``index_of``, ``cell_at`` building each
+:class:`Cell` from its span, ``cell_of``).  :func:`spec_to_json` writes the
+wire form and :func:`spec_from_json` reads it, both from ``_fields``.
 
 Generated families extend lazily to any index and are pure functions of the
 index, so concurrent queries for the same cell always agree.  Explicit
@@ -45,7 +46,6 @@ from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Union, get_args
 
 from .errors import DomainError, OutOfRangeError, SpecError
 from .rationals import format_decimal, format_rational, parse_rational
@@ -166,7 +166,17 @@ def _rational(field: str, value) -> Fraction:
 # ----------------------------------------------------------------- families
 
 class Partition(_Frozen):
-    """The base of every family: cell lookup and the wire form; see the module docstring."""
+    """The base of every family: shared defaults and cell lookup; see the module docstring."""
+
+    domain = Domain.INTEGERS  # the default, so spec_from_json may omit it
+    scale = 1
+    max_index = None
+    constant_margins = False
+
+    @property
+    def origin(self) -> Fraction:
+        """The lower bound of cell 1."""
+        return self.unscaled(self.span(1)[0])
 
     @property
     def spec(self) -> "Partition":
@@ -210,31 +220,13 @@ class Partition(_Frozen):
         """The unique cell containing ``value``."""
         return self.cell_at(self.index_of(value))
 
-    def to_json(self) -> dict:
-        """``kind``, each of ``_fields`` and ``domain``; rationals print as ``p/q``."""
-        data = {"kind": self.kind}
-        for name in (*self._fields, "domain"):
-            v = getattr(self, name)
-            if isinstance(v, Fraction):
-                v = format_rational(v)
-            elif isinstance(v, tuple):
-                v = [b.numerator if b.denominator == 1 else format_rational(b) for b in v]
-            elif isinstance(v, Domain):
-                v = v.value
-            data[name] = v
-        return data
-
 
 class FixedWidth(Partition):
     """Consecutive integer blocks of one fixed width, starting at 0."""
 
     _fields = ("width",)
     kind = "fixed_width"
-    domain = Domain.INTEGERS
-    origin = Fraction(0)
-    max_index = None
     constant_margins = True
-    scale = 1
 
     def __init__(self, width: int):
         w = width
@@ -258,11 +250,6 @@ class Fibonacci(Partition):
     """Integer blocks whose sizes follow 1, 1, 2, 3, 5, 8, ..."""
 
     kind = "fibonacci"
-    domain = Domain.INTEGERS
-    origin = Fraction(0)
-    max_index = None
-    constant_margins = False
-    scale = 1
 
     def __init__(self):
         # _starts[i] begins cell i+1.  Sizes follow Fibonacci, so each start is
@@ -307,9 +294,6 @@ class EpsilonGrowth(Partition):
     _fields = ("epsilon",)
     kind = "epsilon"
     domain = Domain.REALS
-    origin = Fraction(0)
-    max_index = None
-    constant_margins = False
 
     def __init__(self, epsilon: Fraction):
         eps = _rational("epsilon", epsilon)
@@ -347,9 +331,7 @@ class ExplicitBounds(Partition):
     """
 
     _fields = ("bounds", "domain")
-    domain = Domain.INTEGERS  # the default, so spec_from_json may omit it
     kind = "explicit"
-    constant_margins = False
 
     def __init__(self, bounds: tuple, domain: Domain = Domain.INTEGERS):
         if not isinstance(bounds, (list, tuple)):
@@ -371,8 +353,8 @@ class ExplicitBounds(Partition):
             v = next(v for v in b if v.denominator != 1)
             raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
         # _open: real cells (k[i-1], k[i]] hold the scaled integers k[i-1] + 1 .. k[i]
-        _settle(self, bounds=b, domain=dom, origin=b[0], max_index=len(b) - 1,
-                scale=scale, _keys=keys, _open=0 if ints else 1)
+        _settle(self, bounds=b, domain=dom, max_index=len(b) - 1, scale=scale,
+                _keys=keys, _open=0 if ints else 1)
 
     def index_scaled(self, n: int, x=None) -> int:
         """Cell of n/scale; errors name the value x, n/scale when omitted."""
@@ -407,8 +389,6 @@ class SingletonGrid(Partition):
     _fields = ("step",)
     kind = "singleton_grid"
     domain = Domain.REALS
-    origin = Fraction(0)
-    max_index = None
     constant_margins = True
 
     def __init__(self, step: Fraction):
@@ -438,10 +418,8 @@ class SingletonGrid(Partition):
         return n, n
 
 
-PartitionSpec = Union[FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBounds, SingletonGrid]
-
 #: Wire ``kind`` -> family; a family's JSON fields are its ``_fields``.
-_KINDS = {family.kind: family for family in get_args(PartitionSpec)}
+_KINDS = {f.kind: f for f in (FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBounds, SingletonGrid)}
 
 
 def from_widths(widths, origin: int = 0) -> ExplicitBounds:
@@ -458,7 +436,7 @@ def from_widths(widths, origin: int = 0) -> ExplicitBounds:
     return ExplicitBounds(tuple(bounds), Domain.INTEGERS)
 
 
-def build_partition(spec: PartitionSpec) -> Partition:
+def build_partition(spec: Partition) -> Partition:
     """The partition of a cell-layout description: the family itself, checked when built."""
     if not isinstance(spec, Partition):
         raise SpecError(f"unknown partition description: {spec!r}")
@@ -467,12 +445,22 @@ def build_partition(spec: PartitionSpec) -> Partition:
 
 # ------------------------------------------------------------- serialization
 
-def spec_to_json(spec: PartitionSpec) -> dict:
-    """Wire form of a cell-layout description (plain JSON-ready dict)."""
-    return spec.to_json()
+def spec_to_json(spec: Partition) -> dict:
+    """Wire form of a family: ``kind``, its ``_fields`` and ``domain``; rationals as ``p/q``."""
+    data = {"kind": spec.kind}
+    for name in (*spec._fields, "domain"):
+        v = getattr(spec, name)
+        if isinstance(v, Fraction):
+            v = format_rational(v)
+        elif isinstance(v, tuple):
+            v = [b.numerator if b.denominator == 1 else format_rational(b) for b in v]
+        elif isinstance(v, Domain):
+            v = v.value
+        data[name] = v
+    return data
 
 
-def spec_from_json(data: dict) -> PartitionSpec:
+def spec_from_json(data: dict) -> Partition:
     """Inverse of :func:`spec_to_json`; rationals may be integers or ``p/q`` strings."""
     if not isinstance(data, dict):
         raise SpecError(f"kind: expected a JSON object, got {type(data).__name__}")

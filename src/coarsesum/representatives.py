@@ -26,13 +26,16 @@ class Policy(Enum):
     MAX = "max"
 
 
+_MEDIAN, _MIN, _MAX = Policy.MEDIAN_LOWER, Policy.MIN, Policy.MAX  # read once, as _REALS is
+
+
 def _pick(lo, hi, policy: Policy):
     """The policy's choice between a cell's bounds; the median rounds down."""
-    if policy is Policy.MEDIAN_LOWER:
+    if policy is _MEDIAN:
         return (lo + hi) // 2
-    if policy is Policy.MIN:
+    if policy is _MIN:
         return lo
-    if policy is Policy.MAX:
+    if policy is _MAX:
         return hi
     raise ValueError(f"unknown policy {policy!r}")
 
@@ -45,7 +48,7 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
     to that boundary.  Median and max always return a member (upper bounds
     are attained under this package's cell conventions).
     """
-    if policy is not Policy.MEDIAN_LOWER:
+    if policy is not _MEDIAN:
         return _pick(cell.lower, cell.upper, policy)
     mid = (cell.lower + cell.upper) / 2
     return mid if cell.domain is _REALS else Fraction(floor(mid))

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .errors import SpecError
 from .inertness import InertVerdict, Outcome, constant, detect_inert_stream, detect_inert_trace
 from .ops import CoarseContext
-from .partitions import EpsilonGrowth, _Frozen, _settle, build_partition
+from .partitions import EpsilonGrowth, _Frozen, _settle
 from .rationals import format_rational, parse_rational
 from .representatives import Policy
 
@@ -115,7 +115,7 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     eps = parse_rational(epsilon)
-    ctx = CoarseContext(build_partition(EpsilonGrowth(eps)), Policy.MEDIAN_LOWER)
+    ctx = CoarseContext(EpsilonGrowth(eps), Policy.MEDIAN_LOWER)
     cell_formula = floor(eps / 2) + 1
     verdict = detect_inert_stream(ctx, constant(INCREMENT_BOUND), horizon=depth,
                                   increment_bound=INCREMENT_BOUND)
@@ -264,8 +264,7 @@ def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     valuation = coarse_value(epsilon, depth)
-    ctx = CoarseContext(build_partition(EpsilonGrowth(valuation.epsilon)),
-                        Policy.MEDIAN_LOWER)
+    ctx = CoarseContext(EpsilonGrowth(valuation.epsilon), Policy.MEDIAN_LOWER)
     payoffs = sample_gamble(gamble, trials, seed)
     trace = ctx.fold(payoffs)
     counts = Counter(p.bit_length() for p in payoffs)

@@ -296,3 +296,10 @@ def test_verdict_json_shapes(eps10_ctx):
         "outcome": "no_verdict", "N": None, "cell": None, "value": None,
         "horizon": 5, "certified": False,
     }
+
+
+def test_an_increment_bound_that_collapses_below_zero_is_refused():
+    ctx = CoarseContext(ExplicitBounds((-4, -2, 0, 3)))    # -3 collapses to -4
+    with pytest.raises(ValueError) as exc:
+        detect_inert_stream(ctx, constant(1), horizon=10, increment_bound=-3)
+    assert str(exc.value) == "increment bound must collapse to a nonnegative value, got -4"

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (Domain, DomainError, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, OutOfRangeError, SingletonGrid, SpecError,
+                       FixedWidth, OutOfRangeError, Partition, SingletonGrid, SpecError,
                        build_partition, from_widths, spec_from_json, spec_to_json)
 
 
@@ -435,3 +435,52 @@ def test_spec_json_accepts_quoted_integers():
     assert spec_from_json({"kind": "fixed_width", "width": "3"}) == FixedWidth(3)
     assert spec_from_json({"kind": "explicit", "bounds": ["0", 3, "17/2"], "domain": "real"}) \
         == ExplicitBounds((0, 3, F(17, 2)), Domain.REALS)
+
+
+# --- error paths and the facts each family states --------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: EpsilonGrowth(True), SpecError, "epsilon: expected a rational number, got True"),
+    (lambda: EpsilonGrowth("x"), SpecError, "epsilon: not a rational number: 'x'"),
+    (lambda: ExplicitBounds((0, 1), "float"), SpecError,
+     "domain: expected 'int' or 'real', got 'float'"),
+    (lambda: EpsilonGrowth(10).cell_at(2).count, DomainError,
+     "count is defined for integer cells only"),
+], ids=["bool-epsilon", "text-epsilon", "unknown-domain", "real-cell-count"])
+def test_specs_and_cells_name_what_they_refuse(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_an_integer_cell_holds_no_fraction():
+    assert not FixedWidth(3).cell_at(1).contains(F(1, 2))
+
+
+def test_index_of_reads_text_and_floats_as_exact_rationals():
+    assert FixedWidth(3).index_of("7") == 3
+    assert FixedWidth(3).index_of(7.0) == 3
+    assert EpsilonGrowth(10).index_of(0.6) == 2    # the float 0.6 lies above 1/2
+
+
+@pytest.mark.parametrize("family, facts", [
+    (FixedWidth(3), (Domain.INTEGERS, 1, 0, None, True)),
+    (Fibonacci(), (Domain.INTEGERS, 1, 0, None, False)),
+    (EpsilonGrowth(10), (Domain.REALS, 40, 0, None, False)),
+    (ExplicitBounds((-10, 0, 5)), (Domain.INTEGERS, 1, -10, 2, False)),
+    (ExplicitBounds((F(1, 3), 1, F(7, 3)), Domain.REALS), (Domain.REALS, 6, F(1, 3), 2, False)),
+    (SingletonGrid(F(3, 4)), (Domain.REALS, 4, 0, None, True)),
+], ids=repr)
+def test_each_family_keeps_its_domain_scale_origin_extent_and_margins(family, facts):
+    assert (family.domain, family.scale, family.origin, family.max_index,
+            family.constant_margins) == facts
+    assert type(family.origin) is F
+
+
+@pytest.mark.parametrize("family", [FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBounds,
+                                    SingletonGrid], ids=lambda f: f.__name__)
+def test_a_family_class_restates_no_default_of_the_base(family):
+    assert "origin" not in vars(family)
+    for name in ("domain", "scale", "max_index", "constant_margins"):
+        if name in vars(family):
+            assert vars(family)[name] != getattr(Partition, name), name

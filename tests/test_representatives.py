@@ -135,3 +135,9 @@ def test_rep_of_value_examples(fib, eps10):
     assert rep_of_value(eps10, F(1, 2)) == F(1, 4)
     grid = build_partition(SingletonGrid(F(1, 2)))
     assert rep_of_value(grid, F(7, 2)) == F(7, 2)
+
+
+def test_a_policy_must_be_a_member_not_its_name():
+    with pytest.raises(ValueError) as exc:
+        rep_of_cell(FixedWidth(3).cell_at(1), "median")
+    assert str(exc.value) == "unknown policy 'median'"

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import coarsesum
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                        FixedWidth, Gamble, InertVerdict, Outcome, Partition, SingletonGrid,
                        SpecError, build_partition, spec_from_json)
@@ -174,3 +175,24 @@ def test_build_partition_refuses_what_is_not_a_family(other):
     with pytest.raises(SpecError) as exc:
         build_partition(other)
     assert str(exc.value) == f"unknown partition description: {other!r}"
+
+
+#: Every public name of the package, sorted.
+PUBLIC_NAMES = [
+    "Cell", "CoarseContext", "CoarseError", "ComparisonReport", "Domain", "DomainError",
+    "EpsilonGrowth", "ExplicitBounds", "Fibonacci", "FixedWidth", "FoldStep", "FoldTrace",
+    "Fraction", "Gamble", "INCREMENT_BOUND", "InertVerdict", "OutOfRangeError", "Outcome",
+    "Partition", "Policy", "RNG_ALGORITHM", "SingletonGrid", "SpecError", "ValuationReport",
+    "__version__", "build_partition", "coarse_value", "compare_valuations", "constant",
+    "detect_inert_stream", "detect_inert_trace", "expected_increment_series",
+    "first_absorbing_cell", "format_decimal", "format_rational", "from_widths", "geometric",
+    "harmonic", "margin_neg", "margin_pos", "parse_rational", "rep_of_cell", "rep_of_value",
+    "sample_gamble", "spec_from_json", "spec_to_json",
+]
+
+
+def test_the_public_surface_is_these_names_and_each_resolves():
+    assert len(PUBLIC_NAMES) == 46
+    assert sorted(coarsesum.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(coarsesum, name), name
