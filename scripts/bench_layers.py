@@ -75,7 +75,7 @@ FORMATS = ("json", "csv", "table")
 
 
 def cases():
-    """(family name, spec, pinned stream, climbing stream, turns) for each family.
+    """(family name, family, pinned stream, climbing stream, turns) for each family.
 
     ``turns`` are values that keep the sum in one cell when they take turns.
     """
@@ -102,9 +102,9 @@ def cases():
     def read(values):
         seen = {}
         return [seen.setdefault(v, F(v)) for v in values]
-    return [(name, spec, read(pinned), read(climbing),
+    return [(name, family, read(pinned), read(climbing),
              read(turns[t % len(turns)] for t in range(n)))
-            for name, spec, pinned, climbing, turns in out]
+            for name, family, pinned, climbing, turns in out]
 
 
 def per_call(fn, args) -> float:
@@ -144,10 +144,9 @@ def per_cell_scanned(partition, increment) -> float:
 
 def measure() -> dict:
     """Entries for every family, timed in this interpreter's ``coarsesum``."""
-    from coarsesum import CoarseContext, build_partition, rep_of_value
+    from coarsesum import CoarseContext, rep_of_value
     out = {}
-    for name, spec, pinned, climbing, turns in cases():
-        partition = build_partition(spec)
+    for name, partition, pinned, climbing, turns in cases():
         ctx = CoarseContext(partition)
         trace = ctx.fold(climbing)
         inputs = climbing[:500]

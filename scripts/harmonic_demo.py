@@ -15,9 +15,8 @@ Usage:
 import argparse
 from fractions import Fraction
 
-from coarsesum import (CoarseContext, EpsilonGrowth, build_partition,
-                       detect_inert_stream, format_decimal, harmonic,
-                       parse_rational)
+from coarsesum import (CoarseContext, EpsilonGrowth, detect_inert_stream,
+                       format_decimal, harmonic, parse_rational)
 
 
 def main() -> None:
@@ -30,7 +29,7 @@ def main() -> None:
     args = ap.parse_args()
 
     eps = parse_rational(args.eps)
-    ctx = CoarseContext(build_partition(EpsilonGrowth(eps)))
+    ctx = CoarseContext(EpsilonGrowth(eps))
     stream = harmonic()
 
     print(f"harmonic series on EpsilonGrowth({format_decimal(eps)}), "

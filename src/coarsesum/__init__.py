@@ -8,8 +8,6 @@ sums classically diverge can coarsely settle into a single cell, becoming
 inert.  Everything is computed in exact rational arithmetic.
 """
 
-from fractions import Fraction
-
 from .errors import CoarseError, DomainError, OutOfRangeError, SpecError
 from .inertness import (InertVerdict, Outcome, constant, detect_inert_stream,
                         detect_inert_trace, first_absorbing_cell, geometric, harmonic)
@@ -27,7 +25,6 @@ from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Fraction",
     "CoarseError", "DomainError", "OutOfRangeError", "SpecError",
     "Cell", "Domain", "Partition",
     "FixedWidth", "Fibonacci", "EpsilonGrowth", "ExplicitBounds", "SingletonGrid",

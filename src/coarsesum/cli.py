@@ -148,8 +148,7 @@ def _read_values(path: str | None):
 def cmd_fold(args) -> int:
     ctx = _context_from_args(args)
     trace = ctx.fold(_read_values(args.input))
-    print(write_rows(FoldStep._fields, trace.steps, "table") if args.format == "table" else
-          trace.to_json_lines() if args.format == "json" else trace.to_csv())
+    print(write_rows(FoldStep._fields, trace.steps, args.format))
     return 0
 
 
@@ -157,16 +156,20 @@ def cmd_inert(args) -> int:
     ctx = _context_from_args(args)
     horizon = args.horizon
     if args.const is not None:
-        gen = constant(parse_rational(args.const))
+        gen = constant(args.const)
     elif args.harmonic:
         gen = harmonic()
     elif args.geometric is not None:
-        gen = geometric(parse_rational(args.geometric[0]), parse_rational(args.geometric[1]))
+        gen = geometric(*args.geometric)
     else:
         values = _read_values(args.from_file)
         horizon = min(horizon, len(values))
         gen = lambda t: values[t - 1]
     bound = None if args.bound is None else parse_rational(args.bound)
+    # a constant, harmonic or geometric stream that does not climb at step 2 never climbs
+    if bound is not None and not (0 <= gen(2) <= gen(1) <= bound if args.from_file is None
+                                  else all(0 <= v <= bound for v in values[:horizon])):
+        raise ValueError(f"--bound {args.bound} does not hold for this stream")
     verdict = detect_inert_stream(ctx, gen, horizon, increment_bound=bound)
     if args.format == "table":
         print(_verdict_text(verdict))

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from typing import Callable, NamedTuple
 
 from .ops import CoarseContext, FoldTrace, _fold_steps
 from .partitions import Partition
 from .rationals import format_rational, parse_rational
-from .representatives import Policy, _pick
+from .representatives import _MAX, Policy, _pick
 
 
 class Outcome(Enum):
@@ -127,16 +128,11 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
         m = (hi - _pick(lo, hi, policy)) * q
         return m > bar if strict else m >= bar
 
-    if partition.max_index is not None:
-        return next((i for i in range(1, partition.max_index + 1) if hit(i)), None)
-    if policy is Policy.MAX or partition.constant_margins:
-        # every cell has the same margin (zero under max)
-        return 1 if hit(1) else None
-    # the other unbounded families grow cells without bound: under min or median the scan ends
-    i = 1
-    while not hit(i):
-        i += 1
-    return i
+    last = partition.max_index
+    if last is None and (partition.constant_margins or policy is _MAX):
+        last = 1  # every cell has the same margin (zero under max)
+    # with no last cell, cells grow without bound and under min or median the scan ends
+    return next((i for i in (range(1, last + 1) if last else count(1)) if hit(i)), None)
 
 
 def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
@@ -151,7 +147,8 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     not a step, and can exceed the horizon; the fold may settle lower: the
     constant 1/2 on ``EpsilonGrowth(10)`` is certified at cell 6, value 11/5,
     but its fold pins at cell 1, value 1/4, from step 2.  Fold without a
-    bound to see where the sums settle.
+    bound to see where the sums settle.  The promise goes unchecked here; the
+    CLI checks it on its own streams before judging.
 
     Without a bound (or when no cell qualifies), the stream is folded and
     judged step by step, with no trace kept, to the verdict
@@ -166,7 +163,7 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
         if rep_b < 0:
             raise ValueError(
                 f"increment bound must collapse to a nonnegative value, got {rep_b}")
-        target = first_absorbing_cell(ctx.partition, ctx.policy, rep_b, strict=True)
+        target = first_absorbing_cell(ctx.partition, ctx.policy, rep_b)
         if target is not None:
             value = ctx.partition.unscaled(_pick(*ctx.partition.span(target), ctx.policy))
             return InertVerdict(Outcome.INERT, n_stable=target, cell_index=target,

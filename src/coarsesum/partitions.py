@@ -5,11 +5,12 @@ covering its domain from the origin upward, indexed 1, 2, 3, ...  Every
 domain value lies in exactly one cell, and cells are ordered element-wise:
 everything in cell i precedes everything in cell i+1.
 
-Integer-domain cells are finite runs of consecutive integers, stored as
-closed ``[min, max]`` intervals.  Real-domain cells follow the half-open
-convention ``(a, b]``, except the first cell, which is closed on both sides
-so that the origin is covered.  All boundaries are exact rationals, so
-membership at a boundary is decided exactly, never by floating-point luck.
+Integer-domain cells are finite runs of consecutive integers, closed
+``[min, max]`` intervals.  Real-domain cells follow the half-open convention
+``(a, b]``, except cell 1, closed so that the origin is covered, and one-point
+cells.  A :class:`Cell` holds its index, bounds and domain, and derives its
+closedness from them.  All boundaries are exact rationals, so membership at
+a boundary is decided exactly, never by floating-point luck.
 
 Built-in cell-layout families:
 
@@ -93,15 +94,18 @@ class _Frozen:
 
 
 class Cell(_Frozen):
-    """One grain: an interval of integers or reals with exact bounds."""
+    """One grain: an interval of integers or reals with exact bounds, closed above."""
 
     _fields = ("index", "lower", "upper", "lower_closed", "upper_closed", "domain")
+    upper_closed = True
 
-    def __init__(self, index: int, lower: Fraction, upper: Fraction, lower_closed: bool,
-                 upper_closed: bool, domain: Domain):
+    def __init__(self, index: int, lower: Fraction, upper: Fraction, domain: Domain):
         # one dict update builds a cell faster than a store per field
-        vars(self).update(index=index, lower=lower, upper=upper, lower_closed=lower_closed,
-                          upper_closed=upper_closed, domain=domain)
+        vars(self).update(index=index, lower=lower, upper=upper, domain=domain)
+
+    @property
+    def lower_closed(self) -> bool:  # real cells are open below, except cell 1 and one-point cells
+        return self.domain is _INTEGERS or self.index == 1 or self.lower == self.upper
 
     def contains(self, value) -> bool:
         x = Fraction(value)
@@ -109,9 +113,7 @@ class Cell(_Frozen):
             return False
         if x < self.lower or (x == self.lower and not self.lower_closed):
             return False
-        if x > self.upper or (x == self.upper and not self.upper_closed):
-            return False
-        return True
+        return x <= self.upper
 
     __contains__ = contains
 
@@ -136,8 +138,7 @@ class Cell(_Frozen):
                 return "{%s}" % self.lower
             return "{%s..%s}" % (self.lower, self.upper)
         lo = "[" if self.lower_closed else "("
-        hi = "]" if self.upper_closed else ")"
-        return f"{lo}{format_decimal(self.lower)}, {format_decimal(self.upper)}{hi}"
+        return f"{lo}{format_decimal(self.lower)}, {format_decimal(self.upper)}]"
 
 
 # ------------------------------------------------------------------ helpers
@@ -206,9 +207,7 @@ class Partition(_Frozen):
         lo, hi = self.span(_cell_index(index))
         lower = self.unscaled(lo)
         upper = lower if hi == lo else self.unscaled(hi)
-        # real cells are open below, except the first and one-point cells
-        return Cell(index, lower, upper,
-                    self.domain is _INTEGERS or index == 1 or lo == hi, True, self.domain)
+        return Cell(index, lower, upper, self.domain)
 
     def index_of(self, value) -> int:
         """Index of the unique cell containing ``value``."""
@@ -424,15 +423,13 @@ _KINDS = {f.kind: f for f in (FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBoun
 
 def from_widths(widths, origin: int = 0) -> ExplicitBounds:
     """Explicit integer cells from a finite list of block widths."""
-    widths = list(widths)
-    if not widths:
-        raise SpecError("widths: need at least one block width")
+    bounds = [origin]
     for w in widths:
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise SpecError(f"widths: block widths must be positive integers, got {w!r}")
-    bounds = [origin]
-    for w in widths:
         bounds.append(bounds[-1] + w)
+    if len(bounds) < 2:
+        raise SpecError("widths: need at least one block width")
     return ExplicitBounds(tuple(bounds), Domain.INTEGERS)
 
 

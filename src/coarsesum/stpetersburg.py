@@ -28,7 +28,6 @@ from .inertness import InertVerdict, Outcome, constant, detect_inert_stream, det
 from .ops import CoarseContext
 from .partitions import EpsilonGrowth, _Frozen, _settle
 from .rationals import format_rational, parse_rational
-from .representatives import Policy
 
 #: Deterministic counter-based generator used for all sampling.
 RNG_ALGORITHM = "numpy-philox4x64"
@@ -66,7 +65,7 @@ class Gamble(_Frozen):
         if n < 1 or n > d:
             return Fraction(0)
         if n == d:
-            return Fraction(1, 1 << (d - 1)) if d > 1 else Fraction(1)
+            return Fraction(1, 1 << (d - 1))
         return Fraction(1, 1 << n)
 
     def truncated_mean(self) -> Fraction:
@@ -78,7 +77,7 @@ def expected_increment_series(depth: int) -> list:
     """The per-round expected contributions: depth copies of exactly 1/2."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    return [Fraction(1, 2)] * depth
+    return [INCREMENT_BOUND] * depth
 
 
 class ValuationReport(NamedTuple):
@@ -115,7 +114,7 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     eps = parse_rational(epsilon)
-    ctx = CoarseContext(EpsilonGrowth(eps), Policy.MEDIAN_LOWER)
+    ctx = CoarseContext(EpsilonGrowth(eps))
     cell_formula = floor(eps / 2) + 1
     verdict = detect_inert_stream(ctx, constant(INCREMENT_BOUND), horizon=depth,
                                   increment_bound=INCREMENT_BOUND)
@@ -264,7 +263,7 @@ def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     valuation = coarse_value(epsilon, depth)
-    ctx = CoarseContext(EpsilonGrowth(valuation.epsilon), Policy.MEDIAN_LOWER)
+    ctx = CoarseContext(EpsilonGrowth(valuation.epsilon))
     payoffs = sample_gamble(gamble, trials, seed)
     trace = ctx.fold(payoffs)
     counts = Counter(p.bit_length() for p in payoffs)

@@ -351,6 +351,50 @@ def test_inert_domain_error_exits_one(capsys):
     assert err.startswith("error:")
 
 
+# A certificate promises where the sums stay, so --bound must hold for every
+# value the stream gives; these streams leave [0, B] somewhere.
+@pytest.mark.parametrize("stream, bound", [
+    (["--const", "5"], "1/2"),                # above the bound
+    (["--const=-1"], "1/2"),                  # below 0
+    (["--const", "1/2"], "-1"),               # a bound below 0 holds for nothing
+    (["--harmonic"], "1/2"),                  # the first value, 1, is above it
+    (["--geometric", "1", "1/2"], "1/3"),     # the first value, 1/2, is above it
+    (["--geometric", "1", "2"], "1"),         # climbs past any bound
+    (["--geometric", "1", "-1"], "1"),        # the first value is negative
+    (["--geometric", "-1", "-1"], "1"),       # the second value is negative
+    (["--geometric", "-1", "1/2"], "1"),      # every value is negative
+    (["--from-file", "hundreds"], "1/2"),     # a file of 100s
+    (["--from-file", "late"], "1/2"),         # the second line, 100, is above it
+], ids=["const-above", "const-negative", "bound-negative", "harmonic", "geometric-above",
+        "geometric-climbing", "geometric-ratio-negative", "geometric-alternating",
+        "geometric-negative", "file", "file-late"])
+def test_inert_refuses_a_bound_the_stream_breaks(stream, bound, tmp_path, capsys):
+    (tmp_path / "hundreds").write_text("100\n100\n100\n")
+    (tmp_path / "late").write_text("1/2\n100\n")
+    if stream[0] == "--from-file":
+        stream = ["--from-file", str(tmp_path / stream[1])]
+    code, out, err = run(["inert", "--eps", "10", *stream, f"--bound={bound}",
+                          "--format", "table"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --bound {bound} does not hold for this stream\n"
+
+
+@pytest.mark.parametrize("stream, bound", [
+    (["--const", "1/2"], "1/2"),
+    (["--harmonic"], "1"),
+    (["--geometric", "1", "1/2"], "1/2"),
+    (["--geometric", "0", "3"], "0"),
+    (["--from-file", "late", "--horizon", "1"], "1/2"),  # the 100 lies past the horizon
+], ids=["const", "harmonic", "geometric", "geometric-zero", "file-horizon"])
+def test_inert_certifies_a_bound_that_holds_at_its_edge(stream, bound, tmp_path, capsys):
+    (tmp_path / "late").write_text("1/2\n100\n")
+    if stream[0] == "--from-file":
+        stream = ["--from-file", str(tmp_path / stream[1]), *stream[2:]]
+    code, out, err = run(["inert", "--eps", "10", *stream, "--bound", bound], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["certified"] is True
+
+
 # ------------------------------------------------------------------- stpete
 
 def test_stpete_table(capsys):

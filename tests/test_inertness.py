@@ -181,6 +181,39 @@ def test_finite_partition_scans_every_cell(tiers):
     assert first_absorbing_cell(tiers, med, 5, strict=False) == 3
 
 
+class SpanCounter:
+    """A family that counts the spans read off it, and is the family otherwise."""
+
+    def __init__(self, family):
+        self.family, self.reads = family, 0
+
+    def __getattr__(self, name):
+        return getattr(self.family, name)
+
+    def span(self, index):
+        self.reads += 1
+        return self.family.span(index)
+
+
+@pytest.mark.parametrize("family, policy, inc, want, reads", [
+    (ExplicitBounds((0, 3, 6, 17)), "median", 5, None, 3),   # a finite layout, no hit
+    (ExplicitBounds((0, 1, 2, 3, 4)), "min", 1, None, 4),
+    (FixedWidth(3), "median", 1, None, 1),                   # every margin is the same
+    (SingletonGrid(F(1, 2)), "median", F(1, 2), None, 1),
+    (EpsilonGrowth(10), "max", F(1, 4), None, 1),            # every margin is zero
+    (Fibonacci(), "max", 0, None, 1),
+    (EpsilonGrowth(10), "median", F(1, 4), 6, 6),            # a hit at cell i reads i
+    (Fibonacci(), "median", 2, 6, 6),
+    (ExplicitBounds((0, 3, 6, 17)), "median", 4, 3, 3),
+    (FixedWidth(3), "median", 0, 1, 1),
+])
+def test_the_certificate_reads_no_span_past_the_last_cell_that_can_matter(
+        family, policy, inc, want, reads):
+    counted = SpanCounter(family)
+    assert first_absorbing_cell(counted, Policy(policy), inc) == want
+    assert counted.reads == reads
+
+
 def test_negative_increment_rejected(fib):
     with pytest.raises(ValueError):
         first_absorbing_cell(fib, Policy.MEDIAN_LOWER, -1)

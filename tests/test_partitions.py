@@ -386,6 +386,21 @@ def test_validate_generated_families_pass():
         assert_cell_laws(spec)
 
 
+@pytest.mark.parametrize("family", [
+    FixedWidth(5), Fibonacci(), EpsilonGrowth(F(10)), ExplicitBounds(tuple(range(-3, 22, 2))),
+    SingletonGrid(F(1, 2)), ExplicitBounds(tuple(F(k, 2) for k in range(-1, 12)), Domain.REALS),
+], ids=["fixed_width", "fibonacci", "epsilon", "explicit_int", "grid", "explicit_real"])
+def test_a_cell_is_closed_above_and_closed_below_where_the_module_says(family):
+    # closed below: integer cells, cell 1 and one-point cells; every cell is closed above
+    for i in range(1, 13):
+        c = family.cell_at(i)
+        closed_below = c.domain is Domain.INTEGERS or i == 1 or c.lower == c.upper
+        assert c.upper_closed is True and c.upper in c, (family, i)
+        assert c.lower_closed is closed_below and (c.lower in c) is closed_below, (family, i)
+        assert str(c)[-1] == ("}" if c.domain is Domain.INTEGERS else "]"), (family, i)
+    assert family.max_index in (None, 12)
+
+
 # --- serialization -----------------------------------------------------------
 
 @pytest.mark.parametrize("spec", [
