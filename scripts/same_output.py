@@ -8,7 +8,10 @@ Each ``--src [LABEL=]PATH`` names a source tree holding the ``coarsesum``
 package.  For every seed, the invocations of all four workloads are built
 through ``bench.workloads`` (their input files go to a temporary directory),
 and each one is run as ``python -m coarsesum.cli`` once per tree, with that
-tree first on ``PYTHONPATH``.  Every later tree's stdout, stderr and exit code
+tree first on ``PYTHONPATH``.  No workload passes ``--rep``, so a fixed list of
+extra commands follows: ``partition``, ``fold`` and ``inert`` under ``--rep max``
+on every family, and under ``--rep min`` on the families whose cells all hold
+their lower bound.  Every later tree's stdout, stderr and exit code
 are compared with the first tree's.  One line names each command that
 differs; the last line counts them.  The exit code is 1 if any command
 differs, else 0.
@@ -27,6 +30,25 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
 from bench.workloads import WORKLOADS, build  # noqa: E402
+
+#: One flag set per family, and the ones whose cells are all closed, where min is accepted.
+FAMILIES = {
+    "width": ("--width", "3"), "fibonacci": ("--fibonacci",),
+    "bounds": ("--bounds", "0,3,6,17,60"), "grid": ("--grid", "1/2"), "eps": ("--eps", "10"),
+    "bounds-real": ("--bounds", "0,1/2,1,7/3,10,50", "--domain", "real"),
+}
+CLOSED = ("width", "fibonacci", "bounds", "grid")
+
+
+def extra_commands(work: Path) -> list:
+    """(name, argv) of each extra command; ``fold`` reads a file written to ``work``."""
+    values = work / "values.txt"
+    values.write_text("1\n1\n0\n0\n", encoding="utf-8")  # max climbs, but stays in range
+    tails = {"partition": ("--cells", "6"), "fold": ("--input", str(values)),
+             "inert": ("--const", "1", "--horizon", "50")}
+    return [(f"{command} {family} --rep {rep}", (command, *FAMILIES[family], "--rep", rep, *tail))
+            for rep, families in (("max", FAMILIES), ("min", CLOSED))
+            for family in families for command, tail in tails.items()]
 
 
 def run(src: str, argv: tuple) -> tuple:
@@ -54,22 +76,28 @@ def main(argv=None) -> int:
         trees[label or path] = os.path.abspath(path)
     (first, base), *others = trees.items()
     total = differing = 0
+
+    def compare(name: str, argv: tuple) -> None:
+        nonlocal total, differing
+        total += 1
+        expected = run(base, argv)
+        diffs = []
+        for label, src in others:
+            got = run(src, argv)
+            diffs += [f"{label} {part}" for part, a, b
+                      in zip(("exit code", "stdout", "stderr"), expected, got) if a != b]
+        if diffs:
+            differing += 1
+            print(f"{name}: {', '.join(diffs)} differs from {first}")
+
     for seed in args.seeds:
         for workload in WORKLOADS:
             with tempfile.TemporaryDirectory(prefix="same-output-") as work:
                 for inv in build(workload, seed, Path(work)):
-                    total += 1
-                    expected = run(base, inv.argv)
-                    diffs = []
-                    for label, src in others:
-                        got = run(src, inv.argv)
-                        diffs += [f"{label} {part}" for part, a, b
-                                  in zip(("exit code", "stdout", "stderr"), expected, got)
-                                  if a != b]
-                    if diffs:
-                        differing += 1
-                        print(f"seed {seed} {workload} {inv.name}: {', '.join(diffs)} "
-                              f"differs from {first}")
+                    compare(f"seed {seed} {workload} {inv.name}", inv.argv)
+    with tempfile.TemporaryDirectory(prefix="same-output-") as work:
+        for name, argv in extra_commands(Path(work)):
+            compare(name, argv)
     print(f"{differing} of {total} commands differ")
     return 1 if differing else 0
 

@@ -19,8 +19,7 @@ from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import Policy, margin_neg, margin_pos, rep_of_cell, rep_of_value
 from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
                            Gamble, ValuationReport, coarse_value,
-                           compare_valuations, expected_increment_series,
-                           sample_gamble)
+                           compare_valuations, sample_gamble)
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,7 @@ __all__ = [
     "InertVerdict", "Outcome", "detect_inert_trace", "detect_inert_stream",
     "first_absorbing_cell", "constant", "harmonic", "geometric",
     "Gamble", "ValuationReport", "ComparisonReport", "RNG_ALGORITHM",
-    "INCREMENT_BOUND",
-    "expected_increment_series", "coarse_value", "sample_gamble", "compare_valuations",
+    "INCREMENT_BOUND", "coarse_value", "sample_gamble", "compare_valuations",
     "parse_rational", "format_rational", "format_decimal",
     "__version__",
 ]

@@ -63,19 +63,17 @@ def _count(text: str, least: int = 1) -> int:
     return n
 
 
-#: Flags whose value may start with "-", which argparse takes for an option name.
-_SIGNED_FLAGS = {"--bounds", "--eps", "--grid", "--const", "--bound"}
+class _Parser(argparse.ArgumentParser):
+    """A parser that reads a token starting with ``-`` and a digit or ``.`` as a value.
 
+    argparse reads only tokens like ``-1`` and ``-.5`` as numbers, and takes ``-1/2`` or
+    ``-4,1,2`` for an unknown option.  No option here starts so, and the subparsers are
+    built as this class too, so either ``--geometric`` value may be ``-1/2``.
+    """
 
-def _join_signed_values(argv: list) -> list:
-    """``--eps -1/2`` becomes ``--eps=-1/2``, which argparse reads as a value."""
-    out = []
-    for token in argv:
-        if out and out[-1] in _SIGNED_FLAGS and re.match(r"-[\d.]", token):
-            out[-1] += "=" + token
-        else:
-            out.append(token)
-    return out
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
 def _partition_from_args(args):
@@ -223,7 +221,7 @@ def cmd_stpete(args) -> int:
 # --------------------------------------------------------------------- parser
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coarsesum",
         description="Coarse partitions of the number line and absorption-based "
                     "coarse addition.")
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_signed_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit

@@ -15,7 +15,7 @@ class CoarseError(Exception):
 
 
 class SpecError(CoarseError, ValueError):
-    """A partition description is invalid; the message names the offending field."""
+    """A partition description or its policy is invalid; the message names the offending field."""
 
 
 class DomainError(CoarseError, ValueError):

@@ -114,7 +114,8 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
     ``strict`` compares with ``>`` (never satisfied by an exact tie);
     non-strict uses ``>=``.  Returns None when no cell ever qualifies, which
     can only happen for bounded-margin families (fixed width, singleton
-    grids, max policy, or finite explicit layouts).
+    grids, max policy, or finite explicit layouts).  It reads any policy on
+    any partition; ``CoarseContext`` is where min on cells open below is refused.
     """
     inc = Fraction(increment_rep)
     p, q = inc.as_integer_ratio()

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import CoarseError
+from .errors import CoarseError, SpecError
 from .partitions import Partition, _cell_index, _Frozen, _settle
 from .rationals import parse_rational, write_rows
 from .representatives import Policy, _pick, rep_of_value
@@ -78,11 +78,21 @@ class FoldTrace(_Frozen):
                          for d in rows))
 
 
-class CoarseContext(NamedTuple):
-    """A partition plus a representative policy: everything the operators need."""
+class CoarseContext(_Frozen):
+    """A partition plus a representative policy: everything the operators need.
 
-    partition: Partition
-    policy: Policy = Policy.MEDIAN_LOWER
+    Every pick lies in its own cell, so a collapse never moves a value to another cell.
+    Min is refused where cells are open below, since their infimum lies in the cell below.
+    """
+
+    _fields = ("partition", "policy")
+
+    def __init__(self, partition: Partition, policy: Policy = Policy.MEDIAN_LOWER):
+        if (policy is Policy.MIN and partition.max_index != 1
+                and not partition.cell_at(2).lower_closed):
+            raise SpecError(f"policy: min is refused on {type(partition).__name__}, whose cells "
+                            "are open below: a cell's infimum lies in the cell below")
+        _settle(self, partition=partition, policy=policy)
 
     def normalize(self, value) -> Fraction:
         """rep-of-cell-of: the collapsed form of a value."""
@@ -101,10 +111,6 @@ class CoarseContext(NamedTuple):
     def absorbs(self, i: int, k: int) -> bool:
         """Does cell i swallow cell k, leaving the sum in cell i?"""
         return self.cell_add(i, k) == i
-
-    def distorted(self, x, y) -> bool:
-        """Does coarse addition disagree with exact addition on this pair?"""
-        return self.rep_add(x, y) != Fraction(x) + Fraction(y)
 
     def fold(self, values: Iterable) -> FoldTrace:
         """Left-associative coarse partial sums over a finite sequence.
@@ -125,20 +131,20 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     Each step is ``rep_add(s, x)`` computed through cells, on the partition's integer
     scale: the running sum's cell, the input's cell and the cell of the scaled sum of
     their representatives.  A cell is collapsed once per fold, a sum's off its span and
-    an input through ``rep_of_value``, and kept as its scaled representative, as a
-    ``Fraction`` for the row and with its own cell, the next sum's cell (under the min
-    policy it can be the cell below).  So from step 2 on, a step's sum and cell depend
-    only on the previous sum's cell and the input's cell: a step that repeats the move of
-    the step before, as every step of a pinned sum does, keeps its result, and an input
-    object repeated from the step before keeps its cell.
+    an input through ``rep_of_value``, and kept as its scaled representative and as a
+    ``Fraction`` for the row; the sum collapsed from a cell lies in that cell.  So from
+    step 2 on, a step's sum and cell depend only on the previous sum's cell and the
+    input's cell: a step that repeats the move of the step before, as every step of a
+    pinned sum does, keeps its result, and an input object repeated from the step before
+    keeps its cell.
 
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
     partition, policy = ctx.partition, ctx.policy
     # inputs are made Fractions below, so the family's own lookups need no coercion
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
-    span, unscaled, below = partition.span, partition.unscaled, policy is Policy.MIN
-    reps = {}  # cell -> (scaled representative, representative, its own cell)
+    span, unscaled = partition.span, partition.unscaled
+    reps = {}  # cell -> (scaled representative, representative)
 
     def collapse(cell, value=None):
         if len(reps) >= _REP_MEMO_CELLS:
@@ -149,7 +155,7 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
         else:
             rep = rep_of_value(partition, value, policy)
             scaled = rep.numerator * (scale // rep.denominator)
-        hit = reps[cell] = (scaled, rep, locate(scaled) if below else cell)
+        hit = reps[cell] = (scaled, rep)
         return hit
 
     s_cell = moved_from = moved_by = None
@@ -162,9 +168,9 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
             if n == 1:
                 new_s, new_cell = x, x_cell
             elif s_cell != moved_from or x_cell != moved_by:
-                cell = locate((reps.get(s_cell) or collapse(s_cell))[0]
-                              + (reps.get(x_cell) or collapse(x_cell, x))[0])
-                _, new_s, new_cell = reps.get(cell) or collapse(cell)
+                new_cell = locate((reps.get(s_cell) or collapse(s_cell))[0]
+                                  + (reps.get(x_cell) or collapse(x_cell, x))[0])
+                new_s = (reps.get(new_cell) or collapse(new_cell))[1]
                 moved_from, moved_by = s_cell, x_cell
             # else this is the move of the step before, whose result new_s, new_cell still hold
         except CoarseError as exc:

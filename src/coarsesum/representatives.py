@@ -4,6 +4,8 @@ A representative is the single value a grain collapses to.  The default
 policy takes the median, rounding down to the lower of the two central
 elements for even-sized integer cells and taking the midpoint for real
 interval cells.  The min and max policies pick the cell boundaries instead.
+These maps describe any cell under any policy; ``CoarseContext``, which joins a
+partition to a policy, refuses min where cells are open below.
 
 The upward margin of a cell is the headroom between its representative and
 its upper boundary; the downward margin is the distance down to its lower
@@ -45,8 +47,9 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
 
     Min on a real cell whose lower bound is open returns the infimum, which
     is not itself a member of the cell; margins still measure the distance
-    to that boundary.  Median and max always return a member (upper bounds
-    are attained under this package's cell conventions).
+    to that boundary, and ``CoarseContext`` refuses min on such families.
+    Median and max always return a member (upper bounds are attained under
+    this package's cell conventions).
     """
     if policy is not _MEDIAN:
         return _pick(cell.lower, cell.upper, policy)
@@ -55,11 +58,7 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
 
 
 def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
-    """Collapse a value to the representative of its own cell, read off the cell's span.
-
-    Under min a real cell open below collapses to its lower bound, in the cell
-    below, so collapsing again can move it: on ``EpsilonGrowth(10)``, 3/5 -> 1/2 -> 0.
-    """
+    """Collapse a value to the representative of its own cell, read off the cell's span."""
     return partition.unscaled(_pick(*partition.span(partition.index_of(value)), policy))
 
 

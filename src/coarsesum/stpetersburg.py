@@ -73,13 +73,6 @@ class Gamble(_Frozen):
         return Fraction(self.truncation_depth + 1, 2)
 
 
-def expected_increment_series(depth: int) -> list:
-    """The per-round expected contributions: depth copies of exactly 1/2."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    return [INCREMENT_BOUND] * depth
-
-
 class ValuationReport(NamedTuple):
     """Coarse valuation of the expected-increment stream at one eps."""
 

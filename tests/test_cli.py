@@ -123,17 +123,38 @@ def test_partition_prints_all_of_a_layout_shorter_than_cells(fmt, capsys):
                        "2     {3..5}    4    1        1\n")
 
 
-@pytest.mark.parametrize("rep", ["median", "min", "max"])
-@pytest.mark.parametrize("family", [
-    ["--width", "3"], ["--fibonacci"], ["--eps", "1/3"], ["--bounds", "-4,1,2,9,30"],
-    ["--bounds", "0,1/2,1,7/3,10", "--domain", "real"], ["--grid", "3/4"],
-], ids=["width", "fibonacci", "eps", "bounds", "bounds-real", "grid"])
+FAMILY_FLAGS = {
+    "width": ["--width", "3"], "fibonacci": ["--fibonacci"], "eps": ["--eps", "1/3"],
+    "bounds": ["--bounds", "-4,1,2,9,30"],
+    "bounds-real": ["--bounds", "0,1/2,1,7/3,10", "--domain", "real"], "grid": ["--grid", "3/4"],
+}
+#: Min is refused on the families whose cells are open below, and accepted on the rest.
+OPEN_BELOW = {"eps": "EpsilonGrowth", "bounds-real": "ExplicitBounds"}
+
+
+@pytest.mark.parametrize("family, rep", [
+    pytest.param(family, rep, id=f"{family}-{rep}") for rep in ("median", "min", "max")
+    for family in FAMILY_FLAGS if not (rep == "min" and family in OPEN_BELOW)])
 def test_partition_csv_and_json_agree_cell_by_cell(family, rep, capsys,
                                                    assert_csv_matches_json):
-    argv = ["partition", *family, "--rep", rep, "--cells", "4", "--format"]
+    argv = ["partition", *FAMILY_FLAGS[family], "--rep", rep, "--cells", "4", "--format"]
     _, csv_out, _ = run(argv + ["csv"], capsys)
     _, json_out, _ = run(argv + ["json"], capsys)
     assert_csv_matches_json(csv_out, json_out)
+
+
+@pytest.mark.parametrize("command", [["partition"], ["fold"], ["inert", "--const", "3/5"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("family, name", [
+    (["--eps", "10"], "EpsilonGrowth"),
+    *((FAMILY_FLAGS[family], name) for family, name in OPEN_BELOW.items())],
+    ids=["eps-10", *OPEN_BELOW])
+def test_min_is_refused_where_cells_are_open_below(command, family, name, capsys, monkeypatch):
+    code, out, err = run([command[0], *family, "--rep", "min", *command[1:]], capsys,
+                         monkeypatch, stdin_text="3/5\n3/5\n3/10\n")
+    assert (code, out) == (1, "")
+    assert err == (f"error: policy: min is refused on {name}, whose cells are open below: "
+                   "a cell's infimum lies in the cell below\n")
 
 
 # --------------------------------------------------------------------- fold
@@ -393,6 +414,14 @@ def test_inert_certifies_a_bound_that_holds_at_its_edge(stream, bound, tmp_path,
     code, out, err = run(["inert", "--eps", "10", *stream, "--bound", bound], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["certified"] is True
+
+
+@pytest.mark.parametrize("values, first", [(["1", "-1/2"], "-1/2"), (["-1/2", "1/2"], "-1/4")],
+                         ids=["ratio", "coefficient"])
+def test_either_geometric_value_may_be_a_negative_rational(values, first, capsys):
+    code, out, err = run(["inert", "--eps", "10", "--geometric", *values], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: step 1: {first} is below the partition origin 0\n"
 
 
 # ------------------------------------------------------------------- stpete

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, FoldStep, FoldTrace, InertVerdict, Outcome,
-                       OutOfRangeError, Partition, Policy, SingletonGrid, build_partition,
-                       constant, detect_inert_stream,
+                       OutOfRangeError, Partition, Policy, SingletonGrid, SpecError,
+                       build_partition, constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, format_decimal,
                        format_rational, geometric, harmonic, margin_pos, parse_rational,
                        rep_of_cell, rep_of_value)
@@ -27,6 +27,20 @@ from coarsesum.rationals import write_rows
 from coarsesum import representatives
 
 POLICIES = list(Policy)
+
+
+def refused(spec, policy):
+    """Does ``CoarseContext`` refuse this pair: min on a family with cells open below?"""
+    return policy is Policy.MIN and (isinstance(spec, EpsilonGrowth) or (
+        isinstance(spec, ExplicitBounds) and spec.domain is Domain.REALS and spec.max_index > 1))
+
+
+def under_policies(table, ids, refusals=False):
+    """``(spec, values, policy)`` params for each row of a table and each policy that
+    ``CoarseContext`` accepts for its spec, or with ``refusals`` each one it refuses."""
+    return [pytest.param(*row, policy, id=f"{name}-{policy.value}")
+            for row, name in zip(table, ids) for policy in POLICIES
+            if refused(row[0], policy) == refusals]
 
 
 def rep_add_fold(ctx, values):
@@ -80,9 +94,20 @@ FAMILIES = {
 }
 
 
+#: The (family, policy) pairs that CoarseContext accepts: min is refused on EpsilonGrowth.
+FAMILY_POLICIES = [pytest.param(family, policy, id=f"{family}-{policy.value}")
+                   for policy in POLICIES for family in sorted(FAMILIES)
+                   if not (family == "EpsilonGrowth" and policy is Policy.MIN)]
+
+
+def family_case(family, policy):
+    """A (spec, values) draw of the family; min skips the real ExplicitBounds layout."""
+    return FAMILIES[family].filter(lambda case: not refused(case[0], policy))
+
+
 @st.composite
-def fold_cases(draw, family):
-    spec, values = draw(FAMILIES[family])
+def fold_cases(draw, family, policy):
+    spec, values = draw(family_case(family, policy))
     pool = draw(st.lists(values, min_size=1, max_size=4))
     # repeats from a small pool revisit cells; fresh draws meet new ones
     stream = draw(st.lists(st.one_of(st.sampled_from(pool), values), min_size=1,
@@ -90,22 +115,20 @@ def fold_cases(draw, family):
     return spec, stream
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
 @settings(max_examples=60)
 @given(data=st.data())
 def test_fold_is_a_left_fold_of_rep_add(family, policy, data):
-    spec, stream = data.draw(fold_cases(family))
+    spec, stream = data.draw(fold_cases(family, policy))
     assert_fold_matches(CoarseContext(build_partition(spec), policy), stream)
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
 @settings(max_examples=30)
 @given(data=st.data())
 def test_trace_rows_round_trip_and_csv_matches_json(family, policy, data,
                                                     assert_csv_matches_json):
-    spec, stream = data.draw(fold_cases(family))
+    spec, stream = data.draw(fold_cases(family, policy))
     ctx = CoarseContext(build_partition(spec), policy)
     expected = rep_add_fold(ctx, stream)
     if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
@@ -115,26 +138,52 @@ def test_trace_rows_round_trip_and_csv_matches_json(family, policy, data,
     assert_csv_matches_json(trace.to_csv(), trace.to_json_lines())
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("spec, values", [
+LONG_FOLDS = [
     (SingletonGrid(F(1, 2)), [F(1, 2)] * 700),                  # a new cell every step
     (FixedWidth(1), [1, 0, 2] * 250),
     (EpsilonGrowth(F(1, 3)), [F(5, 2), F(1, 4)] * 400),
     (Fibonacci(), [3] * 600),
-], ids=["grid", "width-1", "eps-1/3", "fibonacci"])
+]
+LONG_FOLD_IDS = ["grid", "width-1", "eps-1/3", "fibonacci"]
+
+
+@pytest.mark.parametrize("spec, values, policy", under_policies(LONG_FOLDS, LONG_FOLD_IDS))
 def test_long_folds_match_past_the_representative_memo(spec, values, policy):
     assert_fold_matches(CoarseContext(build_partition(spec), policy), values)
 
 
-def test_min_policy_sums_can_fall_below_their_cell():
-    # Under min, cell 2 = (1/2, 7/10] collapses to its infimum 1/2, which lies
-    # in cell 1; the fold keeps that, so the sum drops back to 0.
-    ctx = CoarseContext(build_partition(EpsilonGrowth(10)), Policy.MIN)
-    trace = ctx.fold([F(3, 5), F(3, 5), F(3, 10)])
-    assert [s.s for s in trace] == [F(3, 5), F(7, 10), 0]
-    assert [s.s_cell for s in trace] == [2, 2, 1]
-    assert [s.absorbed for s in trace] == [False, True, False]
-    assert trace.steps == rep_add_fold(ctx, [F(3, 5), F(3, 5), F(3, 10)])
+MIN_REFUSED = ("policy: min is refused on {}, whose cells are open below: "
+               "a cell's infimum lies in the cell below")
+
+
+def test_min_is_refused_where_sums_would_fall_below_their_cell():
+    # Under min, cell 2 = (1/2, 7/10] would collapse to its infimum 1/2, which lies
+    # in cell 1, so folding 3/5, 3/5, 3/10 would drop the sum from 7/10 back to 0.
+    eps10 = EpsilonGrowth(10)
+    assert rep_of_value(eps10, F(3, 5), Policy.MIN) == F(1, 2)
+    assert eps10.index_of(F(1, 2)) == 1
+    with pytest.raises(SpecError) as exc:
+        CoarseContext(eps10, Policy.MIN)
+    assert str(exc.value) == MIN_REFUSED.format("EpsilonGrowth")
+
+
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_sums_never_fall_and_collapsing_is_idempotent(family, policy, data):
+    """Every accepted pick lies in its own cell, so from step 2 on a sum's cell never falls."""
+    spec, stream = data.draw(fold_cases(family, policy).filter(
+        lambda case: case[0].origin >= 0))   # below 0 a nonnegative input can collapse below 0
+    ctx = CoarseContext(spec, policy)
+    expected = rep_add_fold(ctx, stream)
+    if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
+        stream = stream[:expected[1] - 1]
+    steps = ctx.fold(stream).steps if stream else ()
+    assert all(b.s_cell >= a.s_cell for a, b in zip(steps, steps[1:]))
+    for value in [*stream, *(step.s for step in steps[1:])]:
+        rep = ctx.normalize(value)
+        assert spec.index_of(rep) == spec.index_of(value)
+        assert ctx.normalize(rep) == rep
 
 
 @pytest.mark.parametrize("values, step, cause", [
@@ -196,12 +245,11 @@ def first_fixed_step(ctx, value, steps=40):
     return next((s.n for s in trace if s.n > 1 and s.absorbed), steps)
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_constant_streams_judge_as_their_folds(family, policy, data):
-    spec, values = data.draw(FAMILIES[family])
+    spec, values = data.draw(family_case(family, policy))
     ctx = CoarseContext(build_partition(spec), policy)
     value = data.draw(values)
     k = first_fixed_step(ctx, value)
@@ -211,12 +259,11 @@ def test_constant_streams_judge_as_their_folds(family, policy, data):
         assert assert_streamed_verdict_matches(ctx, lambda t: value, horizon) == marked
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
 @settings(max_examples=40)
 @given(data=st.data())
 def test_streams_judge_as_their_folds(family, policy, data):
-    spec, stream = data.draw(fold_cases(family))
+    spec, stream = data.draw(fold_cases(family, policy))
     ctx = CoarseContext(build_partition(spec), policy)
     assert_streamed_verdict_matches(ctx, lambda t: stream[t - 1], len(stream))
     horizon = data.draw(st.integers(1, 60))
@@ -381,18 +428,33 @@ def test_scaled_lookup_agrees_with_index_of(spec, data):
             assert spec.index_scaled(n) == expected
 
 
+@settings(max_examples=300)
+@given(spec=SPECS)
+def test_min_is_refused_exactly_where_cell_2_is_open_below(spec):
+    for policy in POLICIES:
+        if refused(spec, policy):
+            with pytest.raises(SpecError) as exc:
+                CoarseContext(spec, policy)
+            assert str(exc.value) == MIN_REFUSED.format(type(spec).__name__)
+        else:
+            assert CoarseContext(spec, policy).policy is policy
+
+
 _FORBIDDEN = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
               "__truediv__", "__floordiv__", "__lt__", "__le__", "__gt__", "__ge__")
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("spec, values", [
+FRACTION_FREE = [
     (FixedWidth(7), [F(v) for v in (7, 20, 27, 9, 1, 1, 1)] * 30),
     (Fibonacci(), [F(2**t) for t in range(60)] + [F(1)] * 20),
     (EpsilonGrowth(F(10)), [F(3001, 7), F(2500, 3)] * 40 + [F(1, 2)] * 20),
     (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [F(1, k) for k in range(3, 7)]),
     (SingletonGrid(F(3, 4)), [F(3, 4), F(0), F(3, 2)] * 30),
-], ids=["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"])
+]
+FAMILY_IDS = ["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"]
+
+
+@pytest.mark.parametrize("spec, values, policy", under_policies(FRACTION_FREE, FAMILY_IDS))
 def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, policy,
                                                              monkeypatch):
     ctx = CoarseContext(build_partition(spec), policy)
@@ -412,8 +474,10 @@ CLIMBING = [   # a sum that enters a new cell on (nearly) every step, past the m
 ]
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("spec, values", CLIMBING, ids=[type(c[0]).__name__ for c in CLIMBING])
+CLIMBING_IDS = [type(c[0]).__name__ for c in CLIMBING]
+
+
+@pytest.mark.parametrize("spec, values, policy", under_policies(CLIMBING, CLIMBING_IDS))
 def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, monkeypatch):
     """Sums collapse off the cell the kernel holds; only inputs go through ``rep_of_value``."""
     from coarsesum import ops
@@ -434,11 +498,8 @@ def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, mo
     assert sum(not step.absorbed for step in steps) >= 0.8 * len(steps)   # it climbs
     # each collapse through rep_of_value is an input's own object
     assert all(any(v is x for x in values) for v in collapsed)
-    # a step looks up its input and its sum; an input collapse looks up the input once
-    # more.  Under min a collapse also looks up where the representative lies, the cell
-    # below, which the next step collapses in turn.
-    per_collapse, per_step = (2, 4) if policy is Policy.MIN else (1, 2)
-    assert lookups[0] <= per_step * len(steps) + per_collapse * len(collapsed)
+    # a step looks up its input and its sum; an input collapse looks up the input once more
+    assert lookups[0] <= 2 * len(steps) + len(collapsed)
 
 
 def forbid_fraction_arithmetic_and_cells(monkeypatch):
@@ -472,7 +533,7 @@ def absorbing_by_cells(partition, policy, inc, strict):
     (EpsilonGrowth(F(10)), [0, F(1, 4), F(7, 3), 5]),
     (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [0, F(1, 2), 3, 20, 30]),
     (SingletonGrid(F(3, 4)), [0, F(3, 4)]),
-], ids=["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"])
+], ids=FAMILY_IDS)
 def test_certificate_scan_does_no_fraction_arithmetic_and_builds_no_cells(spec, increments,
                                                                          policy, monkeypatch):
     partition = build_partition(spec)
@@ -504,14 +565,16 @@ def certified_by_cells(ctx, bound, horizon):
                         horizon=horizon, certified=True)
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
-@pytest.mark.parametrize("spec, bounds", [
+CERTIFIED = [
     (FixedWidth(7), [0, 3, 10, 27]),
     (Fibonacci(), [0, 1, 5, 40]),
     (EpsilonGrowth(F(10)), [0, F(1, 2), F(7, 3), 5]),
     (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [0, F(1, 2), 3, 20]),
     (SingletonGrid(F(3, 4)), [0, F(3, 4), F(3, 2)]),
-], ids=["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"])
+]
+
+
+@pytest.mark.parametrize("spec, bounds, policy", under_policies(CERTIFIED, FAMILY_IDS))
 def test_cell_add_and_certified_verdicts_read_spans_and_build_no_cells(spec, bounds, policy,
                                                                       monkeypatch):
     ctx, horizon = CoarseContext(spec, policy), 30
@@ -532,6 +595,19 @@ def test_cell_add_and_certified_verdicts_read_spans_and_build_no_cells(spec, bou
     assert got_sums == sums
     assert got_verdicts == verdicts
     assert [list(map(type, v)) for v in got_verdicts] == [list(map(type, v)) for v in verdicts]
+
+
+#: The pairs of the tables above that CoarseContext refuses, one case each.
+REFUSED = [param for table, ids in [(LONG_FOLDS, LONG_FOLD_IDS), (FRACTION_FREE, FAMILY_IDS),
+                                    (CLIMBING, CLIMBING_IDS), (CERTIFIED, FAMILY_IDS)]
+           for param in under_policies(table, ids, refusals=True)]
+
+
+@pytest.mark.parametrize("spec, values, policy", REFUSED)
+def test_min_is_refused_on_the_tables_open_cells(spec, values, policy):
+    with pytest.raises(SpecError) as exc:
+        CoarseContext(spec, policy)
+    assert str(exc.value) == MIN_REFUSED.format(type(spec).__name__)
 
 
 # --------------------------------------------------------- rational row I/O

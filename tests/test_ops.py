@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import (CoarseContext, DomainError, EpsilonGrowth, Fibonacci, FixedWidth,
-                       FoldTrace, OutOfRangeError, Policy, build_partition,
-                       margin_pos, rep_of_cell)
+from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
+                       Fibonacci, FixedWidth, FoldTrace, OutOfRangeError, Policy, SingletonGrid,
+                       SpecError, build_partition, margin_pos, rep_of_cell)
 
 
 # ---------------------------------------------------------------- rep_add
@@ -123,20 +123,19 @@ def test_rep_add_commutes(fib_ctx):
 # ------------------------------------------------------------- distortion
 
 def test_distortion_examples(fib_ctx):
-    assert not fib_ctx.distorted(0, 0)
-    assert fib_ctx.distorted(2, 5)          # 2 + 5 = 7 but rep_add gives 9
-    assert not fib_ctx.distorted(0, 2)      # 2 is its own rep and 0 adds nothing
+    assert fib_ctx.rep_add(0, 0) == 0
+    assert fib_ctx.rep_add(2, 5) != 2 + 5   # 2 + 5 = 7 but rep_add gives 9
+    assert fib_ctx.rep_add(0, 2) == 2       # 2 is its own rep and 0 adds nothing
 
 
 def test_distortion_brute_force_width_three():
     ctx = CoarseContext(build_partition(FixedWidth(3)))
     assert ctx.rep_add(4, 7) == 10          # both already reps; 11 -> cell 4 -> rep 10
-    assert ctx.distorted(4, 7)
-    assert not ctx.distorted(4, 6)          # 10 is the rep of its own cell
-    undistorted = [(x, y) for x in range(13) for y in range(13)
-                   if not ctx.distorted(x, y)]
-    for x, y in undistorted:
-        assert ctx.rep_add(x, y) == x + y
+    assert ctx.rep_add(4, 6) == 4 + 6       # 10 is the rep of its own cell
+    # every coarse sum is a rep 3k + 1, so only a pair summing to one can be exact
+    for x, y in itertools.product(range(13), repeat=2):
+        assert ctx.rep_add(x, y) % 3 == 1
+        assert (ctx.rep_add(x, y) == x + y) <= ((x + y) % 3 == 1)
 
 
 @given(st.integers(min_value=0, max_value=10**4),
@@ -144,7 +143,6 @@ def test_distortion_brute_force_width_three():
 def test_width_one_is_exact(x, y):
     ctx = CoarseContext(build_partition(FixedWidth(1)))
     assert ctx.rep_add(x, y) == x + y
-    assert not ctx.distorted(x, y)
 
 
 # ------------------------------------------------------------------ folds
@@ -226,3 +224,29 @@ def test_trace_csv_shape(tiers_ctx):
     assert lines[0] == "n,x,x_cell,s,s_cell,absorbed"
     assert lines[1] == "1,4/1,2,4/1,2,false"
     assert lines[2] == "2,4/1,2,11/1,3,false"
+
+
+# ------------------------------------------------------------ policy rule
+# A context's picks lie in their own cells, so min is refused where cells are open below.
+
+@pytest.mark.parametrize("spec", [EpsilonGrowth(10), EpsilonGrowth(F(7, 3)),
+                                  ExplicitBounds((0, F(1, 2), 1), Domain.REALS),
+                                  ExplicitBounds((-3, -1, 5, 8), Domain.REALS)], ids=repr)
+def test_min_is_refused_where_cells_are_open_below(spec):
+    with pytest.raises(SpecError) as exc:
+        CoarseContext(spec, Policy.MIN)
+    assert str(exc.value) == (f"policy: min is refused on {type(spec).__name__}, whose cells "
+                              "are open below: a cell's infimum lies in the cell below")
+    assert rep_of_cell(spec.cell_at(2), Policy.MIN) not in spec.cell_at(2)
+    for policy in (Policy.MEDIAN_LOWER, Policy.MAX):   # their picks lie in their cells
+        assert CoarseContext(spec, policy).policy is policy
+
+
+@pytest.mark.parametrize("spec", [FixedWidth(3), Fibonacci(), ExplicitBounds((-4, 1, 2, 9)),
+                                  SingletonGrid(F(1, 2)),
+                                  ExplicitBounds((0, F(1, 2)), Domain.REALS)], ids=repr)
+def test_min_is_accepted_where_every_cell_holds_its_infimum(spec):
+    ctx = CoarseContext(spec, Policy.MIN)
+    for cell in map(spec.cell_at, range(1, (spec.max_index or 40) + 1)):
+        assert ctx.normalize(cell.upper) == cell.lower
+        assert cell.lower in cell

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from coarsesum import (INCREMENT_BOUND, RNG_ALGORITHM, CoarseContext, ComparisonReport,
                        EpsilonGrowth, Gamble, Outcome, Policy, SingletonGrid, SpecError,
                        build_partition, coarse_value, compare_valuations, constant,
-                       detect_inert_stream, expected_increment_series, first_absorbing_cell,
-                       sample_gamble)
+                       detect_inert_stream, first_absorbing_cell, sample_gamble)
 from coarsesum import inertness, stpetersburg
 
 
@@ -26,9 +25,9 @@ def eps_rep(eps: F, i: int) -> F:
 # ----------------------------------------------------------------- gamble
 
 def test_expected_increments_are_exact_halves():
-    assert expected_increment_series(5) == [F(1, 2)] * 5
-    with pytest.raises(ValueError):
-        expected_increment_series(0)
+    g = Gamble(truncation_depth=10)
+    assert [g.probability(n) * g.payoff(n) for n in range(1, 10)] == [INCREMENT_BOUND] * 9
+    assert INCREMENT_BOUND == F(1, 2)
 
 
 def test_payoffs_double_and_cap():
