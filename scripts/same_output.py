@@ -11,10 +11,11 @@ and each one is run as ``python -m coarsesum.cli`` once per tree, with that
 tree first on ``PYTHONPATH``.  No workload passes ``--rep``, so a fixed list of
 extra commands follows: ``partition``, ``fold`` and ``inert`` under ``--rep max``
 on every family, and under ``--rep min`` on the families whose cells all hold
-their lower bound.  Every later tree's stdout, stderr and exit code
-are compared with the first tree's.  One line names each command that
-differs; the last line counts them.  The exit code is 1 if any command
-differs, else 0.
+their lower bound, then ``stpete`` at an ``--eps`` of 1, 0 and -1, around the
+small-eps guard that no workload reaches.  Every later tree's stdout, stderr
+and exit code are compared with the first tree's.  One line names each
+command that differs; the last line counts them.  The exit code is 1 if any
+command differs, else 0.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ FAMILIES = {
     "bounds-real": ("--bounds", "0,1/2,1,7/3,10,50", "--domain", "real"),
 }
 CLOSED = ("width", "fibonacci", "bounds", "grid")
+STPETE = (("--eps", "1"), ("--eps", "1", "--allow-small-eps", "--depth", "20"),
+          ("--eps", "0"), ("--eps", "-1"))
 
 
 def extra_commands(work: Path) -> list:
@@ -48,7 +51,8 @@ def extra_commands(work: Path) -> list:
              "inert": ("--const", "1", "--horizon", "50")}
     return [(f"{command} {family} --rep {rep}", (command, *FAMILIES[family], "--rep", rep, *tail))
             for rep, families in (("max", FAMILIES), ("min", CLOSED))
-            for family in families for command, tail in tails.items()]
+            for family in families for command, tail in tails.items()] + [
+        ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE]
 
 
 def run(src: str, argv: tuple) -> tuple:

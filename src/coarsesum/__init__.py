@@ -13,8 +13,7 @@ from .inertness import (InertVerdict, Outcome, constant, detect_inert_stream,
                         detect_inert_trace, first_absorbing_cell, geometric, harmonic)
 from .ops import CoarseContext, FoldStep, FoldTrace
 from .partitions import (Cell, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                         FixedWidth, Partition, SingletonGrid, build_partition,
-                         from_widths, spec_from_json, spec_to_json)
+                         FixedWidth, Partition, SingletonGrid, build_partition)
 from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import Policy, margin_neg, margin_pos, rep_of_cell, rep_of_value
 from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
@@ -27,7 +26,7 @@ __all__ = [
     "CoarseError", "DomainError", "OutOfRangeError", "SpecError",
     "Cell", "Domain", "Partition",
     "FixedWidth", "Fibonacci", "EpsilonGrowth", "ExplicitBounds", "SingletonGrid",
-    "build_partition", "from_widths", "spec_from_json", "spec_to_json",
+    "build_partition",
     "Policy", "rep_of_cell", "rep_of_value", "margin_pos", "margin_neg",
     "CoarseContext", "FoldStep", "FoldTrace",
     "InertVerdict", "Outcome", "detect_inert_trace", "detect_inert_stream",

@@ -189,7 +189,7 @@ def _print_valuation_text(rep) -> None:
 
 def cmd_stpete(args) -> int:
     eps = parse_rational(args.eps)
-    if eps < 2 and not args.allow_small_eps:
+    if 0 < eps < 2 and not args.allow_small_eps:  # eps <= 0 gets the family's own error
         raise ValueError(
             f"eps = {eps} is below 2, where the closed form and the margin scan "
             "disagree; pass --allow-small-eps to proceed")

@@ -20,7 +20,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CoarseError, SpecError
 from .partitions import Partition, _cell_index, _Frozen, _settle
-from .rationals import parse_rational, write_rows
+from .rationals import write_rows
 from .representatives import Policy, _pick, rep_of_value
 
 
@@ -68,14 +68,6 @@ class FoldTrace(_Frozen):
 
     def to_csv(self) -> str:
         return write_rows(FoldStep._fields, self.steps, "csv")
-
-    @classmethod
-    def from_json_lines(cls, text: str) -> "FoldTrace":
-        import json
-        readers = (int, parse_rational, int, parse_rational, int, bool)  # one per field
-        rows = (json.loads(line) for line in text.splitlines() if line.strip())
-        return cls(tuple(FoldStep._make(read(d[k]) for read, k in zip(readers, FoldStep._fields))
-                         for d in rows))
 
 
 class CoarseContext(_Frozen):

@@ -26,15 +26,14 @@ an invalid spec cannot exist.  Its cells are described in integers: on the
 family's ``scale`` D every boundary and every representative (median, min or
 max) is a multiple of 1/D, ``span(i)`` gives the bounds of cell i in units of
 1/D, and ``index_scaled(n, x=None)`` finds the cell of n/D (errors name x, the
-value n came from, if given).  A family declares its wire ``kind`` and
-``_fields``, and ``domain``, ``scale``, ``max_index`` (None when unbounded) or
-``constant_margins`` (every cell has the same margins) only where they differ
-from the base's int, 1, None and False.  The base reads the rest off those:
-``origin`` is span(1)'s lower bound, ``index(x)`` finds the cell of an exact
-``int`` or ``Fraction`` from x*D, ``unscaled(n)`` turns n back into n/D, and
-it gives every family the lookup API (``index_of``, ``cell_at`` building each
-:class:`Cell` from its span, ``cell_of``).  :func:`spec_to_json` writes the
-wire form and :func:`spec_from_json` reads it, both from ``_fields``.
+value n came from, if given).  A family declares its ``_fields``, which its
+equality, hash and repr read, and ``domain``, ``scale``, ``max_index`` (None
+when unbounded) or ``constant_margins`` (every cell has the same margins) only
+where they differ from the base's int, 1, None and False.  The base reads the
+rest off those: ``origin`` is span(1)'s lower bound, ``index(x)`` finds the
+cell of an exact ``int`` or ``Fraction`` from x*D, ``unscaled(n)`` turns n
+back into n/D, and it gives every family the lookup API (``index_of``,
+``cell_at`` building each :class:`Cell` from its span, ``cell_of``).
 
 Generated families extend lazily to any index and are pure functions of the
 index, so concurrent queries for the same cell always agree.  Explicit
@@ -49,7 +48,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .errors import DomainError, OutOfRangeError, SpecError
-from .rationals import format_decimal, format_rational, parse_rational
+from .rationals import format_decimal, parse_rational
 
 
 class Domain(Enum):
@@ -169,7 +168,7 @@ def _rational(field: str, value) -> Fraction:
 class Partition(_Frozen):
     """The base of every family: shared defaults and cell lookup; see the module docstring."""
 
-    domain = Domain.INTEGERS  # the default, so spec_from_json may omit it
+    domain = Domain.INTEGERS  # the default, so integer families need not restate it
     scale = 1
     max_index = None
     constant_margins = False
@@ -224,13 +223,12 @@ class FixedWidth(Partition):
     """Consecutive integer blocks of one fixed width, starting at 0."""
 
     _fields = ("width",)
-    kind = "fixed_width"
     constant_margins = True
 
     def __init__(self, width: int):
         w = width
         if isinstance(w, str) and w.strip().isdecimal():
-            w = int(w)  # the wire form may quote an integer
+            w = int(w)  # text is read as the other families read it: "3" is 3
         if not isinstance(w, int) or isinstance(w, bool) or w < 1:
             raise SpecError(f"width: must be a positive integer, got {width!r}")
         _settle(self, width=w)
@@ -247,8 +245,6 @@ class FixedWidth(Partition):
 
 class Fibonacci(Partition):
     """Integer blocks whose sizes follow 1, 1, 2, 3, 5, 8, ..."""
-
-    kind = "fibonacci"
 
     def __init__(self):
         # _starts[i] begins cell i+1.  Sizes follow Fibonacci, so each start is
@@ -291,7 +287,6 @@ class EpsilonGrowth(Partition):
     """
 
     _fields = ("epsilon",)
-    kind = "epsilon"
     domain = Domain.REALS
 
     def __init__(self, epsilon: Fraction):
@@ -330,7 +325,6 @@ class ExplicitBounds(Partition):
     """
 
     _fields = ("bounds", "domain")
-    kind = "explicit"
 
     def __init__(self, bounds: tuple, domain: Domain = Domain.INTEGERS):
         if not isinstance(bounds, (list, tuple)):
@@ -386,7 +380,6 @@ class SingletonGrid(Partition):
     """
 
     _fields = ("step",)
-    kind = "singleton_grid"
     domain = Domain.REALS
     constant_margins = True
 
@@ -417,56 +410,8 @@ class SingletonGrid(Partition):
         return n, n
 
 
-#: Wire ``kind`` -> family; a family's JSON fields are its ``_fields``.
-_KINDS = {f.kind: f for f in (FixedWidth, Fibonacci, EpsilonGrowth, ExplicitBounds, SingletonGrid)}
-
-
-def from_widths(widths, origin: int = 0) -> ExplicitBounds:
-    """Explicit integer cells from a finite list of block widths."""
-    bounds = [origin]
-    for w in widths:
-        if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-            raise SpecError(f"widths: block widths must be positive integers, got {w!r}")
-        bounds.append(bounds[-1] + w)
-    if len(bounds) < 2:
-        raise SpecError("widths: need at least one block width")
-    return ExplicitBounds(tuple(bounds), Domain.INTEGERS)
-
-
 def build_partition(spec: Partition) -> Partition:
     """The partition of a cell-layout description: the family itself, checked when built."""
     if not isinstance(spec, Partition):
         raise SpecError(f"unknown partition description: {spec!r}")
     return spec
-
-
-# ------------------------------------------------------------- serialization
-
-def spec_to_json(spec: Partition) -> dict:
-    """Wire form of a family: ``kind``, its ``_fields`` and ``domain``; rationals as ``p/q``."""
-    data = {"kind": spec.kind}
-    for name in (*spec._fields, "domain"):
-        v = getattr(spec, name)
-        if isinstance(v, Fraction):
-            v = format_rational(v)
-        elif isinstance(v, tuple):
-            v = [b.numerator if b.denominator == 1 else format_rational(b) for b in v]
-        elif isinstance(v, Domain):
-            v = v.value
-        data[name] = v
-    return data
-
-
-def spec_from_json(data: dict) -> Partition:
-    """Inverse of :func:`spec_to_json`; rationals may be integers or ``p/q`` strings."""
-    if not isinstance(data, dict):
-        raise SpecError(f"kind: expected a JSON object, got {type(data).__name__}")
-    kind = data.get("kind")
-    family = _KINDS.get(kind) if isinstance(kind, str) else None
-    if family is None:
-        raise SpecError(f"kind: unknown partition kind {kind!r}")
-    # a field the class also holds has that value as its default and may be omitted
-    missing = [f for f in family._fields if f not in data and not hasattr(family, f)]
-    if missing:
-        raise SpecError(f"{missing[0]}: missing field for kind {kind!r}")
-    return family(**{f: data[f] for f in family._fields if f in data})

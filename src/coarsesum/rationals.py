@@ -31,8 +31,8 @@ def format_rational(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def format_decimal(value, places: int = 6) -> str:
-    """Decimal rendering for tables: exact when terminating, rounded otherwise."""
+def format_decimal(value) -> str:
+    """Decimal rendering for tables: exact when terminating, else 6 significant digits."""
     f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
@@ -50,7 +50,7 @@ def format_decimal(value, places: int = 6) -> str:
         digits = str(scaled).rjust(exp + 1, "0")
         sign = "-" if f.numerator < 0 else ""
         return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
-    return f"{float(f):.{places}g}"
+    return f"{float(f):.6g}"
 
 
 def _render_runs(render, column) -> list:

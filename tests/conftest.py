@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, Policy, build_partition)
+                       FixedWidth, FoldStep, Policy, build_partition)
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -53,4 +53,19 @@ def assert_csv_matches_json():
             assert head.split(",") == list(row)
             assert line == ",".join(str(v).lower() if isinstance(v, bool) else str(v)
                                     for v in row.values())
+    return check
+
+
+@pytest.fixture(scope="session")
+def assert_json_rows_match_steps():
+    """Check each JSON line field by field against its step: ints, ``p/q`` strings, bools."""
+    def check(json_text, steps):
+        rows = [json.loads(line) for line in json_text.splitlines()]
+        assert len(rows) == len(steps) > 0
+        for row, step in zip(rows, steps):
+            assert list(row) == list(FoldStep._fields)
+            for key, value in zip(FoldStep._fields, step):
+                if isinstance(value, Fraction):
+                    value = f"{value.numerator}/{value.denominator}"
+                assert type(row[key]) is type(value) and row[key] == value, (step.n, key)
     return check

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coarsesum import FoldTrace, parse_rational
+from coarsesum import CoarseContext, EpsilonGrowth, parse_rational
 from coarsesum import cli
 from coarsesum.cli import _read_values, build_parser, main
 
@@ -183,13 +183,14 @@ def test_fold_from_file_with_comments(tmp_path, capsys):
     assert out == FOLD_TABLE
 
 
-def test_fold_json_round_trips(tmp_path, capsys):
+def test_fold_json_round_trips(tmp_path, capsys, assert_json_rows_match_steps):
     f = tmp_path / "values.txt"
     f.write_text("1/2\n1/3\n1/7\n")
     code, out, _ = run(["fold", "--eps", "10", "--input", str(f), "--format", "json"],
                        capsys)
     assert code == 0
-    trace = FoldTrace.from_json_lines(out)
+    trace = CoarseContext(EpsilonGrowth(10)).fold([F(1, 2), F(1, 3), F(1, 7)])
+    assert_json_rows_match_steps(out.strip(), trace.steps)
     # every operand collapses to 1/4 before adding, and each sum 1/2 re-collapses
     assert [s.s for s in trace] == [F(1, 2), F(1, 4), F(1, 4)]
     code, csv_out, _ = run(["fold", "--eps", "10", "--input", str(f),
@@ -449,11 +450,20 @@ def test_stpete_json(capsys):
 def test_stpete_small_eps_guard(capsys):
     code, _, err = run(["stpete", "--eps", "1"], capsys)
     assert code == 1
-    assert "--allow-small-eps" in err
+    assert err == ("error: eps = 1 is below 2, where the closed form and the margin scan "
+                   "disagree; pass --allow-small-eps to proceed\n")
     code, out, _ = run(["stpete", "--eps", "1", "--depth", "20",
                         "--allow-small-eps"], capsys)
     assert code == 0
     assert "agreement                            : no" in out
+
+
+@pytest.mark.parametrize("flags", [[], ["--allow-small-eps"]], ids=["guarded", "allowed"])
+@pytest.mark.parametrize("eps", ["0", "-1"])
+def test_stpete_nonpositive_eps_gets_the_family_error(eps, flags, capsys):
+    # the small-eps guard is for 0 < eps < 2; no flag can make eps <= 0 valid
+    assert run(["stpete", "--eps", eps, *flags], capsys) == (
+        1, "", f"error: epsilon: must be positive, got {eps}\n")
 
 
 def test_stpete_with_sampling(capsys):

@@ -127,14 +127,15 @@ def test_fold_is_a_left_fold_of_rep_add(family, policy, data):
 @settings(max_examples=30)
 @given(data=st.data())
 def test_trace_rows_round_trip_and_csv_matches_json(family, policy, data,
-                                                    assert_csv_matches_json):
+                                                    assert_csv_matches_json,
+                                                    assert_json_rows_match_steps):
     spec, stream = data.draw(fold_cases(family, policy))
     ctx = CoarseContext(build_partition(spec), policy)
     expected = rep_add_fold(ctx, stream)
     if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
         stream = stream[:expected[1] - 1]
     trace = ctx.fold(stream)
-    assert FoldTrace.from_json_lines(trace.to_json_lines()) == trace
+    assert_json_rows_match_steps(trace.to_json_lines(), trace.steps)
     assert_csv_matches_json(trace.to_csv(), trace.to_json_lines())
 
 
@@ -639,7 +640,7 @@ def reference_format_rational(value):
     return f"{f.numerator}/{f.denominator}"
 
 
-def reference_format_decimal(value, places=6):
+def reference_format_decimal(value):
     """Decimal rendering worked out on ``Fraction(value)``, step by step."""
     f = F(value)
     if f.denominator == 1:
@@ -648,7 +649,7 @@ def reference_format_decimal(value, places=6):
     while den % 2 == 0 or den % 5 == 0:
         den //= 2 if den % 2 == 0 else 5
     if den != 1:
-        return f"{float(f):.{places}g}"
+        return f"{float(f):.6g}"
     while (f * 10**exp).denominator != 1:
         exp += 1
     digits = str(abs(f.numerator) * 10**exp // f.denominator).rjust(exp + 1, "0")
@@ -664,7 +665,6 @@ def reference_format_decimal(value, places=6):
 def test_formatting_reads_ints_fractions_and_floats_as_before(value):
     assert format_rational(value) == reference_format_rational(value)
     assert format_decimal(value) == reference_format_decimal(value)
-    assert format_decimal(value, 3) == reference_format_decimal(value, 3)
 
 
 def _copy(value):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldTrace, OutOfRangeError, Policy, SingletonGrid,
+                       Fibonacci, FixedWidth, OutOfRangeError, Policy, SingletonGrid,
                        SpecError, build_partition, margin_pos, rep_of_cell)
 
 
@@ -205,16 +205,14 @@ def test_fold_absorption_flag_matches_cell_stall(xs):
 
 # -------------------------------------------------------------- trace IO
 
-def test_trace_json_round_trip(tiers_ctx):
+def test_trace_json_round_trip(tiers_ctx, assert_json_rows_match_steps):
     trace = tiers_ctx.fold([4, 4, 4, 4])
-    back = FoldTrace.from_json_lines(trace.to_json_lines())
-    assert back.steps == trace.steps
+    assert_json_rows_match_steps(trace.to_json_lines(), trace.steps)
 
 
-def test_trace_json_round_trip_rationals(eps10_ctx):
+def test_trace_json_round_trip_rationals(eps10_ctx, assert_json_rows_match_steps):
     trace = eps10_ctx.fold([F(1, 2), F(1, 3), F(1, 7)])
-    back = FoldTrace.from_json_lines(trace.to_json_lines())
-    assert back.steps == trace.steps
+    assert_json_rows_match_steps(trace.to_json_lines(), trace.steps)
 
 
 def test_trace_csv_shape(tiers_ctx):

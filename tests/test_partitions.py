@@ -1,4 +1,3 @@
-import json
 import math
 import random
 import sys
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 
 from coarsesum import (Domain, DomainError, EpsilonGrowth, ExplicitBounds, Fibonacci,
                        FixedWidth, OutOfRangeError, Partition, SingletonGrid, SpecError,
-                       build_partition, from_widths, spec_from_json, spec_to_json)
+                       build_partition)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -106,21 +105,6 @@ def test_explicit_bounds_negative_origin():
     assert p.origin == -10
     with pytest.raises(DomainError):
         p.index_of(-11)
-
-
-def test_from_widths_helper():
-    p = build_partition(from_widths([3, 3, 11]))
-    assert [(int(p.cell_at(i).lower), int(p.cell_at(i).upper)) for i in range(1, 4)] == \
-        [(0, 2), (3, 5), (6, 16)]
-
-
-@pytest.mark.parametrize("widths", [[True, 2], [3, False], [2, 0], [2, -1], [2.0], ["2"], []])
-def test_from_widths_rejects_what_fixed_width_rejects(widths):
-    with pytest.raises(SpecError, match="widths"):
-        from_widths(widths)
-    if widths and isinstance(widths[0], bool):
-        with pytest.raises(SpecError, match="width"):
-            FixedWidth(widths[0])
 
 
 # --- membership --------------------------------------------------------------
@@ -401,7 +385,36 @@ def test_a_cell_is_closed_above_and_closed_below_where_the_module_says(family):
     assert family.max_index in (None, 12)
 
 
-# --- serialization -----------------------------------------------------------
+# --- error paths and the facts each family states --------------------------
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: EpsilonGrowth(True), SpecError, "epsilon: expected a rational number, got True"),
+    (lambda: EpsilonGrowth("x"), SpecError, "epsilon: not a rational number: 'x'"),
+    (lambda: ExplicitBounds((0, 1), "float"), SpecError,
+     "domain: expected 'int' or 'real', got 'float'"),
+    (lambda: FixedWidth(2.5), SpecError, "width: must be a positive integer, got 2.5"),
+    (lambda: FixedWidth(True), SpecError, "width: must be a positive integer, got True"),
+    (lambda: ExplicitBounds("0123"), SpecError,
+     "bounds: expected a list of boundaries, got '0123'"),
+    (lambda: FixedWidth(0), SpecError, "width: must be a positive integer, got 0"),
+    (lambda: FixedWidth(-1), SpecError, "width: must be a positive integer, got -1"),
+    (lambda: FixedWidth("3/1"), SpecError, "width: must be a positive integer, got '3/1'"),
+    (lambda: FixedWidth([2]), SpecError, "width: must be a positive integer, got [2]"),
+    (lambda: ExplicitBounds((0, True)), SpecError,
+     "bounds: expected a rational number, got True"),
+    (lambda: ExplicitBounds(()), SpecError, "bounds: need at least two boundaries (one cell)"),
+    (lambda: EpsilonGrowth(-1), SpecError, "epsilon: must be positive, got -1"),
+    (lambda: SingletonGrid(0), SpecError, "step: must be positive, got 0"),
+    (lambda: EpsilonGrowth(10).cell_at(2).count, DomainError,
+     "count is defined for integer cells only"),
+], ids=["bool-epsilon", "text-epsilon", "unknown-domain", "float-width", "bool-width",
+        "text-bounds", "zero-width", "negative-width", "text-fraction-width", "list-width",
+        "bool-bound", "no-bounds", "negative-epsilon", "zero-step", "real-cell-count"])
+def test_specs_and_cells_name_what_they_refuse(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message
+
 
 @pytest.mark.parametrize("spec", [
     FixedWidth(3),
@@ -412,60 +425,34 @@ def test_a_cell_is_closed_above_and_closed_below_where_the_module_says(family):
     ExplicitBounds((0, F(1, 2), F(3, 2)), Domain.REALS),
     SingletonGrid(F(1, 2)),
 ])
-def test_spec_json_roundtrip(spec):
-    assert spec_from_json(spec_to_json(spec)) == spec
+def test_a_spec_rebuilt_from_its_own_fields_is_the_same_layout(spec):
+    # a family keeps its fields parsed, so they build the same family again
+    rebuilt = type(spec)(*(getattr(spec, name) for name in spec._fields))
+    assert rebuilt == spec and hash(rebuilt) == hash(spec)
+    assert build_partition(spec) is spec and spec.spec is spec
+    cells = range(1, min(3, spec.max_index or 3) + 1)
+    assert [rebuilt.cell_at(i) for i in cells] == [spec.cell_at(i) for i in cells]
 
 
-def test_spec_json_shapes():
-    # the text, not the dict, so that the key order is pinned too
-    shapes = [
-        (FixedWidth(3), '{"kind": "fixed_width", "width": 3, "domain": "int"}'),
-        (Fibonacci(), '{"kind": "fibonacci", "domain": "int"}'),
-        (EpsilonGrowth(F(10)), '{"kind": "epsilon", "epsilon": "10/1", "domain": "real"}'),
-        (ExplicitBounds((0, 3, 6, 17)),
-         '{"kind": "explicit", "bounds": [0, 3, 6, 17], "domain": "int"}'),
-        (SingletonGrid(F(3, 4)), '{"kind": "singleton_grid", "step": "3/4", "domain": "real"}'),
-        (ExplicitBounds((F(-1, 2), 0, F(7, 3), 5), Domain.REALS),
-         '{"kind": "explicit", "bounds": ["-1/2", 0, "7/3", 5], "domain": "real"}'),
-    ]
-    for spec, text in shapes:
-        assert json.dumps(spec_to_json(spec)) == text
+@pytest.mark.parametrize("text, number", [
+    (lambda: FixedWidth(" 3 "), lambda: FixedWidth(3)),
+    (lambda: EpsilonGrowth("5/2"), lambda: EpsilonGrowth(F(5, 2))),
+    (lambda: SingletonGrid("3/4"), lambda: SingletonGrid(F(3, 4))),
+    (lambda: ExplicitBounds(["0", 3, "17/2"], "real"),
+     lambda: ExplicitBounds((0, 3, F(17, 2)), Domain.REALS)),
+    (lambda: ExplicitBounds(("-1/2", "0", "7/3", "5"), "real"),
+     lambda: ExplicitBounds((F(-1, 2), 0, F(7, 3), 5), Domain.REALS)),
+], ids=["width", "epsilon", "step", "bounds", "negative-bounds"])
+def test_text_fields_read_as_the_numbers_they_name(text, number):
+    spec, expected = text(), number()
+    assert spec == expected and repr(spec) == repr(expected)
+    assert [spec.cell_at(i) for i in (1, 2)] == [expected.cell_at(i) for i in (1, 2)]
 
 
-def test_spec_json_rejects_garbage():
-    with pytest.raises(SpecError):
-        spec_from_json({"kind": "nope"})
-    with pytest.raises(SpecError):
-        spec_from_json({"kind": "fixed_width"})
-    with pytest.raises(SpecError):
-        spec_from_json([1, 2, 3])
-    for bad in ({"kind": "fixed_width", "width": 2.5},
-                {"kind": "fixed_width", "width": True},
-                {"kind": "explicit", "bounds": "0123"}):
-        with pytest.raises(SpecError):
-            spec_from_json(bad)
-
-
-def test_spec_json_accepts_quoted_integers():
-    assert spec_from_json({"kind": "fixed_width", "width": "3"}) == FixedWidth(3)
-    assert spec_from_json({"kind": "explicit", "bounds": ["0", 3, "17/2"], "domain": "real"}) \
-        == ExplicitBounds((0, 3, F(17, 2)), Domain.REALS)
-
-
-# --- error paths and the facts each family states --------------------------
-
-@pytest.mark.parametrize("build, error, message", [
-    (lambda: EpsilonGrowth(True), SpecError, "epsilon: expected a rational number, got True"),
-    (lambda: EpsilonGrowth("x"), SpecError, "epsilon: not a rational number: 'x'"),
-    (lambda: ExplicitBounds((0, 1), "float"), SpecError,
-     "domain: expected 'int' or 'real', got 'float'"),
-    (lambda: EpsilonGrowth(10).cell_at(2).count, DomainError,
-     "count is defined for integer cells only"),
-], ids=["bool-epsilon", "text-epsilon", "unknown-domain", "real-cell-count"])
-def test_specs_and_cells_name_what_they_refuse(build, error, message):
-    with pytest.raises(error) as exc:
-        build()
-    assert str(exc.value) == message
+def test_explicit_bounds_default_to_the_integer_domain():
+    spec = ExplicitBounds((0, 1))
+    assert spec.domain is Domain.INTEGERS
+    assert spec == ExplicitBounds((0, 1), Domain.INTEGERS) != ExplicitBounds((0, 1), Domain.REALS)
 
 
 def test_an_integer_cell_holds_no_fraction():

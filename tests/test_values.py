@@ -11,7 +11,7 @@ import pytest
 import coarsesum
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                        FixedWidth, Gamble, InertVerdict, Outcome, Partition, Policy,
-                       SingletonGrid, SpecError, build_partition, spec_from_json)
+                       SingletonGrid, SpecError, build_partition)
 
 # (factory, repr) for each class built on the frozen-value base; each factory
 # gives a fresh, equal value on every call.  The reprs are the ones the
@@ -123,24 +123,6 @@ def test_named_tuple_values():
     assert pickle.loads(pickle.dumps(v)) == v
 
 
-@pytest.mark.parametrize("data, message", [
-    ({"kind": "fixed_width"}, "width: missing field for kind 'fixed_width'"),
-    ({"kind": "epsilon"}, "epsilon: missing field for kind 'epsilon'"),
-    ({"kind": "explicit"}, "bounds: missing field for kind 'explicit'"),
-    ({"kind": "explicit", "domain": "real"}, "bounds: missing field for kind 'explicit'"),
-    ({"kind": "singleton_grid", "domain": "real"}, "step: missing field for kind 'singleton_grid'"),
-])
-def test_spec_from_json_names_the_missing_field(data, message):
-    with pytest.raises(SpecError) as exc:
-        spec_from_json(data)
-    assert str(exc.value) == message
-
-
-def test_spec_from_json_fills_defaults_and_ignores_extra_keys():
-    assert spec_from_json({"kind": "explicit", "bounds": [0, 1]}) == ExplicitBounds((0, 1))
-    assert spec_from_json({"kind": "fibonacci", "domain": "int", "extra": 1}) == Fibonacci()
-
-
 def test_cli_import_loads_every_module_and_not_dataclasses():
     # Every coarsesum module is loaded by the CLI import, because the benchmark's
     # tracer looks each one up in sys.modules right after it; dataclasses and
@@ -186,14 +168,13 @@ PUBLIC_NAMES = [
     "Partition", "Policy", "RNG_ALGORITHM", "SingletonGrid", "SpecError", "ValuationReport",
     "__version__", "build_partition", "coarse_value", "compare_valuations", "constant",
     "detect_inert_stream", "detect_inert_trace", "first_absorbing_cell", "format_decimal",
-    "format_rational", "from_widths", "geometric", "harmonic", "margin_neg", "margin_pos",
-    "parse_rational", "rep_of_cell", "rep_of_value", "sample_gamble", "spec_from_json",
-    "spec_to_json",
+    "format_rational", "geometric", "harmonic", "margin_neg", "margin_pos",
+    "parse_rational", "rep_of_cell", "rep_of_value", "sample_gamble",
 ]
 
 
 def test_the_public_surface_is_these_names_and_each_resolves():
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 41
     assert sorted(coarsesum.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(coarsesum, name), name
