@@ -57,7 +57,7 @@ def extra_commands(work: Path) -> list:
 
 def run(src: str, argv: tuple) -> tuple:
     """(exit code, stdout, stderr) of ``python -m coarsesum.cli argv`` on tree ``src``."""
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave no __pycache__ in the trees
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
                                                  if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "coarsesum.cli", *argv], env=env, cwd=ROOT,

@@ -164,10 +164,6 @@ def cmd_inert(args) -> int:
         horizon = min(horizon, len(values))
         gen = lambda t: values[t - 1]
     bound = None if args.bound is None else parse_rational(args.bound)
-    # a constant, harmonic or geometric stream that does not climb at step 2 never climbs
-    if bound is not None and not (0 <= gen(2) <= gen(1) <= bound if args.from_file is None
-                                  else all(0 <= v <= bound for v in values[:horizon])):
-        raise ValueError(f"--bound {args.bound} does not hold for this stream")
     verdict = detect_inert_stream(ctx, gen, horizon, increment_bound=bound)
     if args.format == "table":
         print(_verdict_text(verdict))

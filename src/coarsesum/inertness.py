@@ -41,8 +41,9 @@ class InertVerdict(NamedTuple):
     """Outcome of an inertness check.
 
     ``certified`` is True only for margin-certificate verdicts, which hold
-    for the entire infinite stream; observed verdicts only describe the
-    examined window.  ``increasing_run`` (non-inert outcomes) is the length
+    for every step the increment bound was checked on: the entire infinite
+    stream when the stream states its ``top``, else the steps up to the
+    horizon; observed verdicts only describe the examined window.  ``increasing_run`` (non-inert outcomes) is the length
     of the longest strictly climbing run of sum-cell indexes at the end of
     the window, as growth evidence.
     """
@@ -140,16 +141,17 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
                         horizon: int, increment_bound=None) -> InertVerdict:
     """Judge a generated stream, optionally with the margin certificate.
 
-    With ``increment_bound`` b (every generated value is promised to be
-    between 0 and b), the certificate applies before any folding: the first
-    cell whose upward margin strictly exceeds b's collapsed representative
-    absorbs the rest of the stream, and the verdict is certified with that
-    cell and its representative, read off its span.  N is that cell's index,
-    not a step, and can exceed the horizon; the fold may settle lower: the
-    constant 1/2 on ``EpsilonGrowth(10)`` is certified at cell 6, value 11/5,
-    but its fold pins at cell 1, value 1/4, from step 2.  Fold without a
-    bound to see where the sums settle.  The promise goes unchecked here; the
-    CLI checks it on its own streams before judging.
+    With ``increment_bound`` b, every value must lie between 0 and b, and a
+    stream that breaks that raises ``ValueError``: a stream with a ``top``
+    (see the streams below) is checked by it alone, any other is read from
+    step 1 to the horizon.  The certificate then applies before any folding:
+    the first cell whose upward margin strictly exceeds b's collapsed
+    representative absorbs the rest of the stream, and the verdict is
+    certified with that cell and its representative, read off its span.  N
+    is that cell's index, not a step, and can exceed the horizon; the fold
+    may settle lower: the constant 1/2 on ``EpsilonGrowth(10)`` is certified
+    at cell 6, value 11/5, but its fold pins at cell 1, value 1/4, from step
+    2.  Fold without a bound to see where the sums settle.
 
     Without a bound (or when no cell qualifies), the stream is folded and
     judged step by step, with no trace kept, to the verdict
@@ -160,6 +162,10 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if increment_bound is not None:
+        top = getattr(gen, "top", None)
+        if not (top <= increment_bound if top is not None else
+                all(0 <= gen(t) <= increment_bound for t in range(1, horizon + 1))):
+            raise ValueError(f"increment bound {increment_bound} does not hold for this stream")
         rep_b = ctx.normalize(increment_bound)
         if rep_b < 0:
             raise ValueError(
@@ -175,25 +181,37 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
 
 # ------------------------------------------------------------ input streams
 # Streams are pure functions of the 1-based step index, so reruns and
-# continued runs always see identical values.  A stream may carry a
-# ``period`` attribute: period 1 promises that every step gives the same
-# value, so detect_inert_stream may stop at the fold's first fixed point and
-# still give the verdict of the whole horizon.  Only ``constant`` sets it; an
-# unmarked stream is folded to the horizon.
+# continued runs always see identical values.  A stream may carry two marks,
+# which detect_inert_stream trusts:
+# - ``period`` 1 promises that every step gives the same value, so the fold
+#   may stop at its first fixed point and still give the verdict of the whole
+#   horizon;
+# - ``top`` promises that the values are nonnegative and never rise, so the
+#   first value, ``top``, is the largest and an increment bound is checked
+#   against it alone.
+# The factories below set them only where their values keep the promise; an
+# unmarked stream is read to the horizon.
 
 def constant(value) -> Callable[[int], Fraction]:
     c = parse_rational(value)
     stream = lambda t: c
     stream.period = 1
+    if c >= 0:
+        stream.top = c
     return stream
 
 
 def harmonic() -> Callable[[int], Fraction]:
-    return lambda t: Fraction(1, t)
+    stream = lambda t: Fraction(1, t)
+    stream.top = Fraction(1)
+    return stream
 
 
 def geometric(coefficient, ratio) -> Callable[[int], Fraction]:
     """t -> coefficient * ratio**t for t = 1, 2, 3, ..."""
     c = parse_rational(coefficient)
     r = parse_rational(ratio)
-    return lambda t: c * r**t
+    stream = lambda t: c * r**t
+    if c == 0 or r == 0 or (c > 0 and 0 < r <= 1):
+        stream.top = c * r
+    return stream

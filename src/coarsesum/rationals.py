@@ -36,21 +36,25 @@ def format_decimal(value) -> str:
     f = value if isinstance(value, (int, Fraction)) else Fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
-    den = f.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
-        exp = max(twos, fives)
-        scaled = abs(f.numerator) * 10**exp // f.denominator
-        digits = str(scaled).rjust(exp + 1, "0")
-        sign = "-" if f.numerator < 0 else ""
-        return f"{sign}{digits[:-exp]}.{digits[-exp:]}"
-    return f"{float(f):.6g}"
+    n, d, sign = abs(f.numerator), f.denominator, "-" if f.numerator < 0 else ""
+    if 10**(e := d.bit_length()) % d == 0:  # d = 2**a * 5**b with a, b < e: exact in e places
+        digits = str(n * 10**e // d).rjust(e + 1, "0")
+        return f"{sign}{digits[:-e]}.{digits[-e:].rstrip('0')}"
+    # %g's layout to six significant digits, rounded in integers: a nonterminating
+    # value never ties, so its seventh digit decides, and no value is out of range
+    k = 7 - (n.bit_length() - d.bit_length() - 1) * 30103 // 100000  # n/d * 10**k >= 10**6
+    q = str(n * 10**k // d if k >= 0 else n // (d * 10**-k))
+    x, m = len(q) - 1 - k, int(q[:6]) + (q[6] >= "5")
+    if m == 10**6:  # rounded up to the next power of ten
+        x, m = x + 1, 10**5
+    digits = str(m).rstrip("0")
+    if not -4 <= x < 6:
+        head, tail, exp = digits[0], digits[1:], f"e{x:+03d}"
+    elif x < 0:
+        head, tail, exp = "0", "0" * (-x - 1) + digits, ""
+    else:
+        head, tail, exp = digits[:x + 1].ljust(x + 1, "0"), digits[x + 1:], ""
+    return f"{sign}{head}.{tail}{exp}" if tail else f"{sign}{head}{exp}"
 
 
 def _render_runs(render, column) -> list:

@@ -192,15 +192,14 @@ def sample_gamble(gamble: Gamble, trials: int, seed: int) -> list:
     (see :data:`RNG_ALGORITHM`), reimplemented bit for bit in integer
     arithmetic, so sampling needs no numpy.  Each draw takes one 64-bit word;
     numpy's search over the partial sums 1 - 2**-k for its 53-bit uniform
-    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m.  Round counts
-    are capped at the truncation depth; payoffs are exact Python integers.
+    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m.  Each round
+    count is paid by :meth:`Gamble.payoff`, as an exact Python integer.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     words = islice(_philox_words(_philox_key(seed)), trials)
-    depth = gamble.truncation_depth
-    return [1 << (min(max(1, 54 - ((1 << 53) - (w >> 11)).bit_length()), depth) - 1)
-            for w in words]
+    payoff = gamble.payoff
+    return [payoff(max(1, 54 - ((1 << 53) - (w >> 11)).bit_length())) for w in words]
 
 
 class ComparisonReport(NamedTuple):

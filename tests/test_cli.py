@@ -243,6 +243,16 @@ def test_fold_below_a_real_origin_is_an_error(capsys, monkeypatch):
     assert err == "error: step 1: -1/10 is below the partition origin 0\n"
 
 
+@pytest.mark.parametrize("flags, value, shown", [
+    (["--grid", "1/3"], f"{10**400}/3", "3.33333e+399"),                      # above floats
+    (["--bounds", "-1,1", "--domain", "real"], f"-1/{3**700}", "-1.03543e-334"),  # below them
+], ids=["huge", "tiny-negative"])
+def test_fold_table_renders_values_past_float_range(flags, value, shown, capsys, monkeypatch):
+    code, out, err = run(["fold", *flags], capsys, monkeypatch, stdin_text=value + "\n")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split()[1] == shown
+
+
 def test_fold_into_a_closed_pipe_ends_quietly(tmp_path):
     # far more rows than a pipe buffers, so the writer is still writing when
     # the reader leaves
@@ -398,7 +408,7 @@ def test_inert_refuses_a_bound_the_stream_breaks(stream, bound, tmp_path, capsys
     code, out, err = run(["inert", "--eps", "10", *stream, f"--bound={bound}",
                           "--format", "table"], capsys)
     assert (code, out) == (1, "")
-    assert err == f"error: --bound {bound} does not hold for this stream\n"
+    assert err == f"error: increment bound {bound} does not hold for this stream\n"
 
 
 @pytest.mark.parametrize("stream, bound", [

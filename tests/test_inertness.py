@@ -332,7 +332,71 @@ def test_verdict_json_shapes(eps10_ctx):
 
 
 def test_an_increment_bound_that_collapses_below_zero_is_refused():
-    ctx = CoarseContext(ExplicitBounds((-4, -2, 0, 3)))    # -3 collapses to -4
+    ctx = CoarseContext(ExplicitBounds((-3, 2)))    # the one cell holds 0, with rep -1
     with pytest.raises(ValueError) as exc:
-        detect_inert_stream(ctx, constant(1), horizon=10, increment_bound=-3)
-    assert str(exc.value) == "increment bound must collapse to a nonnegative value, got -4"
+        detect_inert_stream(ctx, constant(0), horizon=10, increment_bound=0)
+    assert str(exc.value) == "increment bound must collapse to a nonnegative value, got -1"
+
+
+# A certificate rests on its bound, so the stream must stay in [0, bound]: a
+# stream that states its top is checked by it alone, any other is read to the horizon.
+
+def test_a_bound_the_stream_breaks_is_refused_not_certified(eps10_ctx):
+    # 100 lies far above 1/2: a fold of 100s passes cell 6 at once
+    assert eps10_ctx.fold([100] * 40).steps[-1].s_cell > 6
+    with pytest.raises(ValueError) as exc:
+        detect_inert_stream(eps10_ctx, constant(100), 10, increment_bound=F(1, 2))
+    assert str(exc.value) == "increment bound 1/2 does not hold for this stream"
+
+
+@pytest.mark.parametrize("stream, bound", [
+    (constant(5), F(1, 2)),                  # above the bound
+    (constant(-1), F(1, 2)),                 # below 0
+    (constant(F(1, 2)), -1),                 # a bound below 0 holds for nothing
+    (harmonic(), F(1, 2)),                   # the first value, 1, is above it
+    (geometric(1, F(1, 2)), F(1, 3)),        # the first value, 1/2, is above it
+    (geometric(1, 2), 1),                    # climbs past any bound
+    (geometric(1, -1), 1),                   # the first value is negative
+    (geometric(-1, -1), 1),                  # the second value is negative
+    (geometric(-1, F(1, 2)), 1),             # every value is negative
+    (lambda t: F(100), F(1, 2)),             # a caller's stream of 100s
+    (lambda t: [F(1, 2), F(100)][t - 1], F(1, 2)),  # its second value is above it
+], ids=["const-above", "const-negative", "bound-negative", "harmonic", "geometric-above",
+        "geometric-climbing", "geometric-ratio-negative", "geometric-alternating",
+        "geometric-negative", "caller", "caller-late"])
+def test_a_stream_outside_the_bound_is_refused(eps10_ctx, stream, bound):
+    with pytest.raises(ValueError) as exc:
+        detect_inert_stream(eps10_ctx, stream, 2, increment_bound=bound)
+    assert str(exc.value) == f"increment bound {bound} does not hold for this stream"
+
+
+@pytest.mark.parametrize("stream, bound", [
+    (constant(F(1, 2)), F(1, 2)),
+    (harmonic(), 1),
+    (geometric(1, F(1, 2)), F(1, 2)),
+    (geometric(0, 3), 0),
+    (geometric(5, 0), 0),
+], ids=["const", "harmonic", "geometric", "geometric-zero", "geometric-ratio-zero"])
+def test_a_stream_at_the_edge_of_its_bound_is_certified(eps10_ctx, stream, bound):
+    assert detect_inert_stream(eps10_ctx, stream, 10**9, increment_bound=bound).certified
+
+
+def test_an_unmarked_stream_is_read_to_the_horizon(eps10_ctx):
+    stream = lambda t: F(t, 4)               # t/4 stays within 1/2 up to step 2
+    assert detect_inert_stream(eps10_ctx, stream, 2, increment_bound=F(1, 2)).certified
+    with pytest.raises(ValueError, match="does not hold"):
+        detect_inert_stream(eps10_ctx, stream, 3, increment_bound=F(1, 2))
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=st.one_of(st.builds(constant, rationals), st.builds(geometric, rationals, rationals),
+                        st.just(harmonic())))
+def test_a_factory_stream_states_its_top_exactly_when_it_never_rises(stream):
+    # a factory stream that stays in [0, gen(1)] at step 2 stays there for good
+    if 0 <= stream(2) <= stream(1):
+        assert stream.top == stream(1)
+    else:
+        assert not hasattr(stream, "top")
