@@ -11,10 +11,11 @@ and each one is run as ``python -m coarsesum.cli`` once per tree, with that
 tree first on ``PYTHONPATH``.  No workload passes ``--rep``, so a fixed list of
 extra commands follows: ``partition``, ``fold`` and ``inert`` under ``--rep max``
 on every family, and under ``--rep min`` on the families whose cells all hold
-their lower bound, then ``stpete`` at an ``--eps`` of 1, 0 and -1, around the
-small-eps guard that no workload reaches.  Every later tree's stdout, stderr
-and exit code are compared with the first tree's.  One line names each
-command that differs; the last line counts them.  The exit code is 1 if any
+their lower bound, then ``stpete`` at an ``--eps`` of 1 (also with sampling), 0
+and -1, below the 2 under which the closed form and the margin scan disagree,
+where no workload reaches.  Every later tree's stdout, stderr and exit code are
+compared with the first tree's.  One line names each command that differs; the
+last line counts them.  The exit code is 1 if any
 command differs, else 0.
 """
 
@@ -39,7 +40,7 @@ FAMILIES = {
     "bounds-real": ("--bounds", "0,1/2,1,7/3,10,50", "--domain", "real"),
 }
 CLOSED = ("width", "fibonacci", "bounds", "grid")
-STPETE = (("--eps", "1"), ("--eps", "1", "--allow-small-eps", "--depth", "20"),
+STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "0"), ("--eps", "-1"))
 
 

@@ -5,7 +5,8 @@ For each eps the expected-increment stream of the doubling gamble (one exact
 1/2 per round) is valued on the EpsilonGrowth(eps) partition: the closed-form
 absorbing cell floor(eps/2) + 1 is printed next to the strict margin scan and
 the representative of the scanned cell, the certified verdict's value, so the
-table doubles as a regression sweep for their agreement.  The sums never
+table doubles as a regression sweep for their agreement.  Below eps = 2 the
+two differ, and the row says NO.  The sums never
 pass that cell, but it is not where they settle: a fold of the 1/2 stream
 pins at cell 1, value 1/4, from step 2, for every eps.  Optionally draws
 payoffs and folds them for comparison.
@@ -37,8 +38,8 @@ def main() -> None:
     lo = parse_rational(args.eps_from)
     hi = parse_rational(args.eps_to)
     step = parse_rational(args.step)
-    if step <= 0 or lo < 2:
-        ap.error("need --step > 0 and --eps-from >= 2")
+    if step <= 0 or lo <= 0:
+        ap.error("need --step > 0 and --eps-from > 0")
 
     print(f"{'eps':>8}  {'formula':>7}  {'scan':>4}  {'agree':>5}  "
           f"{'absorbing rep':>13}  {'classical sum':>13}")

@@ -185,10 +185,6 @@ def _print_valuation_text(rep) -> None:
 
 def cmd_stpete(args) -> int:
     eps = parse_rational(args.eps)
-    if 0 < eps < 2 and not args.allow_small_eps:  # eps <= 0 gets the family's own error
-        raise ValueError(
-            f"eps = {eps} is below 2, where the closed form and the margin scan "
-            "disagree; pass --allow-small-eps to proceed")
     if args.trials > 0:
         report = compare_valuations(eps, Gamble(args.truncation), args.trials,
                                     args.seed, depth=args.depth)
@@ -264,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampling seed (default: 0)")
     p.add_argument("--truncation", type=_count, default=64, metavar="D",
                    help="gamble truncation depth for sampling (default: 64)")
-    p.add_argument("--allow-small-eps", action="store_true",
-                   help="permit eps < 2, where formula and scan disagree")
     p.add_argument("--format", choices=["table", "json"], default="table")
     p.set_defaults(func=cmd_stpete)
     return parser

@@ -108,13 +108,11 @@ def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
     return InertVerdict(Outcome.NO_VERDICT, horizon=horizon, increasing_run=climb)
 
 
-def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
-                         strict: bool = True) -> int | None:
-    """Smallest cell index whose upward margin beats a collapsed increment.
+def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep) -> int | None:
+    """Smallest cell index whose upward margin strictly exceeds a collapsed increment.
 
-    ``strict`` compares with ``>`` (never satisfied by an exact tie);
-    non-strict uses ``>=``.  Returns None when no cell ever qualifies, which
-    can only happen for bounded-margin families (fixed width, singleton
+    An exact tie never qualifies.  Returns None when no cell ever qualifies,
+    which can only happen for bounded-margin families (fixed width, singleton
     grids, max policy, or finite explicit layouts).  It reads any policy on
     any partition; ``CoarseContext`` is where min on cells open below is refused.
     """
@@ -127,8 +125,7 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep,
     def hit(i: int) -> bool:
         # margin (hi - pick)/scale against p/q, with both sides times scale*q
         lo, hi = span(i)
-        m = (hi - _pick(lo, hi, policy)) * q
-        return m > bar if strict else m >= bar
+        return (hi - _pick(lo, hi, policy)) * q > bar
 
     last = partition.max_index
     if last is None and (partition.constant_margins or policy is _MAX):
@@ -208,10 +205,12 @@ def harmonic() -> Callable[[int], Fraction]:
 
 
 def geometric(coefficient, ratio) -> Callable[[int], Fraction]:
-    """t -> coefficient * ratio**t for t = 1, 2, 3, ..."""
+    """t -> coefficient * ratio**t for t = 1, 2, 3, ...; a constant one is :func:`constant`."""
     c = parse_rational(coefficient)
     r = parse_rational(ratio)
+    if c == 0 or r in (0, 1):
+        return constant(c * r)
     stream = lambda t: c * r**t
-    if c == 0 or r == 0 or (c > 0 and 0 < r <= 1):
+    if c > 0 and 0 < r < 1:
         stream.top = c * r
     return stream

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, FoldStep, Policy, build_partition)
+                       FixedWidth, FoldStep, Policy, margin_pos)
 
 settings.register_profile("default", deadline=None)
 settings.load_profile("default")
@@ -13,7 +13,7 @@ settings.load_profile("default")
 
 @pytest.fixture
 def fib():
-    return build_partition(Fibonacci())
+    return Fibonacci()
 
 
 @pytest.fixture
@@ -24,7 +24,7 @@ def fib_ctx(fib):
 @pytest.fixture
 def tiers():
     # three integer cells {0,1,2}, {3,4,5}, {6..16}
-    return build_partition(ExplicitBounds((0, 3, 6, 17)))
+    return ExplicitBounds((0, 3, 6, 17))
 
 
 @pytest.fixture
@@ -34,7 +34,7 @@ def tiers_ctx(tiers):
 
 @pytest.fixture
 def eps10():
-    return build_partition(EpsilonGrowth(Fraction(10)))
+    return EpsilonGrowth(Fraction(10))
 
 
 @pytest.fixture
@@ -69,3 +69,14 @@ def assert_json_rows_match_steps():
                     value = f"{value.numerator}/{value.denominator}"
                 assert type(row[key]) is type(value) and row[key] == value, (step.n, key)
     return check
+
+
+@pytest.fixture(scope="session")
+def absorbing_by_cells():
+    """The certificate's oracle: the first cell whose ``margin_pos`` strictly exceeds
+    ``inc``, read off ``Cell``s, among every cell of a finite layout or the first 200."""
+    def first(partition, policy, inc):
+        margins = (margin_pos(partition.cell_at(i), policy)
+                   for i in range(1, (partition.max_index or 200) + 1))
+        return next((i for i, m in enumerate(margins, start=1) if m > inc), None)
+    return first

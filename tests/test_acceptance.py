@@ -15,7 +15,7 @@ from fractions import Fraction as F
 
 from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, Gamble, Outcome, Policy,
-                       SingletonGrid, build_partition, constant,
+                       SingletonGrid, constant,
                        detect_inert_stream, detect_inert_trace,
                        first_absorbing_cell, harmonic, margin_neg, margin_pos,
                        rep_of_cell, sample_gamble)
@@ -27,11 +27,11 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def fib_ctx() -> CoarseContext:
-    return CoarseContext(build_partition(Fibonacci()), Policy.MEDIAN_LOWER)
+    return CoarseContext(Fibonacci(), Policy.MEDIAN_LOWER)
 
 
 def test_criterion_01_fibonacci_golden_cells():
-    p = build_partition(Fibonacci())
+    p = Fibonacci()
     got_cells = [(int(c.lower), int(c.upper))
                  for c in (p.cell_at(i) for i in range(1, 7))]
     want_cells = [(0, 0), (1, 1), (2, 3), (4, 6), (7, 11), (12, 19)]
@@ -63,7 +63,7 @@ def test_criterion_04_odd_width_associativity_sweep():
     failures = 0
     cases = 0
     for w in (1, 3, 5, 7, 9):
-        ctx = CoarseContext(build_partition(FixedWidth(w)))
+        ctx = CoarseContext(FixedWidth(w))
         top = 119                     # cell_add never leaves [1, 119] on [1,40]^3
         table = [[0] * (top + 1) for _ in range(top + 1)]
         for i in range(1, top + 1):
@@ -86,7 +86,7 @@ def test_criterion_04_odd_width_associativity_sweep():
 
 
 def test_criterion_05_zero_margin_corollary():
-    ctx = CoarseContext(build_partition(SingletonGrid(1)))
+    ctx = CoarseContext(SingletonGrid(1))
     margins_zero = all(
         margin_pos(c) == margin_neg(c) == 0
         for c in (ctx.partition.cell_at(i) for i in range(1, 10_002)))
@@ -99,7 +99,7 @@ def test_criterion_05_zero_margin_corollary():
 
 
 def test_criterion_06_inert_fold_example():
-    ctx = CoarseContext(build_partition(ExplicitBounds((0, 3, 6, 17))))
+    ctx = CoarseContext(ExplicitBounds((0, 3, 6, 17)))
     v4 = detect_inert_trace(ctx.fold([4] * 10))
     v5 = detect_inert_trace(ctx.fold([5] * 10))
     ok = ((v4.n_stable, v4.cell_index, v4.fixed_value) == (2, 3, 11)
@@ -118,9 +118,9 @@ def test_criterion_07_absorbing_cell_formula():
         randoms.append(eps)
     mismatch = 0
     for eps in named + randoms:
-        p = build_partition(EpsilonGrowth(eps))
+        p = EpsilonGrowth(eps)
         ctx = CoarseContext(p)
-        scan = first_absorbing_cell(p, Policy.MEDIAN_LOWER, F(1, 4), strict=True)
+        scan = first_absorbing_cell(p, Policy.MEDIAN_LOWER, F(1, 4))
         verdict = detect_inert_stream(ctx, constant(F(1, 2)), horizon=100,
                                       increment_bound=F(1, 2))
         want = math.floor(eps / 2) + 1
@@ -128,7 +128,7 @@ def test_criterion_07_absorbing_cell_formula():
             mismatch += 1
     stays = True
     for eps in named:
-        ctx = CoarseContext(build_partition(EpsilonGrowth(eps)))
+        ctx = CoarseContext(EpsilonGrowth(eps))
         cell = first_absorbing_cell(ctx.partition, ctx.policy, F(1, 4))
         s = rep_of_cell(ctx.partition.cell_at(cell))
         for _ in range(1000):
@@ -143,7 +143,7 @@ def test_criterion_07_absorbing_cell_formula():
 
 
 def test_criterion_08_classical_divergence_control():
-    ctx = CoarseContext(build_partition(SingletonGrid(F(1, 2))))
+    ctx = CoarseContext(SingletonGrid(F(1, 2)))
     trace = ctx.fold([F(1, 2)] * 10_000)
     verdict = detect_inert_trace(trace)
     ok = (verdict.outcome is Outcome.NO_VERDICT and verdict.horizon == 10_000
@@ -152,7 +152,7 @@ def test_criterion_08_classical_divergence_control():
 
 
 def test_criterion_09_harmonic_series_admitted():
-    ctx = CoarseContext(build_partition(EpsilonGrowth(4)))
+    ctx = CoarseContext(EpsilonGrowth(4))
     verdict = detect_inert_stream(ctx, harmonic(), horizon=10_000)
     exact = sum((F(1, t) for t in range(1, 10_001)), F(0))
     ok = verdict.inert and exact > 9
@@ -194,9 +194,9 @@ def test_criterion_10_monte_carlo_sanity():
 
 
 def test_criterion_11_boundary_tension_pinned():
-    ctx = CoarseContext(build_partition(EpsilonGrowth(10)))
+    ctx = CoarseContext(EpsilonGrowth(10))
     observed = detect_inert_trace(ctx.fold([F(1, 2)] * 50))
-    scan = first_absorbing_cell(ctx.partition, ctx.policy, F(1, 4), strict=True)
+    scan = first_absorbing_cell(ctx.partition, ctx.policy, F(1, 4))
     ok = ((observed.n_stable, observed.cell_index, observed.fixed_value)
           == (2, 1, F(1, 4)) and scan == 6)
     report(11, ok, f"membership fold settles at cell {observed.cell_index} from "

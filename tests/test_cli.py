@@ -457,22 +457,18 @@ def test_stpete_json(capsys):
     assert d["verdict"]["value"] == "11/5"
 
 
-def test_stpete_small_eps_guard(capsys):
-    code, _, err = run(["stpete", "--eps", "1"], capsys)
-    assert code == 1
-    assert err == ("error: eps = 1 is below 2, where the closed form and the margin scan "
-                   "disagree; pass --allow-small-eps to proceed\n")
-    code, out, _ = run(["stpete", "--eps", "1", "--depth", "20",
-                        "--allow-small-eps"], capsys)
-    assert code == 0
+def test_stpete_small_eps_reports_the_disagreement(capsys):
+    # below 2 the report runs, and says that the closed form and the scan disagree
+    code, out, err = run(["stpete", "--eps", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert "absorbing cell (closed form)         : 1" in out
+    assert "absorbing cell (margin scan)         : 2" in out
     assert "agreement                            : no" in out
 
 
-@pytest.mark.parametrize("flags", [[], ["--allow-small-eps"]], ids=["guarded", "allowed"])
 @pytest.mark.parametrize("eps", ["0", "-1"])
-def test_stpete_nonpositive_eps_gets_the_family_error(eps, flags, capsys):
-    # the small-eps guard is for 0 < eps < 2; no flag can make eps <= 0 valid
-    assert run(["stpete", "--eps", eps, *flags], capsys) == (
+def test_stpete_nonpositive_eps_gets_the_family_error(eps, capsys):
+    assert run(["stpete", "--eps", eps], capsys) == (
         1, "", f"error: epsilon: must be positive, got {eps}\n")
 
 

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, FoldStep, FoldTrace, InertVerdict, Outcome,
                        OutOfRangeError, Partition, Policy, SingletonGrid, SpecError,
-                       build_partition, constant, detect_inert_stream,
+                       constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, format_decimal,
-                       format_rational, geometric, harmonic, margin_pos, parse_rational,
+                       format_rational, geometric, harmonic, parse_rational,
                        rep_of_cell, rep_of_value)
 from coarsesum.rationals import write_rows
 from coarsesum import representatives
@@ -120,7 +120,7 @@ def fold_cases(draw, family, policy):
 @given(data=st.data())
 def test_fold_is_a_left_fold_of_rep_add(family, policy, data):
     spec, stream = data.draw(fold_cases(family, policy))
-    assert_fold_matches(CoarseContext(build_partition(spec), policy), stream)
+    assert_fold_matches(CoarseContext(spec, policy), stream)
 
 
 @pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
@@ -130,7 +130,7 @@ def test_trace_rows_round_trip_and_csv_matches_json(family, policy, data,
                                                     assert_csv_matches_json,
                                                     assert_json_rows_match_steps):
     spec, stream = data.draw(fold_cases(family, policy))
-    ctx = CoarseContext(build_partition(spec), policy)
+    ctx = CoarseContext(spec, policy)
     expected = rep_add_fold(ctx, stream)
     if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
         stream = stream[:expected[1] - 1]
@@ -150,7 +150,7 @@ LONG_FOLD_IDS = ["grid", "width-1", "eps-1/3", "fibonacci"]
 
 @pytest.mark.parametrize("spec, values, policy", under_policies(LONG_FOLDS, LONG_FOLD_IDS))
 def test_long_folds_match_past_the_representative_memo(spec, values, policy):
-    assert_fold_matches(CoarseContext(build_partition(spec), policy), values)
+    assert_fold_matches(CoarseContext(spec, policy), values)
 
 
 MIN_REFUSED = ("policy: min is refused on {}, whose cells are open below: "
@@ -202,7 +202,7 @@ def test_range_errors_mid_fold_carry_their_step(tiers_ctx, values, step, cause):
 
 
 def test_range_errors_carry_their_step_on_explicit_cells():
-    ctx = CoarseContext(build_partition(ExplicitBounds((0, 2, 4))))   # {0, 1}, {2, 3}
+    ctx = CoarseContext(ExplicitBounds((0, 2, 4)))   # {0, 1}, {2, 3}
     with pytest.raises(OutOfRangeError) as exc:
         ctx.fold([1, 3, 3])                 # reps 2 + 2 = 4 lies past both cells
     assert exc.value.step == 3
@@ -210,7 +210,7 @@ def test_range_errors_carry_their_step_on_explicit_cells():
 
 def test_domain_errors_carry_their_step_on_explicit_cells():
     # under min, -4 + -4 = -8 falls below the origin on the second step
-    ctx = CoarseContext(build_partition(ExplicitBounds((-4, 1, 2, 9, 30))), Policy.MIN)
+    ctx = CoarseContext(ExplicitBounds((-4, 1, 2, 9, 30)), Policy.MIN)
     with pytest.raises(DomainError) as exc:
         ctx.fold([-4, -4])
     assert exc.value.step == 2
@@ -251,7 +251,7 @@ def first_fixed_step(ctx, value, steps=40):
 @given(data=st.data())
 def test_constant_streams_judge_as_their_folds(family, policy, data):
     spec, values = data.draw(family_case(family, policy))
-    ctx = CoarseContext(build_partition(spec), policy)
+    ctx = CoarseContext(spec, policy)
     value = data.draw(values)
     k = first_fixed_step(ctx, value)
     for horizon in sorted({1, 2, 3, max(1, k - 1), k, k + 1, k + 7}):
@@ -265,7 +265,7 @@ def test_constant_streams_judge_as_their_folds(family, policy, data):
 @given(data=st.data())
 def test_streams_judge_as_their_folds(family, policy, data):
     spec, stream = data.draw(fold_cases(family, policy))
-    ctx = CoarseContext(build_partition(spec), policy)
+    ctx = CoarseContext(spec, policy)
     assert_streamed_verdict_matches(ctx, lambda t: stream[t - 1], len(stream))
     horizon = data.draw(st.integers(1, 60))
     assert_streamed_verdict_matches(ctx, harmonic(), horizon)
@@ -282,7 +282,7 @@ def test_streams_judge_as_their_folds(family, policy, data):
     (SingletonGrid(F(1, 2)), Policy.MEDIAN_LOWER, harmonic(), DomainError, 3),
 ], ids=["range-sum", "range-climb", "below-origin", "not-integer", "off-grid"])
 def test_streams_that_fail_mid_fold_fail_alike(spec, policy, gen, error, step):
-    ctx = CoarseContext(build_partition(spec), policy)
+    ctx = CoarseContext(spec, policy)
     got = assert_streamed_verdict_matches(ctx, gen, 50)
     assert got[:2] == (error, step)
 
@@ -335,13 +335,13 @@ def assert_index_matches_membership(partition, x):
 @settings(max_examples=300)
 @given(eps=EPSILONS, x=VALUES)
 def test_epsilon_index_agrees_with_membership(eps, x):
-    assert_index_matches_membership(build_partition(EpsilonGrowth(eps)), x)
+    assert_index_matches_membership(EpsilonGrowth(eps), x)
 
 
 @settings(max_examples=300)
 @given(eps=EPSILONS, k=st.one_of(st.integers(1, 2000), st.integers(1, 2**40)))
 def test_epsilon_index_at_exact_bounds(eps, k):
-    p = build_partition(EpsilonGrowth(eps))
+    p = EpsilonGrowth(eps)
     b = eps_bound(eps, k)
     assert p.index_of(b) == k              # upper bounds are closed
     for x in (b, b + F(1, 10**30), b - F(1, 10**30)):
@@ -396,11 +396,11 @@ def _cell_indexes(spec, draw):
 @settings(max_examples=300)
 @given(spec=SPECS, data=st.data())
 def test_cells_and_representatives_agree_with_integer_spans(spec, data):
-    partition, d = build_partition(spec), spec.scale
+    d = spec.scale
     assert type(d) is int and d >= 1
     for i in _cell_indexes(spec, data.draw):
         lo, hi = spec.span(i)
-        cell = partition.cell_at(i)
+        cell = spec.cell_at(i)
         assert type(lo) is int and type(hi) is int
         assert (cell.lower, cell.upper) == (F(lo, d), F(hi, d))
         for policy in POLICIES:
@@ -408,19 +408,19 @@ def test_cells_and_representatives_agree_with_integer_spans(spec, data):
             assert rep_of_cell(cell, policy) == rep
             assert (rep * d).denominator == 1          # on the scale, as the fold keeps it
             member = cell.upper                         # upper bounds are closed
-            assert rep_of_value(partition, member, policy) == rep
-            assert type(rep_of_value(partition, member, policy)) is F
+            assert rep_of_value(spec, member, policy) == rep
+            assert type(rep_of_value(spec, member, policy)) is F
 
 
 @settings(max_examples=300)
 @given(spec=SPECS, data=st.data())
 def test_scaled_lookup_agrees_with_index_of(spec, data):
-    partition, d = build_partition(spec), spec.scale
+    d = spec.scale
     first = spec.span(1)[0]
     last = spec.span(spec.max_index)[1] if spec.max_index else first + 50 * d * d
     for n in data.draw(st.lists(st.integers(first - 3, last + 3), min_size=1, max_size=20)):
         try:
-            expected = partition.index_of(F(n, d))
+            expected = spec.index_of(F(n, d))
         except (DomainError, OutOfRangeError) as exc:
             with pytest.raises(type(exc)) as got:
                 spec.index_scaled(n)
@@ -458,7 +458,7 @@ FAMILY_IDS = ["fixed-width", "fibonacci", "epsilon", "explicit-real", "grid"]
 @pytest.mark.parametrize("spec, values, policy", under_policies(FRACTION_FREE, FAMILY_IDS))
 def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, policy,
                                                              monkeypatch):
-    ctx = CoarseContext(build_partition(spec), policy)
+    ctx = CoarseContext(spec, policy)
     expected = rep_add_fold(ctx, values)
     forbid_fraction_arithmetic_and_cells(monkeypatch)
     steps = ctx.fold(values).steps
@@ -482,7 +482,7 @@ CLIMBING_IDS = [type(c[0]).__name__ for c in CLIMBING]
 def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, monkeypatch):
     """Sums collapse off the cell the kernel holds; only inputs go through ``rep_of_value``."""
     from coarsesum import ops
-    ctx = CoarseContext(build_partition(spec), policy)
+    ctx = CoarseContext(spec, policy)
     expected = rep_add_fold(ctx, values)
     lookups, collapsed = [0], []
     family = type(spec)
@@ -519,14 +519,6 @@ def forbid_cells(monkeypatch):
     monkeypatch.setattr(representatives, "rep_of_cell", forbidden)
 
 
-def absorbing_by_cells(partition, policy, inc, strict):
-    """First cell among the first 200 whose ``margin_pos`` beats ``inc``."""
-    margins = (margin_pos(partition.cell_at(i), policy)
-               for i in range(1, (partition.max_index or 200) + 1))
-    return next((i for i, m in enumerate(margins, start=1)
-                 if (m > inc if strict else m >= inc)), None)
-
-
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
 @pytest.mark.parametrize("spec, increments", [
     (FixedWidth(7), [0, 2, F(5, 2), 3, 4]),
@@ -535,13 +527,12 @@ def absorbing_by_cells(partition, policy, inc, strict):
     (ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS), [0, F(1, 2), 3, 20, 30]),
     (SingletonGrid(F(3, 4)), [0, F(3, 4)]),
 ], ids=FAMILY_IDS)
-def test_certificate_scan_does_no_fraction_arithmetic_and_builds_no_cells(spec, increments,
-                                                                         policy, monkeypatch):
-    partition = build_partition(spec)
-    cases = [(F(inc), strict) for inc in increments for strict in (True, False)]
-    expected = [absorbing_by_cells(partition, policy, inc, strict) for inc, strict in cases]
+def test_certificate_scan_does_no_fraction_arithmetic_and_builds_no_cells(
+        spec, increments, policy, monkeypatch, absorbing_by_cells):
+    increments = list(map(F, increments))
+    expected = [absorbing_by_cells(spec, policy, inc) for inc in increments]
     forbid_fraction_arithmetic_and_cells(monkeypatch)
-    got = [first_absorbing_cell(partition, policy, inc, strict) for inc, strict in cases]
+    got = [first_absorbing_cell(spec, policy, inc) for inc in increments]
     monkeypatch.undo()
     assert got == expected
 
@@ -555,10 +546,10 @@ def cell_add_by_cells(partition, policy, i, k):
         return type(exc), str(exc)
 
 
-def certified_by_cells(ctx, bound, horizon):
+def certified_by_cells(ctx, bound, horizon, absorbing_by_cells):
     """The verdict on a constant stream under ``bound``, with the certificate read off cells."""
     rep_b = rep_of_cell(ctx.partition.cell_of(bound), ctx.policy)
-    target = absorbing_by_cells(ctx.partition, ctx.policy, rep_b, strict=True)
+    target = absorbing_by_cells(ctx.partition, ctx.policy, rep_b)
     if target is None:
         return verdict_or_error(lambda: detect_inert_trace(ctx.fold([bound] * horizon)))
     value = rep_of_cell(ctx.partition.cell_at(target), ctx.policy)
@@ -576,12 +567,12 @@ CERTIFIED = [
 
 
 @pytest.mark.parametrize("spec, bounds, policy", under_policies(CERTIFIED, FAMILY_IDS))
-def test_cell_add_and_certified_verdicts_read_spans_and_build_no_cells(spec, bounds, policy,
-                                                                      monkeypatch):
+def test_cell_add_and_certified_verdicts_read_spans_and_build_no_cells(
+        spec, bounds, policy, monkeypatch, absorbing_by_cells):
     ctx, horizon = CoarseContext(spec, policy), 30
     pairs = [(i, k) for i in range(1, (spec.max_index or 12) + 1) for k in range(1, 13)]
     sums = [cell_add_by_cells(spec, policy, i, k) for i, k in pairs]
-    verdicts = [certified_by_cells(ctx, b, horizon) for b in bounds]
+    verdicts = [certified_by_cells(ctx, b, horizon, absorbing_by_cells) for b in bounds]
     forbid_cells(monkeypatch)
     got_sums = []
     for i, k in pairs:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                        FixedWidth, InertVerdict, Outcome, Policy, SingletonGrid,
-                       build_partition, constant, detect_inert_stream,
+                       constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, geometric,
                        harmonic, margin_pos, rep_of_cell)
 
@@ -27,7 +27,7 @@ def test_constant_five_settles_at_same_value(tiers_ctx):
 
 
 def test_singleton_sums_never_settle():
-    ctx = CoarseContext(build_partition(SingletonGrid(1)))
+    ctx = CoarseContext(SingletonGrid(1))
     v = detect_inert_trace(ctx.fold([1] * 100))
     assert v.outcome is Outcome.NO_VERDICT
     assert v.horizon == 100
@@ -68,7 +68,7 @@ def test_zero_stream_drifts_to_first_rep_on_real_cells(eps10_ctx):
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=40))
 def test_stable_step_is_minimal(xs):
-    ctx = CoarseContext(build_partition(Fibonacci()))
+    ctx = CoarseContext(Fibonacci())
     trace = ctx.fold(xs)
     v = detect_inert_trace(trace)
     assert v.outcome in (Outcome.INERT, Outcome.NO_VERDICT)
@@ -88,36 +88,32 @@ def test_empty_trace_rejected(fib_ctx):
 # ------------------------------------------------------- margin certificates
 
 def test_first_absorbing_cell_golden_cases(fib, eps10, tiers):
-    eps4 = build_partition(EpsilonGrowth(4))
+    eps4 = EpsilonGrowth(4)
     med = Policy.MEDIAN_LOWER
     assert first_absorbing_cell(eps10, med, F(1, 4)) == 6
     assert first_absorbing_cell(eps4, med, F(1, 4)) == 3
     assert first_absorbing_cell(fib, med, 2) == 6
     assert first_absorbing_cell(fib, med, 0) == 3          # first nonzero margin
-    assert first_absorbing_cell(fib, med, 0, strict=False) == 1
 
 
 ABSORB_SPECS = [FixedWidth(3), Fibonacci(), EpsilonGrowth(2),
                 ExplicitBounds((0, 3, 6, 17)), SingletonGrid(F(1, 2))]
 
 
-def test_first_absorbing_cell_matches_enumerated_margins():
+def test_first_absorbing_cell_matches_enumerated_margins(absorbing_by_cells):
     for spec in ABSORB_SPECS:
-        p = build_partition(spec)
-        last = 40 if p.max_index is None else p.max_index
+        last = 40 if spec.max_index is None else spec.max_index
         for policy in Policy:
-            margins = [margin_pos(p.cell_at(i), policy) for i in range(1, last + 1)]
             if spec.constant_margins:   # so a miss at cell 1 is a miss everywhere
-                assert len(set(margins)) == 1, (spec, policy)
-            growing = (p.max_index is None and not spec.constant_margins
+                margins = {margin_pos(spec.cell_at(i), policy) for i in range(1, last + 1)}
+                assert len(margins) == 1, (spec, policy)
+            growing = (spec.max_index is None and not spec.constant_margins
                        and policy is not Policy.MAX)
             for inc in (0, F(1, 2), 1, 2, 3, 5, 9):
-                for strict in (True, False):
-                    want = next((i for i, m in enumerate(margins, start=1)
-                                 if (m > inc if strict else m >= inc)), None)
-                    case = (spec, policy, inc, strict)
-                    assert want is not None or not growing, case   # window holds it
-                    assert first_absorbing_cell(p, policy, inc, strict) == want, case
+                want = absorbing_by_cells(spec, policy, inc)
+                case = (spec, policy, inc)
+                assert want is not None or not growing, case   # window holds it
+                assert first_absorbing_cell(spec, policy, inc) == want, case
 
 
 ABSORB_DRAWN = st.one_of(
@@ -139,46 +135,40 @@ ABSORB_DRAWN = st.one_of(
 
 @settings(max_examples=200)
 @given(spec=ABSORB_DRAWN, policy=st.sampled_from(list(Policy)))
-def test_first_absorbing_cell_matches_enumerated_margins_drawn(spec, policy):
+def test_first_absorbing_cell_matches_enumerated_margins_drawn(spec, policy, absorbing_by_cells):
     # increments at every margin in the window (exact ties), between them and
     # beyond them, against a scan of the cells themselves
-    p = build_partition(spec)
-    last = 40 if p.max_index is None else p.max_index
-    margins = [margin_pos(p.cell_at(i), policy) for i in range(1, last + 1)]
-    levels = sorted(set(margins))
-    growing = (p.max_index is None and not spec.constant_margins and policy is not Policy.MAX)
+    last = 40 if spec.max_index is None else spec.max_index
+    levels = sorted({margin_pos(spec.cell_at(i), policy) for i in range(1, last + 1)})
+    growing = (spec.max_index is None and not spec.constant_margins and policy is not Policy.MAX)
     incs = levels[:-1] if growing else levels + [levels[-1] + 1]  # the window holds each hit
     incs += [(a + b) / 2 for a, b in zip(levels, levels[1:])] + [levels[0] / 2]
     for inc in incs:
-        for strict in (True, False):
-            want = next((i for i, m in enumerate(margins, start=1)
-                         if (m > inc if strict else m >= inc)), None)
-            case = (spec, policy, inc, strict)
-            assert want is not None or not growing, case
-            assert first_absorbing_cell(p, policy, inc, strict) == want, case
+        want = absorbing_by_cells(spec, policy, inc)
+        case = (spec, policy, inc)
+        assert want is not None or not growing, case
+        assert first_absorbing_cell(spec, policy, inc) == want, case
 
 
 def test_constant_margin_families_absorb_or_never_do():
-    w3 = build_partition(FixedWidth(3))
+    w3 = FixedWidth(3)
     med = Policy.MEDIAN_LOWER
     assert first_absorbing_cell(w3, med, 1) is None         # margin is exactly 1
-    assert first_absorbing_cell(w3, med, 1, strict=False) == 1
     assert first_absorbing_cell(w3, med, 0) == 1
-    grid = build_partition(SingletonGrid(F(1, 2)))
+    grid = SingletonGrid(F(1, 2))
     assert first_absorbing_cell(grid, med, F(1, 2)) is None
-    assert first_absorbing_cell(grid, med, 0, strict=False) == 1
+    assert first_absorbing_cell(grid, med, 0) is None       # every margin is 0
 
 
 def test_max_policy_has_no_upward_margin(eps10):
     assert first_absorbing_cell(eps10, Policy.MAX, F(1, 4)) is None
-    assert first_absorbing_cell(eps10, Policy.MAX, 0, strict=False) == 1
+    assert first_absorbing_cell(eps10, Policy.MAX, 0) is None   # a tie at 0, strict
 
 
 def test_finite_partition_scans_every_cell(tiers):
     med = Policy.MEDIAN_LOWER
     assert first_absorbing_cell(tiers, med, 4) == 3      # margin 5 beats 4
     assert first_absorbing_cell(tiers, med, 5) is None   # tie, strict
-    assert first_absorbing_cell(tiers, med, 5, strict=False) == 3
 
 
 class SpanCounter:
@@ -254,7 +244,7 @@ def test_membership_fold_can_settle_below_the_certificate(eps10_ctx):
 
 
 def test_bound_without_absorbing_cell_falls_back_to_folding():
-    ctx = CoarseContext(build_partition(FixedWidth(3)))
+    ctx = CoarseContext(FixedWidth(3))
     v = detect_inert_stream(ctx, constant(1), horizon=20, increment_bound=1)
     assert v.inert and not v.certified      # observed: sums are constant 1
     assert (v.n_stable, v.fixed_value) == (1, 1)
@@ -267,14 +257,14 @@ def test_stream_without_bound_matches_trace_judgement(tiers_ctx):
 
 
 def test_harmonic_stream_settles_observably():
-    ctx = CoarseContext(build_partition(EpsilonGrowth(4)))
+    ctx = CoarseContext(EpsilonGrowth(4))
     v = detect_inert_stream(ctx, harmonic(), horizon=100)
     assert v.inert and not v.certified
     assert (v.n_stable, v.cell_index, v.fixed_value) == (2, 2, F(3, 4))
 
 
 def test_geometric_stream_certified():
-    ctx = CoarseContext(build_partition(EpsilonGrowth(10)))
+    ctx = CoarseContext(EpsilonGrowth(10))
     # values 1/2, 1/4, 1/8, ... are all bounded by 1/2
     v = detect_inert_stream(ctx, geometric(1, F(1, 2)), horizon=500,
                             increment_bound=F(1, 2))
@@ -295,7 +285,7 @@ def test_negative_bound_rejected(eps10_ctx):
 def test_certificate_never_beats_observation_downward(c):
     # whenever both paths give a verdict, the observed settling cell is
     # never above the certified absorbing cell
-    ctx = CoarseContext(build_partition(EpsilonGrowth(10)))
+    ctx = CoarseContext(EpsilonGrowth(10))
     observed = detect_inert_stream(ctx, constant(c), horizon=60)
     certified = detect_inert_stream(ctx, constant(c), horizon=60,
                                     increment_bound=F(1, 2))
@@ -314,6 +304,19 @@ def test_stream_factories():
     assert [g(t) for t in (1, 2, 3)] == [F(3, 2), F(3, 4), F(3, 8)]
 
 
+@pytest.mark.parametrize("family, c, r", [
+    (FixedWidth(3), 1, 1), (FixedWidth(3), 0, 3), (EpsilonGrowth(10), 5, 0),
+    (EpsilonGrowth(10), F(1, 2), 1), (ExplicitBounds((-9, 0, 9), Domain.REALS), -2, 1),
+], ids=["ratio-one", "coefficient-zero", "ratio-zero", "half", "negative"])
+def test_a_constant_geometric_stream_stops_at_its_fixed_point(family, c, r):
+    stream = geometric(c, r)
+    assert stream.period == 1 and stream(1) == stream(2) == c * r
+    # so a horizon of 1e9 steps ends at once, with the 1000-step verdict
+    ctx = CoarseContext(family)
+    long, short = (detect_inert_stream(ctx, stream, n) for n in (10**9, 1000))
+    assert long == short._replace(horizon=10**9)
+
+
 # -------------------------------------------------------------- wire format
 
 def test_verdict_json_shapes(eps10_ctx):
@@ -323,7 +326,7 @@ def test_verdict_json_shapes(eps10_ctx):
         "outcome": "inert", "N": 6, "cell": 6, "value": "11/5",
         "horizon": 30, "certified": True,
     }
-    ctx = CoarseContext(build_partition(SingletonGrid(1)))
+    ctx = CoarseContext(SingletonGrid(1))
     nv = detect_inert_trace(ctx.fold([1] * 5))
     assert nv.to_json_dict() == {
         "outcome": "no_verdict", "N": None, "cell": None, "value": None,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, OutOfRangeError, Policy, SingletonGrid,
-                       SpecError, build_partition, margin_pos, rep_of_cell)
+                       SpecError, margin_pos, rep_of_cell)
 
 
 # ---------------------------------------------------------------- rep_add
@@ -64,7 +64,7 @@ def test_absorption_iff_increment_rep_fits_in_margin(fib_ctx, fib):
 
 
 def test_absorption_fixed_width(fib_ctx):
-    ctx = CoarseContext(build_partition(FixedWidth(5)))
+    ctx = CoarseContext(FixedWidth(5))
     # rep of every cell is >= 2, margin_pos is always 2: only cells with rep <= 2 absorb
     for i, k in itertools.product(range(1, 21), repeat=2):
         expected = rep_of_cell(ctx.partition.cell_at(k)) <= 2
@@ -101,7 +101,7 @@ def test_cell_add_non_associativity_witness(fib_ctx):
        j=st.integers(min_value=1, max_value=60),
        k=st.integers(min_value=1, max_value=60))
 def test_odd_width_cell_add_is_shifted_addition(w, i, j, k):
-    ctx = CoarseContext(build_partition(FixedWidth(w)))
+    ctx = CoarseContext(FixedWidth(w))
     assert ctx.cell_add(i, j) == i + j - 1
     assert ctx.cell_add(ctx.cell_add(i, j), k) == ctx.cell_add(i, ctx.cell_add(j, k))
 
@@ -111,7 +111,7 @@ def test_odd_width_cell_add_is_shifted_addition(w, i, j, k):
        j=st.integers(min_value=1, max_value=40))
 def test_even_width_cell_add_undershoots(w, i, j):
     # reps sit below center, so the sum of two reps lands one cell short
-    ctx = CoarseContext(build_partition(FixedWidth(w)))
+    ctx = CoarseContext(FixedWidth(w))
     assert ctx.cell_add(i, j) in (i + j - 2, i + j - 1)
 
 
@@ -129,7 +129,7 @@ def test_distortion_examples(fib_ctx):
 
 
 def test_distortion_brute_force_width_three():
-    ctx = CoarseContext(build_partition(FixedWidth(3)))
+    ctx = CoarseContext(FixedWidth(3))
     assert ctx.rep_add(4, 7) == 10          # both already reps; 11 -> cell 4 -> rep 10
     assert ctx.rep_add(4, 6) == 4 + 6       # 10 is the rep of its own cell
     # every coarse sum is a rep 3k + 1, so only a pair summing to one can be exact
@@ -141,7 +141,7 @@ def test_distortion_brute_force_width_three():
 @given(st.integers(min_value=0, max_value=10**4),
        st.integers(min_value=0, max_value=10**4))
 def test_width_one_is_exact(x, y):
-    ctx = CoarseContext(build_partition(FixedWidth(1)))
+    ctx = CoarseContext(FixedWidth(1))
     assert ctx.rep_add(x, y) == x + y
 
 
@@ -184,7 +184,7 @@ def test_fold_range_error_carries_step(tiers_ctx):
 
 @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=30))
 def test_fold_cells_never_decrease_for_nonnegative_inputs(xs):
-    ctx = CoarseContext(build_partition(Fibonacci()))
+    ctx = CoarseContext(Fibonacci())
     cells = [s.s_cell for s in ctx.fold(xs)]
     assert all(a <= b for a, b in zip(cells, cells[1:]))
 
@@ -192,7 +192,7 @@ def test_fold_cells_never_decrease_for_nonnegative_inputs(xs):
 @given(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=20),
                 min_size=1, max_size=25))
 def test_fold_absorption_flag_matches_cell_stall(xs):
-    ctx = CoarseContext(build_partition(EpsilonGrowth(10)))
+    ctx = CoarseContext(EpsilonGrowth(10))
     trace = ctx.fold(xs)
     prev = None
     for step in trace:

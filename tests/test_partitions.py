@@ -50,13 +50,13 @@ def test_fibonacci_matches_recurrence_deep(fib):
 
 
 def test_fixed_width_three(  ):
-    p = build_partition(FixedWidth(3))
+    p = FixedWidth(3)
     assert [(int(p.cell_at(i).lower), int(p.cell_at(i).upper)) for i in range(1, 5)] == \
         [(0, 2), (3, 5), (6, 8), (9, 11)]
 
 
 def test_epsilon_growth_hand_expanded():
-    p = build_partition(EpsilonGrowth(F(10)))
+    p = EpsilonGrowth(F(10))
     c1, c2, c3 = p.cell_at(1), p.cell_at(2), p.cell_at(3)
     assert (c1.lower, c1.upper, c1.lower_closed, c1.upper_closed) == (0, F(1, 2), True, True)
     assert (c2.lower, c2.upper, c2.lower_closed, c2.upper_closed) == (F(1, 2), F(7, 10), False, True)
@@ -66,7 +66,7 @@ def test_epsilon_growth_hand_expanded():
 @given(eps=st.fractions(min_value=F(1, 4), max_value=60, max_denominator=20),
        n=st.integers(min_value=1, max_value=40))
 def test_epsilon_bounds_match_recurrence(eps, n):
-    p = build_partition(EpsilonGrowth(eps))
+    p = EpsilonGrowth(eps)
     bounds = eps_bounds_by_recurrence(eps, n)
     c = p.cell_at(n)
     assert c.upper == bounds[-1]
@@ -76,7 +76,7 @@ def test_epsilon_bounds_match_recurrence(eps, n):
 
 
 def test_singleton_grid_cells():
-    p = build_partition(SingletonGrid(F(1, 2)))
+    p = SingletonGrid(F(1, 2))
     assert [(p.cell_at(i).lower, p.cell_at(i).upper) for i in range(1, 4)] == \
         [(0, 0), (F(1, 2), F(1, 2)), (1, 1)]
     assert p.cell_at(3).is_singleton
@@ -89,7 +89,7 @@ def test_explicit_bounds_integer_cells(tiers):
 
 
 def test_explicit_bounds_real_cells():
-    p = build_partition(ExplicitBounds((0, 1, F(5, 2)), Domain.REALS))
+    p = ExplicitBounds((0, 1, F(5, 2)), Domain.REALS)
     c1, c2 = p.cell_at(1), p.cell_at(2)
     assert (c1.lower_closed, c1.upper_closed) == (True, True)
     assert (c2.lower_closed, c2.upper_closed) == (False, True)
@@ -98,7 +98,7 @@ def test_explicit_bounds_real_cells():
 
 
 def test_explicit_bounds_negative_origin():
-    p = build_partition(ExplicitBounds((-10, -5, 0, 5)))
+    p = ExplicitBounds((-10, -5, 0, 5))
     assert (int(p.cell_at(1).lower), int(p.cell_at(1).upper)) == (-10, -6)
     assert p.index_of(-7) == 1
     assert p.index_of(-5) == 2
@@ -118,14 +118,14 @@ def test_cell_of_boundary_membership_eps10(eps10):
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_fixed_width_index_formula(x):
-    p = build_partition(FixedWidth(7))
+    p = FixedWidth(7)
     assert p.index_of(x) == x // 7 + 1
     assert x in p.cell_of(x)
 
 
 @given(st.integers(min_value=0, max_value=10**5))
 def test_fibonacci_membership(x):
-    p = build_partition(Fibonacci())
+    p = Fibonacci()
     c = p.cell_of(x)
     assert x in c
     assert c.index == p.index_of(x)
@@ -134,7 +134,7 @@ def test_fibonacci_membership(x):
 @given(st.fractions(min_value=0, max_value=500, max_denominator=64),
        st.fractions(min_value=F(1, 2), max_value=40, max_denominator=16))
 def test_epsilon_membership_is_exact(x, eps):
-    p = build_partition(EpsilonGrowth(eps))
+    p = EpsilonGrowth(eps)
     c = p.cell_of(x)
     assert x in c
     # neighbours do not also contain it
@@ -145,19 +145,19 @@ def test_epsilon_membership_is_exact(x, eps):
 
 @given(st.integers(min_value=1, max_value=5000))
 def test_grid_membership(k):
-    p = build_partition(SingletonGrid(F(1, 2)))
+    p = SingletonGrid(F(1, 2))
     v = F(k, 2)
     assert p.index_of(v) == k + 1
     assert p.cell_of(v).lower == v
 
 
 def test_domain_errors():
-    p = build_partition(FixedWidth(3))
+    p = FixedWidth(3)
     with pytest.raises(DomainError):
         p.index_of(F(1, 2))
     with pytest.raises(DomainError):
         p.index_of(-1)
-    g = build_partition(SingletonGrid(F(1, 2)))
+    g = SingletonGrid(F(1, 2))
     with pytest.raises(DomainError):
         g.index_of(F(1, 3))
 
@@ -253,7 +253,7 @@ def test_lazy_extension_is_stable(fib):
 def test_lazy_extension_under_concurrent_queries():
     # Fibonacci cells grow lazily while other threads look them up.
     expected = fib_cells_by_recurrence(400)
-    shared = build_partition(Fibonacci())
+    shared = Fibonacci()
     errors = []
 
     def query(seed):
@@ -286,17 +286,17 @@ def test_lazy_extension_under_concurrent_queries():
 
 def test_invalid_specs_name_the_field():
     with pytest.raises(SpecError, match="width"):
-        build_partition(FixedWidth(0))
+        FixedWidth(0)
     with pytest.raises(SpecError, match="epsilon"):
-        build_partition(EpsilonGrowth(F(0)))
+        EpsilonGrowth(F(0))
     with pytest.raises(SpecError, match="step"):
-        build_partition(SingletonGrid(F(-1, 2)))
+        SingletonGrid(F(-1, 2))
     with pytest.raises(SpecError, match="ascending"):
-        build_partition(ExplicitBounds((0, 5, 3)))
+        ExplicitBounds((0, 5, 3))
     with pytest.raises(SpecError, match="bounds"):
-        build_partition(ExplicitBounds((0,)))
+        ExplicitBounds((0,))
     with pytest.raises(SpecError, match="integer"):
-        build_partition(ExplicitBounds((0, F(3, 2), 4)))
+        ExplicitBounds((0, F(3, 2), 4))
 
 
 def explicit_bounds_by_pairs(bounds, domain):
@@ -346,23 +346,22 @@ FAMILY_SPECS = [
 
 
 def assert_cell_laws(spec):
-    p = build_partition(spec)
-    last = 40 if p.max_index is None else p.max_index
-    cells = [p.cell_at(i) for i in range(1, last + 1)]
-    assert cells[0].lower == p.origin and cells[0].lower_closed
+    last = 40 if spec.max_index is None else spec.max_index
+    cells = [spec.cell_at(i) for i in range(1, last + 1)]
+    assert cells[0].lower == spec.origin and cells[0].lower_closed
     for a, b in zip(cells, cells[1:]):
         assert a.lower <= a.upper <= b.lower, ("ordered", spec, a.index)
         assert a.upper < b.lower or not (a.upper_closed and b.lower_closed), \
             ("disjoint", spec, a.index)
         if isinstance(spec, SingletonGrid):
             assert b.lower == a.upper + spec.step, ("step-spaced on the grid", spec, a.index)
-        elif p.domain is Domain.INTEGERS:
+        elif spec.domain is Domain.INTEGERS:
             assert b.lower == a.upper + 1, ("gapless", spec, a.index)
         else:
             assert b.lower == a.upper, ("gapless", spec, a.index)
             assert a.upper_closed != b.lower_closed, ("one owner per boundary", spec, a.index)
     for c in cells:
-        assert p.index_of(c.lower if c.lower_closed else c.upper) == c.index, (spec, c.index)
+        assert spec.index_of(c.lower if c.lower_closed else c.upper) == c.index, (spec, c.index)
 
 
 def test_validate_generated_families_pass():

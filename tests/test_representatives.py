@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coarsesum import (Domain, EpsilonGrowth, Fibonacci, FixedWidth, Policy,
-                       SingletonGrid, build_partition, margin_neg, margin_pos,
+                       SingletonGrid, margin_neg, margin_pos,
                        rep_of_cell, rep_of_value)
 
 
@@ -24,7 +24,7 @@ def test_fibonacci_margins_golden(fib):
 
 def test_median_lower_even_cell_takes_lower_middle():
     # 8 elements: the lower of the two middles is the 4th smallest
-    c = build_partition(Fibonacci()).cell_at(6)   # {12..19}
+    c = Fibonacci().cell_at(6)   # {12..19}
     assert rep_of_cell(c) == 15
     assert c.count == 8
 
@@ -38,7 +38,7 @@ def test_real_cells_take_midpoints(eps10):
 def test_eps_rep_and_margin_recurrence():
     # rep of cell i (i >= 2) sits i/(2 eps) above the previous upper bound
     eps = F(10)
-    p = build_partition(EpsilonGrowth(eps))
+    p = EpsilonGrowth(eps)
     prev_upper = F(1, 2)
     for i in range(2, 12):
         c = p.cell_at(i)
@@ -67,7 +67,7 @@ def test_min_on_open_below_real_cell_returns_infimum(eps10):
 
 
 def test_singletons_collapse_to_their_value():
-    grid = build_partition(SingletonGrid(F(1, 2)))
+    grid = SingletonGrid(F(1, 2))
     c = grid.cell_at(4)
     for pol in Policy:
         assert rep_of_cell(c, pol) == F(3, 2)
@@ -78,7 +78,7 @@ def test_singletons_collapse_to_their_value():
 @given(w=st.sampled_from([1, 3, 5, 7, 9, 11]), i=st.integers(min_value=1, max_value=1000))
 def test_fixed_odd_width_median_closed_form(w, i):
     # for width w = 2m + 1 the median of cell i is w(i-1) + m = (2wi - w - 1)/2
-    p = build_partition(FixedWidth(w))
+    p = FixedWidth(w)
     m = (w - 1) // 2
     rep = rep_of_cell(p.cell_at(i))
     assert rep == w * (i - 1) + m
@@ -87,7 +87,7 @@ def test_fixed_odd_width_median_closed_form(w, i):
 
 @given(st.integers(min_value=0, max_value=10**5))
 def test_rep_of_value_idempotent_fibonacci(x):
-    p = build_partition(Fibonacci())
+    p = Fibonacci()
     for pol in Policy:
         r = rep_of_value(p, x, pol)
         assert rep_of_value(p, r, pol) == r
@@ -96,7 +96,7 @@ def test_rep_of_value_idempotent_fibonacci(x):
 @given(st.fractions(min_value=0, max_value=200, max_denominator=40),
        st.fractions(min_value=2, max_value=30, max_denominator=8))
 def test_rep_of_value_idempotent_eps(x, eps):
-    p = build_partition(EpsilonGrowth(eps))
+    p = EpsilonGrowth(eps)
     for pol in (Policy.MEDIAN_LOWER, Policy.MAX):
         r = rep_of_value(p, x, pol)
         assert rep_of_value(p, r, pol) == r
@@ -105,7 +105,7 @@ def test_rep_of_value_idempotent_eps(x, eps):
 @given(st.integers(min_value=1, max_value=200))
 def test_rep_is_a_member_integer_cells(i):
     for spec in (Fibonacci(), FixedWidth(4), FixedWidth(7)):
-        c = build_partition(spec).cell_at(i)
+        c = spec.cell_at(i)
         for pol in Policy:
             assert rep_of_cell(c, pol) in c
 
@@ -114,7 +114,7 @@ def test_rep_is_a_member_integer_cells(i):
        st.fractions(min_value=F(1, 2), max_value=30, max_denominator=8))
 def test_rep_is_a_member_real_cells(i, eps):
     # median and max are always attained; min on open-below cells is not
-    c = build_partition(EpsilonGrowth(eps)).cell_at(i)
+    c = EpsilonGrowth(eps).cell_at(i)
     assert rep_of_cell(c, Policy.MEDIAN_LOWER) in c
     assert rep_of_cell(c, Policy.MAX) in c
 
@@ -122,7 +122,7 @@ def test_rep_is_a_member_real_cells(i, eps):
 @given(st.integers(min_value=1, max_value=300))
 def test_margins_are_nonnegative_and_split_the_width(i):
     for spec in (Fibonacci(), FixedWidth(6), EpsilonGrowth(F(7, 2))):
-        c = build_partition(spec).cell_at(i)
+        c = spec.cell_at(i)
         for pol in Policy:
             mp, mn = margin_pos(c, pol), margin_neg(c, pol)
             assert mp >= 0 and mn >= 0
@@ -133,7 +133,7 @@ def test_rep_of_value_examples(fib, eps10):
     assert rep_of_value(fib, 3) == 2
     assert rep_of_value(fib, 10) == 9
     assert rep_of_value(eps10, F(1, 2)) == F(1, 4)
-    grid = build_partition(SingletonGrid(F(1, 2)))
+    grid = SingletonGrid(F(1, 2))
     assert rep_of_value(grid, F(7, 2)) == F(7, 2)
 
 

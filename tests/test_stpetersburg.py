@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from coarsesum import (INCREMENT_BOUND, RNG_ALGORITHM, CoarseContext, ComparisonReport,
                        EpsilonGrowth, Gamble, Outcome, Policy, SingletonGrid, SpecError,
-                       build_partition, coarse_value, compare_valuations, constant,
+                       coarse_value, compare_valuations, constant,
                        detect_inert_stream, first_absorbing_cell, sample_gamble)
 from coarsesum import inertness, stpetersburg
 
@@ -123,7 +123,7 @@ def test_coarse_value_scans_for_the_absorbing_cell_once(eps, monkeypatch):
     assert len(calls) == 1
     assert report == expected
     assert report.cell_from_scan == first_absorbing_cell(
-        build_partition(EpsilonGrowth(F(eps))), Policy.MEDIAN_LOWER, F(1, 4), strict=True)
+        EpsilonGrowth(F(eps)), Policy.MEDIAN_LOWER, F(1, 4))
 
 
 def test_valuation_json_shape():
@@ -211,7 +211,7 @@ def test_comparison_report_fields():
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 300, 1000])
 def test_closed_form_control_matches_the_singleton_grid_fold(depth):
-    grid = CoarseContext(build_partition(SingletonGrid(F(1, 2))))
+    grid = CoarseContext(SingletonGrid(F(1, 2)))
     r = compare_valuations(10, Gamble(8), trials=5, seed=0, depth=depth)
     assert r.classical_verdict == detect_inert_stream(grid, constant(F(1, 2)), horizon=depth)
     assert r.classical_final == grid.fold([F(1, 2)] * depth).final_sum

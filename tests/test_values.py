@@ -36,7 +36,7 @@ VALUES = {
     "gamble": (Gamble, "Gamble(truncation_depth=64)"),
     "context": (lambda: CoarseContext(FixedWidth(2), Policy.MIN),
                 "CoarseContext(partition=FixedWidth(width=2), policy=<Policy.MIN: 'min'>)"),
-    "trace": (lambda: CoarseContext(build_partition(FixedWidth(2))).fold([1, 2]),
+    "trace": (lambda: CoarseContext(FixedWidth(2)).fold([1, 2]),
               "FoldTrace(steps=(FoldStep(n=1, x=Fraction(1, 1), x_cell=1, s=Fraction(1, 1), "
               "s_cell=1, absorbed=False), FoldStep(n=2, x=Fraction(2, 1), x_cell=2, "
               "s=Fraction(2, 1), s_cell=2, absorbed=False)))"),
@@ -103,15 +103,13 @@ def test_fields_compare_after_parsing():
 
 def test_grown_fibonacci_keeps_its_cells_through_pickle_and_deepcopy():
     spec = Fibonacci()
-    partition = build_partition(spec)
-    assert partition.index_of(10**6) == 29      # grows the cached starts
+    assert spec.index_of(10**6) == 29      # grows the cached starts
     grown = spec._starts
     assert len(grown) > 3
     for clone in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
         assert clone == spec == Fibonacci()
         assert clone._starts == grown
-        p = build_partition(clone)
-        assert [p.cell_at(i) for i in (1, 2, 29)] == [partition.cell_at(i) for i in (1, 2, 29)]
+        assert [clone.cell_at(i) for i in (1, 2, 29)] == [spec.cell_at(i) for i in (1, 2, 29)]
     assert spec.span(60)[0] > 10**12                # and still grows
     assert copy.deepcopy(spec)._starts == spec._starts
 
@@ -145,11 +143,11 @@ def test_the_family_is_the_partition(family):
     assert isinstance(family, Partition)
     assert build_partition(family) is family
     assert family.spec is family                    # the tracer splits calls by it
-    a = CoarseContext(build_partition(family))
-    b = CoarseContext(build_partition(pickle.loads(pickle.dumps(family))))
+    a = CoarseContext(family)
+    b = CoarseContext(pickle.loads(pickle.dumps(family)))
     assert a == b and hash(a) == hash(b)
     assert pickle.loads(pickle.dumps(a)) == a
-    assert a != CoarseContext(build_partition(FixedWidth(7)))
+    assert a != CoarseContext(FixedWidth(7))
 
 
 @pytest.mark.parametrize("other", [FixedWidth, "fixed_width", 3, None, {"kind": "fibonacci"}],
