@@ -9,14 +9,15 @@ package.  For every seed, the invocations of all four workloads are built
 through ``bench.workloads`` (their input files go to a temporary directory),
 and each one is run as ``python -m coarsesum.cli`` once per tree, with that
 tree first on ``PYTHONPATH``.  No workload passes ``--rep``, so a fixed list of
-extra commands follows: ``partition``, ``fold`` and ``inert`` under ``--rep max``
-on every family, and under ``--rep min`` on the families whose cells all hold
-their lower bound, then ``stpete`` at an ``--eps`` of 1 (also with sampling), 0
-and -1, below the 2 under which the closed form and the margin scan disagree,
-where no workload reaches.  Every later tree's stdout, stderr and exit code are
-compared with the first tree's.  One line names each command that differs; the
-last line counts them.  The exit code is 1 if any
-command differs, else 0.
+extra commands follows: ``partition``, ``fold`` and ``inert`` in every
+``--format`` each accepts, under ``--rep max`` on every family and under
+``--rep min`` on the families whose cells all hold their lower bound, so that
+the row writer is compared under every policy; then ``stpete`` at an ``--eps``
+of 1 (also with sampling), 0 and -1, below the 2 under which the closed form
+and the margin scan disagree, where no workload reaches.  Every later tree's
+stdout, stderr and exit code are compared with the first tree's.  One line
+names each command that differs; the last line counts them.  The exit code is
+1 if any command differs, else 0.
 """
 
 from __future__ import annotations
@@ -50,9 +51,13 @@ def extra_commands(work: Path) -> list:
     values.write_text("1\n1\n0\n0\n", encoding="utf-8")  # max climbs, but stays in range
     tails = {"partition": ("--cells", "6"), "fold": ("--input", str(values)),
              "inert": ("--const", "1", "--horizon", "50")}
-    return [(f"{command} {family} --rep {rep}", (command, *FAMILIES[family], "--rep", rep, *tail))
+    formats = {"partition": ("table", "json", "csv"), "fold": ("table", "json", "csv"),
+               "inert": ("json", "table")}
+    return [(f"{command} {family} --rep {rep} --format {fmt}",
+             (command, *FAMILIES[family], "--rep", rep, *tail, "--format", fmt))
             for rep, families in (("max", FAMILIES), ("min", CLOSED))
-            for family in families for command, tail in tails.items()] + [
+            for family in families for command, tail in tails.items()
+            for fmt in formats[command]] + [
         ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE]
 
 

@@ -15,7 +15,7 @@ from .ops import CoarseContext, FoldStep, FoldTrace
 from .partitions import (Cell, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                          FixedWidth, Partition, SingletonGrid, build_partition)
 from .rationals import format_decimal, format_rational, parse_rational
-from .representatives import Policy, margin_neg, margin_pos, rep_of_cell, rep_of_value
+from .representatives import Policy, margin_pos, rep_of_cell, rep_of_value
 from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
                            Gamble, ValuationReport, coarse_value,
                            compare_valuations, sample_gamble)
@@ -27,7 +27,7 @@ __all__ = [
     "Cell", "Domain", "Partition",
     "FixedWidth", "Fibonacci", "EpsilonGrowth", "ExplicitBounds", "SingletonGrid",
     "build_partition",
-    "Policy", "rep_of_cell", "rep_of_value", "margin_pos", "margin_neg",
+    "Policy", "rep_of_cell", "rep_of_value", "margin_pos",
     "CoarseContext", "FoldStep", "FoldTrace",
     "InertVerdict", "Outcome", "detect_inert_trace", "detect_inert_stream",
     "first_absorbing_cell", "constant", "harmonic", "geometric",

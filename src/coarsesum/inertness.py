@@ -43,9 +43,10 @@ class InertVerdict(NamedTuple):
     ``certified`` is True only for margin-certificate verdicts, which hold
     for every step the increment bound was checked on: the entire infinite
     stream when the stream states its ``top``, else the steps up to the
-    horizon; observed verdicts only describe the examined window.  ``increasing_run`` (non-inert outcomes) is the length
-    of the longest strictly climbing run of sum-cell indexes at the end of
-    the window, as growth evidence.
+    horizon; observed verdicts only describe the examined window.
+    ``increasing_run`` (non-inert outcomes) is the length of the longest
+    strictly climbing run of sum-cell indexes at the end of the window, as
+    growth evidence.
     """
 
     outcome: Outcome

@@ -70,28 +70,22 @@ def _render_runs(render, column) -> list:
 def write_rows(head, rows, fmt: str) -> str:
     """Rows of exact values as JSON lines, CSV under a header, or an aligned table.
 
-    A column's type, read off its first row, picks its text: rationals are ``p/q`` in
-    JSON and CSV and decimals in tables; bools are JSON booleans, ``true``/``false`` in
-    CSV and ``yes``/``no`` in tables; ints and strings stay as they are.  A run of one
-    rational object down a column, as a pinned fold's sums, is rendered once.  JSON and
-    table rows fill one ``%`` line template.
+    Keys are identifiers, and each column holds one kind, read off its first row: int,
+    bool, or rational (which may hold ints).  Rationals are ``p/q``, quoted in JSON, and
+    decimals in tables; bools are ``true``/``false``, and ``yes``/``no`` in tables; ints
+    print as ``str`` prints them.  A run of one rational object down a column, as a
+    pinned fold's sums, is rendered once.  JSON and table rows fill one ``%`` line template.
     """
-    columns = list(zip(*rows))
-    if fmt == "json":
-        from json import dumps
-        plain = {int: str, bool: ("false", "true").__getitem__}  # else json.dumps value by value
-        texts, fields = [], []
-        for key, c in zip(head, columns):
-            kinds, q = set(map(type, c)), '"' if isinstance(c[0], Fraction) else ""
-            texts.append(_render_runs(format_rational, c) if q else  # the template quotes p/q
-                         map(plain.get(kinds.pop(), dumps) if len(kinds) == 1 else dumps, c))
-            fields.append(dumps(key).replace("%", "%%") + f": {q}%s{q}")
-        return "\n".join(map(("{" + ", ".join(fields) + "}").__mod__, zip(*texts)))
     rational, no, yes = ((format_decimal, "no", "yes") if fmt == "table"
                          else (format_rational, "false", "true"))
-    columns = [_render_runs(rational, c) if isinstance(c[0], Fraction) else
-               [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c)
-               for c in columns]
+    columns, fields = [], []
+    for key, c in zip(head, zip(*rows)):
+        q = '"' if isinstance(c[0], Fraction) else ""
+        columns.append(_render_runs(rational, c) if q else
+                       [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c))
+        fields.append(f'"{key}": {q}%s{q}')
+    if fmt == "json":
+        return "\n".join(map(("{" + ", ".join(fields) + "}").__mod__, zip(*columns)))
     lines = [tuple(head), *zip(*columns)]
     if fmt == "csv":
         return "\n".join(map(",".join, lines))

@@ -8,9 +8,10 @@ These maps describe any cell under any policy; ``CoarseContext``, which joins a
 partition to a policy, refuses min where cells are open below.
 
 The upward margin of a cell is the headroom between its representative and
-its upper boundary; the downward margin is the distance down to its lower
-boundary.  A cell absorbs an increment exactly when the increment's own
-representative fits inside the upward margin.
+its upper boundary.  A cell absorbs an increment exactly when the increment's
+own representative fits inside the upward margin.  The downward margin, the
+distance from the lower boundary up to the representative, is derived where
+the partition table prints it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,3 @@ def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOW
 def margin_pos(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
     """Headroom from the representative up to the cell's upper boundary."""
     return cell.upper - rep_of_cell(cell, policy)
-
-
-def margin_neg(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
-    """Distance from the cell's lower boundary up to the representative."""
-    return rep_of_cell(cell, policy) - cell.lower

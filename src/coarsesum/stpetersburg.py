@@ -273,5 +273,5 @@ def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
         round_counts=dict(counts),
         classical_verdict=InertVerdict(Outcome.NO_VERDICT, horizon=depth,
                                        increasing_run=depth),
-        classical_final=Fraction(depth, 2),
+        classical_final=valuation.classical_sum,
     )

@@ -17,7 +17,7 @@ from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds,
                        Fibonacci, FixedWidth, Gamble, Outcome, Policy,
                        SingletonGrid, constant,
                        detect_inert_stream, detect_inert_trace,
-                       first_absorbing_cell, harmonic, margin_neg, margin_pos,
+                       first_absorbing_cell, harmonic, margin_pos,
                        rep_of_cell, sample_gamble)
 
 
@@ -88,7 +88,7 @@ def test_criterion_04_odd_width_associativity_sweep():
 def test_criterion_05_zero_margin_corollary():
     ctx = CoarseContext(SingletonGrid(1))
     margins_zero = all(
-        margin_pos(c) == margin_neg(c) == 0
+        margin_pos(c) == rep_of_cell(c) - c.lower == 0
         for c in (ctx.partition.cell_at(i) for i in range(1, 10_002)))
     rnd = random.Random(1205)
     pairs = [(rnd.randint(0, 5000), rnd.randint(0, 5000)) for _ in range(1000)]

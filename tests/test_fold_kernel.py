@@ -7,6 +7,8 @@ its oracle is ``Cell.contains`` on cells whose bounds are recomputed from
 ``1/2 + (T(k) - 1)/eps`` by ``Fraction`` arithmetic.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, 
                        format_rational, geometric, harmonic, parse_rational,
                        rep_of_cell, rep_of_value)
 from coarsesum.rationals import write_rows
-from coarsesum import representatives
+from coarsesum import cli, representatives
 
 POLICIES = list(Policy)
 
@@ -725,11 +727,18 @@ ROW_VALUES = {   # one strategy per column kind; "mixed" never starts with a Fra
 }
 
 
+#: What JSON rows are given: identifier keys, and one kind per column.
+JSON_KEY = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+JSON_KINDS = ("bool", "fraction", "int")
+
+
 @st.composite
-def row_tables(draw):
-    kinds = draw(st.lists(st.sampled_from(sorted(ROW_VALUES)), min_size=1, max_size=5))
-    head = tuple(draw(st.lists(ROW_TEXT, min_size=len(kinds), max_size=len(kinds),
-                               unique=True)))
+def row_tables(draw, fmt):
+    json_rows = fmt == "json"
+    kinds = draw(st.lists(st.sampled_from(JSON_KINDS if json_rows else sorted(ROW_VALUES)),
+                          min_size=1, max_size=5))
+    head = tuple(draw(st.lists(JSON_KEY if json_rows else ROW_TEXT, min_size=len(kinds),
+                               max_size=len(kinds), unique=True)))
     rows = []
     for _ in range(draw(st.integers(1, 6))):   # each row repeated: runs of one object
         row = tuple(draw(ROW_VALUES[kind]) for kind in kinds)
@@ -741,10 +750,51 @@ def row_tables(draw):
 
 
 @settings(max_examples=400)
-@given(table=row_tables(), fmt=st.sampled_from(["json", "csv", "table"]))
-def test_write_rows_prints_what_the_dumps_and_ljust_writer_printed(table, fmt):
-    head, rows = table
+@given(fmt=st.sampled_from(["json", "csv", "table"]), data=st.data())
+def test_write_rows_prints_what_the_dumps_and_ljust_writer_printed(fmt, data):
+    head, rows = data.draw(row_tables(fmt))
     assert write_rows(head, rows, fmt) == oracle_write_rows(head, rows, fmt)
+
+
+def assert_one_kind_per_column(rows):
+    """Each column holds ints, bools or rationals (ints among them), as ``write_rows`` reads."""
+    kind = lambda v: "rational" if isinstance(v, F) else type(v).__name__
+    for column in zip(*rows):
+        first, kinds = kind(column[0]), set(map(kind, column))
+        assert first in ("int", "bool", "rational")
+        assert kinds <= {"rational", "int"} if first == "rational" else kinds == {first}
+
+
+def partition_flags(spec):
+    """The ``partition`` flags that build ``spec``."""
+    if isinstance(spec, FixedWidth):
+        return ("--width", str(spec.width))
+    if isinstance(spec, EpsilonGrowth):
+        return ("--eps", str(spec.epsilon))
+    if isinstance(spec, SingletonGrid):
+        return ("--grid", str(spec.step))
+    if isinstance(spec, ExplicitBounds):
+        return ("--bounds", ",".join(map(str, spec.bounds)), "--domain", spec.domain.value)
+    return ("--fibonacci",)
+
+
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_fold_and_partition_rows_hold_one_kind_per_column(family, policy, data):
+    spec, stream = data.draw(fold_cases(family, policy))
+    expected = rep_add_fold(CoarseContext(spec, policy), stream)
+    if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
+        stream = stream[:expected[1] - 1]
+    if stream:
+        assert_one_kind_per_column(CoarseContext(spec, policy).fold(stream).steps)
+    cells, fmt = data.draw(st.integers(1, 12)), data.draw(st.sampled_from(["json", "csv"]))
+    written = []
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.setattr(cli, "write_rows", lambda head, rows, fmt: written.append(rows) or "")
+        assert cli.main(["partition", *partition_flags(spec), "--rep", policy.value,
+                         "--cells", str(cells), "--format", fmt]) == 0
+    assert_one_kind_per_column(written[0])
 
 
 # ------------------------------------------------------------ without numpy

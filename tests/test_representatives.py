@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coarsesum import (Domain, EpsilonGrowth, Fibonacci, FixedWidth, Policy,
-                       SingletonGrid, margin_neg, margin_pos,
+                       SingletonGrid, margin_pos,
                        rep_of_cell, rep_of_value)
 
 
@@ -17,9 +17,9 @@ def test_fibonacci_median_reps_golden(fib):
 def test_fibonacci_margins_golden(fib):
     c5, c6 = fib.cell_at(5), fib.cell_at(6)
     assert margin_pos(c6, Policy.MEDIAN_LOWER) == 4   # 19 - 15
-    assert margin_neg(c6, Policy.MEDIAN_LOWER) == 3   # 15 - 12
+    assert rep_of_cell(c6, Policy.MEDIAN_LOWER) - c6.lower == 3   # 15 - 12
     assert margin_pos(c5, Policy.MEDIAN_LOWER) == 2
-    assert margin_neg(c5, Policy.MEDIAN_LOWER) == 2
+    assert rep_of_cell(c5, Policy.MEDIAN_LOWER) - c5.lower == 2
 
 
 def test_median_lower_even_cell_takes_lower_middle():
@@ -44,7 +44,7 @@ def test_eps_rep_and_margin_recurrence():
         c = p.cell_at(i)
         assert rep_of_cell(c) == prev_upper + F(i, 1) / (2 * eps)
         assert margin_pos(c) == F(i, 1) / (2 * eps)
-        assert margin_neg(c) == F(i, 1) / (2 * eps)
+        assert rep_of_cell(c) - c.lower == F(i, 1) / (2 * eps)
         prev_upper = c.upper
 
 
@@ -54,7 +54,7 @@ def test_min_max_policies_pick_boundaries(fib):
     assert rep_of_cell(c, Policy.MAX) == 19
     assert margin_pos(c, Policy.MIN) == 7
     assert margin_pos(c, Policy.MAX) == 0
-    assert margin_neg(c, Policy.MIN) == 0
+    assert rep_of_cell(c, Policy.MIN) - c.lower == 0
 
 
 def test_min_on_open_below_real_cell_returns_infimum(eps10):
@@ -62,7 +62,7 @@ def test_min_on_open_below_real_cell_returns_infimum(eps10):
     c = eps10.cell_at(2)   # (1/2, 7/10]
     assert rep_of_cell(c, Policy.MIN) == F(1, 2)
     assert F(1, 2) not in c
-    assert margin_neg(c, Policy.MIN) == 0
+    assert rep_of_cell(c, Policy.MIN) - c.lower == 0
     assert margin_pos(c, Policy.MIN) == c.width
 
 
@@ -72,7 +72,7 @@ def test_singletons_collapse_to_their_value():
     for pol in Policy:
         assert rep_of_cell(c, pol) == F(3, 2)
         assert margin_pos(c, pol) == 0
-        assert margin_neg(c, pol) == 0
+        assert rep_of_cell(c, pol) - c.lower == 0
 
 
 @given(w=st.sampled_from([1, 3, 5, 7, 9, 11]), i=st.integers(min_value=1, max_value=1000))
@@ -124,7 +124,7 @@ def test_margins_are_nonnegative_and_split_the_width(i):
     for spec in (Fibonacci(), FixedWidth(6), EpsilonGrowth(F(7, 2))):
         c = spec.cell_at(i)
         for pol in Policy:
-            mp, mn = margin_pos(c, pol), margin_neg(c, pol)
+            mp, mn = margin_pos(c, pol), rep_of_cell(c, pol) - c.lower
             assert mp >= 0 and mn >= 0
             assert mp + mn == c.width
 

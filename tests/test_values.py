@@ -166,13 +166,13 @@ PUBLIC_NAMES = [
     "Partition", "Policy", "RNG_ALGORITHM", "SingletonGrid", "SpecError", "ValuationReport",
     "__version__", "build_partition", "coarse_value", "compare_valuations", "constant",
     "detect_inert_stream", "detect_inert_trace", "first_absorbing_cell", "format_decimal",
-    "format_rational", "geometric", "harmonic", "margin_neg", "margin_pos",
+    "format_rational", "geometric", "harmonic", "margin_pos",
     "parse_rational", "rep_of_cell", "rep_of_value", "sample_gamble",
 ]
 
 
 def test_the_public_surface_is_these_names_and_each_resolves():
-    assert len(PUBLIC_NAMES) == 41
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(coarsesum.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(coarsesum, name), name
