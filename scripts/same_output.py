@@ -14,7 +14,10 @@ extra commands follows: ``partition``, ``fold`` and ``inert`` in every
 ``--rep min`` on the families whose cells all hold their lower bound, so that
 the row writer is compared under every policy; then ``stpete`` at an ``--eps``
 of 1 (also with sampling), 0 and -1, below the 2 under which the closed form
-and the margin scan disagree, where no workload reaches.  Every later tree's
+and the margin scan disagree, where no workload reaches; then flag text that
+is not a number, where the families and the valuation parse it:
+``partition --eps abc``, ``partition --grid 1/0``, ``partition --bounds 0,1,x``
+and ``stpete --eps abc``.  Every later tree's
 stdout, stderr and exit code are compared with the first tree's.  One line
 names each command that differs; the last line counts them.  The exit code is
 1 if any command differs, else 0.
@@ -42,7 +45,9 @@ FAMILIES = {
 }
 CLOSED = ("width", "fibonacci", "bounds", "grid")
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
-          ("--eps", "0"), ("--eps", "-1"))
+          ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"))
+#: Family flag text that is not a number: each family's error names its field.
+BAD_TEXT = (("--eps", "abc"), ("--grid", "1/0"), ("--bounds", "0,1,x"))
 
 
 def extra_commands(work: Path) -> list:
@@ -58,7 +63,8 @@ def extra_commands(work: Path) -> list:
             for rep, families in (("max", FAMILIES), ("min", CLOSED))
             for family in families for command, tail in tails.items()
             for fmt in formats[command]] + [
-        ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE]
+        ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE] + [
+        ("partition " + " ".join(args), ("partition", *args)) for args in BAD_TEXT]
 
 
 def run(src: str, argv: tuple) -> tuple:

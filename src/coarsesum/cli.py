@@ -25,7 +25,7 @@ import sys
 from .errors import CoarseError
 from .inertness import constant, detect_inert_stream, geometric, harmonic
 from .ops import CoarseContext, FoldStep
-from .partitions import Domain, EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
+from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, margin_pos, rep_of_cell
 from .stpetersburg import Gamble, coarse_value, compare_valuations
@@ -77,16 +77,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _partition_from_args(args):
+    # the families parse their own flag text, and their errors name the field
     if args.fibonacci:
         return Fibonacci()
     if args.width is not None:
         return FixedWidth(args.width)
     if args.eps is not None:
-        return EpsilonGrowth(parse_rational(args.eps))
+        return EpsilonGrowth(args.eps)
     if args.grid is not None:
-        return SingletonGrid(parse_rational(args.grid))
-    bounds = tuple(parse_rational(b) for b in args.bounds.split(","))
-    return ExplicitBounds(bounds, Domain(args.domain))
+        return SingletonGrid(args.grid)
+    return ExplicitBounds(args.bounds.split(","), args.domain)
 
 
 def _context_from_args(args) -> CoarseContext:
@@ -184,12 +184,11 @@ def _print_valuation_text(rep) -> None:
 
 
 def cmd_stpete(args) -> int:
-    eps = parse_rational(args.eps)
     if args.trials > 0:
-        report = compare_valuations(eps, Gamble(args.truncation), args.trials,
+        report = compare_valuations(args.eps, Gamble(args.truncation), args.trials,
                                     args.seed, depth=args.depth)
     else:
-        report = coarse_value(eps, depth=args.depth)
+        report = coarse_value(args.eps, depth=args.depth)
     if args.format == "json":
         import json
         print(json.dumps(report.to_json_dict(), indent=2))

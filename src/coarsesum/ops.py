@@ -80,6 +80,8 @@ class CoarseContext(_Frozen):
     _fields = ("partition", "policy")
 
     def __init__(self, partition: Partition, policy: Policy = Policy.MEDIAN_LOWER):
+        if not isinstance(policy, Policy):
+            raise SpecError(f"policy: expected a Policy member, got {policy!r}")
         if (policy is Policy.MIN and partition.max_index != 1
                 and not partition.cell_at(2).lower_closed):
             raise SpecError(f"policy: min is refused on {type(partition).__name__}, whose cells "
@@ -99,10 +101,6 @@ class CoarseContext(_Frozen):
         span, policy = self.partition.span, self.policy
         return self.partition.index_scaled(_pick(*span(_cell_index(i)), policy)
                                            + _pick(*span(_cell_index(k)), policy))
-
-    def absorbs(self, i: int, k: int) -> bool:
-        """Does cell i swallow cell k, leaving the sum in cell i?"""
-        return self.cell_add(i, k) == i
 
     def fold(self, values: Iterable) -> FoldTrace:
         """Left-associative coarse partial sums over a finite sequence.

@@ -252,6 +252,7 @@ class Fibonacci(Partition):
 
     def _grown(self, cells: int = 0, cover: int = -1) -> tuple:
         starts = list(self._starts)
+        cells = max(cells, len(starts) * 3 // 2)  # grow by half at least, so a climb copies little
         while len(starts) <= cells or starts[-1] <= cover:
             starts.append(2 * starts[-1] - starts[-3])
         starts = tuple(starts)

@@ -59,19 +59,6 @@ class Gamble(_Frozen):
             raise ValueError(f"round count must be >= 1, got {n}")
         return 1 << (min(n, self.truncation_depth) - 1)
 
-    def probability(self, n: int) -> Fraction:
-        """Exact outcome probability after truncation."""
-        d = self.truncation_depth
-        if n < 1 or n > d:
-            return Fraction(0)
-        if n == d:
-            return Fraction(1, 1 << (d - 1))
-        return Fraction(1, 1 << n)
-
-    def truncated_mean(self) -> Fraction:
-        """Exact expectation of the truncated payoff: (depth + 1)/2."""
-        return Fraction(self.truncation_depth + 1, 2)
-
 
 class ValuationReport(NamedTuple):
     """Coarse valuation of the expected-increment stream at one eps."""

@@ -60,7 +60,7 @@ def test_absorption_iff_increment_rep_fits_in_margin(fib_ctx, fib):
     # cell i absorbs cell k exactly when rep(G_k) <= upper(G_i) - rep(G_i)
     for i, k in itertools.product(range(1, 21), repeat=2):
         fits = rep_of_cell(fib.cell_at(k)) <= margin_pos(fib.cell_at(i))
-        assert fib_ctx.absorbs(i, k) == fits
+        assert (fib_ctx.cell_add(i, k) == i) == fits
 
 
 def test_absorption_fixed_width(fib_ctx):
@@ -68,15 +68,15 @@ def test_absorption_fixed_width(fib_ctx):
     # rep of every cell is >= 2, margin_pos is always 2: only cells with rep <= 2 absorb
     for i, k in itertools.product(range(1, 21), repeat=2):
         expected = rep_of_cell(ctx.partition.cell_at(k)) <= 2
-        assert ctx.absorbs(i, k) == expected
+        assert (ctx.cell_add(i, k) == i) == expected
 
 
 def test_absorption_examples(fib_ctx):
-    assert fib_ctx.absorbs(6, 1)            # adding rep 0 goes nowhere
-    assert fib_ctx.absorbs(6, 2)            # 15 + 1 = 16, still {12..19}
-    assert fib_ctx.absorbs(6, 3)            # 15 + 2 = 17
-    assert not fib_ctx.absorbs(6, 4)        # 15 + 5 = 20
-    assert not fib_ctx.absorbs(5, 5)        # 9 + 9 = 18
+    assert fib_ctx.cell_add(6, 1) == 6       # adding rep 0 goes nowhere
+    assert fib_ctx.cell_add(6, 2) == 6       # 15 + 1 = 16, still {12..19}
+    assert fib_ctx.cell_add(6, 3) == 6       # 15 + 2 = 17
+    assert fib_ctx.cell_add(6, 4) != 6       # 15 + 5 = 20
+    assert fib_ctx.cell_add(5, 5) != 5       # 9 + 9 = 18
 
 
 # ------------------------------------------------------- (non-)associativity
@@ -248,3 +248,10 @@ def test_min_is_accepted_where_every_cell_holds_its_infimum(spec):
     for cell in map(spec.cell_at, range(1, (spec.max_index or 40) + 1)):
         assert ctx.normalize(cell.upper) == cell.lower
         assert cell.lower in cell
+
+
+@pytest.mark.parametrize("policy", ["median", None, 1])
+def test_a_policy_that_is_not_a_member_is_refused(policy):
+    with pytest.raises(SpecError) as exc:
+        CoarseContext(FixedWidth(3), policy)
+    assert str(exc.value) == f"policy: expected a Policy member, got {policy!r}"

@@ -250,6 +250,22 @@ def test_lazy_extension_is_stable(fib):
     assert fib.index_of(a.lower) == 200
 
 
+def test_lazy_extension_grows_geometrically(monkeypatch):
+    # spanning cells one at a time must not copy the starts once per cell
+    calls, grown = [], Fibonacci._grown
+
+    def counted(self, *args, **kwargs):
+        calls.append(args or kwargs)
+        return grown(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fibonacci, "_grown", counted)
+    fib = Fibonacci()
+    for i in range(3, 2001):
+        fib.span(i)
+    assert len(calls) <= 25
+    assert fib.span(2000) == fib_cells_by_recurrence(2000)[-1]
+
+
 def test_lazy_extension_under_concurrent_queries():
     # Fibonacci cells grow lazily while other threads look them up.
     expected = fib_cells_by_recurrence(400)
