@@ -12,15 +12,18 @@ tree first on ``PYTHONPATH``.  No workload passes ``--rep``, so a fixed list of
 extra commands follows: ``partition``, ``fold`` and ``inert`` in every
 ``--format`` each accepts, under ``--rep max`` on every family and under
 ``--rep min`` on the families whose cells all hold their lower bound, so that
-the row writer is compared under every policy; then ``stpete`` at an ``--eps``
-of 1 (also with sampling), 0 and -1, below the 2 under which the closed form
-and the margin scan disagree, where no workload reaches; then flag text that
-is not a number, where the families and the valuation parse it:
-``partition --eps abc``, ``partition --grid 1/0``, ``partition --bounds 0,1,x``
-and ``stpete --eps abc``.  Every later tree's
-stdout, stderr and exit code are compared with the first tree's.  One line
-names each command that differs; the last line counts them.  The exit code is
-1 if any command differs, else 0.
+the row writer is compared under every policy; then ``inert`` in both formats
+on the streams no workload reaches: a geometric stream that settles with and
+without ``--bound``, a constant geometric one, a growing one, and the two
+constant streams whose certificate stops at cell 1 because every cell has the
+same margins; then ``stpete`` at an ``--eps`` of 1 (also with sampling), 0 and
+-1, below the 2 under which the closed form and the margin scan disagree, where
+no workload reaches; then flag text that is not a number, which the families
+parse, so that each error names its field: ``partition --eps abc``,
+``partition --grid 1/0``, ``partition --bounds 0,1,x`` and ``stpete --eps abc``.
+Every later tree's stdout, stderr and exit code are compared with the first
+tree's.  One line names each command that differs; the last line counts them.
+The exit code is 1 if any command differs, else 0.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ FAMILIES = {
     "bounds-real": ("--bounds", "0,1/2,1,7/3,10,50", "--domain", "real"),
 }
 CLOSED = ("width", "fibonacci", "bounds", "grid")
+#: ``inert`` streams no workload reaches: the geometric settling and growing paths,
+#: and the certificate's stop on families whose cells all have the same margins.
+INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
+         ("--eps", "10", "--geometric", "5", "1/2"), ("--width", "3", "--geometric", "1", "1"),
+         ("--eps", "10", "--geometric", "2", "3"), ("--width", "3", "--const", "1", "--bound", "1"),
+         ("--grid", "1/2", "--const", "0", "--bound", "1/2"))
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"))
 #: Family flag text that is not a number: each family's error names its field.
@@ -63,6 +72,8 @@ def extra_commands(work: Path) -> list:
             for rep, families in (("max", FAMILIES), ("min", CLOSED))
             for family in families for command, tail in tails.items()
             for fmt in formats[command]] + [
+        (f"inert {' '.join(args)} --format {fmt}", ("inert", *args, "--format", fmt))
+        for args in INERT for fmt in formats["inert"]] + [
         ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE] + [
         ("partition " + " ".join(args), ("partition", *args)) for args in BAD_TEXT]
 

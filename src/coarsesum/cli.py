@@ -27,7 +27,7 @@ from .inertness import constant, detect_inert_stream, geometric, harmonic
 from .ops import CoarseContext, FoldStep
 from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
-from .representatives import Policy, margin_pos, rep_of_cell
+from .representatives import Policy, rep_of_cell
 from .stpetersburg import Gamble, coarse_value, compare_valuations
 
 
@@ -108,7 +108,7 @@ def _verdict_text(v) -> str:
 def cmd_partition(args) -> int:
     ctx = _context_from_args(args)
     last = min(args.cells, ctx.partition.max_index or args.cells)  # a finite layout ends early
-    rows = [(c, rep := rep_of_cell(c, ctx.policy), margin_pos(c, ctx.policy), rep - c.lower)
+    rows = [(c, rep := rep_of_cell(c, ctx.policy), c.upper - rep, rep - c.lower)
             for c in map(ctx.partition.cell_at, range(1, last + 1))]
     if args.format == "table":
         head = "cell interval rep margin+ margin-".split()

@@ -8,9 +8,9 @@ everything in cell i precedes everything in cell i+1.
 Integer-domain cells are finite runs of consecutive integers, closed
 ``[min, max]`` intervals.  Real-domain cells follow the half-open convention
 ``(a, b]``, except cell 1, closed so that the origin is covered, and one-point
-cells.  A :class:`Cell` holds its index, bounds and domain, and derives its
-closedness from them.  All boundaries are exact rationals, so membership at
-a boundary is decided exactly, never by floating-point luck.
+cells.  A :class:`Cell` is a read-only view: its index, bounds and domain, the
+closedness it derives from them, and its printed form.  Only the family decides
+which cell a value lies in, and exactly: boundaries are exact rationals.
 
 Built-in cell-layout families:
 
@@ -104,34 +104,9 @@ class Cell(_Frozen):
     def lower_closed(self) -> bool:  # real cells are open below, except cell 1 and one-point cells
         return self.domain is _INTEGERS or self.index == 1 or self.lower == self.upper
 
-    def contains(self, value) -> bool:
-        x = Fraction(value)
-        if self.domain is _INTEGERS and x.denominator != 1:
-            return False
-        if x < self.lower or (x == self.lower and not self.lower_closed):
-            return False
-        return x <= self.upper
-
-    __contains__ = contains
-
-    @property
-    def is_singleton(self) -> bool:
-        return self.lower == self.upper
-
-    @property
-    def width(self) -> Fraction:
-        return self.upper - self.lower
-
-    @property
-    def count(self) -> int:
-        """Number of elements; defined for integer-domain cells only."""
-        if self.domain is not _INTEGERS:
-            raise DomainError("count is defined for integer cells only")
-        return int(self.upper - self.lower) + 1
-
     def __str__(self) -> str:
         if self.domain is _INTEGERS:
-            if self.is_singleton:
+            if self.lower == self.upper:
                 return "{%s}" % self.lower
             return "{%s..%s}" % (self.lower, self.upper)
         lo = "[" if self.lower_closed else "("

@@ -27,7 +27,7 @@ from .errors import SpecError
 from .inertness import InertVerdict, Outcome, constant, detect_inert_stream, detect_inert_trace
 from .ops import CoarseContext
 from .partitions import EpsilonGrowth, _Frozen, _settle
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 #: Deterministic counter-based generator used for all sampling.
 RNG_ALGORITHM = "numpy-philox4x64"
@@ -93,8 +93,8 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    eps = parse_rational(epsilon)
-    ctx = CoarseContext(EpsilonGrowth(eps))
+    ctx = CoarseContext(EpsilonGrowth(epsilon))  # the family parses epsilon and names it
+    eps = ctx.partition.epsilon
     cell_formula = floor(eps / 2) + 1
     verdict = detect_inert_stream(ctx, constant(INCREMENT_BOUND), horizon=depth,
                                   increment_bound=INCREMENT_BOUND)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from coarsesum import (CoarseContext, EpsilonGrowth, ExplicitBounds, Fibonacci,
+from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                        FixedWidth, FoldStep, Policy, margin_pos)
 
 settings.register_profile("default", deadline=None)
@@ -69,6 +69,20 @@ def assert_json_rows_match_steps():
                     value = f"{value.numerator}/{value.denominator}"
                 assert type(row[key]) is type(value) and row[key] == value, (step.n, key)
     return check
+
+
+@pytest.fixture(scope="session")
+def contains():
+    """The membership oracle: whether a value lies in a ``Cell``, read off its bounds and
+    closedness alone, independent of the family's ``index_of`` that it checks."""
+    def holds(cell, value):
+        x = Fraction(value)
+        if cell.domain is Domain.INTEGERS and x.denominator != 1:
+            return False
+        if x < cell.lower or (x == cell.lower and not cell.lower_closed):
+            return False
+        return x <= cell.upper
+    return holds
 
 
 @pytest.fixture(scope="session")

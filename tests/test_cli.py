@@ -157,13 +157,15 @@ def test_min_is_refused_where_cells_are_open_below(command, family, name, capsys
                    "a cell's infimum lies in the cell below\n")
 
 
-@pytest.mark.parametrize("flags, error", [
-    (["--eps", "abc"], "epsilon: not a rational number: 'abc'"),
-    (["--grid", "1/0"], "step: not a rational number: '1/0'"),
-    (["--bounds", "0,1,x"], "bounds: not a rational number: 'x'")],
-    ids=["eps", "grid", "bounds"])
-def test_bad_family_flag_text_names_its_field(flags, error, capsys):
-    assert run(["partition", *flags], capsys) == (1, "", f"error: {error}\n")
+@pytest.mark.parametrize("argv, error", [
+    (["partition", "--eps", "abc"], "epsilon: not a rational number: 'abc'"),
+    (["partition", "--grid", "1/0"], "step: not a rational number: '1/0'"),
+    (["partition", "--bounds", "0,1,x"], "bounds: not a rational number: 'x'"),
+    (["stpete", "--eps", "abc"], "epsilon: not a rational number: 'abc'"),
+    (["stpete", "--eps", "abc", "--trials", "3"], "epsilon: not a rational number: 'abc'")],
+    ids=["eps", "grid", "bounds", "stpete", "stpete-trials"])
+def test_bad_family_flag_text_names_its_field(argv, error, capsys):
+    assert run(argv, capsys) == (1, "", f"error: {error}\n")
 
 
 # --------------------------------------------------------------------- fold

@@ -3,7 +3,7 @@
 ``CoarseContext.fold`` carries each partial sum's cell and collapses every
 cell once; the oracle here is a left fold of ``rep_add`` with cells read off
 ``index_of``.  ``EpsilonGrowth`` lookup works on numerators and denominators;
-its oracle is ``Cell.contains`` on cells whose bounds are recomputed from
+its oracle is the ``contains`` fixture on cells whose bounds are recomputed from
 ``1/2 + (T(k) - 1)/eps`` by ``Fraction`` arithmetic.
 """
 
@@ -323,31 +323,31 @@ VALUES = st.one_of(
     st.builds(F, st.integers(min_value=0, max_value=2**80), st.integers(1, 2**20)))
 
 
-def assert_index_matches_membership(partition, x):
+def assert_index_matches_membership(partition, x, contains):
     eps = partition.spec.epsilon
     i = partition.index_of(x)
     cell = partition.cell_at(i)
-    assert cell.contains(x)
+    assert contains(cell, x)
     if i > 1:
         assert (cell.lower, cell.upper) == (eps_bound(eps, i - 1), eps_bound(eps, i))
-        assert not partition.cell_at(i - 1).contains(x)
-    assert not partition.cell_at(i + 1).contains(x)
+        assert not contains(partition.cell_at(i - 1), x)
+    assert not contains(partition.cell_at(i + 1), x)
 
 
 @settings(max_examples=300)
 @given(eps=EPSILONS, x=VALUES)
-def test_epsilon_index_agrees_with_membership(eps, x):
-    assert_index_matches_membership(EpsilonGrowth(eps), x)
+def test_epsilon_index_agrees_with_membership(contains, eps, x):
+    assert_index_matches_membership(EpsilonGrowth(eps), x, contains)
 
 
 @settings(max_examples=300)
 @given(eps=EPSILONS, k=st.one_of(st.integers(1, 2000), st.integers(1, 2**40)))
-def test_epsilon_index_at_exact_bounds(eps, k):
+def test_epsilon_index_at_exact_bounds(contains, eps, k):
     p = EpsilonGrowth(eps)
     b = eps_bound(eps, k)
     assert p.index_of(b) == k              # upper bounds are closed
     for x in (b, b + F(1, 10**30), b - F(1, 10**30)):
-        assert_index_matches_membership(p, x)
+        assert_index_matches_membership(p, x, contains)
 
 
 # ------------------------------------------- integer spans and scaled lookup
@@ -360,7 +360,7 @@ def oracle_rep(cell, policy):
     if policy is Policy.MAX:
         return cell.upper
     if cell.domain is Domain.INTEGERS:
-        return cell.lower + (cell.count - 1) // 2
+        return cell.lower + (cell.upper - cell.lower) // 2
     return (cell.lower + cell.upper) / 2
 
 
