@@ -18,9 +18,13 @@ without ``--bound``, a constant geometric one, a growing one, and the two
 constant streams whose certificate stops at cell 1 because every cell has the
 same margins; then ``stpete`` at an ``--eps`` of 1 (also with sampling), 0 and
 -1, below the 2 under which the closed form and the margin scan disagree, where
-no workload reaches; then flag text that is not a number, which the families
-parse, so that each error names its field: ``partition --eps abc``,
-``partition --grid 1/0``, ``partition --bounds 0,1,x`` and ``stpete --eps abc``.
+no workload reaches; then ``stpete`` at ``--eps 10`` sampling with
+``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
+samples at the default truncation 64, where a draw reaches the cap with
+probability 2**-63, so only these runs compare capped payoffs; then flag text
+that is not a number, which the families parse, so that each error names its
+field: ``partition --eps abc``, ``partition --grid 1/0``,
+``partition --bounds 0,1,x`` and ``stpete --eps abc``.
 Every later tree's stdout, stderr and exit code are compared with the first
 tree's.  One line names each command that differs; the last line counts them.
 The exit code is 1 if any command differs, else 0.
@@ -54,7 +58,10 @@ INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--eps", "10", "--geometric", "2", "3"), ("--width", "3", "--const", "1", "--bound", "1"),
          ("--grid", "1/2", "--const", "0", "--bound", "1/2"))
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
-          ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"))
+          ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"),
+          ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "1"),
+          ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "3",
+           "--format", "json"))
 #: Family flag text that is not a number: each family's error names its field.
 BAD_TEXT = (("--eps", "abc"), ("--grid", "1/0"), ("--bounds", "0,1,x"))
 

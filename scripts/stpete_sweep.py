@@ -19,8 +19,7 @@ Usage:
 import argparse
 from fractions import Fraction
 
-from coarsesum import (Gamble, coarse_value, compare_valuations,
-                       format_decimal, parse_rational)
+from coarsesum import coarse_value, compare_valuations, format_decimal, parse_rational
 
 
 def main() -> None:
@@ -58,8 +57,7 @@ def main() -> None:
               f"truncation depth 64):")
         eps = lo
         while eps <= hi:
-            rep = compare_valuations(eps, Gamble(), args.trials, args.seed,
-                                     depth=args.depth)
+            rep = compare_valuations(eps, 64, args.trials, args.seed, depth=args.depth)
             v = rep.sampled_verdict
             tail = (f"inert at cell {v.cell_index} from step {v.n_stable}"
                     if v.inert else f"no verdict (final cell {rep.sampled_final_cell})")

@@ -28,7 +28,7 @@ from .ops import CoarseContext, FoldStep
 from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, rep_of_cell
-from .stpetersburg import Gamble, coarse_value, compare_valuations
+from .stpetersburg import coarse_value, compare_valuations
 
 
 # --------------------------------------------------------------- shared flags
@@ -185,8 +185,8 @@ def _print_valuation_text(rep) -> None:
 
 def cmd_stpete(args) -> int:
     if args.trials > 0:
-        report = compare_valuations(args.eps, Gamble(args.truncation), args.trials,
-                                    args.seed, depth=args.depth)
+        report = compare_valuations(args.eps, args.truncation, args.trials, args.seed,
+                                    depth=args.depth)
     else:
         report = coarse_value(args.eps, depth=args.depth)
     if args.format == "json":

@@ -19,7 +19,6 @@ which can lie well below it.  See ``detect_inert_stream``.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import count
 from typing import Callable, NamedTuple
@@ -30,26 +29,19 @@ from .rationals import format_rational, parse_rational
 from .representatives import _MAX, Policy, _pick
 
 
-class Outcome(Enum):
-    INERT = "inert"
-    # No outcome claims divergence: a finite window cannot tell it from slow
-    # stabilization, so NO_VERDICT carries growth evidence instead.
-    NO_VERDICT = "no_verdict"
-
-
 class InertVerdict(NamedTuple):
-    """Outcome of an inertness check.
+    """The result of an inertness check: inert exactly when it names a step N.
 
-    ``certified`` is True only for margin-certificate verdicts, which hold
-    for every step the increment bound was checked on: the entire infinite
-    stream when the stream states its ``top``, else the steps up to the
-    horizon; observed verdicts only describe the examined window.
-    ``increasing_run`` (non-inert outcomes) is the length of the longest
-    strictly climbing run of sum-cell indexes at the end of the window, as
-    growth evidence.
+    No verdict claims divergence: a finite window cannot tell it from slow
+    stabilization, so a verdict that is not inert carries growth evidence
+    instead, ``increasing_run``: the length of the longest strictly climbing
+    run of sum-cell indexes at the end of the window.  ``certified`` is True
+    only for margin-certificate verdicts, which hold for every step the
+    increment bound was checked on: the entire infinite stream when the
+    stream states its ``top``, else the steps up to the horizon; observed
+    verdicts only describe the examined window.
     """
 
-    outcome: Outcome
     n_stable: int | None = None
     cell_index: int | None = None
     fixed_value: Fraction | None = None
@@ -59,11 +51,11 @@ class InertVerdict(NamedTuple):
 
     @property
     def inert(self) -> bool:
-        return self.outcome is Outcome.INERT
+        return self.n_stable is not None
 
     def to_json_dict(self) -> dict:
         return {
-            "outcome": self.outcome.value,
+            "outcome": "inert" if self.inert else "no_verdict",
             "N": self.n_stable,
             "cell": self.cell_index,
             "value": None if self.fixed_value is None else format_rational(self.fixed_value),
@@ -78,7 +70,7 @@ def detect_inert_trace(trace: FoldTrace) -> InertVerdict:
     Returns an observed (uncertified) inert verdict with the smallest N such
     that every partial sum from step N to the end equals the final one; a
     single trailing sample is no evidence, so the constant suffix must have
-    at least two steps.  Anything else is NO_VERDICT at the window length.
+    at least two steps.  Anything else is no verdict at the window length.
     """
     return _judge(trace.steps, len(trace.steps))
 
@@ -104,9 +96,8 @@ def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
     if not start:
         raise ValueError("cannot judge an empty trace")
     if start < horizon:
-        return InertVerdict(Outcome.INERT, n_stable=start, cell_index=cell,
-                            fixed_value=s, horizon=horizon)
-    return InertVerdict(Outcome.NO_VERDICT, horizon=horizon, increasing_run=climb)
+        return InertVerdict(n_stable=start, cell_index=cell, fixed_value=s, horizon=horizon)
+    return InertVerdict(horizon=horizon, increasing_run=climb)
 
 
 def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep) -> int | None:
@@ -171,8 +162,8 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
         target = first_absorbing_cell(ctx.partition, ctx.policy, rep_b)
         if target is not None:
             value = ctx.partition.unscaled(_pick(*ctx.partition.span(target), ctx.policy))
-            return InertVerdict(Outcome.INERT, n_stable=target, cell_index=target,
-                                fixed_value=value, horizon=horizon, certified=True)
+            return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
+                                horizon=horizon, certified=True)
     return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon,
                   settles=getattr(gen, "period", None) == 1)
 

@@ -24,9 +24,9 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import SpecError
-from .inertness import InertVerdict, Outcome, constant, detect_inert_stream, detect_inert_trace
+from .inertness import InertVerdict, constant, detect_inert_stream, detect_inert_trace
 from .ops import CoarseContext
-from .partitions import EpsilonGrowth, _Frozen, _settle
+from .partitions import EpsilonGrowth
 from .rationals import format_rational
 
 #: Deterministic counter-based generator used for all sampling.
@@ -35,29 +35,6 @@ RNG_ALGORITHM = "numpy-philox4x64"
 #: Bound on every expected increment, which is exactly 1/2.  It lands in the
 #: first growth cell [0, 1/2] and collapses to that cell's midpoint 1/4.
 INCREMENT_BOUND = Fraction(1, 2)
-
-
-class Gamble(_Frozen):
-    """The doubling gamble, truncated at a maximum round count.
-
-    Rounds beyond ``truncation_depth`` are folded into the final outcome, so
-    outcome probabilities still sum to one exactly; the final payoff
-    2**(depth-1) then carries probability 2**-(depth-1) instead of 2**-depth.
-    """
-
-    _fields = ("truncation_depth",)
-
-    def __init__(self, truncation_depth: int = 64):
-        d = truncation_depth
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise SpecError(f"truncation_depth: must be a positive integer, got {d!r}")
-        _settle(self, truncation_depth=d)
-
-    def payoff(self, n: int) -> int:
-        """Payoff when the first tail shows on toss n (capped at the depth)."""
-        if n < 1:
-            raise ValueError(f"round count must be >= 1, got {n}")
-        return 1 << (min(n, self.truncation_depth) - 1)
 
 
 class ValuationReport(NamedTuple):
@@ -171,22 +148,28 @@ def _philox_words(key: tuple):
         yield from (c0, c1, c2, c3)
 
 
-def sample_gamble(gamble: Gamble, trials: int, seed: int) -> list:
-    """Draw ``trials`` truncated payoffs, deterministically in the seed.
+def sample_gamble(truncation_depth: int, trials: int, seed: int) -> list:
+    """Draw ``trials`` payoffs of the gamble truncated at ``truncation_depth`` rounds.
 
-    Round counts are the geometric(1/2) draws of
+    Rounds beyond the depth are folded into the final outcome, so outcome
+    probabilities still sum to one exactly; the final payoff 2**(depth-1)
+    then carries probability 2**-(depth-1) instead of 2**-depth.  Draws are
+    deterministic in the seed.  Round counts are the geometric(1/2) draws of
     ``numpy.random.Generator(numpy.random.Philox(seed)).geometric(0.5)``
     (see :data:`RNG_ALGORITHM`), reimplemented bit for bit in integer
     arithmetic, so sampling needs no numpy.  Each draw takes one 64-bit word;
     numpy's search over the partial sums 1 - 2**-k for its 53-bit uniform
-    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m.  Each round
-    count is paid by :meth:`Gamble.payoff`, as an exact Python integer.
+    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m.  Each payoff
+    is an exact Python integer.
     """
+    d = truncation_depth
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+        raise SpecError(f"truncation_depth: must be a positive integer, got {d!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     words = islice(_philox_words(_philox_key(seed)), trials)
-    payoff = gamble.payoff
-    return [payoff(max(1, 54 - ((1 << 53) - (w >> 11)).bit_length())) for w in words]
+    rounds = (max(1, 54 - ((1 << 53) - (w >> 11)).bit_length()) for w in words)
+    return [1 << (min(n, d) - 1) for n in rounds]
 
 
 class ComparisonReport(NamedTuple):
@@ -236,14 +219,14 @@ class ComparisonReport(NamedTuple):
         }
 
 
-def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
+def compare_valuations(epsilon, truncation_depth: int, trials: int, seed: int,
                        depth: int = 10_000) -> ComparisonReport:
     """Run the expected-increment, sampled, and exact-addition valuations."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     valuation = coarse_value(epsilon, depth)
     ctx = CoarseContext(EpsilonGrowth(valuation.epsilon))
-    payoffs = sample_gamble(gamble, trials, seed)
+    payoffs = sample_gamble(truncation_depth, trials, seed)
     trace = ctx.fold(payoffs)
     counts = Counter(p.bit_length() for p in payoffs)
 
@@ -252,13 +235,12 @@ def compare_valuations(epsilon, gamble: Gamble, trials: int, seed: int,
         trials=trials,
         seed=seed,
         rng_algorithm=RNG_ALGORITHM,
-        truncation_depth=gamble.truncation_depth,
+        truncation_depth=truncation_depth,
         sampled_verdict=detect_inert_trace(trace),
         sampled_final=trace.final_sum,
         sampled_final_cell=trace.final_cell,
         sampled_mean=Fraction(sum(payoffs), trials),
         round_counts=dict(counts),
-        classical_verdict=InertVerdict(Outcome.NO_VERDICT, horizon=depth,
-                                       increasing_run=depth),
+        classical_verdict=InertVerdict(horizon=depth, increasing_run=depth),
         classical_final=valuation.classical_sum,
     )

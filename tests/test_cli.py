@@ -483,13 +483,18 @@ def test_stpete_nonpositive_eps_gets_the_family_error(eps, capsys):
         1, "", f"error: epsilon: must be positive, got {eps}\n")
 
 
-def test_stpete_with_sampling(capsys):
+@pytest.mark.parametrize("truncation", [16, 2])
+def test_stpete_with_sampling(truncation, capsys):
     args = ["stpete", "--eps", "10", "--depth", "50", "--trials", "200",
-            "--seed", "3", "--truncation", "16"]
+            "--seed", "3", "--truncation", str(truncation)]
     code, out, _ = run(args, capsys)
     assert code == 0
     assert "sampled payoffs: trials = 200, seed = 3, rng = numpy-philox4x64" in out
-    assert "round counts" in out
+    assert f"truncation depth = {truncation}\n" in out
+    counts = dict(pair.split(":") for pair in
+                  re.search(r"round counts +: (.*)", out).group(1).split())
+    assert {int(n) for n in counts} <= set(range(1, truncation + 1))
+    assert sum(map(int, counts.values())) == 200
     assert "exact-addition control (singleton grid):" in out
     assert "no verdict after 50 steps" in out
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldStep, FoldTrace, InertVerdict, Outcome,
+                       Fibonacci, FixedWidth, FoldStep, FoldTrace, InertVerdict,
                        OutOfRangeError, Partition, Policy, SingletonGrid, SpecError,
                        constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, format_decimal,
@@ -555,7 +555,7 @@ def certified_by_cells(ctx, bound, horizon, absorbing_by_cells):
     if target is None:
         return verdict_or_error(lambda: detect_inert_trace(ctx.fold([bound] * horizon)))
     value = rep_of_cell(ctx.partition.cell_at(target), ctx.policy)
-    return InertVerdict(Outcome.INERT, n_stable=target, cell_index=target, fixed_value=value,
+    return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
                         horizon=horizon, certified=True)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, InertVerdict, Outcome, Policy, SingletonGrid,
+                       FixedWidth, Policy, SingletonGrid,
                        constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, geometric,
                        harmonic, margin_pos, rep_of_cell)
@@ -29,23 +29,22 @@ def test_constant_five_settles_at_same_value(tiers_ctx):
 def test_singleton_sums_never_settle():
     ctx = CoarseContext(SingletonGrid(1))
     v = detect_inert_trace(ctx.fold([1] * 100))
-    assert v.outcome is Outcome.NO_VERDICT
+    assert not v.inert
     assert v.horizon == 100
     assert v.increasing_run == 100
     assert v.n_stable is None and v.fixed_value is None
-    assert not v.inert
 
 
 def test_increasing_run_measures_the_tail_only(fib_ctx):
     # cells go 6, 6, then climb: the strictly increasing tail has length 2
     v = detect_inert_trace(fib_ctx.fold([13, 0, 1000]))
-    assert v.outcome is Outcome.NO_VERDICT
+    assert not v.inert
     assert v.increasing_run == 2
 
 
 def test_single_step_is_no_evidence(fib_ctx):
     v = detect_inert_trace(fib_ctx.fold([7]))
-    assert v.outcome is Outcome.NO_VERDICT
+    assert not v.inert
     assert v.horizon == 1
 
 
@@ -71,7 +70,7 @@ def test_stable_step_is_minimal(xs):
     ctx = CoarseContext(Fibonacci())
     trace = ctx.fold(xs)
     v = detect_inert_trace(trace)
-    assert v.outcome in (Outcome.INERT, Outcome.NO_VERDICT)
+    assert v.inert is (v.fixed_value is not None)
     if v.inert:
         sums = [s.s for s in trace.steps]
         assert all(s == v.fixed_value for s in sums[v.n_stable - 1:])
@@ -332,6 +331,27 @@ def test_verdict_json_shapes(eps10_ctx):
         "outcome": "no_verdict", "N": None, "cell": None, "value": None,
         "horizon": 5, "certified": False,
     }
+
+
+@pytest.mark.parametrize("judge, inert", [
+    (lambda: detect_inert_trace(CoarseContext(Fibonacci()).fold([0, 0, 0])), True),
+    (lambda: detect_inert_trace(CoarseContext(SingletonGrid(1)).fold([1] * 5)), False),
+    (lambda: detect_inert_stream(CoarseContext(EpsilonGrowth(10)), constant(F(1, 2)),
+                                 horizon=30, increment_bound=F(1, 2)), True),
+    (lambda: detect_inert_stream(CoarseContext(EpsilonGrowth(10)), constant(F(1, 2)),
+                                 horizon=30), True),
+    (lambda: detect_inert_stream(CoarseContext(SingletonGrid(1)), constant(1), horizon=40),
+     False),
+], ids=["trace-inert", "trace-no-verdict", "certificate", "stream-observed",
+        "stream-no-verdict"])
+def test_a_verdict_is_inert_exactly_when_it_names_its_step(judge, inert):
+    v = judge()
+    assert v.inert is inert
+    named = (v.n_stable, v.cell_index, v.fixed_value)
+    assert v.inert is (v.n_stable is not None)
+    assert all(x is not None for x in named) if v.inert else named == (None, None, None)
+    assert (v.increasing_run is None) is v.inert
+    assert v.to_json_dict()["outcome"] == ("inert" if v.inert else "no_verdict")
 
 
 def test_an_increment_bound_that_collapses_below_zero_is_refused():

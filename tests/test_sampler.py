@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coarsesum import Gamble, sample_gamble
+from coarsesum import sample_gamble
 from coarsesum.stpetersburg import _philox_key, _philox_words
 
 np = pytest.importorskip("numpy")
@@ -43,13 +43,13 @@ def test_raw_words_match_numpy_philox(seed, k):
 @pytest.mark.parametrize("trials", [0, 1, 4, 5, 1500])
 @pytest.mark.parametrize("truncation", [1, 2, 64])
 def test_payoffs_match_numpy(seed, trials, truncation):
-    assert sample_gamble(Gamble(truncation), trials, seed) == \
+    assert sample_gamble(truncation, trials, seed) == \
         numpy_payoffs(trials, seed, truncation)
 
 
 @given(st.integers(min_value=0, max_value=2**70 - 1), st.integers(0, 60),
        st.sampled_from([1, 2, 5, 64, 100]))
 def test_payoffs_match_numpy_for_any_seed(seed, trials, truncation):
-    assert sample_gamble(Gamble(truncation), trials, seed) == \
+    assert sample_gamble(truncation, trials, seed) == \
         numpy_payoffs(trials, seed, truncation)
 

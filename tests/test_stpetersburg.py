@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (INCREMENT_BOUND, RNG_ALGORITHM, CoarseContext, ComparisonReport,
-                       EpsilonGrowth, Gamble, Outcome, Policy, SingletonGrid, SpecError,
+                       EpsilonGrowth, Policy, SingletonGrid, SpecError,
                        coarse_value, compare_valuations, constant,
                        detect_inert_stream, first_absorbing_cell, sample_gamble)
 from coarsesum import inertness, stpetersburg
@@ -25,29 +25,41 @@ def eps_rep(eps: F, i: int) -> F:
 # ----------------------------------------------------------------- gamble
 
 def test_expected_increments_are_exact_halves():
-    g = Gamble(truncation_depth=10)
-    assert [F(g.payoff(n), 2**n) for n in range(1, 10)] == [INCREMENT_BOUND] * 9
+    # a draw that ends in round n < depth pays 2**(n-1) with probability 2**-n
+    draws = sample_gamble(10, 2000, seed=5)
+    rounds = {p.bit_length() for p in draws if p < 1 << 9}
+    assert rounds >= set(range(1, 8))
+    assert [F(1 << (n - 1), 2**n) for n in sorted(rounds)] == [INCREMENT_BOUND] * len(rounds)
     assert INCREMENT_BOUND == F(1, 2)
 
 
 def test_payoffs_double_and_cap():
-    g = Gamble(truncation_depth=10)
-    assert [g.payoff(n) for n in (1, 2, 3, 5)] == [1, 2, 4, 16]
-    assert g.payoff(10) == 512
-    assert g.payoff(99) == 512              # capped at the depth
-    with pytest.raises(ValueError):
-        g.payoff(0)
+    # a shallower gamble caps the same round counts: its draws are the deep
+    # draws clipped at 2**(depth-1)
+    deep = sample_gamble(64, 3000, seed=4)
+    assert all(p & (p - 1) == 0 for p in deep)      # powers of two
+    for d in (1, 2, 3, 5, 10):
+        capped = sample_gamble(d, 3000, seed=4)
+        assert capped == [min(p, 1 << (d - 1)) for p in deep]
+        assert max(capped) == 1 << (d - 1)           # the cap is reached
 
 
 def test_depth_one_gamble_is_a_sure_unit():
-    assert Gamble(1).payoff(1) == 1
+    r = compare_valuations(10, 1, trials=50, seed=0, depth=20)
+    assert r.truncation_depth == 1
+    assert r.round_counts == {1: 50}
+    assert r.sampled_mean == 1
 
 
-def test_bad_depth_rejected():
-    with pytest.raises(SpecError):
-        Gamble(0)
-    with pytest.raises(SpecError):
-        Gamble(True)
+@pytest.mark.parametrize("depth", [0, True, -1, 2.5, "8", None])
+def test_bad_depth_rejected(depth):
+    text = f"truncation_depth: must be a positive integer, got {depth!r}"
+    with pytest.raises(SpecError) as exc:
+        sample_gamble(depth, 5, seed=0)
+    assert str(exc.value) == text
+    with pytest.raises(SpecError) as exc:
+        compare_valuations(10, depth, trials=5, seed=0)
+    assert str(exc.value) == text
 
 
 # ---------------------------------------------------------------- valuation
@@ -122,39 +134,37 @@ def test_valuation_json_shape():
 # ----------------------------------------------------------------- sampling
 
 def test_sampling_is_deterministic_in_the_seed():
-    g = Gamble(30)
-    assert sample_gamble(g, 1000, seed=7) == sample_gamble(g, 1000, seed=7)
-    assert sample_gamble(g, 1000, seed=7) != sample_gamble(g, 1000, seed=8)
+    assert sample_gamble(30, 1000, seed=7) == sample_gamble(30, 1000, seed=7)
+    assert sample_gamble(30, 1000, seed=7) != sample_gamble(30, 1000, seed=8)
 
 
 def test_sampling_golden_draws():
-    assert sample_gamble(Gamble(30), 12, seed=0) == \
+    assert sample_gamble(30, 12, seed=0) == \
         [1, 1, 1, 1, 32, 1, 8, 1, 1, 1, 4, 1]
-    assert sample_gamble(Gamble(30), 12, seed=12345) == \
+    assert sample_gamble(30, 12, seed=12345) == \
         [1, 2, 1, 2, 2, 1, 1, 1, 1, 8, 2, 4]
 
 
 def test_samples_are_capped_powers_of_two():
-    g = Gamble(5)
-    draws = sample_gamble(g, 5000, seed=3)
+    draws = sample_gamble(5, 5000, seed=3)
     assert all(isinstance(p, int) for p in draws)
-    assert set(draws) <= {1, 2, 4, 8, 16}
+    assert set(draws) == {1, 2, 4, 8, 16}   # the cap 2**(5-1) is reached
 
 
 def test_depth_one_sampling_is_constant():
-    assert sample_gamble(Gamble(1), 100, seed=9) == [1] * 100
+    assert sample_gamble(1, 100, seed=9) == [1] * 100
 
 
 def test_zero_trials_gives_empty_sample():
-    assert sample_gamble(Gamble(30), 0, seed=0) == []
+    assert sample_gamble(30, 0, seed=0) == []
     with pytest.raises(ValueError):
-        sample_gamble(Gamble(30), -1, seed=0)
+        sample_gamble(30, -1, seed=0)
 
 
 def test_negative_seed_is_rejected():
     for trials in (0, 5):
         with pytest.raises(ValueError):
-            sample_gamble(Gamble(8), trials, seed=-1)
+            sample_gamble(8, trials, seed=-1)
     run = subprocess.run([sys.executable, "-m", "coarsesum.cli", "stpete", "--eps", "10",
                           "--trials", "5", "--seed", "-1"], capture_output=True, text=True)
     assert run.returncode == 1
@@ -164,7 +174,7 @@ def test_negative_seed_is_rejected():
 
 def test_sampled_frequencies_track_the_geometric_law():
     n_trials = 200_000
-    draws = sample_gamble(Gamble(30), n_trials, seed=2026)
+    draws = sample_gamble(30, n_trials, seed=2026)
     for n in range(1, 8):
         p = 0.5 ** n
         observed = draws.count(1 << (n - 1)) / n_trials
@@ -175,9 +185,8 @@ def test_sampled_frequencies_track_the_geometric_law():
 # --------------------------------------------------------------- comparison
 
 def test_comparison_report_fields():
-    g = Gamble(20)
-    r = compare_valuations(10, g, trials=400, seed=1, depth=100)
-    payoffs = sample_gamble(g, 400, seed=1)
+    r = compare_valuations(10, 20, trials=400, seed=1, depth=100)
+    payoffs = sample_gamble(20, 400, seed=1)
     assert r.trials == 400 and r.seed == 1
     assert r.rng_algorithm == RNG_ALGORITHM == "numpy-philox4x64"
     assert r.truncation_depth == 20
@@ -186,7 +195,7 @@ def test_comparison_report_fields():
     assert r.round_counts == {p.bit_length(): c for p, c in
                               __import__("collections").Counter(payoffs).items()}
     assert r.classical_final == F(50)
-    assert r.classical_verdict.outcome is Outcome.NO_VERDICT
+    assert not r.classical_verdict.inert
     assert r.classical_verdict.horizon == 100
     assert r.valuation.cell_from_scan == 6
 
@@ -194,14 +203,14 @@ def test_comparison_report_fields():
 @pytest.mark.parametrize("depth", [1, 2, 3, 300, 1000])
 def test_closed_form_control_matches_the_singleton_grid_fold(depth):
     grid = CoarseContext(SingletonGrid(F(1, 2)))
-    r = compare_valuations(10, Gamble(8), trials=5, seed=0, depth=depth)
+    r = compare_valuations(10, 8, trials=5, seed=0, depth=depth)
     assert r.classical_verdict == detect_inert_stream(grid, constant(F(1, 2)), horizon=depth)
     assert r.classical_final == grid.fold([F(1, 2)] * depth).final_sum
 
 
 def test_comparison_sampled_fold_is_reproducible():
-    a = compare_valuations(4, Gamble(16), trials=250, seed=42, depth=50)
-    b = compare_valuations(4, Gamble(16), trials=250, seed=42, depth=50)
+    a = compare_valuations(4, 16, trials=250, seed=42, depth=50)
+    b = compare_valuations(4, 16, trials=250, seed=42, depth=50)
     assert a == b
     assert a.sampled_final == b.sampled_final
     assert a.sampled_final_cell >= 1
@@ -209,7 +218,7 @@ def test_comparison_sampled_fold_is_reproducible():
 
 def test_comparison_requires_trials():
     with pytest.raises(ValueError):
-        compare_valuations(10, Gamble(8), trials=0, seed=0)
+        compare_valuations(10, 8, trials=0, seed=0)
 
 
 @pytest.mark.parametrize("depth", [0, -3])
@@ -217,11 +226,11 @@ def test_valuations_name_a_depth_below_one(depth):
     with pytest.raises(ValueError, match=f"depth must be >= 1, got {depth}"):
         coarse_value(10, depth)
     with pytest.raises(ValueError, match="depth must be"):
-        compare_valuations(10, Gamble(8), trials=5, seed=0, depth=depth)
+        compare_valuations(10, 8, trials=5, seed=0, depth=depth)
 
 
 def test_comparison_json_shape():
-    d = compare_valuations(10, Gamble(8), trials=50, seed=5, depth=40).to_json_dict()
+    d = compare_valuations(10, 8, trials=50, seed=5, depth=40).to_json_dict()
     assert set(d) == {"valuation", "trials", "seed", "rng", "truncation_depth",
                       "sampled", "classical"}
     assert d["rng"] == "numpy-philox4x64"

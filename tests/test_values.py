@@ -10,7 +10,7 @@ import pytest
 
 import coarsesum
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, Gamble, InertVerdict, Outcome, Partition, Policy,
+                       FixedWidth, InertVerdict, Partition, Policy,
                        SingletonGrid, SpecError, build_partition)
 
 # (factory, repr) for each class built on the frozen-value base; each factory
@@ -33,7 +33,6 @@ VALUES = {
     "cell_real": (lambda: EpsilonGrowth(2).cell_at(2),
                   "Cell(index=2, lower=Fraction(1, 2), upper=Fraction(3, 2), lower_closed=False, "
                   "upper_closed=True, domain=<Domain.REALS: 'real'>)"),
-    "gamble": (Gamble, "Gamble(truncation_depth=64)"),
     "context": (lambda: CoarseContext(FixedWidth(2), Policy.MIN),
                 "CoarseContext(partition=FixedWidth(width=2), policy=<Policy.MIN: 'min'>)"),
     "trace": (lambda: CoarseContext(FixedWidth(2)).fold([1, 2]),
@@ -87,7 +86,6 @@ def test_distinct_values_and_classes_differ():
     assert FixedWidth(3) != SingletonGrid(3)
     assert SingletonGrid(3) != FixedWidth(3)
     assert ExplicitBounds((0, 1)) != ExplicitBounds((0, 1), Domain.REALS)
-    assert Gamble(5) != Gamble(6)
     assert FixedWidth(3) != (3,)
     assert FixedWidth(3).cell_at(1) != FixedWidth(3).cell_at(2)
     assert CoarseContext(FixedWidth(3)) != CoarseContext(FixedWidth(3), Policy.MAX)
@@ -116,8 +114,8 @@ def test_grown_fibonacci_keeps_its_cells_through_pickle_and_deepcopy():
 
 def test_named_tuple_values():
     # these compare equal to plain tuples of their fields
-    v = InertVerdict(Outcome.INERT, n_stable=2)
-    assert v == (Outcome.INERT, 2, None, None, None, False, None)
+    v = InertVerdict(n_stable=2)
+    assert v == (2, None, None, None, False, None)
     assert pickle.loads(pickle.dumps(v)) == v
 
 
@@ -162,7 +160,7 @@ def test_build_partition_refuses_what_is_not_a_family(other):
 PUBLIC_NAMES = [
     "Cell", "CoarseContext", "CoarseError", "ComparisonReport", "Domain", "DomainError",
     "EpsilonGrowth", "ExplicitBounds", "Fibonacci", "FixedWidth", "FoldStep", "FoldTrace",
-    "Gamble", "INCREMENT_BOUND", "InertVerdict", "OutOfRangeError", "Outcome",
+    "INCREMENT_BOUND", "InertVerdict", "OutOfRangeError",
     "Partition", "Policy", "RNG_ALGORITHM", "SingletonGrid", "SpecError", "ValuationReport",
     "__version__", "build_partition", "coarse_value", "compare_valuations", "constant",
     "detect_inert_stream", "detect_inert_trace", "first_absorbing_cell", "format_decimal",
@@ -172,7 +170,7 @@ PUBLIC_NAMES = [
 
 
 def test_the_public_surface_is_these_names_and_each_resolves():
-    assert len(PUBLIC_NAMES) == 40
+    assert len(PUBLIC_NAMES) == 38
     assert sorted(coarsesum.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(coarsesum, name), name
