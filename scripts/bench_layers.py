@@ -130,9 +130,8 @@ def per_verdict_step(ctx, values) -> float:
 def per_row(trace, fmt) -> float:
     from coarsesum import FoldStep
     from coarsesum.rationals import write_rows
-    rows = trace.steps
-    return min(timeit.repeat(lambda: write_rows(FoldStep._fields, rows, fmt), number=1,
-                             repeat=CALL_REPEAT)) / len(rows) * 1e6
+    return min(timeit.repeat(lambda: write_rows(FoldStep._fields, trace, fmt), number=1,
+                             repeat=CALL_REPEAT)) / len(trace) * 1e6
 
 
 def per_cell_scanned(partition, increment) -> float:

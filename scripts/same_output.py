@@ -22,9 +22,11 @@ no workload reaches; then ``stpete`` at ``--eps 10`` sampling with
 ``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
 samples at the default truncation 64, where a draw reaches the cap with
 probability 2**-63, so only these runs compare capped payoffs; then flag text
-that is not a number, which the families parse, so that each error names its
-field: ``partition --eps abc``, ``partition --grid 1/0``,
-``partition --bounds 0,1,x`` and ``stpete --eps abc``.
+that is not a number, which the families, the streams and the bound parse, so
+that each error names its field: ``partition`` with ``--eps abc``,
+``--grid 1/0``, ``--bounds 0,1,x`` and ``--width abc``, ``stpete --eps abc``,
+and ``inert`` with ``--const abc``, ``--harmonic --bound abc``,
+``--geometric 1 abc`` and ``--geometric abc 1/2``.
 Every later tree's stdout, stderr and exit code are compared with the first
 tree's.  One line names each command that differs; the last line counts them.
 The exit code is 1 if any command differs, else 0.
@@ -62,8 +64,13 @@ STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "1"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "3",
            "--format", "json"))
-#: Family flag text that is not a number: each family's error names its field.
-BAD_TEXT = (("--eps", "abc"), ("--grid", "1/0"), ("--bounds", "0,1,x"))
+#: Flag text that is not a number: each error names its field.
+BAD_TEXT = (("partition", "--eps", "abc"), ("partition", "--grid", "1/0"),
+            ("partition", "--bounds", "0,1,x"), ("partition", "--width", "abc"),
+            ("inert", "--eps", "10", "--const", "abc"),
+            ("inert", "--eps", "10", "--harmonic", "--bound", "abc"),
+            ("inert", "--eps", "10", "--geometric", "1", "abc"),
+            ("inert", "--eps", "10", "--geometric", "abc", "1/2"))
 
 
 def extra_commands(work: Path) -> list:
@@ -82,7 +89,7 @@ def extra_commands(work: Path) -> list:
         (f"inert {' '.join(args)} --format {fmt}", ("inert", *args, "--format", fmt))
         for args in INERT for fmt in formats["inert"]] + [
         ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE] + [
-        ("partition " + " ".join(args), ("partition", *args)) for args in BAD_TEXT]
+        (" ".join(argv), argv) for argv in BAD_TEXT]
 
 
 def run(src: str, argv: tuple) -> tuple:

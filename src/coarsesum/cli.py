@@ -28,7 +28,7 @@ from .ops import CoarseContext, FoldStep
 from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, rep_of_cell
-from .stpetersburg import coarse_value, compare_valuations
+from .stpetersburg import RNG_ALGORITHM, coarse_value, compare_valuations
 
 
 # --------------------------------------------------------------- shared flags
@@ -37,7 +37,7 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--fibonacci", action="store_true",
                    help="integer cells sized 1, 1, 2, 3, 5, 8, ...")
-    g.add_argument("--width", type=int, metavar="W",
+    g.add_argument("--width", metavar="W",
                    help="integer cells of fixed width W")
     g.add_argument("--eps", metavar="P/Q",
                    help="real growth cells [0,1/2], then widths 2/eps, 3/eps, ...")
@@ -145,8 +145,7 @@ def _read_values(path: str | None):
 
 def cmd_fold(args) -> int:
     ctx = _context_from_args(args)
-    trace = ctx.fold(_read_values(args.input))
-    print(write_rows(FoldStep._fields, trace.steps, args.format))
+    print(write_rows(FoldStep._fields, ctx.fold(_read_values(args.input)), args.format))
     return 0
 
 
@@ -163,8 +162,7 @@ def cmd_inert(args) -> int:
         values = _read_values(args.from_file)
         horizon = min(horizon, len(values))
         gen = lambda t: values[t - 1]
-    bound = None if args.bound is None else parse_rational(args.bound)
-    verdict = detect_inert_stream(ctx, gen, horizon, increment_bound=bound)
+    verdict = detect_inert_stream(ctx, gen, horizon, increment_bound=args.bound)
     if args.format == "table":
         print(_verdict_text(verdict))
     else:
@@ -196,7 +194,7 @@ def cmd_stpete(args) -> int:
     _print_valuation_text(report.valuation if args.trials > 0 else report)
     if args.trials > 0:
         print(f"  sampled payoffs: trials = {report.trials}, seed = {report.seed}, "
-              f"rng = {report.rng_algorithm}, truncation depth = {report.truncation_depth}")
+              f"rng = {RNG_ALGORITHM}, truncation depth = {report.truncation_depth}")
         print(f"    mean payoff      : {format_decimal(report.sampled_mean)}")
         print(f"    coarse final sum : {format_decimal(report.sampled_final)} "
               f"(cell {report.sampled_final_cell})")
@@ -205,7 +203,7 @@ def cmd_stpete(args) -> int:
         print(f"    round counts     : {counts}")
         print("  exact-addition control (singleton grid):")
         print(f"    verdict          : {_verdict_text(report.classical_verdict)}")
-        print(f"    final sum        : {format_decimal(report.classical_final)}")
+        print(f"    final sum        : {format_decimal(report.valuation.classical_sum)}")
     return 0
 
 

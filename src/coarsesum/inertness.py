@@ -24,8 +24,8 @@ from itertools import count
 from typing import Callable, NamedTuple
 
 from .ops import CoarseContext, FoldTrace, _fold_steps
-from .partitions import Partition
-from .rationals import format_rational, parse_rational
+from .partitions import Partition, _rational
+from .rationals import format_rational
 from .representatives import _MAX, Policy, _pick
 
 
@@ -72,7 +72,7 @@ def detect_inert_trace(trace: FoldTrace) -> InertVerdict:
     single trailing sample is no evidence, so the constant suffix must have
     at least two steps.  Anything else is no verdict at the window length.
     """
-    return _judge(trace.steps, len(trace.steps))
+    return _judge(trace, len(trace))
 
 
 def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
@@ -151,6 +151,7 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if increment_bound is not None:
+        increment_bound = _rational("increment_bound", increment_bound)
         top = getattr(gen, "top", None)
         if not (top <= increment_bound if top is not None else
                 all(0 <= gen(t) <= increment_bound for t in range(1, horizon + 1))):
@@ -182,7 +183,7 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
 # unmarked stream is read to the horizon.
 
 def constant(value) -> Callable[[int], Fraction]:
-    c = parse_rational(value)
+    c = _rational("constant", value)
     stream = lambda t: c
     stream.period = 1
     if c >= 0:
@@ -198,8 +199,8 @@ def harmonic() -> Callable[[int], Fraction]:
 
 def geometric(coefficient, ratio) -> Callable[[int], Fraction]:
     """t -> coefficient * ratio**t for t = 1, 2, 3, ...; a constant one is :func:`constant`."""
-    c = parse_rational(coefficient)
-    r = parse_rational(ratio)
+    c = _rational("coefficient", coefficient)
+    r = _rational("ratio", ratio)
     if c == 0 or r in (0, 1):
         return constant(c * r)
     stream = lambda t: c * r**t

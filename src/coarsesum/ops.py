@@ -41,33 +41,16 @@ class FoldStep(NamedTuple):
     absorbed: bool  # True when the sum's cell did not move from step n-1
 
 
-class FoldTrace(_Frozen):
-    """The complete record of a left-associative coarse fold."""
+class FoldTrace(tuple):
+    """The complete record of a left-associative coarse fold: the tuple of its steps."""
 
-    _fields = ("steps",)
-
-    def __init__(self, steps: tuple):
-        _settle(self, steps=steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    @property
-    def final_sum(self) -> Fraction:
-        return self.steps[-1].s
-
-    @property
-    def final_cell(self) -> int:
-        return self.steps[-1].s_cell
+    __slots__ = ()
 
     def to_json_lines(self) -> str:
-        return write_rows(FoldStep._fields, self.steps, "json")
+        return write_rows(FoldStep._fields, self, "json")
 
     def to_csv(self) -> str:
-        return write_rows(FoldStep._fields, self.steps, "csv")
+        return write_rows(FoldStep._fields, self, "csv")
 
 
 class CoarseContext(_Frozen):
@@ -109,10 +92,10 @@ class CoarseContext(_Frozen):
         collapse.  Raises on an empty sequence, and range and domain errors
         surfacing mid-fold carry the failing 1-based step index.
         """
-        steps = tuple(_fold_steps(self, values))
-        if not steps:
+        trace = FoldTrace(_fold_steps(self, values))
+        if not trace:
             raise ValueError("cannot fold an empty sequence")
-        return FoldTrace(steps)
+        return trace
 
 
 def _fold_steps(ctx: CoarseContext, values: Iterable):

@@ -181,14 +181,14 @@ class ComparisonReport(NamedTuple):
     classical section is the fold of the expected increments over the
     singleton grid of step 1/2, where coarse addition is exact addition.
     It is given in closed form: after t steps the sum is t/2, in cell t + 1,
-    so the sums climb one cell per step and the verdict over ``depth`` steps
-    is no verdict with an increasing run of ``depth``.
+    so the sums climb one cell per step, the verdict over ``depth`` steps is
+    no verdict with an increasing run of ``depth``, and the final sum is the
+    valuation's ``classical_sum``.
     """
 
     valuation: ValuationReport
     trials: int
     seed: int
-    rng_algorithm: str
     truncation_depth: int
     sampled_verdict: InertVerdict
     sampled_final: Fraction
@@ -196,14 +196,13 @@ class ComparisonReport(NamedTuple):
     sampled_mean: Fraction
     round_counts: dict
     classical_verdict: InertVerdict
-    classical_final: Fraction
 
     def to_json_dict(self) -> dict:
         return {
             "valuation": self.valuation.to_json_dict(),
             "trials": self.trials,
             "seed": self.seed,
-            "rng": self.rng_algorithm,
+            "rng": RNG_ALGORITHM,
             "truncation_depth": self.truncation_depth,
             "sampled": {
                 "verdict": self.sampled_verdict.to_json_dict(),
@@ -214,7 +213,7 @@ class ComparisonReport(NamedTuple):
             },
             "classical": {
                 "verdict": self.classical_verdict.to_json_dict(),
-                "final_sum": format_rational(self.classical_final),
+                "final_sum": format_rational(self.valuation.classical_sum),
             },
         }
 
@@ -234,13 +233,11 @@ def compare_valuations(epsilon, truncation_depth: int, trials: int, seed: int,
         valuation=valuation,
         trials=trials,
         seed=seed,
-        rng_algorithm=RNG_ALGORITHM,
         truncation_depth=truncation_depth,
         sampled_verdict=detect_inert_trace(trace),
-        sampled_final=trace.final_sum,
-        sampled_final_cell=trace.final_cell,
+        sampled_final=trace[-1].s,
+        sampled_final_cell=trace[-1].s_cell,
         sampled_mean=Fraction(sum(payoffs), trials),
         round_counts=dict(counts),
         classical_verdict=InertVerdict(horizon=depth, increasing_run=depth),
-        classical_final=valuation.classical_sum,
     )

@@ -147,8 +147,8 @@ def test_criterion_08_classical_divergence_control():
     trace = ctx.fold([F(1, 2)] * 10_000)
     verdict = detect_inert_trace(trace)
     ok = (not verdict.inert and verdict.horizon == 10_000
-          and trace.final_sum == 5000)
-    report(8, ok, f"verdict {verdict.to_json_dict()['outcome']}, final sum {trace.final_sum}")
+          and trace[-1].s == 5000)
+    report(8, ok, f"verdict {verdict.to_json_dict()['outcome']}, final sum {trace[-1].s}")
 
 
 def test_criterion_09_harmonic_series_admitted():

@@ -162,8 +162,17 @@ def test_min_is_refused_where_cells_are_open_below(command, family, name, capsys
     (["partition", "--grid", "1/0"], "step: not a rational number: '1/0'"),
     (["partition", "--bounds", "0,1,x"], "bounds: not a rational number: 'x'"),
     (["stpete", "--eps", "abc"], "epsilon: not a rational number: 'abc'"),
-    (["stpete", "--eps", "abc", "--trials", "3"], "epsilon: not a rational number: 'abc'")],
-    ids=["eps", "grid", "bounds", "stpete", "stpete-trials"])
+    (["stpete", "--eps", "abc", "--trials", "3"], "epsilon: not a rational number: 'abc'"),
+    (["partition", "--width", "abc"], "width: must be a positive integer, got 'abc'"),
+    (["partition", "--width", "3/1"], "width: must be a positive integer, got '3/1'"),
+    (["inert", "--eps", "10", "--const", "abc"], "constant: not a rational number: 'abc'"),
+    (["inert", "--eps", "10", "--harmonic", "--bound", "abc"],
+     "increment_bound: not a rational number: 'abc'"),
+    (["inert", "--eps", "10", "--geometric", "1", "abc"], "ratio: not a rational number: 'abc'"),
+    (["inert", "--eps", "10", "--geometric", "abc", "1/2"],
+     "coefficient: not a rational number: 'abc'")],
+    ids=["eps", "grid", "bounds", "stpete", "stpete-trials", "width", "width-ratio", "const",
+         "bound", "geometric-ratio", "geometric-coefficient"])
 def test_bad_family_flag_text_names_its_field(argv, error, capsys):
     assert run(argv, capsys) == (1, "", f"error: {error}\n")
 
@@ -201,7 +210,7 @@ def test_fold_json_round_trips(tmp_path, capsys, assert_json_rows_match_steps):
                        capsys)
     assert code == 0
     trace = CoarseContext(EpsilonGrowth(10)).fold([F(1, 2), F(1, 3), F(1, 7)])
-    assert_json_rows_match_steps(out.strip(), trace.steps)
+    assert_json_rows_match_steps(out.strip(), trace)
     # every operand collapses to 1/4 before adding, and each sum 1/2 re-collapses
     assert [s.s for s in trace] == [F(1, 2), F(1, 4), F(1, 4)]
     code, csv_out, _ = run(["fold", "--eps", "10", "--input", str(f),

@@ -64,7 +64,7 @@ def rep_add_fold(ctx, values):
 def assert_fold_matches(ctx, values):
     expected = rep_add_fold(ctx, values)
     if isinstance(expected[0], FoldStep):
-        assert ctx.fold(values).steps == expected
+        assert ctx.fold(values) == expected
         return
     error, step = expected
     with pytest.raises(error) as exc:
@@ -137,7 +137,7 @@ def test_trace_rows_round_trip_and_csv_matches_json(family, policy, data,
     if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
         stream = stream[:expected[1] - 1]
     trace = ctx.fold(stream)
-    assert_json_rows_match_steps(trace.to_json_lines(), trace.steps)
+    assert_json_rows_match_steps(trace.to_json_lines(), trace)
     assert_csv_matches_json(trace.to_csv(), trace.to_json_lines())
 
 
@@ -181,7 +181,7 @@ def test_sums_never_fall_and_collapsing_is_idempotent(family, policy, data):
     expected = rep_add_fold(ctx, stream)
     if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
         stream = stream[:expected[1] - 1]
-    steps = ctx.fold(stream).steps if stream else ()
+    steps = ctx.fold(stream) if stream else ()
     assert all(b.s_cell >= a.s_cell for a, b in zip(steps, steps[1:]))
     for value in [*stream, *(step.s for step in steps[1:])]:
         rep = ctx.normalize(value)
@@ -463,7 +463,7 @@ def test_fold_does_no_fraction_arithmetic_and_builds_no_cells(spec, values, poli
     ctx = CoarseContext(spec, policy)
     expected = rep_add_fold(ctx, values)
     forbid_fraction_arithmetic_and_cells(monkeypatch)
-    steps = ctx.fold(values).steps
+    steps = ctx.fold(values)
     monkeypatch.undo()
     assert steps == expected
 
@@ -495,7 +495,7 @@ def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, mo
     monkeypatch.setattr(family, "index_scaled", counted)
     monkeypatch.setattr(ops, "rep_of_value", lambda p, v, pol: collapsed.append(v)
                         or real_collapse(p, v, pol))
-    steps = ctx.fold(values).steps
+    steps = ctx.fold(values)
     monkeypatch.undo()
     assert steps == expected
     assert sum(not step.absorbed for step in steps) >= 0.8 * len(steps)   # it climbs
@@ -787,7 +787,7 @@ def test_fold_and_partition_rows_hold_one_kind_per_column(family, policy, data):
     if not isinstance(expected[0], FoldStep):   # keep the steps before the sum left the layout
         stream = stream[:expected[1] - 1]
     if stream:
-        assert_one_kind_per_column(CoarseContext(spec, policy).fold(stream).steps)
+        assert_one_kind_per_column(CoarseContext(spec, policy).fold(stream))
     cells, fmt = data.draw(st.integers(1, 12)), data.draw(st.sampled_from(["json", "csv"]))
     written = []
     with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):

@@ -72,7 +72,7 @@ def test_stable_step_is_minimal(xs):
     v = detect_inert_trace(trace)
     assert v.inert is (v.fixed_value is not None)
     if v.inert:
-        sums = [s.s for s in trace.steps]
+        sums = [s.s for s in trace]
         assert all(s == v.fixed_value for s in sums[v.n_stable - 1:])
         if v.n_stable > 1:
             assert sums[v.n_stable - 2] != v.fixed_value
@@ -81,7 +81,7 @@ def test_stable_step_is_minimal(xs):
 def test_empty_trace_rejected(fib_ctx):
     from coarsesum import FoldTrace
     with pytest.raises(ValueError):
-        detect_inert_trace(FoldTrace(steps=()))
+        detect_inert_trace(FoldTrace())
 
 
 # ------------------------------------------------------- margin certificates
@@ -366,7 +366,7 @@ def test_an_increment_bound_that_collapses_below_zero_is_refused():
 
 def test_a_bound_the_stream_breaks_is_refused_not_certified(eps10_ctx):
     # 100 lies far above 1/2: a fold of 100s passes cell 6 at once
-    assert eps10_ctx.fold([100] * 40).steps[-1].s_cell > 6
+    assert eps10_ctx.fold([100] * 40)[-1].s_cell > 6
     with pytest.raises(ValueError) as exc:
         detect_inert_stream(eps10_ctx, constant(100), 10, increment_bound=F(1, 2))
     assert str(exc.value) == "increment bound 1/2 does not hold for this stream"

@@ -152,22 +152,22 @@ def test_fold_worked_example(tiers_ctx):
     assert [s.s for s in trace] == [4, 11, 11, 11]
     assert [s.s_cell for s in trace] == [2, 3, 3, 3]
     assert [s.absorbed for s in trace] == [False, False, True, True]
-    assert trace.final_sum == 11
-    assert trace.final_cell == 3
+    assert trace[-1].s == 11
+    assert trace[-1].s_cell == 3
 
 
 def test_fold_first_step_keeps_raw_value(fib_ctx):
     trace = fib_ctx.fold([13])
-    assert trace.final_sum == 13            # not collapsed to the rep 15
-    assert trace.final_cell == 6
+    assert trace[-1].s == 13            # not collapsed to the rep 15
+    assert trace[-1].s_cell == 6
     assert len(trace) == 1
-    assert not trace.steps[0].absorbed
+    assert not trace[0].absorbed
 
 
 def test_fold_collapses_from_second_step(fib_ctx):
     trace = fib_ctx.fold([13, 0])
     # S2 = rep(cell(13)) + rep(cell(0)) = 15 + 0 = 15
-    assert trace.final_sum == 15
+    assert trace[-1].s == 15
 
 
 def test_fold_empty_sequence_rejected(fib_ctx):
@@ -207,12 +207,12 @@ def test_fold_absorption_flag_matches_cell_stall(xs):
 
 def test_trace_json_round_trip(tiers_ctx, assert_json_rows_match_steps):
     trace = tiers_ctx.fold([4, 4, 4, 4])
-    assert_json_rows_match_steps(trace.to_json_lines(), trace.steps)
+    assert_json_rows_match_steps(trace.to_json_lines(), trace)
 
 
 def test_trace_json_round_trip_rationals(eps10_ctx, assert_json_rows_match_steps):
     trace = eps10_ctx.fold([F(1, 2), F(1, 3), F(1, 7)])
-    assert_json_rows_match_steps(trace.to_json_lines(), trace.steps)
+    assert_json_rows_match_steps(trace.to_json_lines(), trace)
 
 
 def test_trace_csv_shape(tiers_ctx):

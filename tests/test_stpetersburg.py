@@ -188,13 +188,13 @@ def test_comparison_report_fields():
     r = compare_valuations(10, 20, trials=400, seed=1, depth=100)
     payoffs = sample_gamble(20, 400, seed=1)
     assert r.trials == 400 and r.seed == 1
-    assert r.rng_algorithm == RNG_ALGORITHM == "numpy-philox4x64"
+    assert r.to_json_dict()["rng"] == RNG_ALGORITHM == "numpy-philox4x64"
     assert r.truncation_depth == 20
     assert r.sampled_mean == F(sum(payoffs), 400)
     assert sum(r.round_counts.values()) == 400
     assert r.round_counts == {p.bit_length(): c for p, c in
                               __import__("collections").Counter(payoffs).items()}
-    assert r.classical_final == F(50)
+    assert r.valuation.classical_sum == F(50)
     assert not r.classical_verdict.inert
     assert r.classical_verdict.horizon == 100
     assert r.valuation.cell_from_scan == 6
@@ -205,7 +205,7 @@ def test_closed_form_control_matches_the_singleton_grid_fold(depth):
     grid = CoarseContext(SingletonGrid(F(1, 2)))
     r = compare_valuations(10, 8, trials=5, seed=0, depth=depth)
     assert r.classical_verdict == detect_inert_stream(grid, constant(F(1, 2)), horizon=depth)
-    assert r.classical_final == grid.fold([F(1, 2)] * depth).final_sum
+    assert r.valuation.classical_sum == grid.fold([F(1, 2)] * depth)[-1].s
 
 
 def test_comparison_sampled_fold_is_reproducible():

@@ -10,8 +10,9 @@ import pytest
 
 import coarsesum
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, InertVerdict, Partition, Policy,
+                       FixedWidth, FoldStep, FoldTrace, InertVerdict, Partition, Policy,
                        SingletonGrid, SpecError, build_partition)
+from coarsesum.rationals import write_rows
 
 # (factory, repr) for each class built on the frozen-value base; each factory
 # gives a fresh, equal value on every call.  The reprs are the ones the
@@ -35,10 +36,6 @@ VALUES = {
                   "upper_closed=True, domain=<Domain.REALS: 'real'>)"),
     "context": (lambda: CoarseContext(FixedWidth(2), Policy.MIN),
                 "CoarseContext(partition=FixedWidth(width=2), policy=<Policy.MIN: 'min'>)"),
-    "trace": (lambda: CoarseContext(FixedWidth(2)).fold([1, 2]),
-              "FoldTrace(steps=(FoldStep(n=1, x=Fraction(1, 1), x_cell=1, s=Fraction(1, 1), "
-              "s_cell=1, absorbed=False), FoldStep(n=2, x=Fraction(2, 1), x_cell=2, "
-              "s=Fraction(2, 1), s_cell=2, absorbed=False)))"),
 }
 
 
@@ -79,6 +76,19 @@ def test_values_survive_pickle_and_copy(value, clone):
     v = clone(make())
     assert v == make() and hash(v) == hash(make())
     assert repr(v) == text
+
+
+def test_a_trace_is_the_tuple_of_its_steps():
+    trace = CoarseContext(FixedWidth(2)).fold([1, 2, 2])
+    assert type(trace) is FoldTrace and isinstance(trace, tuple)
+    assert [type(step) for step in trace] == [FoldStep] * 3
+    assert trace == tuple(trace) and hash(trace) == hash(tuple(trace))
+    with pytest.raises(AttributeError):
+        trace.steps = ()
+    for clone in (pickle.loads(pickle.dumps(trace)), copy.copy(trace), copy.deepcopy(trace)):
+        assert type(clone) is FoldTrace and clone == trace
+    assert trace.to_json_lines() == write_rows(FoldStep._fields, trace, "json")
+    assert trace.to_csv() == write_rows(FoldStep._fields, trace, "csv")
 
 
 def test_distinct_values_and_classes_differ():
