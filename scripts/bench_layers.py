@@ -35,12 +35,16 @@ The import layer, entry ``import coarsesum.cli``, times that import alone
 (``import_us``), each sample in a fresh interpreter started with the caller's
 environment and the tree first on ``PYTHONPATH``; the trees take turns,
 ``IMPORT_RUNS`` samples per tree and round, and its spread is over all
-samples.  The whole-process entry, ``cli_run_us``, is timed the same way from
-outside: the wall time of one ``python -m coarsesum.cli partition --width 3
---cells 1`` from interpreter start to exit, so it also holds what the process
-spends after its work, at exit.  Start-up depends on bytecode caching, so
-delete ``__pycache__`` in every tree and set ``PYTHONDONTWRITEBYTECODE=1`` to
-time what each command of the benchmark pays.
+samples.  The whole-process entries, ``cli_run_us``, one per command of
+``CLI_RUNS``, are timed the same way from outside: the wall time of one
+``python -m coarsesum.cli <command>`` from interpreter start to exit, so it also
+holds what the process spends after its work, at exit.  The trees take turns on
+each run; the short ``partition`` command runs ``IMPORT_RUNS`` times per tree and
+round, the long ones once.  Every run of a command must print the stdout of its
+first run on the first tree; the run names each command that differs, and exits
+1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
+and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark
+pays.
 
 The output JSON holds the machine, the Python version, every tree's entries
 and, with two or more trees, each later tree's medians and minimums divided
@@ -70,7 +74,15 @@ SCAN_INCREMENTS = {"Fibonacci": 2**300, "EpsilonGrowth(10)": 100,
                    "ExplicitBounds(1000-wide)": 500}
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
-CLI_RUN = ["-m", "coarsesum.cli", "partition", "--width", "3", "--cells", "1"]
+#: Whole-process commands, and their runs per tree and round: start-up alone, then the
+#: long ``inert`` streams that stop at their first absorbed step, and sampling.
+CLI_RUNS = {
+    "partition --width 3 --cells 1": IMPORT_RUNS,
+    "inert --eps 4 --harmonic --horizon 8000": 1,
+    "inert --eps 10 --harmonic --horizon 100000": 1,
+    "inert --eps 10 --geometric 5 1/2 --horizon 10000": 1,
+    "stpete --eps 10 --trials 1500 --seed 7": 1,
+}
 FORMATS = ("json", "csv", "table")
 
 
@@ -202,12 +214,14 @@ def import_seconds(src: str) -> float:
     return float(proc.stdout)
 
 
-def cli_run_seconds(src: str) -> float:
-    """One whole ``CLI_RUN`` process from ``src``, interpreter start to exit."""
+def cli_run(src: str, command: str) -> tuple:
+    """(seconds, stdout) of one whole ``python -m coarsesum.cli command`` process from
+    ``src``, interpreter start to exit."""
     env = tree_env(src)
     start = time.perf_counter()
-    subprocess.run([sys.executable, *CLI_RUN], env=env, capture_output=True, check=True)
-    return time.perf_counter() - start
+    proc = subprocess.run([sys.executable, "-m", "coarsesum.cli", *command.split()], env=env,
+                          capture_output=True, check=True)
+    return time.perf_counter() - start, proc.stdout
 
 
 def main(argv=None) -> int:
@@ -231,20 +245,28 @@ def main(argv=None) -> int:
         trees[label or path] = os.path.abspath(path)
     samples = {label: {} for label in trees}  # label -> family -> key -> per-round values
     imports = {label: [] for label in trees}
-    runs = {label: [] for label in trees}
+    runs = {label: {command: [] for command in CLI_RUNS} for label in trees}
+    stdout, differing = {}, set()  # command -> the first run's stdout; (command, label)
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for _ in range(IMPORT_RUNS):
             for label in order:
                 imports[label].append(import_seconds(trees[label]) * 1e6)
-                runs[label].append(cli_run_seconds(trees[label]) * 1e6)
+        for command, count in CLI_RUNS.items():
+            for _ in range(count):
+                for label in order:
+                    seconds, out = cli_run(trees[label], command)
+                    runs[label][command].append(seconds * 1e6)
+                    if stdout.setdefault(command, out) != out:
+                        differing.add((command, label))
         for label in order:
             for family, entries in worker(trees[label]).items():
                 for key, value in entries.items():
                     samples[label].setdefault(family, {}).setdefault(key, []).append(value)
     for label, values in imports.items():
         samples[label]["import coarsesum.cli"] = {"import_us": values}
-        samples[label]["python " + " ".join(CLI_RUN)] = {"cli_run_us": runs[label]}
+        for command, seconds in runs[label].items():
+            samples[label][f"python -m coarsesum.cli {command}"] = {"cli_run_us": seconds}
     result = {label: {family: {key: spread(values) if key.endswith("_us") else values[0]
                                for key, values in entries.items()}
                       for family, entries in families.items()}
@@ -255,8 +277,9 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "method": f"spread over {args.rounds} interpreters per tree, taken in turns; "
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
-                  f"{CALL_REPEAT} passes / calls (rows: / rows); import and cli run: "
-                  f"{IMPORT_RUNS} interpreters per tree and round, taken in turns",
+                  f"{CALL_REPEAT} passes / calls (rows: / rows); import: {IMPORT_RUNS} "
+                  f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
+                  f"per tree and round for partition, 1 for each long command, taken in turns",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": result,
     }
@@ -275,7 +298,9 @@ def main(argv=None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    return 0
+    for command, label in sorted(differing):
+        print(f"{command}: {label} prints other stdout", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -14,11 +14,14 @@ extra commands follows: ``partition``, ``fold`` and ``inert`` in every
 ``--rep min`` on the families whose cells all hold their lower bound, so that
 the row writer is compared under every policy; then ``inert`` in both formats
 on the streams no workload reaches: a geometric stream that settles with and
-without ``--bound``, a constant geometric one, a growing one, and the two
+without ``--bound``, a constant geometric one, a growing one, the two
 constant streams whose certificate stops at cell 1 because every cell has the
-same margins; then ``stpete`` at an ``--eps`` of 1 (also with sampling), 0 and
--1, below the 2 under which the closed form and the margin scan disagree, where
-no workload reaches; then ``stpete`` at ``--eps 10`` sampling with
+same margins, the harmonic stream on real ``--bounds`` whose cell of 0 has a
+negative representative, and the harmonic and a geometric stream on real
+``--bounds`` from 0, where a stream that states its top stops early; then
+``stpete`` at an ``--eps`` of 1 (also with sampling), 0 and -1, below the 2
+under which the closed form and the margin scan disagree, where no workload
+reaches; then ``stpete`` at ``--eps 10`` sampling with
 ``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
 samples at the default truncation 64, where a draw reaches the cap with
 probability 2**-63, so only these runs compare capped payoffs; then flag text
@@ -54,11 +57,17 @@ FAMILIES = {
 }
 CLOSED = ("width", "fibonacci", "bounds", "grid")
 #: ``inert`` streams no workload reaches: the geometric settling and growing paths,
-#: and the certificate's stop on families whose cells all have the same margins.
+#: the certificate's stop on families whose cells all have the same margins, and
+#: streams with a top on real explicit cells, where 0's cell collapses below 0 (the
+#: fold falls again at step 6, so it must not stop at its first absorbed step) or to 0.
 INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--eps", "10", "--geometric", "5", "1/2"), ("--width", "3", "--geometric", "1", "1"),
          ("--eps", "10", "--geometric", "2", "3"), ("--width", "3", "--const", "1", "--bound", "1"),
-         ("--grid", "1/2", "--const", "0", "--bound", "1/2"))
+         ("--grid", "1/2", "--const", "0", "--bound", "1/2"),
+         ("--bounds=-19/3,-73/12,1/6,5/3,3,15/2", "--domain", "real", "--harmonic",
+          "--horizon", "32"),
+         (*FAMILIES["bounds-real"], "--harmonic"),
+         (*FAMILIES["bounds-real"], "--geometric", "5", "1/2"))
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "1"),

@@ -8,18 +8,34 @@ sums classically diverge can coarsely settle into a single cell, becoming
 inert.  Everything is computed in exact rational arithmetic.
 """
 
+import sys
+from importlib.util import LazyLoader, find_spec, module_from_spec
+
 from .errors import CoarseError, DomainError, OutOfRangeError, SpecError
-from .inertness import (InertVerdict, constant, detect_inert_stream, detect_inert_trace,
-                        first_absorbing_cell, geometric, harmonic)
 from .ops import CoarseContext, FoldStep, FoldTrace
 from .partitions import (Cell, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
                          FixedWidth, Partition, SingletonGrid, build_partition)
 from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import Policy, margin_pos, rep_of_cell, rep_of_value
-from .stpetersburg import (INCREMENT_BOUND, RNG_ALGORITHM, ComparisonReport,
-                           ValuationReport, coarse_value, compare_valuations,
-                           sample_gamble)
 
+
+def _register_lazily(name: str):
+    """A submodule put in ``sys.modules`` now, and compiled and run at its first attribute read."""
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    spec.loader.exec_module(module := module_from_spec(spec))
+    return sys.modules.setdefault(spec.name, module)
+
+
+def __getattr__(name: str):  # the public names not bound here are the two modules' below
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(inertness if hasattr(inertness, name) else stpetersburg, name)
+
+
+# A command that never reads these two does not compile them.
+inertness, stpetersburg = map(_register_lazily, ("inertness", "stpetersburg"))
+__dir__ = lambda: sorted({*globals(), *__all__})
 __version__ = "0.1.0"
 
 __all__ = [

@@ -22,13 +22,14 @@ import os
 import re
 import sys
 
+from . import inertness, stpetersburg  # registered lazily: each runs at its first read
 from .errors import CoarseError
-from .inertness import constant, detect_inert_stream, geometric, harmonic
 from .ops import CoarseContext, FoldStep
 from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, rep_of_cell
-from .stpetersburg import RNG_ALGORITHM, coarse_value, compare_valuations
+
+_ENTRY = False  # set by run(), the process entry: in-process callers of main never freeze
 
 
 # --------------------------------------------------------------- shared flags
@@ -149,20 +150,27 @@ def cmd_fold(args) -> int:
     return 0
 
 
+def _load(module) -> None:  # run a lazily registered module; the entry freezes what it built
+    vars(module)
+    if _ENTRY:
+        gc.freeze()
+
+
 def cmd_inert(args) -> int:
+    _load(inertness)
     ctx = _context_from_args(args)
     horizon = args.horizon
     if args.const is not None:
-        gen = constant(args.const)
+        gen = inertness.constant(args.const)
     elif args.harmonic:
-        gen = harmonic()
+        gen = inertness.harmonic()
     elif args.geometric is not None:
-        gen = geometric(*args.geometric)
+        gen = inertness.geometric(*args.geometric)
     else:
         values = _read_values(args.from_file)
         horizon = min(horizon, len(values))
         gen = lambda t: values[t - 1]
-    verdict = detect_inert_stream(ctx, gen, horizon, increment_bound=args.bound)
+    verdict = inertness.detect_inert_stream(ctx, gen, horizon, increment_bound=args.bound)
     if args.format == "table":
         print(_verdict_text(verdict))
     else:
@@ -182,11 +190,12 @@ def _print_valuation_text(rep) -> None:
 
 
 def cmd_stpete(args) -> int:
+    _load(stpetersburg)
     if args.trials > 0:
-        report = compare_valuations(args.eps, args.truncation, args.trials, args.seed,
-                                    depth=args.depth)
+        report = stpetersburg.compare_valuations(args.eps, args.truncation, args.trials,
+                                                 args.seed, depth=args.depth)
     else:
-        report = coarse_value(args.eps, depth=args.depth)
+        report = stpetersburg.coarse_value(args.eps, depth=args.depth)
     if args.format == "json":
         import json
         print(json.dumps(report.to_json_dict(), indent=2))
@@ -194,7 +203,7 @@ def cmd_stpete(args) -> int:
     _print_valuation_text(report.valuation if args.trials > 0 else report)
     if args.trials > 0:
         print(f"  sampled payoffs: trials = {report.trials}, seed = {report.seed}, "
-              f"rng = {RNG_ALGORITHM}, truncation depth = {report.truncation_depth}")
+              f"rng = {stpetersburg.RNG_ALGORITHM}, truncation depth = {report.truncation_depth}")
         print(f"    mean payoff      : {format_decimal(report.sampled_mean)}")
         print(f"    coarse final sum : {format_decimal(report.sampled_final)} "
               f"(cell {report.sampled_final_cell})")
@@ -280,6 +289,8 @@ def main(argv=None) -> int:
 def run() -> None:
     # The process entry.  What the imports built lives to exit, so no collection need
     # walk it; main does not freeze, as its in-process callers would keep every later cycle.
+    global _ENTRY  # a command that loads a lazily registered module freezes again (_load)
+    _ENTRY = True
     gc.freeze()
     sys.exit(main())
 

@@ -24,7 +24,7 @@ from itertools import count
 from typing import Callable, NamedTuple
 
 from .ops import CoarseContext, FoldTrace, _fold_steps
-from .partitions import Partition, _rational
+from .partitions import _REALS, Partition, _rational
 from .rationals import format_rational
 from .representatives import _MAX, Policy, _pick
 
@@ -79,10 +79,11 @@ def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
     """The one judge of fold steps, read once: see :func:`detect_inert_trace`.
 
     It keeps only the step where the current run of equal sums began and the
-    length of the strictly climbing run of sum cells.  With ``settles`` (the
-    inputs are one repeated value), the first absorbed step is a fixed point:
-    from step 2 on a step depends only on the previous sum's cell and the
-    input's cell, so every later step repeats it, and reading stops there.
+    length of the strictly climbing run of sum cells.  With ``settles``, the
+    first absorbed step n >= 2 pins the sum, and reading stops there: either the
+    inputs are one repeated value, so every later step repeats step n, or they
+    never rise and collapse to values >= 0, so every later r + rep(x) lies
+    between the sum r and r + rep(x_n), both in r's cell.
     """
     start = climb = 0
     s = cell = None
@@ -146,13 +147,15 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     judged step by step, with no trace kept, to the verdict
     :func:`detect_inert_trace` gives on the fold of ``gen(1) .. gen(horizon)``.
     A stream marked with period 1 (see :func:`constant`) stops at its fixed
-    point, the first step after step 1 whose sum stays in its cell.
+    point, the first step after step 1 whose sum stays in its cell.  So does a
+    stream with a ``top`` on a real family other than a grid whose cell of 0 has
+    a representative >= 0 (a negative one lets the sum fall again).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    top = getattr(gen, "top", None)
     if increment_bound is not None:
         increment_bound = _rational("increment_bound", increment_bound)
-        top = getattr(gen, "top", None)
         if not (top <= increment_bound if top is not None else
                 all(0 <= gen(t) <= increment_bound for t in range(1, horizon + 1))):
             raise ValueError(f"increment bound {increment_bound} does not hold for this stream")
@@ -165,8 +168,11 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
             value = ctx.partition.unscaled(_pick(*ctx.partition.span(target), ctx.policy))
             return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
                                 horizon=horizon, certified=True)
-    return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon,
-                  settles=getattr(gen, "period", None) == 1)
+    p = ctx.partition  # the span test keeps normalize(0) from raising outside the family
+    settles = getattr(gen, "period", None) == 1 or (
+        top is not None and p.domain is _REALS and not p.constant_margins  # not a grid
+        and p.span(1)[0] <= 0 <= p.span(p.max_index or 1)[1] and ctx.normalize(0) >= 0)
+    return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon, settles)
 
 
 # ------------------------------------------------------------ input streams
@@ -178,7 +184,8 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
 #   horizon;
 # - ``top`` promises that the values are nonnegative and never rise, so the
 #   first value, ``top``, is the largest and an increment bound is checked
-#   against it alone.
+#   against it alone; on most real families the fold stops at its first
+#   absorbed step.
 # The factories below set them only where their values keep the promise; an
 # unmarked stream is read to the horizon.
 

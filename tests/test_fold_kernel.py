@@ -26,7 +26,7 @@ from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, 
                        format_rational, geometric, harmonic, parse_rational,
                        rep_of_cell, rep_of_value)
 from coarsesum.rationals import write_rows
-from coarsesum import cli, representatives
+from coarsesum import cli, inertness, representatives
 
 POLICIES = list(Policy)
 
@@ -262,18 +262,41 @@ def test_constant_streams_judge_as_their_folds(family, policy, data):
         assert assert_streamed_verdict_matches(ctx, lambda t: value, horizon) == marked
 
 
+@st.composite
+def real_bounds(draw):
+    """A real ``ExplicitBounds`` whose origin lies below, at or above 0; a cell that holds
+    0 and more of the negatives than of the positives collapses 0 below it."""
+    cuts = set(draw(st.lists(st.fractions(min_value=-8, max_value=0, max_denominator=12),
+                             max_size=3))
+               | set(draw(st.lists(st.fractions(min_value=0, max_value=12, max_denominator=12),
+                                   min_size=1, max_size=4))))
+    if len(cuts) < 2:
+        cuts.add(max(cuts) + 1)
+    return ExplicitBounds(sorted(cuts), Domain.REALS)
+
+
+#: Streams that carry their marks: ``period`` on a constant, ``top`` where the values
+#: never rise and stay >= 0, none on a geometric stream that rises or turns negative.
+MARKED_STREAMS = st.one_of(
+    st.builds(constant, st.fractions(min_value=-1, max_value=6, max_denominator=6)),
+    st.builds(harmonic),
+    st.builds(geometric, st.fractions(min_value=-2, max_value=6, max_denominator=4),
+              st.sampled_from([F(1, 2), F(1, 3), F(2, 3), F(3, 4), F(-1, 2), 2])))
+
+
 @pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
-@settings(max_examples=40)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_streams_judge_as_their_folds(family, policy, data):
     spec, stream = data.draw(fold_cases(family, policy))
     ctx = CoarseContext(spec, policy)
     assert_streamed_verdict_matches(ctx, lambda t: stream[t - 1], len(stream))
-    horizon = data.draw(st.integers(1, 60))
-    assert_streamed_verdict_matches(ctx, harmonic(), horizon)
-    assert_streamed_verdict_matches(
-        ctx, geometric(data.draw(st.sampled_from([1, 3, F(1, 2)])),
-                       data.draw(st.sampled_from([F(1, 2), F(2, 3), 2]))), horizon)
+    if family == "ExplicitBounds" and policy is not Policy.MIN and data.draw(st.booleans()):
+        ctx = CoarseContext(data.draw(real_bounds()), policy)
+    horizon, marked = data.draw(st.integers(1, 60)), data.draw(MARKED_STREAMS)
+    assert_streamed_verdict_matches(ctx, marked, horizon)
+    # the same values with no mark are read to the horizon
+    assert_streamed_verdict_matches(ctx, lambda t: marked(t), horizon)
 
 
 @pytest.mark.parametrize("spec, policy, gen, error, step", [
@@ -304,6 +327,66 @@ def test_constant_streams_stop_reading_at_their_fixed_point(eps10_ctx):
     read.clear()
     assert detect_inert_stream(eps10_ctx, half, 500) == verdict._replace(horizon=500)
     assert read == list(range(1, 501))
+
+
+# A stream that states its top never rises and stays >= 0, so its first absorbed step pins
+# the sum where every value from 0 to the top lies in a real cell (not a grid's point) and
+# 0's cell has a representative >= 0; test_streams_judge_as_their_folds draws such streams.
+
+def test_a_cell_of_zero_with_a_negative_representative_does_not_stop_the_fold():
+    ctx = CoarseContext(ExplicitBounds("-19/3,-73/12,1/6,5/3,3,15/2".split(","), Domain.REALS))
+    assert ctx.partition.origin < 0 and ctx.normalize(0) == F(-71, 24)
+    trace = ctx.fold([harmonic()(t) for t in range(1, 33)])
+    # stopping at the first absorbed step, as an "origin <= 0" rule would, names step 3
+    early = inertness._judge(trace, 32, settles=True)
+    assert (early.n_stable, early.cell_index, early.fixed_value) == (3, 5, F(21, 4))
+    # but 1/6 collapses to -71/24 in 0's cell, and the sum falls again at step 6
+    assert (trace[5].s_cell, trace[6].s) == (4, F(-71, 24))
+    verdict = detect_inert_stream(ctx, harmonic(), 32)
+    assert verdict == detect_inert_trace(trace)
+    assert (verdict.n_stable, verdict.cell_index, verdict.fixed_value) == (7, 2, F(-71, 24))
+
+
+def counted(values, top):
+    """A stream of ``values`` that states ``top`` and records each step it gives."""
+    read = []
+
+    def stream(t):
+        read.append(t)
+        return values(t)
+    stream.top = top
+    return stream, read
+
+
+@pytest.mark.parametrize("spec", [EpsilonGrowth(4), ExplicitBounds((0, 1, 3), Domain.REALS),
+                                  ExplicitBounds((-1, 1, 3), Domain.REALS)], ids=repr)
+def test_a_stream_with_a_top_stops_reading_at_its_first_absorbed_step(spec):
+    ctx = CoarseContext(spec)
+    stream, read = counted(lambda t: F(1, t), F(1))
+    verdict = detect_inert_stream(ctx, stream, 10**5)
+    assert read[-1] == next(s.n for s in ctx.fold([F(1, t) for t in range(1, 40)])[1:]
+                            if s.absorbed) < 40
+    assert verdict == detect_inert_trace(ctx.fold([F(1, t) for t in range(1, 1001)]))._replace(
+        horizon=10**5)
+
+
+@pytest.mark.parametrize("spec, policy, error", [
+    # 4, 2, 1 pin the sum at step 2, then 1/2 is refused at step 4
+    (FixedWidth(3), Policy.MEDIAN_LOWER, (DomainError, 4, "step 4: 1/2 is not an integer")),
+    (ExplicitBounds((1, 2, 10), Domain.REALS), Policy.MEDIAN_LOWER,
+     (DomainError, 4, "step 4: 1/2 is below the partition origin 1")),
+], ids=["integer-family", "origin-above-zero"])
+def test_a_stream_with_a_top_is_read_on_where_a_later_value_can_fail(spec, policy, error):
+    ctx = CoarseContext(spec, policy)
+    assert ctx.fold([4, 2])[-1].absorbed
+    assert assert_streamed_verdict_matches(ctx, geometric(8, F(1, 2)), 10) == error
+
+
+def test_a_stream_with_a_top_on_a_grid_is_read_to_the_horizon():
+    ctx = CoarseContext(SingletonGrid(1))
+    stream, read = counted(lambda t: F(t == 1), F(1))   # 1, then 0s: absorbed from step 2
+    assert detect_inert_stream(ctx, stream, 50) == detect_inert_trace(ctx.fold([1] + [0] * 49))
+    assert read == list(range(1, 51))
 
 
 # ------------------------------------------------------- EpsilonGrowth lookup

@@ -130,7 +130,7 @@ def test_named_tuple_values():
 
 
 def test_cli_import_loads_every_module_and_not_dataclasses():
-    # Every coarsesum module is loaded by the CLI import, because the benchmark's
+    # Every coarsesum module is registered by the CLI import, because the benchmark's
     # tracer looks each one up in sys.modules right after it; dataclasses and
     # inspect stay out of start-up.
     code = ("import sys, coarsesum.cli; print(' '.join(sorted(m for m in sys.modules "
@@ -140,6 +140,52 @@ def test_cli_import_loads_every_module_and_not_dataclasses():
     assert proc.stdout.split() == ["coarsesum"] + [
         f"coarsesum.{m}" for m in ("cli", "errors", "inertness", "ops", "partitions",
                                    "rationals", "representatives", "stpetersburg")]
+
+
+
+def test_inertness_and_stpetersburg_run_only_when_a_command_reads_them(tmp_path):
+    # registered lazily, a module is run at its first attribute read; until then its
+    # dict holds none of its own names
+    code = ("import sys, coarsesum.cli as cli\n"
+            "def ran():  # a name each module defines, read without running the module\n"
+            "    own = {'inertness': 'harmonic', 'stpetersburg': 'coarse_value'}\n"
+            "    return [m for m, name in own.items() if name in\n"
+            "            object.__getattribute__(sys.modules['coarsesum.' + m], '__dict__')]\n"
+            "print(ran())\n"
+            f"for argv in (['partition', '--width', '3'], ['fold', '--width', '3', '--input', "
+            f"{str(tmp_path / 'values.txt')!r}], ['inert', '--eps', '4', '--harmonic'],\n"
+            "             ['stpete', '--eps', '10', '--depth', '3']):\n"
+            "    cli.main(argv)\n"
+            "    print(ran(), file=sys.stderr)\n")
+    (tmp_path / "values.txt").write_text("1\n2\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert proc.stderr.splitlines() == [
+        "[]", "[]", "['inertness']", "['inertness', 'stpetersburg']"]
+
+
+#: The public names the package serves from its two lazily registered modules.
+LAZY_NAMES = {
+    "inertness": ["InertVerdict", "constant", "detect_inert_stream", "detect_inert_trace",
+                  "first_absorbing_cell", "geometric", "harmonic"],
+    "stpetersburg": ["INCREMENT_BOUND", "RNG_ALGORITHM", "ComparisonReport",
+                     "ValuationReport", "coarse_value", "compare_valuations", "sample_gamble"],
+}
+
+
+def test_the_lazily_served_names_are_their_modules_objects_and_listed():
+    served = set(coarsesum.__all__) - set(vars(coarsesum))
+    assert served == {name for names in LAZY_NAMES.values() for name in names}
+    for module, names in LAZY_NAMES.items():
+        home = vars(getattr(coarsesum, module))
+        assert all(getattr(coarsesum, name) is home[name] for name in names)
+    assert set(coarsesum.__all__) <= set(dir(coarsesum))
+    namespace = {}
+    exec("from coarsesum import *", namespace)
+    assert all(namespace[name] is getattr(coarsesum, name) for name in coarsesum.__all__)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        coarsesum.no_such_name
 
 
 FAMILIES = [FixedWidth(3), Fibonacci(), EpsilonGrowth(F(10)), ExplicitBounds((0, 2, 4)),
