@@ -38,11 +38,15 @@ environment and the tree first on ``PYTHONPATH``; the trees take turns,
 samples.  The whole-process entries, ``cli_run_us``, one per command of
 ``CLI_RUNS``, are timed the same way from outside: the wall time of one
 ``python -m coarsesum.cli <command>`` from interpreter start to exit, so it also
-holds what the process spends after its work, at exit.  The trees take turns on
-each run; the short ``partition`` command runs ``IMPORT_RUNS`` times per tree and
-round, the long ones once.  Every run of a command must print the stdout of its
-first run on the first tree; the run names each command that differs, and exits
-1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
+holds what the process spends after its work, at exit.  Next to it,
+``cli_peak_rss_kb`` is the child's peak resident set (``ru_maxrss`` from
+``os.wait4``).  Linux carries the spawner's high-water mark into the child, so
+the report also gives the harness's own peak, ``harness_peak_rss_kb``: a child
+entry at that value shows the harness, not the command.  The trees take turns
+on each run; the short ``partition`` command runs ``IMPORT_RUNS`` times per tree
+and round, the long ones once.  Every run of a command must print the stdout of
+its first run on the first tree; the run names each command that differs, and
+exits 1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
 and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark
 pays.
 
@@ -58,6 +62,7 @@ import json
 import os
 import platform
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -75,14 +80,18 @@ SCAN_INCREMENTS = {"Fibonacci": 2**300, "EpsilonGrowth(10)": 100,
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
 #: Whole-process commands, and their runs per tree and round: start-up alone, then the
-#: long ``inert`` streams that stop at their first absorbed step, and sampling.
+#: long ``inert`` streams that stop at their first absorbed step, the certificate's
+#: scan (600,634 cells) and a climbing fold to the horizon, and sampling.
 CLI_RUNS = {
     "partition --width 3 --cells 1": IMPORT_RUNS,
     "inert --eps 4 --harmonic --horizon 8000": 1,
     "inert --eps 10 --harmonic --horizon 100000": 1,
     "inert --eps 10 --geometric 5 1/2 --horizon 10000": 1,
+    "inert --eps 10 --const 1/2 --bound 30000": 1,
+    "inert --width 3 --const 3 --horizon 100000": 1,
     "stpete --eps 10 --trials 1500 --seed 7": 1,
 }
+SPREAD_KEYS = ("_us", "_kb")  # entries given as a spread; the rest are one value
 FORMATS = ("json", "csv", "table")
 
 
@@ -215,13 +224,21 @@ def import_seconds(src: str) -> float:
 
 
 def cli_run(src: str, command: str) -> tuple:
-    """(seconds, stdout) of one whole ``python -m coarsesum.cli command`` process from
-    ``src``, interpreter start to exit."""
+    """(seconds, peak RSS in KiB, stdout) of one whole ``python -m coarsesum.cli command``
+    process from ``src``, interpreter start to exit."""
     env = tree_env(src)
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "coarsesum.cli", *command.split()], env=env,
-                          capture_output=True, check=True)
-    return time.perf_counter() - start, proc.stdout
+    proc = subprocess.Popen([sys.executable, "-m", "coarsesum.cli", *command.split()],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.stdout.read(), proc.stderr.read()  # the commands write little to stderr
+    _, status, usage = os.wait4(proc.pid, 0)
+    seconds = time.perf_counter() - start
+    proc.stdout.close()
+    proc.stderr.close()
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    if proc.returncode not in (0, 3):  # 3 is a no-verdict answer, not a failure
+        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
+    return seconds, usage.ru_maxrss, out
 
 
 def main(argv=None) -> int:
@@ -245,7 +262,8 @@ def main(argv=None) -> int:
         trees[label or path] = os.path.abspath(path)
     samples = {label: {} for label in trees}  # label -> family -> key -> per-round values
     imports = {label: [] for label in trees}
-    runs = {label: {command: [] for command in CLI_RUNS} for label in trees}
+    runs = {label: {command: {"cli_run_us": [], "cli_peak_rss_kb": []} for command in CLI_RUNS}
+            for label in trees}
     stdout, differing = {}, set()  # command -> the first run's stdout; (command, label)
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
@@ -255,8 +273,9 @@ def main(argv=None) -> int:
         for command, count in CLI_RUNS.items():
             for _ in range(count):
                 for label in order:
-                    seconds, out = cli_run(trees[label], command)
-                    runs[label][command].append(seconds * 1e6)
+                    seconds, rss, out = cli_run(trees[label], command)
+                    runs[label][command]["cli_run_us"].append(seconds * 1e6)
+                    runs[label][command]["cli_peak_rss_kb"].append(rss)
                     if stdout.setdefault(command, out) != out:
                         differing.add((command, label))
         for label in order:
@@ -265,9 +284,9 @@ def main(argv=None) -> int:
                     samples[label].setdefault(family, {}).setdefault(key, []).append(value)
     for label, values in imports.items():
         samples[label]["import coarsesum.cli"] = {"import_us": values}
-        for command, seconds in runs[label].items():
-            samples[label][f"python -m coarsesum.cli {command}"] = {"cli_run_us": seconds}
-    result = {label: {family: {key: spread(values) if key.endswith("_us") else values[0]
+        for command, entries in runs[label].items():
+            samples[label][f"python -m coarsesum.cli {command}"] = entries
+    result = {label: {family: {key: spread(values) if key.endswith(SPREAD_KEYS) else values[0]
                                for key, values in entries.items()}
                       for family, entries in families.items()}
               for label, families in samples.items()}
@@ -281,6 +300,7 @@ def main(argv=None) -> int:
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
                   f"per tree and round for partition, 1 for each long command, taken in turns",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
+        "harness_peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "trees": result,
     }
     labels = list(trees)
@@ -289,7 +309,7 @@ def main(argv=None) -> int:
         report[f"ratio_to_{labels[0]}"] = {
             label: {family: {key: {stat: round(value[stat] / base[family][key][stat], 3)
                                    for stat in ("median", "min")}
-                             for key, value in entries.items() if key.endswith("_us")}
+                             for key, value in entries.items() if key.endswith(SPREAD_KEYS)}
                     for family, entries in result[label].items()}
             for label in labels[1:]}
     text = json.dumps(report, indent=2)

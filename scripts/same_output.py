@@ -17,12 +17,16 @@ on the streams no workload reaches: a geometric stream that settles with and
 without ``--bound``, a constant geometric one, a growing one, the two
 constant streams whose certificate stops at cell 1 because every cell has the
 same margins, the harmonic stream on real ``--bounds`` whose cell of 0 has a
-negative representative, and the harmonic and a geometric stream on real
-``--bounds`` from 0, where a stream that states its top stops early; then
-``stpete`` at an ``--eps`` of 1 (also with sampling), 0 and -1, below the 2
-under which the closed form and the margin scan disagree, where no workload
-reaches; then ``stpete`` at ``--eps 10`` sampling with
-``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
+negative representative, the harmonic and a geometric stream on real
+``--bounds`` from 0, where a stream that states its top stops early, and the
+two ``--bound`` streams on ``--bounds`` below 0 whose certificate no longer
+applies: ``--bounds=-20,-4,0,3,6,9,12,15,18,21 --const 1 --bound 1``, where the
+first absorbing cell lies below the cell of 0, and
+``--bounds=-53/2,-7,3/2,41/3,23,27 --domain real --const 2 --bound 2``, where 0
+collapses below 0; then ``stpete`` at an ``--eps`` of 1 (also with sampling),
+0 and -1, below the 2 under which the closed form and the margin scan
+disagree, where no workload reaches; then ``stpete`` at ``--eps 10`` sampling
+with ``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
 samples at the default truncation 64, where a draw reaches the cap with
 probability 2**-63, so only these runs compare capped payoffs; then flag text
 that is not a number, which the families, the streams and the bound parse, so
@@ -59,7 +63,8 @@ CLOSED = ("width", "fibonacci", "bounds", "grid")
 #: ``inert`` streams no workload reaches: the geometric settling and growing paths,
 #: the certificate's stop on families whose cells all have the same margins, and
 #: streams with a top on real explicit cells, where 0's cell collapses below 0 (the
-#: fold falls again at step 6, so it must not stop at its first absorbed step) or to 0.
+#: fold falls again at step 6, so it must not stop at its first absorbed step) or to 0,
+#: and bounds whose certificate would name a cell below every sum, or below 0.
 INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--eps", "10", "--geometric", "5", "1/2"), ("--width", "3", "--geometric", "1", "1"),
          ("--eps", "10", "--geometric", "2", "3"), ("--width", "3", "--const", "1", "--bound", "1"),
@@ -67,7 +72,10 @@ INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--bounds=-19/3,-73/12,1/6,5/3,3,15/2", "--domain", "real", "--harmonic",
           "--horizon", "32"),
          (*FAMILIES["bounds-real"], "--harmonic"),
-         (*FAMILIES["bounds-real"], "--geometric", "5", "1/2"))
+         (*FAMILIES["bounds-real"], "--geometric", "5", "1/2"),
+         ("--bounds=-20,-4,0,3,6,9,12,15,18,21", "--const", "1", "--bound", "1"),
+         ("--bounds=-53/2,-7,3/2,41/3,23,27", "--domain", "real", "--const", "2",
+          "--bound", "2"))
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "1"),

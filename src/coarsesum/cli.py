@@ -29,8 +29,6 @@ from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, Si
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, rep_of_cell
 
-_ENTRY = False  # set by run(), the process entry: in-process callers of main never freeze
-
 
 # --------------------------------------------------------------- shared flags
 
@@ -150,14 +148,7 @@ def cmd_fold(args) -> int:
     return 0
 
 
-def _load(module) -> None:  # run a lazily registered module; the entry freezes what it built
-    vars(module)
-    if _ENTRY:
-        gc.freeze()
-
-
 def cmd_inert(args) -> int:
-    _load(inertness)
     ctx = _context_from_args(args)
     horizon = args.horizon
     if args.const is not None:
@@ -190,7 +181,6 @@ def _print_valuation_text(rep) -> None:
 
 
 def cmd_stpete(args) -> int:
-    _load(stpetersburg)
     if args.trials > 0:
         report = stpetersburg.compare_valuations(args.eps, args.truncation, args.trials,
                                                  args.seed, depth=args.depth)
@@ -289,8 +279,6 @@ def main(argv=None) -> int:
 def run() -> None:
     # The process entry.  What the imports built lives to exit, so no collection need
     # walk it; main does not freeze, as its in-process callers would keep every later cycle.
-    global _ENTRY  # a command that loads a lazily registered module freezes again (_load)
-    _ENTRY = True
     gc.freeze()
     sys.exit(main())
 

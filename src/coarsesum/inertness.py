@@ -6,15 +6,19 @@ same cell.  Finite evidence can only certify "constant over the observed
 window"; genuine stabilization is asserted only by the margin certificate,
 which needs an upper bound on future increments.
 
-The certificate: collapsing is monotone, so if every input is at most b,
+The certificate: collapsing is monotone, so if every input lies in [0, b],
 every collapsed increment is at most the representative of b's cell.  The
 first cell whose upward margin strictly exceeds that representative absorbs
-all further increments, and running sums can never jump past it (margins
-below it are too small to matter and widths above it are larger than any
-increment), so they settle in it or below it.  The strict inequality means
-the certificate never fires on an exact boundary tie.  The certificate names
-a cell the sums never pass, not the cell or step where the fold settles,
-which can lie well below it.  See ``detect_inert_stream``.
+all further increments.  Where 0 lies in the family and collapses to a value
+>= 0, no collapsed increment is negative, so sums never fall below the cell
+of 0; if that first cell is at or above it, running sums can never jump past
+the first cell (margins below it are too small to matter and its width is
+larger than any increment), so they settle in it or below it.  Elsewhere an
+increment can pull the sum down, or the first cell can lie below every sum,
+and the certificate does not apply.  The strict inequality means the
+certificate never fires on an exact boundary tie.  The certificate names a
+cell the sums never pass, not the cell or step where the fold settles, which
+can lie well below it.  See ``detect_inert_stream``.
 """
 
 from __future__ import annotations
@@ -108,6 +112,8 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep) ->
     which can only happen for bounded-margin families (fixed width, singleton
     grids, max policy, or finite explicit layouts).  It reads any policy on
     any partition; ``CoarseContext`` is where min on cells open below is refused.
+    Sums of values in [0, increment] settle in it or below it only where 0 lies in
+    the family with a representative >= 0, in it or in a cell below.
     """
     inc = Fraction(increment_rep)
     p, q = inc.as_integer_ratio()
@@ -134,44 +140,44 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     With ``increment_bound`` b, every value must lie between 0 and b, and a
     stream that breaks that raises ``ValueError``: a stream with a ``top``
     (see the streams below) is checked by it alone, any other is read from
-    step 1 to the horizon.  The certificate then applies before any folding:
-    the first cell whose upward margin strictly exceeds b's collapsed
-    representative absorbs the rest of the stream, and the verdict is
-    certified with that cell and its representative, read off its span.  N
-    is that cell's index, not a step, and can exceed the horizon; the fold
-    may settle lower: the constant 1/2 on ``EpsilonGrowth(10)`` is certified
-    at cell 6, value 11/5, but its fold pins at cell 1, value 1/4, from step
-    2.  Fold without a bound to see where the sums settle.
+    step 1 to the horizon.  The certificate then applies before any folding,
+    where 0 lies in the family and collapses to a value >= 0, and the first
+    cell whose upward margin strictly exceeds b's collapsed representative is
+    at or above the cell of 0: that cell absorbs the rest of the stream, and
+    the verdict is certified with that cell and its representative, read off
+    its span.  N is that cell's index, not a step, and can exceed the horizon;
+    the fold may settle lower: the constant 1/2 on ``EpsilonGrowth(10)`` is
+    certified at cell 6, value 11/5, but its fold pins at cell 1, value 1/4,
+    from step 2.  Fold without a bound to see where the sums settle.
 
-    Without a bound (or when no cell qualifies), the stream is folded and
-    judged step by step, with no trace kept, to the verdict
+    Without a bound, or where the certificate does not apply, the stream is
+    folded and judged step by step, with no trace kept, to the verdict
     :func:`detect_inert_trace` gives on the fold of ``gen(1) .. gen(horizon)``.
     A stream marked with period 1 (see :func:`constant`) stops at its fixed
     point, the first step after step 1 whose sum stays in its cell.  So does a
-    stream with a ``top`` on a real family other than a grid whose cell of 0 has
+    stream with a ``top`` on a real family other than a grid that holds 0 with
     a representative >= 0 (a negative one lets the sum fall again).
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    top = getattr(gen, "top", None)
+    top, p = getattr(gen, "top", None), ctx.partition
+    # The cell of 0 where 0 lies in the family (the span test keeps the lookups from
+    # raising) and collapses to a value >= 0, else False: sums of values >= 0 start at
+    # or above that cell and never fall below it.
+    zero = (p.span(1)[0] <= 0 <= p.span(p.max_index or 1)[1] and ctx.normalize(0) >= 0
+            and p.index(0))
     if increment_bound is not None:
         increment_bound = _rational("increment_bound", increment_bound)
         if not (top <= increment_bound if top is not None else
                 all(0 <= gen(t) <= increment_bound for t in range(1, horizon + 1))):
             raise ValueError(f"increment bound {increment_bound} does not hold for this stream")
-        rep_b = ctx.normalize(increment_bound)
-        if rep_b < 0:
-            raise ValueError(
-                f"increment bound must collapse to a nonnegative value, got {rep_b}")
-        target = first_absorbing_cell(ctx.partition, ctx.policy, rep_b)
-        if target is not None:
-            value = ctx.partition.unscaled(_pick(*ctx.partition.span(target), ctx.policy))
+        target = zero and first_absorbing_cell(p, ctx.policy, ctx.normalize(increment_bound))
+        if target and target >= zero:
+            value = p.unscaled(_pick(*p.span(target), ctx.policy))
             return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
                                 horizon=horizon, certified=True)
-    p = ctx.partition  # the span test keeps normalize(0) from raising outside the family
     settles = getattr(gen, "period", None) == 1 or (
-        top is not None and p.domain is _REALS and not p.constant_margins  # not a grid
-        and p.span(1)[0] <= 0 <= p.span(p.max_index or 1)[1] and ctx.normalize(0) >= 0)
+        top is not None and zero and p.domain is _REALS and not p.constant_margins)  # no grid
     return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon, settles)
 
 

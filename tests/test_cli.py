@@ -638,30 +638,6 @@ def test_the_process_entry_freezes_the_import_heap():
     assert proc.stdout.splitlines()[1].split() == ["1", "{0..2}", "1", "1", "1"]
 
 
-@pytest.mark.parametrize("argv, module", [
-    (["inert", "--eps", "4", "--harmonic"], "inertness"),
-    (["stpete", "--eps", "10", "--depth", "3"], "stpetersburg"),
-], ids=["inert", "stpete"])
-def test_the_process_entry_freezes_a_module_the_command_loads(argv, module):
-    # a lazily registered module runs inside the command, after the first freeze, so the
-    # command freezes again: the module's functions lie in no generation a collection walks
-    probe = ("import gc, runpy, sys\n"
-             f"sys.argv = ['coarsesum', *{argv!r}]\n"
-             "try:\n"
-             "    runpy.run_module('coarsesum.cli', run_name='__main__')\n"
-             "except SystemExit as exc:\n"
-             f"    home = vars(sys.modules['coarsesum.{module}'])\n"
-             "    walked = {id(o) for o in gc.get_objects()}\n"
-             "    funcs = [f for f in home.values() if type(f).__name__ == 'function']\n"
-             "    print('exit', exc.code, len(funcs), sum(id(f) in walked for f in funcs),\n"
-             "          file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          check=True)
-    code, funcs, walked = map(int, re.search(r"^exit (\d+) (\d+) (\d+)$", proc.stderr,
-                                             re.M).groups())
-    assert (code, walked) == (0, 0) and funcs > 0
-
-
 def test_the_console_script_enters_through_run():
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     entry = re.search(r'\[project\.scripts\]\ncoarsesum = "coarsesum\.cli:(\w+)"', text)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
@@ -25,6 +25,7 @@ from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, 
                        detect_inert_trace, first_absorbing_cell, format_decimal,
                        format_rational, geometric, harmonic, parse_rational,
                        rep_of_cell, rep_of_value)
+from coarsesum.ops import _fold_steps
 from coarsesum.rationals import write_rows
 from coarsesum import cli, inertness, representatives
 
@@ -263,16 +264,19 @@ def test_constant_streams_judge_as_their_folds(family, policy, data):
 
 
 @st.composite
-def real_bounds(draw):
-    """A real ``ExplicitBounds`` whose origin lies below, at or above 0; a cell that holds
+def bounds_around_zero(draw, domain=Domain.REALS):
+    """An ``ExplicitBounds`` whose origin lies below, at or above 0; a cell that holds
     0 and more of the negatives than of the positives collapses 0 below it."""
-    cuts = set(draw(st.lists(st.fractions(min_value=-8, max_value=0, max_denominator=12),
-                             max_size=3))
-               | set(draw(st.lists(st.fractions(min_value=0, max_value=12, max_denominator=12),
-                                   min_size=1, max_size=4))))
+    if domain is Domain.REALS:
+        below, above = (st.fractions(min_value=lo, max_value=hi, max_denominator=12)
+                        for lo, hi in ((-8, 0), (0, 12)))
+    else:
+        below, above = st.integers(-8, 0), st.integers(0, 12)
+    cuts = (set(draw(st.lists(below, max_size=3)))
+            | set(draw(st.lists(above, min_size=1, max_size=4))))
     if len(cuts) < 2:
         cuts.add(max(cuts) + 1)
-    return ExplicitBounds(sorted(cuts), Domain.REALS)
+    return ExplicitBounds(sorted(cuts), domain)
 
 
 #: Streams that carry their marks: ``period`` on a constant, ``top`` where the values
@@ -292,11 +296,44 @@ def test_streams_judge_as_their_folds(family, policy, data):
     ctx = CoarseContext(spec, policy)
     assert_streamed_verdict_matches(ctx, lambda t: stream[t - 1], len(stream))
     if family == "ExplicitBounds" and policy is not Policy.MIN and data.draw(st.booleans()):
-        ctx = CoarseContext(data.draw(real_bounds()), policy)
+        ctx = CoarseContext(data.draw(bounds_around_zero()), policy)
     horizon, marked = data.draw(st.integers(1, 60)), data.draw(MARKED_STREAMS)
     assert_streamed_verdict_matches(ctx, marked, horizon)
     # the same values with no mark are read to the horizon
     assert_streamed_verdict_matches(ctx, lambda t: marked(t), horizon)
+
+
+def fold_sum_cells(ctx, gen, steps):
+    """The sum cells of the first ``steps`` fold steps, up to a step that fails."""
+    cells = set()
+    with contextlib.suppress(OutOfRangeError, DomainError):
+        for step in _fold_steps(ctx, map(gen, range(1, steps + 1))):
+            cells.add(step.s_cell)
+    return cells
+
+
+@pytest.mark.parametrize("domain", list(Domain), ids=lambda domain: domain.value)
+@settings(max_examples=150)
+@given(data=st.data())
+def test_a_certificate_never_lies_below_the_fold(domain, data):
+    # The certificate holds only where 0 lies in the family with a representative >= 0
+    # and the first absorbing cell is at or above the cell of 0: with the origin below 0
+    # that cell can lie below every sum.  Elsewhere the bound changes nothing.
+    spec = data.draw(bounds_around_zero(domain))
+    policy = data.draw(st.sampled_from([p for p in POLICIES if not refused(spec, p)]))
+    ctx = CoarseContext(spec, policy)
+    lo, hi = max(0, spec.origin), min(20, spec.cell_at(spec.max_index).upper)
+    assume(lo <= hi)
+    values = (st.integers(int(lo), int(hi)) if domain is Domain.INTEGERS
+              else st.fractions(min_value=lo, max_value=hi, max_denominator=12))
+    pool = data.draw(st.lists(values, min_size=1, max_size=4))
+    gen = constant(pool[0]) if len(pool) == 1 else lambda t: pool[(t - 1) % len(pool)]
+    verdict = verdict_or_error(
+        lambda: detect_inert_stream(ctx, gen, 400, increment_bound=max(pool)))
+    if getattr(verdict, "certified", False):
+        assert max(fold_sum_cells(ctx, gen, 400)) <= verdict.cell_index
+    else:
+        assert verdict == verdict_or_error(lambda: detect_inert_stream(ctx, gen, 400))
 
 
 @pytest.mark.parametrize("spec, policy, gen, error, step", [

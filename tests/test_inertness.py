@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, Policy, SingletonGrid,
+                       FixedWidth, InertVerdict, Policy, SingletonGrid,
                        constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, geometric,
                        harmonic, margin_pos, rep_of_cell)
@@ -354,11 +354,11 @@ def test_a_verdict_is_inert_exactly_when_it_names_its_step(judge, inert):
     assert v.to_json_dict()["outcome"] == ("inert" if v.inert else "no_verdict")
 
 
-def test_an_increment_bound_that_collapses_below_zero_is_refused():
+def test_an_increment_bound_that_collapses_below_zero_is_judged_as_no_bound():
     ctx = CoarseContext(ExplicitBounds((-3, 2)))    # the one cell holds 0, with rep -1
-    with pytest.raises(ValueError) as exc:
-        detect_inert_stream(ctx, constant(0), horizon=10, increment_bound=0)
-    assert str(exc.value) == "increment bound must collapse to a nonnegative value, got -1"
+    bounded = detect_inert_stream(ctx, constant(0), horizon=10, increment_bound=0)
+    assert bounded == detect_inert_stream(ctx, constant(0), horizon=10)
+    assert bounded == InertVerdict(n_stable=2, cell_index=1, fixed_value=-1, horizon=10)
 
 
 # A certificate rests on its bound, so the stream must stay in [0, bound]: a
