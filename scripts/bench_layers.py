@@ -29,7 +29,13 @@ partition family the entries are, in microseconds:
 * ``absorbing_scan_us`` -- ``first_absorbing_cell`` under the median policy,
   per cell it visits, for the families whose scan visits many cells:
   ``Fibonacci``, ``EpsilonGrowth(10)`` and ``ExplicitBounds(1000-wide)``
-  (see ``SCAN_INCREMENTS``).
+  (see ``SCAN_INCREMENTS``);
+* ``fold_step_sampled_us`` -- for ``EpsilonGrowth(10)`` alone, per step, on the
+  payoffs of ``sample_gamble`` under ``SAMPLED``: 1500 ints of a dozen distinct
+  values.
+
+The sampler's entry, ``sample_gamble``, gives ``sample_trial_us``: one
+``sample_gamble`` call under ``SAMPLED`` per trial it draws.
 
 The import layer, entry ``import coarsesum.cli``, times that import alone
 (``import_us``), each sample in a fresh interpreter started with the caller's
@@ -39,12 +45,13 @@ samples.  The whole-process entries, ``cli_run_us``, one per command of
 ``CLI_RUNS``, are timed the same way from outside: the wall time of one
 ``python -m coarsesum.cli <command>`` from interpreter start to exit, so it also
 holds what the process spends after its work, at exit.  Next to it,
-``cli_peak_rss_kb`` is the child's peak resident set (``ru_maxrss`` from
-``os.wait4``).  Linux carries the spawner's high-water mark into the child, so
-the report also gives the harness's own peak, ``harness_peak_rss_kb``: a child
-entry at that value shows the harness, not the command.  The trees take turns
-on each run; the short ``partition`` command runs ``IMPORT_RUNS`` times per tree
-and round, the long ones once.  Every run of a command must print the stdout of
+``cli_peak_rss_kb`` is the command's own peak resident set, from one more,
+untimed run per tree and round: the process runs the module through ``runpy``
+and reads its ``VmHWM`` from ``/proc/self/status`` at exit (so this entry needs
+Linux).  The child's ``ru_maxrss`` would not do, since exec carries the
+spawner's high-water mark into it.  The trees take turns on each run; the
+short ``partition`` command runs ``IMPORT_RUNS`` times per tree and round, the
+long ones once.  Every run of a command must print the stdout of
 its first run on the first tree; the run names each command that differs, and
 exits 1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
 and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark
@@ -62,7 +69,6 @@ import json
 import os
 import platform
 import random
-import resource
 import statistics
 import subprocess
 import sys
@@ -81,7 +87,8 @@ IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
 #: Whole-process commands, and their runs per tree and round: start-up alone, then the
 #: long ``inert`` streams that stop at their first absorbed step, the certificate's
-#: scan (600,634 cells) and a climbing fold to the horizon, and sampling.
+#: scan (600,634 cells) and a climbing fold to the horizon, and sampling, as the
+#: benchmark's stpete-sampled workload does and at 1e5 trials.
 CLI_RUNS = {
     "partition --width 3 --cells 1": IMPORT_RUNS,
     "inert --eps 4 --harmonic --horizon 8000": 1,
@@ -90,7 +97,22 @@ CLI_RUNS = {
     "inert --eps 10 --const 1/2 --bound 30000": 1,
     "inert --width 3 --const 3 --horizon 100000": 1,
     "stpete --eps 10 --trials 1500 --seed 7": 1,
+    "stpete --eps 10 --depth 10 --trials 100000 --seed 7": 1,
 }
+#: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak
+#: resident set in KiB as the last line of stderr.
+PEAK_PROBE = """\
+import atexit, runpy, sys
+def peak():
+    with open("/proc/self/status", encoding="ascii") as fh:
+        print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
+              file=sys.stderr)
+atexit.register(peak)
+runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
+"""
+#: The sampled stream of ``sample_trial_us`` and ``fold_step_sampled_us``: the CLI's
+#: default truncation, and the trials of the stpete-sampled workload.
+SAMPLED = {"truncation_depth": 64, "trials": 1500, "seed": 7}
 SPREAD_KEYS = ("_us", "_kb")  # entries given as a spread; the rest are one value
 FORMATS = ("json", "csv", "table")
 
@@ -164,8 +186,10 @@ def per_cell_scanned(partition, increment) -> float:
 
 def measure() -> dict:
     """Entries for every family, timed in this interpreter's ``coarsesum``."""
-    from coarsesum import CoarseContext, rep_of_value
-    out = {}
+    from coarsesum import CoarseContext, rep_of_value, sample_gamble
+    sample = lambda: sample_gamble(**SAMPLED)
+    out = {"sample_gamble": {"sample_trial_us": min(timeit.repeat(
+        sample, number=1, repeat=CALL_REPEAT)) / SAMPLED["trials"] * 1e6}}
     for name, partition, pinned, climbing, turns in cases():
         ctx = CoarseContext(partition)
         trace = ctx.fold(climbing)
@@ -183,6 +207,8 @@ def measure() -> dict:
         }
         if name in SCAN_INCREMENTS:
             out[name]["absorbing_scan_us"] = per_cell_scanned(partition, SCAN_INCREMENTS[name])
+        if name == "EpsilonGrowth(10)":
+            out[name]["fold_step_sampled_us"] = per_step(ctx, sample())
     return out
 
 
@@ -223,22 +249,20 @@ def import_seconds(src: str) -> float:
     return float(proc.stdout)
 
 
-def cli_run(src: str, command: str) -> tuple:
-    """(seconds, peak RSS in KiB, stdout) of one whole ``python -m coarsesum.cli command``
-    process from ``src``, interpreter start to exit."""
-    env = tree_env(src)
+def cli_run(src: str, command: str, peak: bool = False) -> tuple:
+    """(entry, value, stdout) of one whole ``python -m coarsesum.cli command`` process
+    from ``src``: its ``cli_run_us`` from interpreter start to exit, or with ``peak``
+    its ``cli_peak_rss_kb``, read under ``PEAK_PROBE``."""
+    entry = ("-c", PEAK_PROBE) if peak else ("-m", "coarsesum.cli")
     start = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-m", "coarsesum.cli", *command.split()],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    out, err = proc.stdout.read(), proc.stderr.read()  # the commands write little to stderr
-    _, status, usage = os.wait4(proc.pid, 0)
+    proc = subprocess.run([sys.executable, *entry, *command.split()], env=tree_env(src),
+                          capture_output=True)
     seconds = time.perf_counter() - start
-    proc.stdout.close()
-    proc.stderr.close()
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
     if proc.returncode not in (0, 3):  # 3 is a no-verdict answer, not a failure
-        raise subprocess.CalledProcessError(proc.returncode, proc.args, out, err)
-    return seconds, usage.ru_maxrss, out
+        proc.check_returncode()
+    if peak:
+        return "cli_peak_rss_kb", int(proc.stderr.splitlines()[-1]), proc.stdout
+    return "cli_run_us", seconds * 1e6, proc.stdout
 
 
 def main(argv=None) -> int:
@@ -271,11 +295,10 @@ def main(argv=None) -> int:
             for label in order:
                 imports[label].append(import_seconds(trees[label]) * 1e6)
         for command, count in CLI_RUNS.items():
-            for _ in range(count):
+            for peak in [False] * count + [True]:
                 for label in order:
-                    seconds, rss, out = cli_run(trees[label], command)
-                    runs[label][command]["cli_run_us"].append(seconds * 1e6)
-                    runs[label][command]["cli_peak_rss_kb"].append(rss)
+                    key, value, out = cli_run(trees[label], command, peak)
+                    runs[label][command][key].append(value)
                     if stdout.setdefault(command, out) != out:
                         differing.add((command, label))
         for label in order:
@@ -298,9 +321,9 @@ def main(argv=None) -> int:
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
                   f"{CALL_REPEAT} passes / calls (rows: / rows); import: {IMPORT_RUNS} "
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
-                  f"per tree and round for partition, 1 for each long command, taken in turns",
+                  f"per tree and round for partition, 1 for each long command, taken in turns, "
+                  f"and 1 more untimed run of each for its peak RSS",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
-        "harness_peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "trees": result,
     }
     labels = list(trees)

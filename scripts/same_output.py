@@ -28,7 +28,12 @@ collapses below 0; then ``stpete`` at an ``--eps`` of 1 (also with sampling),
 disagree, where no workload reaches; then ``stpete`` at ``--eps 10`` sampling
 with ``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
 samples at the default truncation 64, where a draw reaches the cap with
-probability 2**-63, so only these runs compare capped payoffs; then flag text
+probability 2**-63, so only these runs compare capped payoffs; then ``stpete
+--eps 10 --depth 20`` sampling in both formats at ``--trials`` of 1, 4, 5,
+4*64 - 1, 4*64 + 1 and 4*(64 + 128) + 3, around the edges of the sampler's
+batches of 64 and then 128 blocks of four words (the last ends just inside
+the third batch), and once with ``--seed`` 2**128 + 5, whose five 32-bit
+entropy words are one more than the seed pool holds; then flag text
 that is not a number, which the families, the streams and the bound parse, so
 that each error names its field: ``partition`` with ``--eps abc``,
 ``--grid 1/0``, ``--bounds 0,1,x`` and ``--width abc``, ``stpete --eps abc``,
@@ -76,11 +81,17 @@ INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--bounds=-20,-4,0,3,6,9,12,15,18,21", "--const", "1", "--bound", "1"),
          ("--bounds=-53/2,-7,3/2,41/3,23,27", "--domain", "real", "--const", "2",
           "--bound", "2"))
+#: Trial counts around the sampler's batch edges: its batches run 64, then 128 blocks
+#: of four words.
+SAMPLED_TRIALS = (1, 4, 5, 4 * 64 - 1, 4 * 64 + 1, 4 * (64 + 128) + 3)
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "1"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "3",
-           "--format", "json"))
+           "--format", "json"),
+          *(("--eps", "10", "--depth", "20", "--trials", str(trials), "--format", fmt)
+            for trials in SAMPLED_TRIALS for fmt in ("table", "json")),
+          ("--eps", "10", "--depth", "20", "--trials", "50", "--seed", str(2**128 + 5)))
 #: Flag text that is not a number: each error names its field.
 BAD_TEXT = (("partition", "--eps", "abc"), ("partition", "--grid", "1/0"),
             ("partition", "--bounds", "0,1,x"), ("partition", "--width", "abc"),

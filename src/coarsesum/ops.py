@@ -109,7 +109,10 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     step 2 on, a step's sum and cell depend only on the previous sum's cell and the
     input's cell: a step that repeats the move of the step before, as every step of a
     pinned sum does, keeps its result, and an input object repeated from the step before
-    keeps its cell.
+    keeps its cell.  Any other ``int`` input is read from a memo of its ``Fraction`` and
+    cell, emptied at ``_REP_MEMO_CELLS`` ints, so a few distinct ints, as sampled payoffs
+    are, are each converted and looked up once.  ``Fraction`` inputs are not memoized:
+    their hash runs in Python and costs more than the lookup it would save.
 
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
@@ -118,6 +121,7 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     span, unscaled = partition.span, partition.unscaled
     reps = {}  # cell -> (scaled representative, representative)
+    ints = {}  # int input -> (its Fraction, its cell)
 
     def collapse(cell, value=None):
         if len(reps) >= _REP_MEMO_CELLS:
@@ -136,8 +140,18 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     for n, raw in enumerate(values, start=1):
         try:
             if raw is not last:
-                last, x = raw, raw if type(raw) is Fraction else Fraction(raw)
-                x_cell = index_of(x)
+                last = raw
+                if type(raw) is Fraction:
+                    x, x_cell = raw, index_of(raw)
+                elif type(raw) is not int:
+                    x_cell = index_of(x := Fraction(raw))
+                elif (hit := ints.get(raw)) is None:
+                    if len(ints) >= _REP_MEMO_CELLS:
+                        ints.clear()
+                    x = Fraction(raw)
+                    ints[raw] = x, (x_cell := index_of(x))
+                else:
+                    x, x_cell = hit
             if n == 1:
                 new_s, new_cell = x, x_cell
             elif s_cell != moved_from or x_cell != moved_by:

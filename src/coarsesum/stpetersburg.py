@@ -16,6 +16,7 @@ at sum 1/4, in cell 1, from step 2, for every eps.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -134,18 +135,30 @@ def _philox_words(key: tuple):
 
     The 256-bit counter is incremented before each block of four words; a
     carry out of its low word would take 2**64 blocks, so only that word moves.
+    Each big-int operation runs a batch of blocks, 64 at first and doubling to
+    4096, so that a short draw computes little past its end and a long one runs
+    in flat memory: block b's words sit in bits 128b to 128b+63 of four ints, so
+    one multiply by a round constant gives every block's 128-bit product with no
+    carry into the next.  ``struct`` packs and reads the lanes little-endian.
     """
     k0, k1 = key
     keys = [((k0 + r * 0x9E3779B97F4A7C15) & _M64, (k1 + r * 0xBB67AE8584CAA73B) & _M64)
             for r in range(10)]
-    counter = 0
+    start, n = 1, 64
     while True:
-        counter += 1
-        c0, c1, c2, c3 = counter, 0, 0, 0
+        lane = struct.Struct("<" + "Q8x" * n)  # one word in the low half of each lane
+        ones = int.from_bytes(lane.pack(*[1] * n), "little")
+        low = ones * _M64
+        c0, c1, c2, c3 = int.from_bytes(lane.pack(*range(start, start + n)), "little"), 0, 0, 0
         for r0, r1 in keys:
             p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
-            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ r0, p1 & _M64, p0 >> 64 ^ c3 ^ r1, p0 & _M64
-        yield from (c0, c1, c2, c3)
+            c0, c1, c2, c3 = ((p1 >> 64 & low) ^ c1 ^ r0 * ones, p1 & low,
+                              (p0 >> 64 & low) ^ c3 ^ r1 * ones, p0 & low)
+        words = [0] * 4 * n
+        for i, c in enumerate((c0, c1, c2, c3)):
+            words[i::4] = lane.unpack(c.to_bytes(16 * n, "little"))
+        yield from words
+        start, n = start + n, min(2 * n, 4096)
 
 
 def sample_gamble(truncation_depth: int, trials: int, seed: int) -> list:
@@ -159,17 +172,19 @@ def sample_gamble(truncation_depth: int, trials: int, seed: int) -> list:
     (see :data:`RNG_ALGORITHM`), reimplemented bit for bit in integer
     arithmetic, so sampling needs no numpy.  Each draw takes one 64-bit word;
     numpy's search over the partial sums 1 - 2**-k for its 53-bit uniform
-    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m.  Each payoff
-    is an exact Python integer.
+    m / 2**53 stops at the first k with 2**(53-k) <= 2**53 - m, which is
+    max(1, 54 - L) for L the bit length of 2**53 - m; each draw reads its payoff
+    off a table of L, so equal payoffs are one object.  Each payoff is an exact
+    Python integer.
     """
     d = truncation_depth
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise SpecError(f"truncation_depth: must be a positive integer, got {d!r}")
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    words = islice(_philox_words(_philox_key(seed)), trials)
-    rounds = (max(1, 54 - ((1 << 53) - (w >> 11)).bit_length()) for w in words)
-    return [1 << (min(n, d) - 1) for n in rounds]
+    payoff = [1 << (min(max(1, 54 - length), d) - 1) for length in range(55)]
+    return [payoff[((1 << 53) - (w >> 11)).bit_length()]
+            for w in islice(_philox_words(_philox_key(seed)), trials)]
 
 
 class ComparisonReport(NamedTuple):
@@ -227,7 +242,7 @@ def compare_valuations(epsilon, truncation_depth: int, trials: int, seed: int,
     ctx = CoarseContext(EpsilonGrowth(valuation.epsilon))
     payoffs = sample_gamble(truncation_depth, trials, seed)
     trace = ctx.fold(payoffs)
-    counts = Counter(p.bit_length() for p in payoffs)
+    counts = Counter(payoffs)  # a payoff's bit length is its round count
 
     return ComparisonReport(
         valuation=valuation,
@@ -238,6 +253,6 @@ def compare_valuations(epsilon, truncation_depth: int, trials: int, seed: int,
         sampled_final=trace[-1].s,
         sampled_final_cell=trace[-1].s_cell,
         sampled_mean=Fraction(sum(payoffs), trials),
-        round_counts=dict(counts),
+        round_counts={p.bit_length(): c for p, c in counts.items()},
         classical_verdict=InertVerdict(horizon=depth, increasing_run=depth),
     )

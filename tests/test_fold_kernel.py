@@ -156,6 +156,51 @@ def test_long_folds_match_past_the_representative_memo(spec, values, policy):
     assert_fold_matches(CoarseContext(spec, policy), values)
 
 
+#: Per family, layouts that hold every int from their origin on, and layouts that
+#: refuse some: below the origin, past the last explicit bound, or off the grid.
+INT_FAMILIES = {
+    "FixedWidth": st.integers(1, 9).map(FixedWidth),
+    "Fibonacci": st.just(Fibonacci()),
+    "EpsilonGrowth": st.sampled_from([F(10), F(1, 3), F(5, 2)]).map(EpsilonGrowth),
+    "ExplicitBounds": st.sampled_from([
+        ExplicitBounds((0, 3, 6, 17)), ExplicitBounds((-4, 1, 2, 9, 30, 100)),
+        ExplicitBounds(tuple(range(0, 10**6, 100))),
+        ExplicitBounds((0, F(1, 2), 1, F(7, 3), 10, 50), Domain.REALS)]),
+    "SingletonGrid": st.sampled_from([F(1, 2), F(1, 3), F(2), F(3, 4)]).map(SingletonGrid),
+}
+
+
+@st.composite
+def int_streams(draw):
+    """Ints whose repeats are not consecutive: a stream drawn from a small pool, or more
+    distinct values than the fold's int memo holds, then repeats of them."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(-5, 60), min_size=1, max_size=5))
+        return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=40))
+    distinct = draw(st.lists(st.integers(0, 400), min_size=257, max_size=270, unique=True))
+    return distinct + draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=20)) + \
+        draw(st.sampled_from([[], [-1], [401]]))
+
+
+def fold_or_error(ctx, values):
+    try:
+        return ctx.fold(values)
+    except (OutOfRangeError, DomainError) as exc:
+        return type(exc), str(exc), exc.step
+
+
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_int_inputs_fold_as_their_fractions(family, policy, data):
+    spec = data.draw(INT_FAMILIES[family].filter(lambda spec: not refused(spec, policy)))
+    ctx, stream = CoarseContext(spec, policy), data.draw(int_streams())
+    got = fold_or_error(ctx, stream)
+    assert got == fold_or_error(ctx, [F(v) for v in stream])
+    if isinstance(got, FoldTrace):
+        assert all(type(step.x) is F and type(step.s) is F for step in got)
+
+
 MIN_REFUSED = ("policy: min is refused on {}, whose cells are open below: "
                "a cell's infimum lies in the cell below")
 

@@ -1,9 +1,11 @@
-"""The in-package Philox sampler against numpy, its reference.
+"""The in-package Philox sampler against numpy, its reference, and against a loop of
+one block at a time.
 
 ``sample_gamble`` reimplements ``numpy.random.Generator(Philox(seed))``'s
-geometric(1/2) draws in integer arithmetic.  These tests compare the key,
-the raw 64-bit words and the payoffs with numpy itself, and are skipped
-where numpy is not installed.
+geometric(1/2) draws in integer arithmetic.  Most tests here compare the key,
+the raw 64-bit words and the payoffs with numpy itself, and are skipped where
+numpy is not installed.  The lane test needs no numpy: it checks the words of
+the batched generator against the ``philox_by_blocks`` oracle.
 """
 
 from itertools import islice
@@ -15,10 +17,26 @@ from hypothesis import strategies as st
 from coarsesum import sample_gamble
 from coarsesum.stpetersburg import _philox_key, _philox_words
 
-np = pytest.importorskip("numpy")
+try:
+    import numpy as np
+except ImportError:
+    np = None
+needs_numpy = pytest.mark.skipif(np is None, reason="numpy is not installed")
 
 #: 2**128 + 5 has five 32-bit entropy words, one more than SeedSequence's pool.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
+#: Blocks drawn at the end of each batch: batches double from 64 blocks to 4096,
+#: and the last two edges lie past that cap.
+BATCH_EDGES = [64, 192, 448, 960, 1984, 4032, 8128, 12224]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lane_words_match_one_block_at_a_time(seed, philox_by_blocks):
+    key = _philox_key(seed)
+    counts = [*range(10), *(4 * edge + d for edge in BATCH_EDGES for d in (-1, 0, 1))]
+    want = list(islice(philox_by_blocks(key), max(counts)))
+    for k in counts:
+        assert list(islice(_philox_words(key), k)) == want[:k], k
 
 
 def numpy_payoffs(trials, seed, truncation):
@@ -26,12 +44,14 @@ def numpy_payoffs(trials, seed, truncation):
     return [1 << (min(int(n), truncation) - 1) for n in rounds]
 
 
+@needs_numpy
 @pytest.mark.parametrize("seed", SEEDS)
 def test_key_matches_seed_sequence(seed):
     want = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     assert _philox_key(seed) == tuple(int(k) for k in want)
 
 
+@needs_numpy
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
 def test_raw_words_match_numpy_philox(seed, k):
@@ -39,6 +59,7 @@ def test_raw_words_match_numpy_philox(seed, k):
     assert list(islice(_philox_words(_philox_key(seed)), k)) == want
 
 
+@needs_numpy
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("trials", [0, 1, 4, 5, 1500])
 @pytest.mark.parametrize("truncation", [1, 2, 64])
@@ -47,6 +68,7 @@ def test_payoffs_match_numpy(seed, trials, truncation):
         numpy_payoffs(trials, seed, truncation)
 
 
+@needs_numpy
 @given(st.integers(min_value=0, max_value=2**70 - 1), st.integers(0, 60),
        st.sampled_from([1, 2, 5, 64, 100]))
 def test_payoffs_match_numpy_for_any_seed(seed, trials, truncation):
