@@ -34,8 +34,14 @@ partition family the entries are, in microseconds:
   payoffs of ``sample_gamble`` under ``SAMPLED``: 1500 ints of a dozen distinct
   values.
 
-The sampler's entry, ``sample_gamble``, gives ``sample_trial_us``: one
-``sample_gamble`` call under ``SAMPLED`` per trial it draws.
+The climbing stream of ``EpsilonGrowth(10)`` is drawn as the benchmark's climbing
+``--eps 10`` file is (``climbing_rationals``); ``climbing_input_cells`` counts the
+cells its inputs fall in, about 80.  The sampler's entry, ``sample_gamble``, gives
+``sample_trial_us``: one ``sample_gamble`` call under ``SAMPLED`` per trial it draws.
+The text entries time what turns flag and file text into values: ``explicit_build_us``,
+``ExplicitBounds`` built from the 3,200 integer texts of ``climbing_bounds``, per
+bound, and ``parse_pq_us``, ``parse_rational`` per call on the ``p/q`` texts of the
+climbing ``EpsilonGrowth(10)`` stream.
 
 The import layer, entry ``import coarsesum.cli``, times that import alone
 (``import_us``), each sample in a fresh interpreter started with the caller's
@@ -51,7 +57,8 @@ and reads its ``VmHWM`` from ``/proc/self/status`` at exit (so this entry needs
 Linux).  The child's ``ru_maxrss`` would not do, since exec carries the
 spawner's high-water mark into it.  The trees take turns on each run; the
 short ``partition`` command runs ``IMPORT_RUNS`` times per tree and round, the
-long ones once.  Every run of a command must print the stdout of
+long ones once.  A command's ``{name}`` fields name the seeded files and flag text
+of ``fold_inputs``.  Every run of a command must print the stdout of
 its first run on the first tree; the run names each command that differs, and
 exits 1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
 and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark
@@ -59,7 +66,12 @@ pays.
 
 The output JSON holds the machine, the Python version, every tree's entries
 and, with two or more trees, each later tree's medians and minimums divided
-by the first's.  Only the standard library is used (``timeit``).
+by the first's, next to the quartiles of the ratio taken sample by sample
+(``paired``: each later tree's sample over the first tree's sample taken beside
+it in the same round).  Drift between two trees' interpreters moves whole
+rounds, so one tree's spread understates it; a row has ``risen`` only when the
+paired ratio's q1 is above 1, and the run lists those rows.  Only the standard
+library is used (``timeit``).
 """
 
 from __future__ import annotations
@@ -72,6 +84,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 from fractions import Fraction as F
@@ -98,7 +111,14 @@ CLI_RUNS = {
     "inert --width 3 --const 3 --horizon 100000": 1,
     "stpete --eps 10 --trials 1500 --seed 7": 1,
     "stpete --eps 10 --depth 10 --trials 100000 --seed 7": 1,
+    # folds of seeded files, as fold-climbing's epsilon and explicit commands at scale
+    "fold --eps 10 --input {pq} --format csv": 1,
+    "fold --eps 10 --input {pq} --format json": 1,
+    "fold --bounds {bounds} --input {ints} --format csv": 1,
+    "fold --bounds {bounds} --input {ints} --format json": 1,
 }
+#: Lines of the ``{pq}`` file of the whole-run folds.
+FOLD_LINES = 100_000
 #: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak
 #: resident set in KiB as the last line of stderr.
 PEAK_PROBE = """\
@@ -117,6 +137,36 @@ SPREAD_KEYS = ("_us", "_kb")  # entries given as a spread; the rest are one valu
 FORMATS = ("json", "csv", "table")
 
 
+def climbing_rationals(rng, n):
+    """n rationals p/q in [2000, 4000] with q in 2..9, as the benchmark's climbing
+    ``--eps 10`` file holds them: on ``EpsilonGrowth(10)`` they fall in about 80 cells."""
+    return [F(rng.randint(2000 * q, 4000 * q), q) for q in (rng.randint(2, 9) for _ in range(n))]
+
+
+def climbing_bounds(rng):
+    """3,200 ascending integer bounds, as the benchmark's climbing ``--bounds``: 40 unit
+    cells, then cells of width 20..40."""
+    bounds = list(range(41))
+    while len(bounds) < 3_200:
+        bounds.append(bounds[-1] + rng.randint(20, 40))
+    return bounds
+
+
+def fold_inputs(work: str) -> dict:
+    """The ``{name}`` fields of ``CLI_RUNS``, seeded: ``pq``, a file of ``FOLD_LINES``
+    climbing rationals; ``bounds``, the text of ``climbing_bounds``; ``ints``, a file of
+    2,000 ints of 25..45, which climb about a cell a step through those bounds."""
+    rng = random.Random(33)
+    files = {"pq": climbing_rationals(rng, FOLD_LINES),
+             "ints": [rng.randint(25, 45) for _ in range(2_000)]}
+    fields = {"bounds": ",".join(map(str, climbing_bounds(rng)))}
+    for name, values in files.items():
+        fields[name] = os.path.join(work, f"{name}.txt")
+        with open(fields[name], "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{v}\n" for v in values))
+    return fields
+
+
 def cases():
     """(family name, family, pinned stream, climbing stream, turns) for each family.
 
@@ -132,8 +182,7 @@ def cases():
          (0, 1, 2)),
         # 1 + 1 stays in {2, 3}; powers of two outgrow the 1.6x Fibonacci cells
         ("Fibonacci", Fibonacci(), [1] * n, [2**t for t in range(1, 401)], (0, 1)),
-        ("EpsilonGrowth(10)", EpsilonGrowth(F(10)), [F(1, 2)] * n,
-         [F(rng.randint(2000 * q, 4000 * q), q) for q in (rng.randint(2, 9) for _ in range(n))],
+        ("EpsilonGrowth(10)", EpsilonGrowth(F(10)), [F(1, 2)] * n, climbing_rationals(rng, n),
          (F(1, 2), F(1, 3), F(1, 5))),
         # cells of width 1000: 1 stays in [0, 999]; 1000 moves up one cell a step
         ("ExplicitBounds(1000-wide)", ExplicitBounds(tuple(range(0, 1000 * (n + 3), 1000)),
@@ -186,10 +235,13 @@ def per_cell_scanned(partition, increment) -> float:
 
 def measure() -> dict:
     """Entries for every family, timed in this interpreter's ``coarsesum``."""
-    from coarsesum import CoarseContext, rep_of_value, sample_gamble
+    from coarsesum import CoarseContext, ExplicitBounds, parse_rational, rep_of_value, sample_gamble
     sample = lambda: sample_gamble(**SAMPLED)
+    bound_texts = list(map(str, climbing_bounds(random.Random(33))))
     out = {"sample_gamble": {"sample_trial_us": min(timeit.repeat(
-        sample, number=1, repeat=CALL_REPEAT)) / SAMPLED["trials"] * 1e6}}
+               sample, number=1, repeat=CALL_REPEAT)) / SAMPLED["trials"] * 1e6},
+           "ExplicitBounds(3200 texts)": {
+               "explicit_build_us": per_call(ExplicitBounds, [bound_texts]) / len(bound_texts)}}
     for name, partition, pinned, climbing, turns in cases():
         ctx = CoarseContext(partition)
         trace = ctx.fold(climbing)
@@ -209,6 +261,9 @@ def measure() -> dict:
             out[name]["absorbing_scan_us"] = per_cell_scanned(partition, SCAN_INCREMENTS[name])
         if name == "EpsilonGrowth(10)":
             out[name]["fold_step_sampled_us"] = per_step(ctx, sample())
+            out[name]["climbing_input_cells"] = len(set(map(partition.index_of, climbing)))
+            texts = [f"{x.numerator}/{x.denominator}" for x in climbing]
+            out["parse_rational"] = {"parse_pq_us": per_call(parse_rational, texts)}
     return out
 
 
@@ -289,6 +344,8 @@ def main(argv=None) -> int:
     runs = {label: {command: {"cli_run_us": [], "cli_peak_rss_kb": []} for command in CLI_RUNS}
             for label in trees}
     stdout, differing = {}, set()  # command -> the first run's stdout; (command, label)
+    work = tempfile.TemporaryDirectory()
+    fields = fold_inputs(work.name)
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for _ in range(IMPORT_RUNS):
@@ -297,7 +354,7 @@ def main(argv=None) -> int:
         for command, count in CLI_RUNS.items():
             for peak in [False] * count + [True]:
                 for label in order:
-                    key, value, out = cli_run(trees[label], command, peak)
+                    key, value, out = cli_run(trees[label], command.format(**fields), peak)
                     runs[label][command][key].append(value)
                     if stdout.setdefault(command, out) != out:
                         differing.add((command, label))
@@ -305,6 +362,7 @@ def main(argv=None) -> int:
             for family, entries in worker(trees[label]).items():
                 for key, value in entries.items():
                     samples[label].setdefault(family, {}).setdefault(key, []).append(value)
+    work.cleanup()
     for label, values in imports.items():
         samples[label]["import coarsesum.cli"] = {"import_us": values}
         for command, entries in runs[label].items():
@@ -327,20 +385,32 @@ def main(argv=None) -> int:
         "trees": result,
     }
     labels = list(trees)
+    risen = []
     if len(labels) > 1:
-        base = result[labels[0]]
-        report[f"ratio_to_{labels[0]}"] = {
-            label: {family: {key: {stat: round(value[stat] / base[family][key][stat], 3)
-                                   for stat in ("median", "min")}
-                             for key, value in entries.items() if key.endswith(SPREAD_KEYS)}
-                    for family, entries in result[label].items()}
-            for label in labels[1:]}
+        first = labels[0]
+        ratios = report[f"ratio_to_{first}"] = {label: {} for label in labels[1:]}
+        for label in labels[1:]:
+            for family, entries in result[label].items():
+                for key, value in entries.items():
+                    if not key.endswith(SPREAD_KEYS):
+                        continue
+                    base = result[first][family][key]
+                    paired = spread([a / b for a, b in zip(samples[label][family][key],
+                                                           samples[first][family][key])])
+                    ratios[label].setdefault(family, {})[key] = {
+                        **{stat: round(value[stat] / base[stat], 3) for stat in ("median", "min")},
+                        "paired": {stat: round(paired[stat], 3) for stat in ("q1", "median", "q3")}}
+                    if paired["q1"] > 1:
+                        risen.append(f"{label}: {family}: {key}")
+        report["risen"] = risen
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+    for row in risen:
+        print(f"risen: {row}", file=sys.stderr)
     for command, label in sorted(differing):
         print(f"{command}: {label} prints other stdout", file=sys.stderr)
     return 1 if differing else 0

@@ -38,7 +38,11 @@ that is not a number, which the families, the streams and the bound parse, so
 that each error names its field: ``partition`` with ``--eps abc``,
 ``--grid 1/0``, ``--bounds 0,1,x`` and ``--width abc``, ``stpete --eps abc``,
 and ``inert`` with ``--const abc``, ``--harmonic --bound abc``,
-``--geometric 1 abc`` and ``--geometric abc 1/2``.
+``--geometric 1 abc`` and ``--geometric abc 1/2``; then ``--bounds`` given as
+signed, padded, ``p/q`` and decimal text in both domains, and the errors it
+names (not ascending, not an integer in the int domain, a sum below the origin
+or past the last bound), and ``fold`` over ``p/q`` lines with signs, zeros,
+padding and non-ASCII digits, and over a line that is not a number.
 Every later tree's stdout, stderr and exit code are compared with the first
 tree's.  One line names each command that differs; the last line counts them.
 The exit code is 1 if any command differs, else 0.
@@ -100,11 +104,27 @@ BAD_TEXT = (("partition", "--eps", "abc"), ("partition", "--grid", "1/0"),
             ("inert", "--eps", "10", "--geometric", "1", "abc"),
             ("inert", "--eps", "10", "--geometric", "abc", "1/2"))
 
+#: ``--bounds`` text and the errors it names; ``{values}`` and ``{pq}`` are the input files.
+BOUNDS_TEXT = (("partition", "--bounds=-7,+2, 5,21/3,9.0,12", "--cells", "6"),
+               ("partition", "--bounds=-1/2,0.25,3/4,2", "--domain", "real"),
+               ("partition", "--bounds", "0,5,3"), ("partition", "--bounds", "0,1.5,3"),
+               ("fold", "--bounds", "0,2", "--rep", "max", "--input", "{values}"),
+               ("fold", "--bounds", "1,3,9", "--input", "{values}"),
+               ("fold", "--bounds=-1/2,1/3,5/2", "--domain", "real", "--input", "{values}"),
+               ("fold", "--eps", "10", "--input", "{pq}", "--format", "json"),
+               ("fold", "--bounds=-3,0,2,11,40", "--domain", "real", "--input", "{pq}",
+                "--format", "csv"),
+               ("fold", "--eps", "10", "--input", "{bad}"))
+
 
 def extra_commands(work: Path) -> list:
-    """(name, argv) of each extra command; ``fold`` reads a file written to ``work``."""
+    """(name, argv) of each extra command; ``fold`` reads files written to ``work``."""
     values = work / "values.txt"
     values.write_text("1\n1\n0\n0\n", encoding="utf-8")  # max climbs, but stays in range
+    files = {"values": values, "pq": work / "pq.txt", "bad": work / "bad.txt"}
+    files["pq"].write_text("-0/7\n 6/3 \n+1/2\n1/2\n\u0663/\u0664\n3/1\n9/2\n",
+                           encoding="utf-8")
+    files["bad"].write_text("1/2\n1/-2\n", encoding="utf-8")
     tails = {"partition": ("--cells", "6"), "fold": ("--input", str(values)),
              "inert": ("--const", "1", "--horizon", "50")}
     formats = {"partition": ("table", "json", "csv"), "fold": ("table", "json", "csv"),
@@ -117,7 +137,8 @@ def extra_commands(work: Path) -> list:
         (f"inert {' '.join(args)} --format {fmt}", ("inert", *args, "--format", fmt))
         for args in INERT for fmt in formats["inert"]] + [
         ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE] + [
-        (" ".join(argv), argv) for argv in BAD_TEXT]
+        (" ".join(argv), argv) for argv in BAD_TEXT] + [
+        (" ".join(argv), tuple(arg.format(**files) for arg in argv)) for argv in BOUNDS_TEXT]
 
 
 def run(src: str, argv: tuple) -> tuple:

@@ -26,7 +26,7 @@ from .representatives import Policy, _pick, rep_of_value
 
 #: Cells whose representatives one fold keeps at a time.  Absorbed and
 #: pinned streams revisit a handful of cells; a climbing sum meets a new cell
-#: almost every step, so the memo is emptied whenever it fills.
+#: almost every step, so a full memo drops the sums' cells and keeps the inputs'.
 _REP_MEMO_CELLS = 256
 
 
@@ -103,16 +103,17 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
 
     Each step is ``rep_add(s, x)`` computed through cells, on the partition's integer
     scale: the running sum's cell, the input's cell and the cell of the scaled sum of
-    their representatives.  A cell is collapsed once per fold, a sum's off its span and
-    an input through ``rep_of_value``, and kept as its scaled representative and as a
-    ``Fraction`` for the row; the sum collapsed from a cell lies in that cell.  So from
+    their representatives.  A cell is collapsed once while the memo holds it, a sum's off
+    its span and an input through ``rep_of_value``, and kept as its scaled representative
+    and as a ``Fraction`` for the row; the sum collapsed from a cell lies in that cell.  So from
     step 2 on, a step's sum and cell depend only on the previous sum's cell and the
     input's cell: a step that repeats the move of the step before, as every step of a
     pinned sum does, keeps its result, and an input object repeated from the step before
-    keeps its cell.  Any other ``int`` input is read from a memo of its ``Fraction`` and
-    cell, emptied at ``_REP_MEMO_CELLS`` ints, so a few distinct ints, as sampled payoffs
-    are, are each converted and looked up once.  ``Fraction`` inputs are not memoized:
-    their hash runs in Python and costs more than the lookup it would save.
+    keeps its cell.  A full memo of cells drops the sums' and keeps the inputs', which a
+    climbing sum meets again, until those fill half of it.  Any other ``int`` input is
+    read from a memo of its ``Fraction`` and cell, emptied at ``_REP_MEMO_CELLS`` ints,
+    so a few distinct ints, as sampled payoffs are, are each converted and looked up
+    once.  ``Fraction`` inputs are not memoized: their hash costs more than the lookup.
 
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
@@ -120,18 +121,23 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     # inputs are made Fractions below, so the family's own lookups need no coercion
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     span, unscaled = partition.span, partition.unscaled
-    reps = {}  # cell -> (scaled representative, representative)
+    reps, held = {}, set()  # cell -> (scaled representative, representative); input cells
     ints = {}  # int input -> (its Fraction, its cell)
 
     def collapse(cell, value=None):
-        if len(reps) >= _REP_MEMO_CELLS:
-            reps.clear()  # climbing sums rarely come back
+        if len(reps) >= _REP_MEMO_CELLS:  # climbing sums rarely come back, but inputs do
+            if 2 * len(held) >= _REP_MEMO_CELLS:
+                held.clear()
+            kept = [(c, reps[c]) for c in held]
+            reps.clear()
+            reps.update(kept)
         if value is None:  # a sum's cell
             scaled = _pick(*span(cell), policy)
             rep = unscaled(scaled)
         else:
             rep = rep_of_value(partition, value, policy)
             scaled = rep.numerator * (scale // rep.denominator)
+            held.add(cell)
         hit = reps[cell] = (scaled, rep)
         return hit
 

@@ -303,7 +303,9 @@ class ExplicitBounds(Partition):
     def __init__(self, bounds: tuple, domain: Domain = Domain.INTEGERS):
         if not isinstance(bounds, (list, tuple)):
             raise SpecError(f"bounds: expected a list of boundaries, got {bounds!r}")
-        b = tuple(_rational("bounds", v) for v in bounds)
+        # plain digits are read as ints: an int is its own key on the integer scale
+        b = [int(v) if type(v) is str and v.isdecimal() else
+             v if type(v) is int else _rational("bounds", v) for v in bounds]
         try:
             dom = Domain(domain)
         except ValueError:
@@ -320,8 +322,12 @@ class ExplicitBounds(Partition):
             v = next(v for v in b if v.denominator != 1)
             raise SpecError(f"bounds: integer-domain boundaries must be integers, got {v}")
         # _open: real cells (k[i-1], k[i]] hold the scaled integers k[i-1] + 1 .. k[i]
-        _settle(self, bounds=b, domain=dom, max_index=len(b) - 1, scale=scale,
-                _keys=keys, _open=0 if ints else 1)
+        _settle(self, domain=dom, max_index=len(b) - 1, scale=scale, _keys=keys,
+                _open=0 if ints else 1)
+
+    @property
+    def bounds(self) -> tuple:  # the boundaries as exact rationals, read off the keys
+        return tuple(map(self.unscaled, self._keys))
 
     def index_scaled(self, n: int, x=None) -> int:
         """Cell of n/scale; errors name the value x, n/scale when omitted."""
@@ -330,12 +336,11 @@ class ExplicitBounds(Partition):
             return bisect_right(keys, n - shift) or 1
         if x is None:
             x = self.unscaled(n)
-        b = self.bounds
         if n < keys[0]:
-            raise _below(x, b[0])
+            raise _below(x, self.origin)
         if not shift:
-            raise OutOfRangeError(f"{x} is beyond the last covered integer {b[-1] - 1}")
-        raise OutOfRangeError(f"{x} is beyond the last explicit bound {b[-1]}")
+            raise OutOfRangeError(f"{x} is beyond the last covered integer {keys[-1] - 1}")
+        raise OutOfRangeError(f"{x} is beyond the last explicit bound {self.unscaled(keys[-1])}")
 
     def span(self, index: int) -> tuple:
         if index > self.max_index:

@@ -17,9 +17,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     text = str(value).strip()
+    num, slash, den = text.partition("/")  # [-]digits[/digits] go to int(), cheaper
     try:
-        if text.isdecimal():  # plain digits: int() gives the same value, cheaper
-            return Fraction(int(text))
+        if num[num[:1] == "-":].isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {value!r}") from exc

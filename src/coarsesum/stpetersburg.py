@@ -19,7 +19,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 from math import floor
 from operator import index
 from typing import NamedTuple
@@ -145,20 +145,22 @@ def _philox_words(key: tuple):
     keys = [((k0 + r * 0x9E3779B97F4A7C15) & _M64, (k1 + r * 0xBB67AE8584CAA73B) & _M64)
             for r in range(10)]
     start, n = 1, 64
-    while True:
+    while True:  # one batch size: the lanes and round keys are built once for it
         lane = struct.Struct("<" + "Q8x" * n)  # one word in the low half of each lane
         ones = int.from_bytes(lane.pack(*[1] * n), "little")
-        low = ones * _M64
-        c0, c1, c2, c3 = int.from_bytes(lane.pack(*range(start, start + n)), "little"), 0, 0, 0
-        for r0, r1 in keys:
-            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
-            c0, c1, c2, c3 = ((p1 >> 64 & low) ^ c1 ^ r0 * ones, p1 & low,
-                              (p0 >> 64 & low) ^ c3 ^ r1 * ones, p0 & low)
-        words = [0] * 4 * n
-        for i, c in enumerate((c0, c1, c2, c3)):
-            words[i::4] = lane.unpack(c.to_bytes(16 * n, "little"))
-        yield from words
-        start, n = start + n, min(2 * n, 4096)
+        low, counts = ones * _M64, int.from_bytes(lane.pack(*range(n)), "little")
+        lanes = [(r0 * ones, r1 * ones) for r0, r1 in keys]
+        for start in count(start, n) if n == 4096 else (start,):  # from the cap on, one size
+            c0, c1, c2, c3 = counts + start * ones, 0, 0, 0
+            for r0, r1 in lanes:
+                p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+                c0, c1, c2, c3 = ((p1 >> 64 & low) ^ c1 ^ r0, p1 & low,
+                                  (p0 >> 64 & low) ^ c3 ^ r1, p0 & low)
+            words = [0] * 4 * n
+            for i, c in enumerate((c0, c1, c2, c3)):
+                words[i::4] = lane.unpack(c.to_bytes(16 * n, "little"))
+            yield from words
+        start, n = start + n, 2 * n
 
 
 def sample_gamble(truncation_depth: int, trials: int, seed: int) -> list:

@@ -10,6 +10,7 @@ its oracle is the ``contains`` fixture on cells whose bounds are recomputed from
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -27,7 +28,7 @@ from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, 
                        rep_of_cell, rep_of_value)
 from coarsesum.ops import _fold_steps
 from coarsesum.rationals import write_rows
-from coarsesum import cli, inertness, representatives
+from coarsesum import cli, inertness, ops, representatives
 
 POLICIES = list(Policy)
 
@@ -648,7 +649,6 @@ CLIMBING_IDS = [type(c[0]).__name__ for c in CLIMBING]
 @pytest.mark.parametrize("spec, values, policy", under_policies(CLIMBING, CLIMBING_IDS))
 def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, monkeypatch):
     """Sums collapse off the cell the kernel holds; only inputs go through ``rep_of_value``."""
-    from coarsesum import ops
     ctx = CoarseContext(spec, policy)
     expected = rep_add_fold(ctx, values)
     lookups, collapsed = [0], []
@@ -668,6 +668,66 @@ def test_a_climbing_fold_collapses_sums_off_their_spans(spec, values, policy, mo
     assert all(any(v is x for x in values) for v in collapsed)
     # a step looks up its input and its sum; an input collapse looks up the input once more
     assert lookups[0] <= 2 * len(steps) + len(collapsed)
+
+
+def epsilon_climb(n, seed=1):
+    """n rationals p/q in [2000, 4000] with q in 2..9, drawn as the benchmark draws its
+    climbing ``--eps 10`` file: on ``EpsilonGrowth(10)`` they fall in 84 cells."""
+    rng = random.Random(seed)
+    return [F(rng.randint(2000 * q, 4000 * q), q) for q in (rng.randint(2, 9) for _ in range(n))]
+
+
+def count_collapses(monkeypatch):
+    """The values that the fold collapses through ``rep_of_value``, as it collapses them."""
+    collapsed, real_collapse = [], ops.rep_of_value
+    monkeypatch.setattr(ops, "rep_of_value", lambda p, v, pol: collapsed.append(v)
+                        or real_collapse(p, v, pol))
+    return collapsed
+
+
+def test_a_climbing_fold_collapses_each_input_cell_once_while_the_memo_has_room(monkeypatch):
+    ctx, values = CoarseContext(EpsilonGrowth(10)), epsilon_climb(2000)
+    input_cells = {ctx.partition.index_of(x) for x in values[1:]}  # step 1 collapses nothing
+    collapsed = count_collapses(monkeypatch)
+    steps = ctx.fold(values)
+    monkeypatch.undo()
+    # one collapse per input cell, 84 of them; a memo emptied whole when full made 822
+    assert len(collapsed) <= len(input_cells) < 100
+    assert steps == rep_add_fold(ctx, values)
+    # the sums pass many memos' worth of cells; the inputs' fill less than half of one
+    assert len({step.s_cell for step in steps}) > 4 * ops._REP_MEMO_CELLS
+    assert 2 * len(input_cells) < ops._REP_MEMO_CELLS
+
+
+def spread_ints(n, seed=2):
+    """n ints of 0..5000: on ``FixedWidth(1)`` their cells outgrow half the memo."""
+    rng = random.Random(seed)
+    return [rng.randint(0, 5000) for _ in range(n)]
+
+
+@pytest.mark.parametrize("spec, draw", [
+    (EpsilonGrowth(10), lambda: epsilon_climb(10**5)),   # the memo keeps the inputs' 84 cells
+    (FixedWidth(1), lambda: spread_ints(3 * 10**4)),
+], ids=["inputs-in-few-cells", "inputs-in-many-cells"])
+def test_the_representative_memo_never_holds_more_than_its_bound_over_a_long_climb(
+        spec, draw, monkeypatch):
+    ctx, values, collapsed = CoarseContext(spec), draw(), count_collapses(monkeypatch)
+    steps = _fold_steps(ctx, values)
+    trace = [next(steps)]
+    reps = steps.gi_frame.f_locals["reps"]  # the fold's memo of cells; emptied in place
+    most = 0
+    for step in steps:
+        trace.append(step)
+        most = max(most, len(reps))
+    monkeypatch.undo()
+    assert tuple(trace[:20_000]) == rep_add_fold(ctx, values[:20_000])
+    assert trace[-1].s_cell > 100 * ops._REP_MEMO_CELLS   # it climbed
+    assert most == ops._REP_MEMO_CELLS   # the memo filled, and was emptied there
+    input_cells = set(map(spec.index_of, values[1:]))
+    if 2 * len(input_cells) < ops._REP_MEMO_CELLS:
+        assert len(collapsed) <= len(input_cells)   # and kept every input's cell
+    else:
+        assert len(collapsed) > len(input_cells)
 
 
 def forbid_fraction_arithmetic_and_cells(monkeypatch):
@@ -780,9 +840,21 @@ TEXTS = st.one_of(
 )
 
 
-@settings(max_examples=500)
-@given(text=TEXTS)
-def test_parse_rational_equals_fraction_of_the_text(text):
+#: ``p/q``-shaped text, the form the reader meets most: signs on either side, padding,
+#: underscores, non-ASCII decimal digits, zeros, and digit runs past ``int``'s limit.
+DIGIT_RUNS = st.one_of(st.text(alphabet=DIGITS, min_size=1, max_size=25),
+                       st.text(alphabet=DIGITS + "_\u0663\uff11\u00b2", max_size=6))
+PAD = st.sampled_from(["", " ", "\t", "\u2007", "\n"])
+PQ_TEXTS = st.one_of(
+    st.builds("{}{}{}/{}{}{}".format, PAD, st.sampled_from(["", "-", "+", "--", "+-"]),
+              DIGIT_RUNS, st.sampled_from(["", "", "-", "+", " "]), DIGIT_RUNS, PAD),
+    st.sampled_from(["0/5", "-0/7", "3/0", "-3/0", "1/-2", "+1/2", "--1/2", " 4/6 ",
+                     "1_0/3", "1/2_0", "_1/2", "\u0663/\u0664", "-\uff11/\uff12", "1 / 2",
+                     "1/2/3", "-/2", "4" * 5000 + "/3", "3/" + "4" * 5000]),
+)
+
+
+def assert_parses_as_fraction(text):
     try:
         expected = F(text)
     except (ValueError, ZeroDivisionError):
@@ -791,6 +863,18 @@ def test_parse_rational_equals_fraction_of_the_text(text):
         return
     got = parse_rational(text)
     assert type(got) is F and got == expected
+
+
+@settings(max_examples=500)
+@given(text=TEXTS)
+def test_parse_rational_equals_fraction_of_the_text(text):
+    assert_parses_as_fraction(text)
+
+
+@settings(max_examples=500)
+@given(text=PQ_TEXTS)
+def test_parse_rational_reads_p_over_q_text_as_fraction_does(text):
+    assert_parses_as_fraction(text)
 
 
 def reference_format_rational(value):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 import threading
@@ -346,6 +347,75 @@ def test_explicit_bounds_check_order_and_integers_as_pairwise_comparisons(bounds
     else:
         spec = ExplicitBounds(tuple(bounds), domain)
         assert (spec.scale, spec._keys) == expected
+
+
+@st.composite
+def bound_texts(draw):
+    """(bounds as Fractions, the same bounds as text): integers, negative ones too, ``p/q``
+    in and out of lowest terms, and decimals, ascending or not."""
+    values = st.one_of(st.integers(-60, 200), st.fractions(-60, 200, max_denominator=10))
+    bounds = draw(st.lists(values, min_size=2, max_size=9)
+                  .map(lambda b: sorted(b) if len(b) % 4 else b))
+    texts = []
+    for v in bounds:
+        forms = [f"{v.numerator}/{v.denominator}", f"{3 * v.numerator}/{3 * v.denominator}"]
+        if v.denominator == 1:
+            n = v.numerator
+            forms += [str(n)] * 3 + [f" {n} ", f"+{n}" if n >= 0 else f"{n}\t"]
+        if 10**4 % v.denominator == 0:  # a terminating decimal
+            scaled = abs(v.numerator) * 10**4 // v.denominator
+            forms.append(f"{'-' * (v < 0)}{scaled // 10**4}.{scaled % 10**4:04d}")
+        texts.append(draw(st.sampled_from(forms)))
+    return [F(v) for v in bounds], texts
+
+
+def built_or_error(build):
+    try:
+        return build()
+    except SpecError as exc:
+        return str(exc)
+
+
+def lookup_error(spec, value):
+    try:
+        spec.index_of(value)
+    except (DomainError, OutOfRangeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300)
+@given(pair=bound_texts(), domain=st.sampled_from(list(Domain)))
+def test_explicit_bounds_read_from_text_are_the_family_read_from_fractions(pair, domain):
+    fractions, texts = pair
+    got = built_or_error(lambda: ExplicitBounds(texts, domain.value))
+    expected = built_or_error(lambda: ExplicitBounds(tuple(fractions), domain))
+    if isinstance(expected, str):  # not ascending, or not an integer in the int domain
+        assert got == expected
+        return
+    clone = pickle.loads(pickle.dumps(got))
+    for spec in (got, clone):
+        assert spec.bounds == expected.bounds == tuple(fractions)
+        assert all(type(b) is F for b in spec.bounds)
+        assert spec == expected and hash(spec) == hash(expected)
+        assert repr(spec) == repr(expected)
+        assert (spec.scale, spec._keys) == (expected.scale, expected._keys)
+        cells = range(1, expected.max_index + 1)
+        assert spec.max_index == expected.max_index
+        assert list(map(spec.span, cells)) == list(map(expected.span, cells))
+        with pytest.raises(OutOfRangeError) as exc:
+            spec.span(spec.max_index + 1)
+        assert str(exc.value) == (f"cell {expected.max_index + 1} is beyond the last explicit "
+                                  f"cell {expected.max_index}")
+        for value in (fractions[0] - 1, fractions[0] - F(1, 3), fractions[-1],
+                      fractions[-1] + 1, fractions[-1] + F(1, 3), fractions[0] + F(1, 2)):
+            assert lookup_error(spec, value) == lookup_error(expected, value), value
+        lo, hi = fractions[0], fractions[-1]
+        assert lookup_error(spec, lo - 1) == (DomainError,
+                                              f"{lo - 1} is below the partition origin {lo}")
+        assert lookup_error(spec, hi + 1) == (OutOfRangeError, (
+            f"{hi + 1} is beyond the last covered integer {hi - 1}" if domain is Domain.INTEGERS
+            else f"{hi + 1} is beyond the last explicit bound {hi}"))
 
 
 # --- cell laws ---------------------------------------------------------------
