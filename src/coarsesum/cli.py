@@ -16,11 +16,10 @@ them as decimals.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
-import re
 import sys
+from types import SimpleNamespace
 
 from . import inertness, stpetersburg  # registered lazily: each runs at its first read
 from .errors import CoarseError
@@ -28,51 +27,6 @@ from .ops import CoarseContext, FoldStep
 from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
 from .rationals import format_decimal, parse_rational, write_rows
 from .representatives import Policy, rep_of_cell
-
-
-# --------------------------------------------------------------- shared flags
-
-def _add_partition_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--fibonacci", action="store_true",
-                   help="integer cells sized 1, 1, 2, 3, 5, 8, ...")
-    g.add_argument("--width", metavar="W",
-                   help="integer cells of fixed width W")
-    g.add_argument("--eps", metavar="P/Q",
-                   help="real growth cells [0,1/2], then widths 2/eps, 3/eps, ...")
-    g.add_argument("--bounds", metavar="B0,B1,...",
-                   help="explicit cells cut at ascending boundaries")
-    g.add_argument("--grid", metavar="STEP",
-                   help="one-point cells at the nonnegative multiples of STEP")
-    p.add_argument("--domain", choices=["int", "real"], default="int",
-                   help="domain for --bounds (default: int)")
-    p.add_argument("--rep", choices=["median", "min", "max"], default="median",
-                   help="representative policy (default: median)")
-
-
-def _count(text: str, least: int = 1) -> int:
-    """An integer flag value of at least ``least`` (0 or 1); else a usage error."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = least - 1
-    if n < least:
-        kind = "positive" if least else "non-negative"
-        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
-    return n
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser that reads a token starting with ``-`` and a digit or ``.`` as a value.
-
-    argparse reads only tokens like ``-1`` and ``-.5`` as numbers, and takes ``-1/2`` or
-    ``-4,1,2`` for an unknown option.  No option here starts so, and the subparsers are
-    built as this class too, so either ``--geometric`` value may be ``-1/2``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-[\d.]")
 
 
 def _partition_from_args(args):
@@ -206,63 +160,137 @@ def cmd_stpete(args) -> int:
     return 0
 
 
-# --------------------------------------------------------------------- parser
+# ---------------------------------------------------------------------- flags
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="coarsesum",
-        description="Coarse partitions of the number line and absorption-based "
-                    "coarse addition.")
+def _count(text: str, least: int = 1) -> int:
+    """An integer flag value of at least ``least`` (0 or 1); else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = least - 1
+    if n < least:
+        import argparse
+        kind = "positive" if least else "non-negative"
+        raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {text!r}")
+    return n
+
+
+_FORMATS = ["table", "json", "csv"]
+#: A partition's flags: (flag, exclusive group, ``add_argument`` keywords).  Exactly one
+#: flag of a named group is required; a flag's dest is its name with ``_`` for ``-``.
+_FAMILY = [
+    ("--fibonacci", "family", dict(action="store_true",
+                                   help="integer cells sized 1, 1, 2, 3, 5, 8, ...")),
+    ("--width", "family", dict(metavar="W", help="integer cells of fixed width W")),
+    ("--eps", "family", dict(metavar="P/Q",
+                             help="real growth cells [0,1/2], then widths 2/eps, 3/eps, ...")),
+    ("--bounds", "family", dict(metavar="B0,B1,...",
+                                help="explicit cells cut at ascending boundaries")),
+    ("--grid", "family", dict(metavar="STEP",
+                              help="one-point cells at the nonnegative multiples of STEP")),
+    ("--domain", None, dict(choices=["int", "real"], default="int",
+                            help="domain for --bounds (default: int)")),
+    ("--rep", None, dict(choices=["median", "min", "max"], default="median",
+                         help="representative policy (default: median)"))]
+#: Each subcommand's function, help and flags, in help order.
+_COMMANDS = {
+    "partition": (cmd_partition, "print cells, representatives, and margins", [*_FAMILY,
+        ("--cells", None, dict(type=_count, default=8, metavar="N",
+                               help="how many cells to print (default: 8)")),
+        ("--format", None, dict(choices=_FORMATS, default="table"))]),
+    "fold": (cmd_fold, "coarsely fold numbers from a file or stdin", [*_FAMILY,
+        ("--input", None, dict(metavar="PATH", default="-", help="file of numbers, one per line "
+                               "('-' for stdin; blank lines and #-comments are ignored)")),
+        ("--format", None, dict(choices=_FORMATS, default="table"))]),
+    "inert": (cmd_inert, "judge a generated stream for inertness", [*_FAMILY,
+        ("--const", "stream", dict(metavar="C", help="constant stream of C")),
+        ("--harmonic", "stream", dict(action="store_true", help="stream 1, 1/2, 1/3, ...")),
+        ("--geometric", "stream", dict(nargs=2, metavar=("COEF", "RATIO"),
+                                       help="stream COEF*RATIO**t for t = 1, 2, ...")),
+        ("--from-file", "stream", dict(metavar="PATH", help="read the stream from a file")),
+        ("--horizon", None, dict(type=_count, default=1000, metavar="N",
+                                 help="maximum steps to fold (default: 1000)")),
+        ("--bound", None, dict(metavar="B", help="upper bound on the stream values; enables "
+                                                 "the certified margin early exit")),
+        ("--format", None, dict(choices=["json", "table"], default="json"))]),
+    "stpete": (cmd_stpete, "value the doubling gamble coarsely", [
+        ("--eps", None, dict(required=True, metavar="P/Q", help="cell-growth rate")),
+        ("--depth", None, dict(type=_count, default=10_000, metavar="N",
+                               help="length of the expected-increment stream (default: 10000)")),
+        ("--trials", None, dict(type=lambda text: _count(text, 0), default=0, metavar="N",
+                                help="also draw N payoffs and fold them (default: 0, skip)")),
+        ("--seed", None, dict(type=int, default=0, metavar="S", help="sampling seed (default: 0)")),
+        ("--truncation", None, dict(type=_count, default=64, metavar="D",
+                                    help="gamble truncation depth for sampling (default: 64)")),
+        ("--format", None, dict(choices=["table", "json"], default="table"))]),
+}
+
+
+def _read_argv(argv: list):
+    """The namespace argparse makes of a well-formed ``argv``, or None to leave ``argv`` to it.
+
+    Well formed is a subcommand, then its flags each once, as a switch or ``--flag`` and its
+    values, each value passing its converter and choices, and one flag of each required group.
+    A value starts with ``-`` only as ``-`` or before a digit or ``.``, as argparse reads here.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, flags = _COMMANDS[argv[0]]
+    table = {flag: kw for flag, _, kw in flags}
+    args = {flag[2:].replace("-", "_"): kw.get("default", False if "action" in kw else None)
+            for flag, kw in table.items()}
+    given, i = set(), 1
+    while i < len(argv):
+        flag, kw = argv[i], table.get(argv[i])
+        if kw is None or flag in given:
+            return None
+        n = 0 if "action" in kw else kw.get("nargs", 1)
+        values, i = argv[i + 1:i + 1 + n], i + 1 + n
+        if len(values) < n or any(v[:1] == "-" and v[1:2] not in ".0123456789" for v in values):
+            return None
+        try:
+            values = [kw.get("type", str)(v) for v in values]
+        except Exception:  # int's ValueError or _count's usage error: argparse words it
+            return None
+        if any(v not in kw.get("choices", [v]) for v in values):
+            return None
+        given.add(flag)
+        args[flag[2:].replace("-", "_")] = values if n > 1 else values[0] if n else True
+    needed = [[f for f, g, _ in flags if g == group] for group in {g for _, g, _ in flags} - {None}]
+    needed += [[f] for f, kw in table.items() if kw.get("required")]
+    if any(len(given.intersection(members)) != 1 for members in needed):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **args)
+
+
+def build_parser():
+    """The argparse parser of every flag in ``_COMMANDS``, with its help and usage errors."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse reads only tokens like -1 and -.5 as values, and takes -1/2 or -4,1,2 for
+        # an unknown option; no option here starts so, and the subparsers are built as this
+        # class too, so a token of - and a digit or . is a value, either --geometric one too
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-[\d.]")
+
+    parser = _Parser(prog="coarsesum", description="Coarse partitions of the number line and "
+                     "absorption-based coarse addition.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("partition", help="print cells, representatives, and margins")
-    _add_partition_flags(p)
-    p.add_argument("--cells", type=_count, default=8, metavar="N",
-                   help="how many cells to print (default: 8)")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("fold", help="coarsely fold numbers from a file or stdin")
-    _add_partition_flags(p)
-    p.add_argument("--input", metavar="PATH", default="-",
-                   help="file of numbers, one per line ('-' for stdin; blank "
-                        "lines and #-comments are ignored)")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
-    p.set_defaults(func=cmd_fold)
-
-    p = sub.add_parser("inert", help="judge a generated stream for inertness")
-    _add_partition_flags(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--const", metavar="C", help="constant stream of C")
-    g.add_argument("--harmonic", action="store_true", help="stream 1, 1/2, 1/3, ...")
-    g.add_argument("--geometric", nargs=2, metavar=("COEF", "RATIO"),
-                   help="stream COEF*RATIO**t for t = 1, 2, ...")
-    g.add_argument("--from-file", metavar="PATH", help="read the stream from a file")
-    p.add_argument("--horizon", type=_count, default=1000, metavar="N",
-                   help="maximum steps to fold (default: 1000)")
-    p.add_argument("--bound", metavar="B",
-                   help="upper bound on the stream values; enables the certified "
-                        "margin early exit")
-    p.add_argument("--format", choices=["json", "table"], default="json")
-    p.set_defaults(func=cmd_inert)
-
-    p = sub.add_parser("stpete", help="value the doubling gamble coarsely")
-    p.add_argument("--eps", required=True, metavar="P/Q", help="cell-growth rate")
-    p.add_argument("--depth", type=_count, default=10_000, metavar="N",
-                   help="length of the expected-increment stream (default: 10000)")
-    p.add_argument("--trials", type=lambda text: _count(text, 0), default=0, metavar="N",
-                   help="also draw N payoffs and fold them (default: 0, skip)")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="sampling seed (default: 0)")
-    p.add_argument("--truncation", type=_count, default=64, metavar="D",
-                   help="gamble truncation depth for sampling (default: 64)")
-    p.add_argument("--format", choices=["table", "json"], default="table")
-    p.set_defaults(func=cmd_stpete)
+    for name, (func, text, flags) in _COMMANDS.items():
+        p, groups = sub.add_parser(name, help=text), {}
+        for flag, group, kw in flags:
+            if group and group not in groups:
+                groups[group] = p.add_mutually_exclusive_group(required=True)
+            (groups[group] if group else p).add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a reader that left early shows here, not at exit

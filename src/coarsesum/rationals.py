@@ -87,8 +87,8 @@ def write_rows(head, rows, fmt: str) -> str:
         fields.append(f'"{key}": {q}%s{q}')
     if fmt == "json":
         return "\n".join(map(("{" + ", ".join(fields) + "}").__mod__, zip(*columns)))
-    lines = [tuple(head), *zip(*columns)]
     if fmt == "csv":
-        return "\n".join(map(",".join, lines))
+        return "\n".join((",".join(head), *map(",".join, zip(*columns))))
+    lines = [tuple(head), *zip(*columns)]
     line = "  ".join("%%-%ds" % max(map(len, column)) for column in zip(*lines))
     return "\n".join(map(str.rstrip, map(line.__mod__, lines)))

@@ -1,9 +1,11 @@
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -600,6 +602,130 @@ def test_parser_builds_all_subcommands():
     subactions = [a for a in parser._actions
                   if isinstance(a, pytest.importorskip("argparse")._SubParsersAction)]
     assert set(subactions[0].choices) == {"partition", "fold", "inert", "stpete"}
+
+
+#: Flag values that argparse takes as values, as text flags take them: signed, ``-``, empty.
+TEXT_VALUES = ["1/2", "-1/2", "-.5", "-", "3", "0", "-3", "", "abc", "-4,1,2", "0,3,6", "1 2"]
+#: Values that some or all flags refuse, or that argparse reads as an option.
+BAD_VALUES = ["-x", "-h", "--help", "--width", "--", "0", "-3", "x", "1e3", "xml", "-1 2"]
+DAMAGE = [None, "value", "equals", "abbreviation", "repeat", "missing", "conflict", "unknown",
+          "drop", "positional", "command"]
+
+
+def valid_value(kw):
+    if "choices" in kw:
+        return st.sampled_from(kw["choices"])
+    if kw.get("type") is int:
+        return st.integers(-10**6, 10**6).map(str)
+    if "type" in kw:  # a count: at least 1 passes every count flag
+        return st.integers(1, 10**6).map(str) | st.sampled_from(["+7", " 7", "007", "1_0"])
+    return st.sampled_from(TEXT_VALUES)
+
+
+def flag_item(draw, flag, kw):
+    """The flag and its values, each a valid one."""
+    arity = 0 if "action" in kw else kw.get("nargs", 1)
+    return [flag, *(draw(valid_value(kw)) for _ in range(arity))]
+
+
+@st.composite
+def command_argv(draw):
+    """(argv, damage): a well-formed argv drawn from the flag table, then perhaps damaged."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    flags = cli._COMMANDS[name][2]
+    groups = {}
+    for flag, group, kw in flags:
+        groups.setdefault(group, []).append((flag, kw))
+    chosen = [draw(st.sampled_from(members)) for group, members in groups.items() if group]
+    chosen += [(f, kw) for f, kw in groups[None] if kw.get("required") or draw(st.booleans())]
+    items = [flag_item(draw, f, kw) for f, kw in draw(st.permutations(chosen))]
+    damage = draw(st.sampled_from(DAMAGE))
+    table = {flag: kw for flag, _, kw in flags}
+    at = draw(st.integers(0, len(items)))
+    with_values = [item for item in items if len(item) > 1]
+    if damage == "value" and with_values:
+        item = draw(st.sampled_from(with_values))
+        item[draw(st.integers(1, len(item) - 1))] = draw(st.sampled_from(BAD_VALUES))
+    elif damage == "equals" and with_values:
+        item = draw(st.sampled_from(with_values))
+        item[:2] = [f"{item[0]}={item[1]}"]
+    elif damage == "abbreviation":
+        item = draw(st.sampled_from(items))
+        item[0] = item[0][:draw(st.integers(3, len(item[0]) - 1))]
+    elif damage == "repeat":
+        flag = draw(st.sampled_from(items))[0]
+        items.insert(at, flag_item(draw, flag, table[flag]))
+    elif damage == "missing":
+        flag = draw(st.sampled_from([f for f, kw in table.items() if "action" not in kw]))
+        items.append(flag_item(draw, flag, table[flag])[:draw(st.integers(1, 2))])
+    elif damage == "conflict" and len(groups) > 1:
+        flag = draw(st.sampled_from([f for f, g, _ in flags if g]))
+        items.insert(at, flag_item(draw, flag, table[flag]))
+    elif damage == "unknown":
+        items.insert(at, [draw(st.sampled_from(["--nope", "-h", "--help", "--", "-x"]))])
+    elif damage == "drop":
+        del items[draw(st.integers(0, len(items) - 1))]
+    elif damage == "positional":
+        items.insert(at, [draw(st.sampled_from(TEXT_VALUES))])
+    elif damage == "command":
+        name = draw(st.sampled_from(["", "nonsense", name[:3], "--help", *cli._COMMANDS]))
+    argv = [name, *(token for item in items for token in item)]
+    return (argv if name or damage != "command" else argv[1:]), damage
+
+
+@settings(max_examples=600)
+@given(case=command_argv())
+def test_the_direct_reader_reads_argv_as_argparse_does(case):
+    argv, damage = case
+    got = cli._read_argv(argv)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            want = vars(build_parser().parse_args(argv))
+    except SystemExit:  # a usage error, or help: argparse's alone to print
+        assert got is None
+        return
+    if damage is None:
+        assert got is not None
+    if got is not None:
+        assert vars(got) == want
+
+
+#: Prints the argparse modules loaded at exit as the last line of stderr, after running
+#: ``python -m coarsesum.cli`` with the arguments that follow.
+LOADED_PROBE = """\
+import atexit, runpy, sys
+atexit.register(lambda: print("loaded:", *sorted({"argparse", "gettext"} & set(sys.modules)),
+                              file=sys.stderr))
+runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_probe(*argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "COLUMNS": "80"})
+    *err, loaded = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, "\n".join(err), loaded.split()[1:]
+
+
+def test_well_formed_commands_never_load_argparse(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("1\n2\n3\n")
+    for argv in (["partition", "--width", "3", "--cells", "1"],
+                 ["fold", "--fibonacci", "--input", str(path), "--format", "json"],
+                 ["inert", "--fibonacci", "--const", "3", "--bound", "3"],
+                 ["stpete", "--eps", "10", "--depth", "20", "--trials", "30", "--format", "json"]):
+        code, out, err, loaded = run_probe(*argv)
+        assert (code, err, loaded) == (0, "", []), argv
+        assert out
+
+
+def test_help_and_usage_errors_still_come_from_argparse(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_probe("--help") == (0, build_parser().format_help(), "", ["argparse", "gettext"])
+    code, out, err, loaded = run_probe("partition", "--cells", "0", "--width", "3")
+    assert (code, out, loaded) == (2, "", ["argparse", "gettext"])
+    assert err.splitlines()[-1] == ("coarsesum partition: error: argument --cells: must be a "
+                                    "positive integer, got '0'")
 
 
 def test_module_entry_point_runs():
