@@ -7,9 +7,11 @@ Usage::
         --out BENCH.json
 
 Each ``--src [LABEL=]PATH`` names a source tree holding the ``coarsesum``
-package.  Every tree is timed in its own fresh interpreter, and the trees take
-turns for ``--rounds`` rounds so that drift on a shared machine hits them
-alike.  Each entry gives its spread over the rounds -- ``min``, ``q1``,
+package.  Every tree is timed in fresh interpreters of its own, one per part of
+``PARTS``: one per partition family, and one for the sampler and text entries, so
+that an entry timed late in an interpreter picks up no drift from the parts before
+it.  The trees take turns on each part for ``--rounds`` rounds so that drift on a
+shared machine hits them alike.  Each entry gives its spread over the rounds -- ``min``, ``q1``,
 ``median`` and ``q3`` -- so a ratio can be read against the noise.  For every
 partition family the entries are, in microseconds:
 
@@ -141,6 +143,10 @@ runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
 #: The sampled stream of ``sample_trial_us`` and ``fold_step_sampled_us``: the CLI's
 #: default truncation, and the trials of the stpete-sampled workload.
 SAMPLED = {"truncation_depth": 64, "trials": 1500, "seed": 7}
+#: What each worker interpreter times: the sampler and text entries, then those of each
+#: family of ``cases()`` in its own part.
+PARTS = ("sample_gamble and text", "FixedWidth(7)", "Fibonacci", "EpsilonGrowth(10)",
+         "ExplicitBounds(1000-wide)", "SingletonGrid(1/2)")
 SPREAD_KEYS = ("_us", "_kb")  # entries given as a spread; the rest are one value
 FORMATS = ("json", "csv", "table")
 
@@ -243,38 +249,41 @@ def per_cell_scanned(partition, increment) -> float:
     return min(timeit.repeat(scan, number=1, repeat=CALL_REPEAT)) / visited * 1e6
 
 
-def measure() -> dict:
-    """Entries for every family, timed in this interpreter's ``coarsesum``."""
+def measure(part: str) -> dict:
+    """The entries of one part of ``PARTS``, timed in this interpreter's ``coarsesum``."""
     from coarsesum import CoarseContext, ExplicitBounds, parse_rational, rep_of_value, sample_gamble
+    families = {name: case for name, *case in cases()}
+    assert list(families) == list(PARTS[1:]), "a part for each family"
     sample = lambda: sample_gamble(**SAMPLED)
-    bound_texts = list(map(str, climbing_bounds(random.Random(33))))
-    out = {"sample_gamble": {"sample_trial_us": min(timeit.repeat(
-               sample, number=1, repeat=CALL_REPEAT)) / SAMPLED["trials"] * 1e6},
-           "ExplicitBounds(3200 texts)": {
-               "explicit_build_us": per_call(ExplicitBounds, [bound_texts]) / len(bound_texts)}}
-    for name, partition, pinned, climbing, turns in cases():
-        ctx = CoarseContext(partition)
-        trace = ctx.fold(climbing)
-        inputs = climbing[:500]
-        cells = [step.s_cell for step in trace][:500]
-        out[name] = {
-            "fold_step_pinned_us": per_step(ctx, pinned),
-            "fold_step_climbing_us": per_step(ctx, climbing),
-            "inert_stream_pinned_us": per_verdict_step(ctx, turns),
-            "index_of_us": per_call(partition.index_of, inputs),
-            "cell_at_us": per_call(partition.cell_at, cells),
-            "rep_of_value_us": per_call(lambda x: rep_of_value(partition, x), inputs),
-            **{f"render_row_{fmt}_us": per_row(trace, fmt) for fmt in FORMATS},
-            "climbing_new_cell_share": sum(not s.absorbed for s in trace) / len(trace),
-        }
-        if name in SCAN_INCREMENTS:
-            out[name]["absorbing_scan_us"] = per_cell_scanned(partition, SCAN_INCREMENTS[name])
-        if name == "EpsilonGrowth(10)":
-            out[name]["fold_step_sampled_us"] = per_step(ctx, sample())
-            out[name]["climbing_input_cells"] = len(set(map(partition.index_of, climbing)))
-            texts = [f"{x.numerator}/{x.denominator}" for x in climbing]
-            out["parse_rational"] = {"parse_pq_us": per_call(parse_rational, texts)}
-    return out
+    if part == PARTS[0]:
+        bound_texts = list(map(str, climbing_bounds(random.Random(33))))
+        texts = [f"{x.numerator}/{x.denominator}" for x in families["EpsilonGrowth(10)"][2]]
+        sample_s = min(timeit.repeat(sample, number=1, repeat=CALL_REPEAT))
+        return {"sample_gamble": {"sample_trial_us": sample_s / SAMPLED["trials"] * 1e6},
+                "ExplicitBounds(3200 texts)": {"explicit_build_us": per_call(
+                    ExplicitBounds, [bound_texts]) / len(bound_texts)},
+                "parse_rational": {"parse_pq_us": per_call(parse_rational, texts)}}
+    partition, pinned, climbing, turns = families[part]
+    ctx = CoarseContext(partition)
+    trace = ctx.fold(climbing)
+    inputs = climbing[:500]
+    cells = [step.s_cell for step in trace][:500]
+    out = {
+        "fold_step_pinned_us": per_step(ctx, pinned),
+        "fold_step_climbing_us": per_step(ctx, climbing),
+        "inert_stream_pinned_us": per_verdict_step(ctx, turns),
+        "index_of_us": per_call(partition.index_of, inputs),
+        "cell_at_us": per_call(partition.cell_at, cells),
+        "rep_of_value_us": per_call(lambda x: rep_of_value(partition, x), inputs),
+        **{f"render_row_{fmt}_us": per_row(trace, fmt) for fmt in FORMATS},
+        "climbing_new_cell_share": sum(not s.absorbed for s in trace) / len(trace),
+    }
+    if part in SCAN_INCREMENTS:
+        out["absorbing_scan_us"] = per_cell_scanned(partition, SCAN_INCREMENTS[part])
+    if part == "EpsilonGrowth(10)":
+        out["fold_step_sampled_us"] = per_step(ctx, sample())
+        out["climbing_input_cells"] = len(set(map(partition.index_of, climbing)))
+    return {part: out}
 
 
 def spread(values) -> dict:
@@ -294,8 +303,8 @@ def cpu_model():
         return None
 
 
-def worker(src: str) -> dict:
-    proc = subprocess.run([sys.executable, __file__, "--worker", src],
+def worker(src: str, part: str) -> dict:
+    proc = subprocess.run([sys.executable, __file__, "--worker", src, part],
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -337,11 +346,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
     parser.add_argument("--rounds", type=int, default=5,
                         help="interpreters per tree, taken in turns (default: 5)")
-    parser.add_argument("--worker", metavar="PATH", help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs=2, metavar=("PATH", "PART"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        sys.path.insert(0, os.path.abspath(args.worker))
-        print(json.dumps(measure()))
+        sys.path.insert(0, os.path.abspath(args.worker[0]))
+        print(json.dumps(measure(args.worker[1])))
         return 0
     if not args.src:
         parser.error("give at least one --src")
@@ -368,10 +377,11 @@ def main(argv=None) -> int:
                     runs[label][command][key].append(value)
                     if stdout.setdefault(command, out) != out:
                         differing.add((command, label))
-        for label in order:
-            for family, entries in worker(trees[label]).items():
-                for key, value in entries.items():
-                    samples[label].setdefault(family, {}).setdefault(key, []).append(value)
+        for part in PARTS:
+            for label in order:
+                for family, entries in worker(trees[label], part).items():
+                    for key, value in entries.items():
+                        samples[label].setdefault(family, {}).setdefault(key, []).append(value)
     work.cleanup()
     for label, values in imports.items():
         samples[label]["import coarsesum.cli"] = {"import_us": values}
@@ -385,7 +395,8 @@ def main(argv=None) -> int:
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "processor": cpu_model() or platform.processor() or None, "cpus": os.cpu_count()},
         "python": platform.python_version(),
-        "method": f"spread over {args.rounds} interpreters per tree, taken in turns; "
+        "method": f"spread over {args.rounds} rounds of one interpreter per tree and part, "
+                  f"taken in turns; "
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
                   f"{CALL_REPEAT} passes / calls (rows: / rows); import: {IMPORT_RUNS} "
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "

@@ -30,9 +30,9 @@ with ``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workloa
 samples at the default truncation 64, where a draw reaches the cap with
 probability 2**-63, so only these runs compare capped payoffs; then ``stpete
 --eps 10 --depth 20`` sampling in both formats at ``--trials`` of 1, 4, 5,
-4*64 - 1, 4*64 + 1 and 4*(64 + 128) + 3, around the edges of the sampler's
-batches of 64 and then 128 blocks of four words (the last ends just inside
-the third batch), and once with ``--seed`` 2**128 + 5, whose five 32-bit
+4*4096 - 1, 4*4096, 4*4096 + 1 and 4*8192 + 3, around the edges of the
+sampler's batches of at most 4096 blocks of four words (the last ends just
+inside the third batch), and once with ``--seed`` 2**128 + 5, whose five 32-bit
 entropy words are one more than the seed pool holds; then flag text
 that is not a number, which the families, the streams and the bound parse, so
 that each error names its field: ``partition`` with ``--eps abc``,
@@ -85,9 +85,10 @@ INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--bounds=-20,-4,0,3,6,9,12,15,18,21", "--const", "1", "--bound", "1"),
          ("--bounds=-53/2,-7,3/2,41/3,23,27", "--domain", "real", "--const", "2",
           "--bound", "2"))
-#: Trial counts around the sampler's batch edges: its batches run 64, then 128 blocks
-#: of four words.
-SAMPLED_TRIALS = (1, 4, 5, 4 * 64 - 1, 4 * 64 + 1, 4 * (64 + 128) + 3)
+#: Trial counts around the sampler's batch edges: a batch holds at most 4096 blocks of
+#: four words, so draws end one word before, at and one word after one full batch, and
+#: just past two.
+SAMPLED_TRIALS = (1, 4, 5, 4 * 4096 - 1, 4 * 4096, 4 * 4096 + 1, 4 * 8192 + 3)
 STPETE = (("--eps", "1"), ("--eps", "1", "--depth", "20", "--trials", "50"),
           ("--eps", "0"), ("--eps", "-1"), ("--eps", "abc"),
           ("--eps", "10", "--depth", "20", "--trials", "50", "--truncation", "1"),

@@ -124,7 +124,17 @@ def cmd_inert(args) -> int:
     return 0 if verdict.inert else 3
 
 
-def _print_valuation_text(rep) -> None:
+def cmd_stpete(args) -> int:
+    if args.trials > 0:
+        report = stpetersburg.compare_valuations(args.eps, args.truncation, args.trials,
+                                                 args.seed, depth=args.depth)
+        rep = report.valuation
+    else:
+        report = rep = stpetersburg.coarse_value(args.eps, depth=args.depth)
+    if args.format == "json":
+        import json
+        print(json.dumps(report.to_json_dict(), indent=2))
+        return 0
     print(f"doubling-gamble valuation  (eps = {format_decimal(rep.epsilon)}, "
           f"depth = {rep.depth})")
     print(f"  classical sum of expected increments : {format_decimal(rep.classical_sum)}")
@@ -132,20 +142,7 @@ def _print_valuation_text(rep) -> None:
     print(f"  absorbing cell (margin scan)         : {rep.cell_from_scan}")
     print(f"  agreement                            : {'yes' if rep.agreement else 'no'}")
     print(f"  verdict                              : {_verdict_text(rep.verdict)}")
-
-
-def cmd_stpete(args) -> int:
-    if args.trials > 0:
-        report = stpetersburg.compare_valuations(args.eps, args.truncation, args.trials,
-                                                 args.seed, depth=args.depth)
-    else:
-        report = stpetersburg.coarse_value(args.eps, depth=args.depth)
-    if args.format == "json":
-        import json
-        print(json.dumps(report.to_json_dict(), indent=2))
-        return 0
-    _print_valuation_text(report.valuation if args.trials > 0 else report)
-    if args.trials > 0:
+    if report is not rep:
         print(f"  sampled payoffs: trials = {report.trials}, seed = {report.seed}, "
               f"rng = {stpetersburg.RNG_ALGORITHM}, truncation depth = {report.truncation_depth}")
         print(f"    mean payoff      : {format_decimal(report.sampled_mean)}")
@@ -156,7 +153,7 @@ def cmd_stpete(args) -> int:
         print(f"    round counts     : {counts}")
         print("  exact-addition control (singleton grid):")
         print(f"    verdict          : {_verdict_text(report.classical_verdict)}")
-        print(f"    final sum        : {format_decimal(report.valuation.classical_sum)}")
+        print(f"    final sum        : {format_decimal(rep.classical_sum)}")
     return 0
 
 

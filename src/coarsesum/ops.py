@@ -110,10 +110,10 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     input's cell: a step that repeats the move of the step before, as every step of a
     pinned sum does, keeps its result, and an input object repeated from the step before
     keeps its cell.  A full memo of cells drops the sums' and keeps the inputs', which a
-    climbing sum meets again, until those fill half of it.  Any other ``int`` input is
-    read from a memo of its ``Fraction`` and cell, emptied at ``_REP_MEMO_CELLS`` ints,
-    so a few distinct ints, as sampled payoffs are, are each converted and looked up
-    once.  ``Fraction`` inputs are not memoized: their hash costs more than the lookup.
+    climbing sum meets again, until those fill half of it.  Any other input but a
+    ``Fraction`` is read from a memo of its ``Fraction`` and cell, keyed by its value and
+    emptied at ``_REP_MEMO_CELLS`` inputs, so a few distinct values, as sampled payoffs
+    are, are each converted and looked up once; a ``Fraction``'s hash costs more than its lookup.
 
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
@@ -122,7 +122,7 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     span, unscaled = partition.span, partition.unscaled
     reps, held = {}, set()  # cell -> (scaled representative, representative); input cells
-    ints = {}  # int input -> (its Fraction, its cell)
+    inputs = {}  # input that is not a Fraction -> (its Fraction, its cell)
 
     def collapse(cell, value=None):
         if len(reps) >= _REP_MEMO_CELLS:  # climbing sums rarely come back, but inputs do
@@ -149,13 +149,11 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
                 last = raw
                 if type(raw) is Fraction:
                     x, x_cell = raw, index_of(raw)
-                elif type(raw) is not int:
-                    x_cell = index_of(x := Fraction(raw))
-                elif (hit := ints.get(raw)) is None:
-                    if len(ints) >= _REP_MEMO_CELLS:
-                        ints.clear()
+                elif (hit := inputs.get(raw)) is None:
+                    if len(inputs) >= _REP_MEMO_CELLS:
+                        inputs.clear()
                     x = Fraction(raw)
-                    ints[raw] = x, (x_cell := index_of(x))
+                    inputs[raw] = x, (x_cell := index_of(x))
                 else:
                     x, x_cell = hit
             if n == 1:

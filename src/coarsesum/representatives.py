@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import floor
 
 from .partitions import _REALS, Cell, Partition
 
@@ -44,7 +43,7 @@ def _pick(lo, hi, policy: Policy):
 
 
 def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
-    """Representative of a cell; singletons map to their lone value.
+    """Representative of a cell: a real cell's midpoint under the median, else ``_pick``'s.
 
     Min on a real cell whose lower bound is open returns the infimum, which
     is not itself a member of the cell; margins still measure the distance
@@ -52,10 +51,9 @@ def rep_of_cell(cell: Cell, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:
     Median and max always return a member (upper bounds are attained under
     this package's cell conventions).
     """
-    if policy is not _MEDIAN:
-        return _pick(cell.lower, cell.upper, policy)
-    mid = (cell.lower + cell.upper) / 2
-    return mid if cell.domain is _REALS else Fraction(floor(mid))
+    if policy is _MEDIAN and cell.domain is _REALS:
+        return (cell.lower + cell.upper) / 2
+    return Fraction(_pick(cell.lower, cell.upper, policy))
 
 
 def rep_of_value(partition: Partition, value, policy: Policy = Policy.MEDIAN_LOWER) -> Fraction:

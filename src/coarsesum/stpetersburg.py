@@ -19,8 +19,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from fractions import Fraction
-from itertools import count, islice
-from math import floor
+from itertools import islice
 from operator import index
 from typing import NamedTuple
 
@@ -73,7 +72,7 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ctx = CoarseContext(EpsilonGrowth(epsilon))  # the family parses epsilon and names it
     eps = ctx.partition.epsilon
-    cell_formula = floor(eps / 2) + 1
+    cell_formula = eps // 2 + 1
     verdict = detect_inert_stream(ctx, constant(INCREMENT_BOUND), horizon=depth,
                                   increment_bound=INCREMENT_BOUND)
     # growth cells widen without bound, so the margin scan always certifies a cell
@@ -130,37 +129,35 @@ def _philox_key(seed: int) -> tuple:
     return w[0] | w[1] << 32, w[2] | w[3] << 32
 
 
-def _philox_words(key: tuple):
-    """The raw 64-bit words of numpy's Philox4x64-10 under ``key``, without end.
+def _philox_words(key: tuple, blocks: int):
+    """The raw 64-bit words of numpy's Philox4x64-10 under ``key``: ``blocks`` blocks of
+    four words, and the rest of the last batch.
 
     The 256-bit counter is incremented before each block of four words; a
     carry out of its low word would take 2**64 blocks, so only that word moves.
-    Each big-int operation runs a batch of blocks, 64 at first and doubling to
-    4096, so that a short draw computes little past its end and a long one runs
-    in flat memory: block b's words sit in bits 128b to 128b+63 of four ints, so
-    one multiply by a round constant gives every block's 128-bit product with no
-    carry into the next.  ``struct`` packs and reads the lanes little-endian.
+    Each big-int operation runs one batch of ``min(blocks, 4096)`` blocks, so a draw
+    computes less than a batch past its end and a long one runs in flat memory: block b's
+    words sit in bits 128b to 128b+63 of four ints, so one multiply by a round constant
+    gives every block's 128-bit product with no carry into the next.  ``struct`` packs and
+    reads the lanes little-endian.
     """
     k0, k1 = key
-    keys = [((k0 + r * 0x9E3779B97F4A7C15) & _M64, (k1 + r * 0xBB67AE8584CAA73B) & _M64)
-            for r in range(10)]
-    start, n = 1, 64
-    while True:  # one batch size: the lanes and round keys are built once for it
-        lane = struct.Struct("<" + "Q8x" * n)  # one word in the low half of each lane
-        ones = int.from_bytes(lane.pack(*[1] * n), "little")
-        low, counts = ones * _M64, int.from_bytes(lane.pack(*range(n)), "little")
-        lanes = [(r0 * ones, r1 * ones) for r0, r1 in keys]
-        for start in count(start, n) if n == 4096 else (start,):  # from the cap on, one size
-            c0, c1, c2, c3 = counts + start * ones, 0, 0, 0
-            for r0, r1 in lanes:
-                p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
-                c0, c1, c2, c3 = ((p1 >> 64 & low) ^ c1 ^ r0, p1 & low,
-                                  (p0 >> 64 & low) ^ c3 ^ r1, p0 & low)
-            words = [0] * 4 * n
-            for i, c in enumerate((c0, c1, c2, c3)):
-                words[i::4] = lane.unpack(c.to_bytes(16 * n, "little"))
-            yield from words
-        start, n = start + n, 2 * n
+    n = min(blocks, 4096)  # one batch size: its lanes and round keys are built once
+    lane = struct.Struct("<" + "Q8x" * n)  # one word in the low half of each lane
+    ones = int.from_bytes(lane.pack(*[1] * n), "little")
+    low, counts = ones * _M64, int.from_bytes(lane.pack(*range(n)), "little")
+    lanes = [(((k0 + r * 0x9E3779B97F4A7C15) & _M64) * ones,
+              ((k1 + r * 0xBB67AE8584CAA73B) & _M64) * ones) for r in range(10)]
+    for start in range(1, blocks + 1, n):
+        c0, c1, c2, c3 = counts + start * ones, 0, 0, 0
+        for r0, r1 in lanes:
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = ((p1 >> 64 & low) ^ c1 ^ r0, p1 & low,
+                              (p0 >> 64 & low) ^ c3 ^ r1, p0 & low)
+        words = [0] * 4 * n
+        for i, c in enumerate((c0, c1, c2, c3)):
+            words[i::4] = lane.unpack(c.to_bytes(16 * n, "little"))
+        yield from words
 
 
 def sample_gamble(truncation_depth: int, trials: int, seed: int) -> list:
@@ -186,7 +183,7 @@ def sample_gamble(truncation_depth: int, trials: int, seed: int) -> list:
         raise ValueError(f"trials must be >= 0, got {trials}")
     payoff = [1 << (min(max(1, 54 - length), d) - 1) for length in range(55)]
     return [payoff[((1 << 53) - (w >> 11)).bit_length()]
-            for w in islice(_philox_words(_philox_key(seed)), trials)]
+            for w in islice(_philox_words(_philox_key(seed), -(-trials // 4)), trials)]
 
 
 class ComparisonReport(NamedTuple):

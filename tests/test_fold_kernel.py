@@ -13,10 +13,11 @@ import json
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
@@ -200,6 +201,23 @@ def test_int_inputs_fold_as_their_fractions(family, policy, data):
     assert got == fold_or_error(ctx, [F(v) for v in stream])
     if isinstance(got, FoldTrace):
         assert all(type(step.x) is F and type(step.s) is F for step in got)
+
+
+#: Inputs that are neither ints nor Fractions, per layout: floats, Decimals, ``p/q``
+#: text and bools, integer-valued on the integer cells.
+OTHER_INPUTS = [
+    (EpsilonGrowth(10), [1.5, Decimal("2.25"), "7/3", True, 0.0, False, Decimal("0.5"), "3"]),
+    (FixedWidth(3), [2.0, Decimal("4"), "12/4", True, 0.0, False, Decimal("7.0"), "5"]),
+]
+
+
+@pytest.mark.parametrize("spec, values", OTHER_INPUTS, ids=["eps-10", "width-3"])
+def test_other_inputs_fold_as_their_fractions_and_are_read_once(spec, values):
+    ctx, stream = CoarseContext(spec), values * 2  # each value again, apart from its first
+    trace = ctx.fold(stream)
+    assert trace == ctx.fold([F(v) for v in stream])
+    for first, again in zip(trace, trace[len(values):]):
+        assert type(first.x) is F and first.x is again.x
 
 
 MIN_REFUSED = ("policy: min is refused on {}, whose cells are open below: "
@@ -904,6 +922,10 @@ def reference_format_decimal(value):
                        st.builds(F, st.integers(-10**9, 10**9), st.sampled_from(
                            [2**k * 5**j for k in range(12) for j in range(12)])),
                        st.floats(allow_nan=False, allow_infinity=False)))
+# six significant digits that round up to the next power of ten
+@example(F(29999999, 30000000))
+@example(F(2999999, 3))
+@example(F(-2999999, 3))
 def test_formatting_reads_ints_fractions_and_floats_as_before(value):
     assert format_rational(value) == reference_format_rational(value)
     assert format_decimal(value) == reference_format_decimal(value)

@@ -5,7 +5,9 @@ one block at a time.
 geometric(1/2) draws in integer arithmetic.  Most tests here compare the key,
 the raw 64-bit words and the payoffs with numpy itself, and are skipped where
 numpy is not installed.  The lane test needs no numpy: it checks the words of
-the batched generator against the ``philox_by_blocks`` oracle.
+the batched generator against the ``philox_by_blocks`` oracle, for short draws and
+for draws at the edges of its one batch size of 4096 blocks.  Every draw asks the
+generator for the blocks it fills, as ``sample_gamble`` does.
 """
 
 from itertools import islice
@@ -25,18 +27,23 @@ needs_numpy = pytest.mark.skipif(np is None, reason="numpy is not installed")
 
 #: 2**128 + 5 has five 32-bit entropy words, one more than SeedSequence's pool.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
-#: Blocks drawn at the end of each batch: batches double from 64 blocks to 4096,
-#: and the last two edges lie past that cap.
-BATCH_EDGES = [64, 192, 448, 960, 1984, 4032, 8128, 12224]
+#: Words drawn at the batch edges: a batch holds at most 4096 blocks of four words, so
+#: draws end one word before, at and one word after one full batch, and just past two.
+BATCH_EDGES = [4 * 4096 - 1, 4 * 4096, 4 * 4096 + 1, 4 * 8192 + 3]
+
+
+def words(key, k):
+    """The first ``k`` words, drawn as ``sample_gamble`` draws them: in the blocks they fill."""
+    return list(islice(_philox_words(key, -(-k // 4)), k))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lane_words_match_one_block_at_a_time(seed, philox_by_blocks):
     key = _philox_key(seed)
-    counts = [*range(10), *(4 * edge + d for edge in BATCH_EDGES for d in (-1, 0, 1))]
+    counts = [*range(10), *BATCH_EDGES]
     want = list(islice(philox_by_blocks(key), max(counts)))
     for k in counts:
-        assert list(islice(_philox_words(key), k)) == want[:k], k
+        assert words(key, k) == want[:k], k
 
 
 def numpy_payoffs(trials, seed, truncation):
@@ -56,7 +63,7 @@ def test_key_matches_seed_sequence(seed):
 @pytest.mark.parametrize("k", [1, 3, 4, 5, 9])
 def test_raw_words_match_numpy_philox(seed, k):
     want = [int(w) for w in np.random.Philox(seed).random_raw(k)]
-    assert list(islice(_philox_words(_philox_key(seed)), k)) == want
+    assert words(_philox_key(seed), k) == want
 
 
 @needs_numpy
