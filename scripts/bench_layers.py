@@ -55,11 +55,13 @@ samples.  The whole-process entries, ``cli_run_us``, one per command of
 holds what the process spends after its work, at exit.  Next to it,
 ``cli_peak_rss_kb`` is the command's own peak resident set, from one more,
 untimed run per tree and round: the process runs the module through ``runpy``
-and reads its ``VmHWM`` from ``/proc/self/status`` at exit (so this entry needs
+and reads its ``VmHWM`` from ``/proc/self/status`` at exit, at the ``os._exit`` that
+ends a command or at the usual exit of help and usage errors (so this entry needs
 Linux).  The child's ``ru_maxrss`` would not do, since exec carries the
 spawner's high-water mark into it.  The trees take turns on each run; the
-start-up commands, one short command per subcommand, run ``IMPORT_RUNS`` times
-per tree and round, the long ones once.  A command's ``{name}`` fields name the seeded files and flag text
+start-up commands, one short command per subcommand and one usage error, which
+argparse answers, run ``IMPORT_RUNS`` times per tree and round, the long ones
+once.  A command's ``{name}`` fields name the seeded files and flag text
 of ``fold_inputs``.  Every run of a command must print the stdout of
 its first run on the first tree; the run names each command that differs, and
 exits 1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
@@ -106,7 +108,8 @@ SCAN_INCREMENTS = {"Fibonacci": 2**300, "EpsilonGrowth(10)": 100,
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
 #: Whole-process commands, and their runs per tree and round: start-up, a short command
-#: of each subcommand (the ``{short}`` file holds 20 lines), then the long ``inert`` streams that stop at their first absorbed step, the certificate's
+#: of each subcommand (the ``{short}`` file holds 20 lines) and a usage error, then the
+#: long ``inert`` streams that stop at their first absorbed step, the certificate's
 #: scan (600,634 cells) and a climbing fold to the horizon, and sampling, as the
 #: benchmark's stpete-sampled workload does and at 1e5 trials.
 CLI_RUNS = {
@@ -114,6 +117,7 @@ CLI_RUNS = {
     "fold --fibonacci --input {short}": IMPORT_RUNS,
     "inert --fibonacci --const 3 --bound 3": IMPORT_RUNS,
     "stpete --eps 10 --format json": IMPORT_RUNS,
+    "partition --cells 0 --width 3": IMPORT_RUNS,
     "inert --eps 4 --harmonic --horizon 8000": 1,
     "inert --eps 10 --harmonic --horizon 100000": 1,
     "inert --eps 10 --geometric 5 1/2 --horizon 10000": 1,
@@ -130,13 +134,16 @@ CLI_RUNS = {
 #: Lines of the ``{pq}`` file of the whole-run folds.
 FOLD_LINES = 100_000
 #: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak
-#: resident set in KiB as the last line of stderr.
+#: resident set in KiB as the last line of stderr: at the ``os._exit`` that ends a command,
+#: which runs no atexit handler, or at the atexit of any other exit.
 PEAK_PROBE = """\
-import atexit, runpy, sys
+import atexit, os, runpy, sys
 def peak():
     with open("/proc/self/status", encoding="ascii") as fh:
         print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
-              file=sys.stderr)
+              file=sys.stderr, flush=True)
+exit_now = os._exit
+os._exit = lambda code: (peak(), exit_now(code))
 atexit.register(peak)
 runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
 """
@@ -332,7 +339,7 @@ def cli_run(src: str, command: str, peak: bool = False) -> tuple:
     proc = subprocess.run([sys.executable, *entry, *command.split()], env=tree_env(src),
                           capture_output=True)
     seconds = time.perf_counter() - start
-    if proc.returncode not in (0, 3):  # 3 is a no-verdict answer, not a failure
+    if proc.returncode not in (0, 2, 3):  # a usage error and a no-verdict answer are expected
         proc.check_returncode()
     if peak:
         return "cli_peak_rss_kb", int(proc.stderr.splitlines()[-1]), proc.stdout

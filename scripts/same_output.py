@@ -42,7 +42,10 @@ and ``inert`` with ``--const abc``, ``--harmonic --bound abc``,
 signed, padded, ``p/q`` and decimal text in both domains, and the errors it
 names (not ascending, not an integer in the int domain, a sum below the origin
 or past the last bound), and ``fold`` over ``p/q`` lines with signs, zeros,
-padding and non-ASCII digits, and over a line that is not a number.
+padding and non-ASCII digits, and over a line that is not a number; last, the
+argv that the CLI leaves to argparse: ``--help``, ``fold --help``, the usage error
+``partition --cells 0 --width 3`` (exit 2), the ``=`` form ``inert --eps 10
+--const 1/2 --bound=1/2`` and the abbreviation ``partition --fib --cells 3``.
 Every later tree's stdout, stderr and exit code are compared with the first
 tree's.  One line names each command that differs; the last line counts them.
 The exit code is 1 if any command differs, else 0.
@@ -117,6 +120,12 @@ BOUNDS_TEXT = (("partition", "--bounds=-7,+2, 5,21/3,9.0,12", "--cells", "6"),
                 "--format", "csv"),
                ("fold", "--eps", "10", "--input", "{bad}"))
 
+#: Argv that the CLI's direct reader leaves to argparse: help, a usage error, an ``=`` form
+#: and an abbreviation.
+ARGPARSE = (("--help",), ("fold", "--help"), ("partition", "--cells", "0", "--width", "3"),
+            ("inert", "--eps", "10", "--const", "1/2", "--bound=1/2"),
+            ("partition", "--fib", "--cells", "3"))
+
 
 def extra_commands(work: Path) -> list:
     """(name, argv) of each extra command; ``fold`` reads files written to ``work``."""
@@ -139,7 +148,8 @@ def extra_commands(work: Path) -> list:
         for args in INERT for fmt in formats["inert"]] + [
         ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE] + [
         (" ".join(argv), argv) for argv in BAD_TEXT] + [
-        (" ".join(argv), tuple(arg.format(**files) for arg in argv)) for argv in BOUNDS_TEXT]
+        (" ".join(argv), tuple(arg.format(**files) for arg in argv)) for argv in BOUNDS_TEXT] + [
+        (" ".join(argv), argv) for argv in ARGPARSE]
 
 
 def run(src: str, argv: tuple) -> tuple:

@@ -13,8 +13,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .errors import CoarseError, DomainError, OutOfRangeError, SpecError
 from .ops import CoarseContext, FoldStep, FoldTrace
-from .partitions import (Cell, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                         FixedWidth, Partition, SingletonGrid, build_partition)
+from .partitions import Cell, Domain, Partition, build_partition
 from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import Policy, margin_pos, rep_of_cell, rep_of_value
 
@@ -27,10 +26,10 @@ def _register_lazily(name: str):
     return sys.modules.setdefault(spec.name, module)
 
 
-def __getattr__(name: str):  # the public names not bound here are the two modules' below
+def __getattr__(name: str):  # public names not bound here: partitions' families, the modules' below
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(inertness if hasattr(inertness, name) else stpetersburg, name)
+    return getattr(next(m for m in (partitions, inertness, stpetersburg) if hasattr(m, name)), name)
 
 
 # A command that never reads these two does not compile them.

@@ -21,39 +21,30 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import inertness, stpetersburg  # registered lazily: each runs at its first read
+from . import inertness, partitions, stpetersburg  # the first and last run at first read,
+# as does each family read off partitions
 from .errors import CoarseError
 from .ops import CoarseContext, FoldStep
-from .partitions import EpsilonGrowth, ExplicitBounds, Fibonacci, FixedWidth, SingletonGrid
-from .rationals import format_decimal, parse_rational, write_rows
+# format_decimal is unused here, but the tracer test in bench/tests checks its patch here
+from .rationals import format_decimal, parse_rational, write_rows  # noqa: F401
 from .representatives import Policy, rep_of_cell
 
 
 def _partition_from_args(args):
     # the families parse their own flag text, and their errors name the field
     if args.fibonacci:
-        return Fibonacci()
+        return partitions.Fibonacci()
     if args.width is not None:
-        return FixedWidth(args.width)
+        return partitions.FixedWidth(args.width)
     if args.eps is not None:
-        return EpsilonGrowth(args.eps)
+        return partitions.EpsilonGrowth(args.eps)
     if args.grid is not None:
-        return SingletonGrid(args.grid)
-    return ExplicitBounds(args.bounds.split(","), args.domain)
+        return partitions.SingletonGrid(args.grid)
+    return partitions.ExplicitBounds(args.bounds.split(","), args.domain)
 
 
 def _context_from_args(args) -> CoarseContext:
     return CoarseContext(_partition_from_args(args), Policy(args.rep))
-
-
-# ------------------------------------------------------------------ rendering
-
-def _verdict_text(v) -> str:
-    if v.inert:
-        kind = "certified" if v.certified else "observed"
-        return (f"inert at cell {v.cell_index} from step {v.n_stable}, "
-                f"value {format_decimal(v.fixed_value)} ({kind})")
-    return f"no verdict after {v.horizon} steps"
 
 
 # ---------------------------------------------------------------- subcommands
@@ -117,7 +108,7 @@ def cmd_inert(args) -> int:
         gen = lambda t: values[t - 1]
     verdict = inertness.detect_inert_stream(ctx, gen, horizon, increment_bound=args.bound)
     if args.format == "table":
-        print(_verdict_text(verdict))
+        print(verdict.to_text())
     else:
         import json
         print(json.dumps(verdict.to_json_dict()))
@@ -128,32 +119,13 @@ def cmd_stpete(args) -> int:
     if args.trials > 0:
         report = stpetersburg.compare_valuations(args.eps, args.truncation, args.trials,
                                                  args.seed, depth=args.depth)
-        rep = report.valuation
     else:
-        report = rep = stpetersburg.coarse_value(args.eps, depth=args.depth)
+        report = stpetersburg.coarse_value(args.eps, depth=args.depth)
     if args.format == "json":
         import json
         print(json.dumps(report.to_json_dict(), indent=2))
-        return 0
-    print(f"doubling-gamble valuation  (eps = {format_decimal(rep.epsilon)}, "
-          f"depth = {rep.depth})")
-    print(f"  classical sum of expected increments : {format_decimal(rep.classical_sum)}")
-    print(f"  absorbing cell (closed form)         : {rep.cell_from_formula}")
-    print(f"  absorbing cell (margin scan)         : {rep.cell_from_scan}")
-    print(f"  agreement                            : {'yes' if rep.agreement else 'no'}")
-    print(f"  verdict                              : {_verdict_text(rep.verdict)}")
-    if report is not rep:
-        print(f"  sampled payoffs: trials = {report.trials}, seed = {report.seed}, "
-              f"rng = {stpetersburg.RNG_ALGORITHM}, truncation depth = {report.truncation_depth}")
-        print(f"    mean payoff      : {format_decimal(report.sampled_mean)}")
-        print(f"    coarse final sum : {format_decimal(report.sampled_final)} "
-              f"(cell {report.sampled_final_cell})")
-        print(f"    verdict          : {_verdict_text(report.sampled_verdict)}")
-        counts = "  ".join(f"{n}:{c}" for n, c in sorted(report.round_counts.items()))
-        print(f"    round counts     : {counts}")
-        print("  exact-addition control (singleton grid):")
-        print(f"    verdict          : {_verdict_text(report.classical_verdict)}")
-        print(f"    final sum        : {format_decimal(rep.classical_sum)}")
+    else:
+        print(report.to_text())
     return 0
 
 
@@ -262,28 +234,8 @@ def _read_argv(argv: list):
 
 def build_parser():
     """The argparse parser of every flag in ``_COMMANDS``, with its help and usage errors."""
-    import argparse
-    import re
-
-    class _Parser(argparse.ArgumentParser):
-        # argparse reads only tokens like -1 and -.5 as values, and takes -1/2 or -4,1,2 for
-        # an unknown option; no option here starts so, and the subparsers are built as this
-        # class too, so a token of - and a digit or . is a value, either --geometric one too
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self._negative_number_matcher = re.compile(r"-[\d.]")
-
-    parser = _Parser(prog="coarsesum", description="Coarse partitions of the number line and "
-                     "absorption-based coarse addition.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, text, flags) in _COMMANDS.items():
-        p, groups = sub.add_parser(name, help=text), {}
-        for flag, group, kw in flags:
-            if group and group not in groups:
-                groups[group] = p.add_mutually_exclusive_group(required=True)
-            (groups[group] if group else p).add_argument(flag, **kw)
-        p.set_defaults(func=func)
-    return parser
+    from ._usage import build_parser  # compiled only for help and usage errors
+    return build_parser(_COMMANDS)
 
 
 def main(argv=None) -> int:
@@ -304,8 +256,13 @@ def main(argv=None) -> int:
 def run() -> None:
     # The process entry.  What the imports built lives to exit, so no collection need
     # walk it; main does not freeze, as its in-process callers would keep every later cycle.
+    # Once main returns, its output is flushed and the process ends with no teardown (nor
+    # atexit handlers); a SystemExit or an error out of main exits as usual.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 from .ops import CoarseContext, FoldTrace, _fold_steps
 from .partitions import _REALS, Partition, _rational
-from .rationals import format_rational
+from .rationals import format_decimal, format_rational
 from .representatives import _MAX, Policy, _pick
 
 
@@ -66,6 +66,13 @@ class InertVerdict(NamedTuple):
             "horizon": self.horizon,
             "certified": self.certified,
         }
+
+    def to_text(self) -> str:
+        if self.inert:
+            kind = "certified" if self.certified else "observed"
+            return (f"inert at cell {self.cell_index} from step {self.n_stable}, "
+                    f"value {format_decimal(self.fixed_value)} ({kind})")
+        return f"no verdict after {self.horizon} steps"
 
 
 def detect_inert_trace(trace: FoldTrace) -> InertVerdict:

@@ -27,7 +27,7 @@ from .errors import SpecError
 from .inertness import InertVerdict, constant, detect_inert_stream, detect_inert_trace
 from .ops import CoarseContext
 from .partitions import EpsilonGrowth
-from .rationals import format_rational
+from .rationals import format_decimal, format_rational
 
 #: Deterministic counter-based generator used for all sampling.
 RNG_ALGORITHM = "numpy-philox4x64"
@@ -58,6 +58,16 @@ class ValuationReport(NamedTuple):
             "agreement": self.agreement,
             "verdict": self.verdict.to_json_dict(),
         }
+
+    def to_text(self) -> str:
+        return "\n".join((
+            f"doubling-gamble valuation  (eps = {format_decimal(self.epsilon)}, "
+            f"depth = {self.depth})",
+            f"  classical sum of expected increments : {format_decimal(self.classical_sum)}",
+            f"  absorbing cell (closed form)         : {self.cell_from_formula}",
+            f"  absorbing cell (margin scan)         : {self.cell_from_scan}",
+            f"  agreement                            : {'yes' if self.agreement else 'no'}",
+            f"  verdict                              : {self.verdict.to_text()}"))
 
 
 def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
@@ -230,6 +240,21 @@ class ComparisonReport(NamedTuple):
                 "final_sum": format_rational(self.valuation.classical_sum),
             },
         }
+
+    def to_text(self) -> str:
+        counts = "  ".join(f"{n}:{c}" for n, c in sorted(self.round_counts.items()))
+        return "\n".join((
+            self.valuation.to_text(),
+            f"  sampled payoffs: trials = {self.trials}, seed = {self.seed}, "
+            f"rng = {RNG_ALGORITHM}, truncation depth = {self.truncation_depth}",
+            f"    mean payoff      : {format_decimal(self.sampled_mean)}",
+            f"    coarse final sum : {format_decimal(self.sampled_final)} "
+            f"(cell {self.sampled_final_cell})",
+            f"    verdict          : {self.sampled_verdict.to_text()}",
+            f"    round counts     : {counts}",
+            "  exact-addition control (singleton grid):",
+            f"    verdict          : {self.classical_verdict.to_text()}",
+            f"    final sum        : {format_decimal(self.valuation.classical_sum)}"))
 
 
 def compare_valuations(epsilon, truncation_depth: int, trials: int, seed: int,

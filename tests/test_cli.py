@@ -690,19 +690,35 @@ def test_the_direct_reader_reads_argv_as_argparse_does(case):
         assert vars(got) == want
 
 
-#: Prints the argparse modules loaded at exit as the last line of stderr, after running
-#: ``python -m coarsesum.cli`` with the arguments that follow.
+#: Runs ``python -m coarsesum.cli`` with the arguments that follow and prints, as the last
+#: line of stderr, which modules of ``{watch}`` are loaded when it exits.  A command that
+#: returns ends at ``os._exit``, which runs no atexit handler, so the probe prints at that
+#: call, or at the ``SystemExit`` of help and usage errors.
 LOADED_PROBE = """\
-import atexit, runpy, sys
-atexit.register(lambda: print("loaded:", *sorted({"argparse", "gettext"} & set(sys.modules)),
-                              file=sys.stderr))
-runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
+import os, runpy, sys
+def loaded():
+    print("loaded:", *sorted({watch!r} & set(sys.modules)), file=sys.stderr, flush=True)
+exit_now = os._exit
+os._exit = lambda code: (loaded(), exit_now(code))
+try:
+    runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    loaded()
+    raise
 """
+ARGPARSE = {"argparse", "gettext"}
+#: The module of each partition family, compiled only by a command that builds that family.
+FAMILY_MODULES = {"FixedWidth": "coarsesum._fixed_width", "Fibonacci": "coarsesum._fibonacci",
+                  "EpsilonGrowth": "coarsesum._epsilon_growth",
+                  "ExplicitBounds": "coarsesum._explicit_bounds",
+                  "SingletonGrid": "coarsesum._singleton_grid"}
+#: The module that builds the argparse parser, for help and usage errors alone.
+USAGE_MODULE = "coarsesum._usage"
 
 
-def run_probe(*argv):
-    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE, *argv], capture_output=True,
-                          text=True, env={**os.environ, "COLUMNS": "80"})
+def run_probe(*argv, watch=ARGPARSE):
+    proc = subprocess.run([sys.executable, "-c", LOADED_PROBE.format(watch=set(watch)), *argv],
+                          capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"})
     *err, loaded = proc.stderr.splitlines()
     return proc.returncode, proc.stdout, "\n".join(err), loaded.split()[1:]
 
@@ -728,6 +744,26 @@ def test_help_and_usage_errors_still_come_from_argparse(monkeypatch):
                                     "positive integer, got '0'")
 
 
+def test_a_command_compiles_its_own_family_alone_and_no_parser(tmp_path):
+    import coarsesum
+    assert {name: getattr(coarsesum, name).__module__ for name in FAMILY_MODULES} == FAMILY_MODULES
+    path = tmp_path / "values.txt"
+    path.write_text("1\n2\n3\n")
+    watch = {*FAMILY_MODULES.values(), USAGE_MODULE}
+    for argv, family in ((["partition", "--width", "3", "--cells", "1"], "FixedWidth"),
+                         (["partition", "--bounds", "0,2,5", "--format", "csv"], "ExplicitBounds"),
+                         (["fold", "--fibonacci", "--input", str(path)], "Fibonacci"),
+                         (["fold", "--grid", "1/2", "--input", str(path)], "SingletonGrid"),
+                         (["inert", "--eps", "10", "--const", "3", "--bound", "3"],
+                          "EpsilonGrowth"),
+                         (["stpete", "--eps", "10", "--depth", "20"], "EpsilonGrowth")):
+        code, out, err, loaded = run_probe(*argv, watch=watch)
+        assert (code, err, loaded) == (0, "", [FAMILY_MODULES[family]]), argv
+        assert out
+    code, out, err, loaded = run_probe("partition", "--cells", "0", "--width", "3", watch=watch)
+    assert (code, out, loaded) == (2, "", [USAGE_MODULE])
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "coarsesum.cli", "partition", "--fibonacci",
@@ -735,6 +771,20 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1].split() == ["1", "{0}", "0", "0", "0"]
+
+
+def test_a_reader_that_leaves_early_ends_the_command_quietly(capsys):
+    # 20000 rows are about 0.8 MB, far past a pipe's buffer, so a write meets the closed
+    # pipe; what was still buffered is dropped, and the line the reader took is whole
+    argv = ["partition", "--width", "3", "--cells", "20000"]
+    proc = subprocess.Popen([sys.executable, "-m", "coarsesum.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+    assert main(argv) == 0
+    assert header.decode() == capsys.readouterr().out.splitlines(keepends=True)[0]
 
 
 def test_main_in_process_freezes_nothing(tmp_path, capsys):
@@ -750,13 +800,17 @@ def test_main_in_process_freezes_nothing(tmp_path, capsys):
 
 
 def test_the_process_entry_freezes_the_import_heap():
-    probe = ("import gc, runpy, sys\n"
+    # the command ends at os._exit, so the probe reads the freeze count at that call
+    probe = ("import gc, os, runpy, sys\n"
              "sys.argv = ['coarsesum', 'partition', '--width', '3', '--cells', '1']\n"
              "print('frozen before', gc.get_freeze_count(), file=sys.stderr)\n"
-             "try:\n"
-             "    runpy.run_module('coarsesum.cli', run_name='__main__')\n"
-             "except SystemExit as exc:\n"
-             "    print('exit', exc.code, 'frozen', gc.get_freeze_count(), file=sys.stderr)\n")
+             "exit_now = os._exit\n"
+             "def observe(code):\n"
+             "    print('exit', code, 'frozen', gc.get_freeze_count(), file=sys.stderr,\n"
+             "          flush=True)\n"
+             "    exit_now(code)\n"
+             "os._exit = observe\n"
+             "runpy.run_module('coarsesum.cli', run_name='__main__')\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
     assert "frozen before 0\n" in proc.stderr

@@ -570,3 +570,20 @@ def test_a_family_class_restates_no_default_of_the_base(family):
     for name in ("domain", "scale", "max_index", "constant_margins"):
         if name in vars(family):
             assert vars(family)[name] != getattr(Partition, name), name
+
+
+@pytest.mark.parametrize("family, bad, error", [
+    (FixedWidth(3), -1, "-1 is below the partition origin 0"),
+    (Fibonacci(), -1, "-1 is below the partition origin 0"),
+    (EpsilonGrowth(10), -1, "-1/40 is below the partition origin 0"),
+    (ExplicitBounds((0, F(1, 2), 2), Domain.REALS), -1, "-1/4 is below the partition origin 0"),
+    (SingletonGrid(F(3, 2)), 1, "1/2 is not a multiple of the grid step 3/2"),
+], ids=["FixedWidth", "Fibonacci", "EpsilonGrowth", "ExplicitBounds", "SingletonGrid"])
+def test_index_scaled_takes_the_value_n_came_from_and_names_it(family, bad, error):
+    # index_scaled(n, x=None) finds the cell of n/scale; x is the value n came from
+    for i in range(1, min(3, family.max_index or 3) + 1):
+        n = family.span(i)[1]  # cells are closed above
+        assert family.index_scaled(n, family.unscaled(n)) == family.index_scaled(n) == i
+    with pytest.raises(DomainError) as exc:
+        family.index_scaled(bad, family.unscaled(bad))
+    assert str(exc.value) == error

@@ -130,9 +130,10 @@ def test_named_tuple_values():
 
 
 def test_cli_import_loads_every_module_and_not_dataclasses():
-    # Every coarsesum module is registered by the CLI import, because the benchmark's
-    # tracer looks each one up in sys.modules right after it; dataclasses and
-    # inspect stay out of start-up.
+    # Every coarsesum module the benchmark's tracer names is registered by the CLI
+    # import, because the tracer looks each one up in sys.modules right after it; the
+    # family modules and the parser's builder are not, and dataclasses and inspect
+    # stay out of start-up.
     code = ("import sys, coarsesum.cli; print(' '.join(sorted(m for m in sys.modules "
             "if m.startswith(('coarsesum', 'dataclasses', 'inspect')))))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -165,8 +166,10 @@ def test_inertness_and_stpetersburg_run_only_when_a_command_reads_them(tmp_path)
         "[]", "[]", "['inertness']", "['inertness', 'stpetersburg']"]
 
 
-#: The public names the package serves from its two lazily registered modules.
+#: The public names the package serves from its two lazily registered modules, and the
+#: families, which ``partitions`` serves from a module of each family's own.
 LAZY_NAMES = {
+    "partitions": ["EpsilonGrowth", "ExplicitBounds", "Fibonacci", "FixedWidth", "SingletonGrid"],
     "inertness": ["InertVerdict", "constant", "detect_inert_stream", "detect_inert_trace",
                   "first_absorbing_cell", "geometric", "harmonic"],
     "stpetersburg": ["INCREMENT_BOUND", "RNG_ALGORITHM", "ComparisonReport",
