@@ -21,8 +21,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import inertness, partitions, stpetersburg  # the first and last run at first read,
-# as does each family read off partitions
+# inertness, stpetersburg and each family of partitions are compiled at their first read
+from . import inertness, partitions, stpetersburg
 from .errors import CoarseError
 from .ops import CoarseContext, FoldStep
 # format_decimal is unused here, but the tracer test in bench/tests checks its patch here
