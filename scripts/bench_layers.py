@@ -110,8 +110,8 @@ IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
 #: Whole-process commands, and their runs per tree and round: start-up, a short command
 #: of each subcommand (the ``{short}`` file holds 20 lines) and a usage error, then the
 #: long ``inert`` streams that stop at their first absorbed step, the certificate's
-#: scan (600,634 cells) and a climbing fold to the horizon, and sampling, as the
-#: benchmark's stpete-sampled workload does and at 1e5 trials.
+#: scan (600,634 cells) and a climbing fold to the horizon, sampling, as the
+#: benchmark's stpete-sampled workload does and at 1e5 trials, and long folds.
 CLI_RUNS = {
     "partition --width 3 --cells 1": IMPORT_RUNS,
     "fold --fibonacci --input {short}": IMPORT_RUNS,
@@ -130,8 +130,15 @@ CLI_RUNS = {
     "fold --eps 10 --input {pq} --format json": 1,
     "fold --bounds {bounds} --input {ints} --format csv": 1,
     "fold --bounds {bounds} --input {ints} --format json": 1,
+    # a file whose sum pins in cell 1 at step 2, as fold-absorbing's inert file at scale:
+    # folded in every format, and judged as a stream that stops where its sum cell
+    # absorbs the file's largest value
+    "fold --eps 10 --input {small} --format csv": 1,
+    "fold --eps 10 --input {small} --format json": 1,
+    "fold --eps 10 --input {small} --format table": 1,
+    "inert --eps 10 --from-file {small} --horizon 100000": 1,
 }
-#: Lines of the ``{pq}`` file of the whole-run folds.
+#: Lines of the ``{pq}`` and ``{small}`` files of the whole-run folds.
 FOLD_LINES = 100_000
 #: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak
 #: resident set in KiB as the last line of stderr: at the ``os._exit`` that ends a command,
@@ -177,12 +184,15 @@ def fold_inputs(work: str) -> dict:
     """The ``{name}`` fields of ``CLI_RUNS``, seeded: ``pq``, a file of ``FOLD_LINES``
     climbing rationals; ``bounds``, the text of ``climbing_bounds``; ``ints``, a file of
     2,000 ints of 25..45, which climb about a cell a step through those bounds; ``short``,
-    a file of 20 ints of 0..9."""
+    a file of 20 ints of 0..9; ``small``, a file of ``FOLD_LINES`` rationals p/q in
+    (0, 1/2] with q in 2..9, drawn as fold-absorbing's inert file is."""
     rng = random.Random(33)
     files = {"pq": climbing_rationals(rng, FOLD_LINES),
              "ints": [rng.randint(25, 45) for _ in range(2_000)]}
     fields = {"bounds": ",".join(map(str, climbing_bounds(rng)))}
     files["short"] = [rng.randint(0, 9) for _ in range(20)]
+    files["small"] = [F(rng.randint(1, q // 2), q)
+                      for q in (rng.randint(2, 9) for _ in range(FOLD_LINES))]
     for name, values in files.items():
         fields[name] = os.path.join(work, f"{name}.txt")
         with open(fields[name], "w", encoding="utf-8") as fh:

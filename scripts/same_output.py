@@ -42,8 +42,14 @@ and ``inert`` with ``--const abc``, ``--harmonic --bound abc``,
 signed, padded, ``p/q`` and decimal text in both domains, and the errors it
 names (not ascending, not an integer in the int domain, a sum below the origin
 or past the last bound), and ``fold`` over ``p/q`` lines with signs, zeros,
-padding and non-ASCII digits, and over a line that is not a number; last, the
-argv that the CLI leaves to argparse: ``--help``, ``fold --help``, the usage error
+padding and non-ASCII digits, and over a line that is not a number; then
+``inert --from-file`` in both formats on the files of ``FILES``, none of which a
+workload reaches: the largest value after the sum first stood still (on ``--eps``,
+also under ``--rep max``, and on real ``--bounds`` from 0 and from below 0), a value
+below 0, a value past the last real bound, which errors at its step, and files on
+``--grid`` and ``--width``, where a file's stream is read on; then ``fold`` in every
+format over a file whose constant input pins the sum and one whose alternating input
+does; last, the argv that the CLI leaves to argparse: ``--help``, ``fold --help``, the usage error
 ``partition --cells 0 --width 3`` (exit 2), the ``=`` form ``inert --eps 10
 --const 1/2 --bound=1/2`` and the abbreviation ``partition --fib --cells 3``.
 Every later tree's stdout, stderr and exit code are compared with the first
@@ -120,6 +126,26 @@ BOUNDS_TEXT = (("partition", "--bounds=-7,+2, 5,21/3,9.0,12", "--cells", "6"),
                 "--format", "csv"),
                ("fold", "--eps", "10", "--input", "{bad}"))
 
+#: Files of ``inert --from-file`` and ``fold`` that no workload reaches: the largest value
+#: after the sum first stood still, a value below 0, a value past the last bound, values on
+#: a grid and ints, and a sum pinned by constant or alternating input.
+FILES = {"late": ["1/2", "1/2", "5"] + ["1/2"] * 20, "negative": ["1/2", "-1/2", "1/2", "1/2"],
+         "past": ["1/2", "1/2", "60", "1/2"], "halves": ["1/2", "0", "0", "1", "0", "0"],
+         "ints": ["1", "1", "2", "1", "1"], "pinned": ["1/2"] * 30,
+         "alternating": ["1/2", "1/3"] * 15}
+#: ``inert --from-file`` streams, each in both formats: a file of values >= 0 stops where its
+#: sum cell absorbs the largest value on real families that hold 0 with a representative
+#: >= 0 and are not grids, here ``--eps`` (under median and max) and ``--bounds`` from below 0;
+#: elsewhere, or with a value below 0 or past the last bound, the stream is read on.
+FROM_FILE = ((("--eps", "10"), "late"), (("--eps", "10", "--rep", "max"), "late"),
+             (("--eps", "10"), "negative"),
+             (("--bounds=-1,1,3,9", "--domain", "real"), "negative"),
+             (("--bounds=-1,1,3,9,30", "--domain", "real"), "late"),
+             (("--bounds=-19/3,-73/12,1/6,5/3,3,15/2", "--domain", "real"), "late"),
+             (("--bounds=-19/3,-73/12,1/6,5/3,3,15/2", "--domain", "real"), "negative"),
+             ((*FAMILIES["bounds-real"],), "past"), ((*FAMILIES["bounds-real"],), "late"),
+             (("--grid", "1/2"), "halves"), (("--width", "3"), "ints"))
+
 #: Argv that the CLI's direct reader leaves to argparse: help, a usage error, an ``=`` form
 #: and an abbreviation.
 ARGPARSE = (("--help",), ("fold", "--help"), ("partition", "--cells", "0", "--width", "3"),
@@ -135,6 +161,9 @@ def extra_commands(work: Path) -> list:
     files["pq"].write_text("-0/7\n 6/3 \n+1/2\n1/2\n\u0663/\u0664\n3/1\n9/2\n",
                            encoding="utf-8")
     files["bad"].write_text("1/2\n1/-2\n", encoding="utf-8")
+    for name, lines in FILES.items():
+        files[name] = work / f"{name}.txt"
+        files[name].write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
     tails = {"partition": ("--cells", "6"), "fold": ("--input", str(values)),
              "inert": ("--const", "1", "--horizon", "50")}
     formats = {"partition": ("table", "json", "csv"), "fold": ("table", "json", "csv"),
@@ -149,6 +178,12 @@ def extra_commands(work: Path) -> list:
         ("stpete " + " ".join(args), ("stpete", *args)) for args in STPETE] + [
         (" ".join(argv), argv) for argv in BAD_TEXT] + [
         (" ".join(argv), tuple(arg.format(**files) for arg in argv)) for argv in BOUNDS_TEXT] + [
+        (f"inert {' '.join(flags)} --from-file {{{name}}} --format {fmt}",
+         ("inert", *flags, "--from-file", str(files[name]), "--format", fmt))
+        for flags, name in FROM_FILE for fmt in formats["inert"]] + [
+        (f"fold --eps 10 --input {{{name}}} --format {fmt}",
+         ("fold", "--eps", "10", "--input", str(files[name]), "--format", fmt))
+        for name in ("pinned", "alternating") for fmt in formats["fold"]] + [
         (" ".join(argv), argv) for argv in ARGPARSE]
 
 

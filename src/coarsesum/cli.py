@@ -106,12 +106,10 @@ def cmd_inert(args) -> int:
         values = _read_values(args.from_file)
         horizon = min(horizon, len(values))
         gen = lambda t: values[t - 1]
+        if min(distinct := {id(v): v for v in values}.values()) >= 0:  # one object a text
+            gen.bound = max(distinct)  # every value lies in [0, bound], in any order
     verdict = inertness.detect_inert_stream(ctx, gen, horizon, increment_bound=args.bound)
-    if args.format == "table":
-        print(verdict.to_text())
-    else:
-        import json
-        print(json.dumps(verdict.to_json_dict()))
+    print(verdict.to_text() if args.format == "table" else inertness._json(verdict.to_json_dict()))
     return 0 if verdict.inert else 3
 
 
@@ -121,11 +119,7 @@ def cmd_stpete(args) -> int:
                                                  args.seed, depth=args.depth)
     else:
         report = stpetersburg.coarse_value(args.eps, depth=args.depth)
-    if args.format == "json":
-        import json
-        print(json.dumps(report.to_json_dict(), indent=2))
-    else:
-        print(report.to_text())
+    print(inertness._json(report.to_json_dict(), 2) if args.format == "json" else report.to_text())
     return 0
 
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, NamedTuple
 
+from .errors import OutOfRangeError
 from .ops import CoarseContext, FoldTrace, _fold_steps
 from .partitions import _REALS, Partition, _rational
 from .rationals import format_decimal, format_rational
@@ -75,6 +76,19 @@ class InertVerdict(NamedTuple):
         return f"no verdict after {self.horizon} steps"
 
 
+def _json(value, indent: int | None = None, depth: int = 1) -> str:
+    """``json.dumps(value, indent=indent)`` of what a ``to_json_dict()`` holds -- dicts, ints,
+    bools, None and strs that need no escape -- without compiling the json module."""
+    if isinstance(value, dict):
+        pad = "" if indent is None else "\n" + " " * (indent * depth)
+        items = [f'{pad}"{k}": {_json(v, indent, depth + 1)}' for k, v in value.items()]
+        end = pad[:len(pad) - (indent or 0)]  # the closing brace's line
+        return "{%s%s}" % (("," if pad else ", ").join(items), end) if items else "{}"
+    if isinstance(value, str):
+        return f'"{value}"'
+    return "null" if value is None else str(value).lower()  # True and False as true and false
+
+
 def detect_inert_trace(trace: FoldTrace) -> InertVerdict:
     """Judge a finished fold: find the earliest all-constant suffix.
 
@@ -86,7 +100,7 @@ def detect_inert_trace(trace: FoldTrace) -> InertVerdict:
     return _judge(trace, len(trace))
 
 
-def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
+def _judge(steps, horizon: int, settles: bool = False, absorbs=None) -> InertVerdict:
     """The one judge of fold steps, read once: see :func:`detect_inert_trace`.
 
     It keeps only the step where the current run of equal sums began and the
@@ -94,16 +108,21 @@ def _judge(steps, horizon: int, settles: bool = False) -> InertVerdict:
     first absorbed step n >= 2 pins the sum, and reading stops there: either the
     inputs are one repeated value, so every later step repeats step n, or they
     never rise and collapse to values >= 0, so every later r + rep(x) lies
-    between the sum r and r + rep(x_n), both in r's cell.
+    between the sum r and r + rep(x_n), both in r's cell.  With ``absorbs``, a
+    test of a sum cell asked again only when the cell moves, reading stops at
+    the first step n >= 2 whose cell passes it: that cell keeps every later sum.
     """
     start = climb = 0
     s = cell = None
+    held = False
     for n, step in enumerate(steps, start=1):
         if step.s is not s and step.s != s:  # a kept representative is the same object
             start = n
+        if absorbs is not None and step.s_cell != cell:
+            held = absorbs(step.s_cell)
         climb = climb + 1 if cell is not None and step.s_cell > cell else 1
         s, cell = step.s, step.s_cell
-        if settles and step.absorbed:
+        if settles and step.absorbed or held and n > 1:
             break
     if not start:
         raise ValueError("cannot judge an empty trace")
@@ -163,7 +182,11 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     A stream marked with period 1 (see :func:`constant`) stops at its fixed
     point, the first step after step 1 whose sum stays in its cell.  So does a
     stream with a ``top`` on a real family other than a grid that holds 0 with
-    a representative >= 0 (a negative one lets the sum fall again).
+    a representative >= 0 (a negative one lets the sum fall again).  There a
+    stream with a ``bound`` b stops at the first step after step 1 whose sum
+    cell c absorbs b, pick(c) + rep(b) <= hi(c) on the family's scale: every
+    later x in [0, b] has 0 <= rep(x) <= rep(b), so every later sum is c's
+    representative again.  A bound past a finite layout stops nothing.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -183,14 +206,21 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
             value = p.unscaled(_pick(*p.span(target), ctx.policy))
             return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
                                 horizon=horizon, certified=True)
-    settles = getattr(gen, "period", None) == 1 or (
-        top is not None and zero and p.domain is _REALS and not p.constant_margins)  # no grid
-    return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon, settles)
+    real = zero and p.domain is _REALS and not p.constant_margins  # and not a grid
+    settles, absorbs = getattr(gen, "period", None) == 1 or (top is not None and real), None
+    if real and getattr(gen, "bound", None) is not None:
+        try:
+            rep = _pick(*p.span(p.index(gen.bound)), ctx.policy)  # rep(bound), scaled
+        except OutOfRangeError:
+            pass  # the bound lies past a finite layout: read on to where the fold fails
+        else:  # cell c keeps a sum that adds any value of [0, bound]
+            absorbs = lambda c: _pick(*(span := p.span(c)), ctx.policy) + rep <= span[1]
+    return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon, settles, absorbs)
 
 
 # ------------------------------------------------------------ input streams
 # Streams are pure functions of the 1-based step index, so reruns and
-# continued runs always see identical values.  A stream may carry two marks,
+# continued runs always see identical values.  A stream may carry three marks,
 # which detect_inert_stream trusts:
 # - ``period`` 1 promises that every step gives the same value, so the fold
 #   may stop at its first fixed point and still give the verdict of the whole
@@ -198,9 +228,13 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
 # - ``top`` promises that the values are nonnegative and never rise, so the
 #   first value, ``top``, is the largest and an increment bound is checked
 #   against it alone; on most real families the fold stops at its first
-#   absorbed step.
-# The factories below set them only where their values keep the promise; an
-# unmarked stream is read to the horizon.
+#   absorbed step;
+# - ``bound`` promises that every value lies in [0, bound], in any order; where
+#   ``top`` stops the fold, the fold stops once its sum sits in a cell that
+#   absorbs the bound (a late maximum can move a sum that has stood still).
+# The factories below set the first two only where their values keep the
+# promise, and ``inert --from-file`` sets ``bound`` on a file of values >= 0;
+# an unmarked stream is read to the horizon.
 
 def constant(value) -> Callable[[int], Fraction]:
     c = _rational("constant", value)

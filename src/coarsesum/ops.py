@@ -121,6 +121,7 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     # inputs are made Fractions below, so the family's own lookups need no coercion
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     span, unscaled = partition.span, partition.unscaled
+    make = tuple.__new__  # builds a FoldStep as FoldStep._make does, with no Python frame
     reps, held = {}, set()  # cell -> (scaled representative, representative); input cells
     inputs = {}  # input that is not a Fraction -> (its Fraction, its cell)
 
@@ -166,5 +167,5 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
             # else this is the move of the step before, whose result new_s, new_cell still hold
         except CoarseError as exc:
             raise type(exc)(f"step {n}: {exc}", step=n) from exc
-        yield FoldStep(n, x, x_cell, new_s, new_cell, new_cell == s_cell)
+        yield make(FoldStep, (n, x, x_cell, new_s, new_cell, new_cell == s_cell))
         s_cell = new_cell

@@ -2,7 +2,8 @@
 
 Every quantity in this package is a :class:`fractions.Fraction`; floats never
 enter a computation.  These helpers pin down the one wire format ("p/q"), the
-decimal rendering used in human-readable tables, and the one writer of rows.
+decimal rendering used in human-readable tables, and the one writer of rows, kept in
+``_rows`` and compiled at its first call.
 """
 
 from __future__ import annotations
@@ -58,37 +59,8 @@ def format_decimal(value) -> str:
     return f"{sign}{head}.{tail}{exp}" if tail else f"{sign}{head}{exp}"
 
 
-def _render_runs(render, column) -> list:
-    """``render`` of each value, called once per run of the identical value object."""
-    texts, last, text = [], object(), None  # no value is ``last`` before the first
-    for value in column:
-        if value is not last:
-            last, text = value, render(value)
-        texts.append(text)
-    return texts
-
-
 def write_rows(head, rows, fmt: str) -> str:
-    """Rows of exact values as JSON lines, CSV under a header, or an aligned table.
-
-    Keys are identifiers, and each column holds one kind, read off its first row: int,
-    bool, or rational (which may hold ints).  Rationals are ``p/q``, quoted in JSON, and
-    decimals in tables; bools are ``true``/``false``, and ``yes``/``no`` in tables; ints
-    print as ``str`` prints them.  A run of one rational object down a column, as a
-    pinned fold's sums, is rendered once.  JSON and table rows fill one ``%`` line template.
-    """
-    rational, no, yes = ((format_decimal, "no", "yes") if fmt == "table"
-                         else (format_rational, "false", "true"))
-    columns, fields = [], []
-    for key, c in zip(head, zip(*rows)):
-        q = '"' if isinstance(c[0], Fraction) else ""
-        columns.append(_render_runs(rational, c) if q else
-                       [yes if v else no for v in c] if isinstance(c[0], bool) else map(str, c))
-        fields.append(f'"{key}": {q}%s{q}')
-    if fmt == "json":
-        return "\n".join(map(("{" + ", ".join(fields) + "}").__mod__, zip(*columns)))
-    if fmt == "csv":
-        return "\n".join((",".join(head), *map(",".join, zip(*columns))))
-    lines = [tuple(head), *zip(*columns)]
-    line = "  ".join("%%-%ds" % max(map(len, column)) for column in zip(*lines))
-    return "\n".join(map(str.rstrip, map(line.__mod__, lines)))
+    """Rows of exact values as JSON lines, CSV under a header, or an aligned table: see
+    :func:`coarsesum._rows.write_rows`, which only a command that writes rows compiles."""
+    from ._rows import write_rows
+    return write_rows(head, rows, fmt)

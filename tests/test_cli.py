@@ -398,6 +398,27 @@ def test_inert_from_file_clamps_horizon(tmp_path, capsys):
     assert (d["N"], d["cell"], d["value"], d["horizon"]) == (2, 3, "11/1", 5)
 
 
+@pytest.mark.parametrize("lines, bound", [
+    (["1/2", "1/2", "5", "1/2"], F(5)),      # the largest value comes after the sum stood still
+    (["0", "0"], F(0)),
+    (["1/2", "-1/3", "1/2"], None),          # a value below 0: no mark, read to the horizon
+], ids=["late-maximum", "zeros", "negative"])
+def test_inert_marks_a_file_of_values_at_or_above_zero_with_its_largest(
+        lines, bound, tmp_path, capsys, monkeypatch):
+    from coarsesum import inertness
+    marks, judge = [], inertness.detect_inert_stream
+    monkeypatch.setattr(inertness, "detect_inert_stream", lambda ctx, gen, *args, **kw: (
+        marks.append(getattr(gen, "bound", None)) or judge(ctx, gen, *args, **kw)))
+    path = tmp_path / "stream.txt"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    code, out, _ = run(["inert", "--bounds", "-1,1,3,60", "--domain", "real",
+                        "--from-file", str(path)], capsys)
+    assert marks == [bound]
+    ctx = CoarseContext(cli.partitions.ExplicitBounds(["-1", "1", "3", "60"], "real"))
+    verdict = inertness.detect_inert_trace(ctx.fold(list(map(parse_rational, lines))))
+    assert (code, json.loads(out)) == (0 if verdict.inert else 3, verdict.to_json_dict())
+
+
 def test_inert_domain_error_exits_one(capsys):
     code, _, err = run(["inert", "--fibonacci", "--const", "-1", "--horizon", "5"],
                        capsys)
@@ -733,6 +754,33 @@ def test_well_formed_commands_never_load_argparse(tmp_path):
         code, out, err, loaded = run_probe(*argv)
         assert (code, err, loaded) == (0, "", []), argv
         assert out
+
+
+#: The module of the row writer, compiled only by the commands that write rows.
+ROWS_MODULE = "coarsesum._rows"
+
+
+def test_verdicts_and_reports_print_their_json_without_the_json_module_or_row_writer():
+    for argv in (["inert", "--eps", "10", "--const", "1/2", "--format", "json"],
+                 ["inert", "--eps", "10", "--const", "1/2", "--bound", "1/2"],
+                 ["stpete", "--eps", "10", "--depth", "20", "--format", "json"],
+                 ["stpete", "--eps", "10", "--depth", "20", "--trials", "30",
+                  "--format", "json"]):
+        code, out, err, loaded = run_probe(*argv, watch={"json", ROWS_MODULE})
+        assert (code, err, loaded) == (0, "", []), argv
+        assert json.loads(out)
+
+
+def test_only_the_commands_that_write_rows_compile_the_row_writer(tmp_path):
+    path = tmp_path / "values.txt"
+    path.write_text("1\n2\n3\n")
+    for argv in (["partition", "--width", "3", "--cells", "1"],
+                 ["fold", "--fibonacci", "--input", str(path), "--format", "csv"]):
+        code, out, err, loaded = run_probe(*argv, watch={ROWS_MODULE})
+        assert (code, err, loaded) == (0, "", [ROWS_MODULE]), argv
+    code, out, err, loaded = run_probe("inert", "--eps", "10", "--const", "1/2",
+                                       "--format", "table", watch={ROWS_MODULE})
+    assert (code, err, loaded) == (0, "", [])
 
 
 def test_help_and_usage_errors_still_come_from_argparse(monkeypatch):

@@ -490,6 +490,90 @@ def test_a_stream_with_a_top_on_a_grid_is_read_to_the_horizon():
     assert read == list(range(1, 51))
 
 
+# A stream with a ``bound``, as ``inert --from-file`` marks a file of values >= 0, holds
+# values in [0, bound] in any order: where a stream with a top stops, it stops once its sum
+# cell absorbs the bound, and not at its first absorbed step, since a later maximum can
+# still move a sum that has stood still.
+
+def bounded(values):
+    """The stream of a file as ``inert --from-file`` reads it, marked with the largest
+    value where no value is below 0, and the steps it gives."""
+    read = []
+
+    def stream(t):
+        read.append(t)
+        return values[t - 1]
+    if min(values) >= 0:
+        stream.bound = max(values)
+    return stream, read
+
+
+@st.composite
+def late_maxima(draw, values):
+    """Values >= 0 from a small pool, so that the sum can stand still, then the largest
+    value of all, then more values, none larger."""
+    values = values.filter(lambda v: v >= 0)
+    pool = draw(st.lists(values, min_size=1, max_size=3))
+    head = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    peak = max(draw(values), *head)
+    return head + [peak] + [min(v, peak) for v in draw(st.lists(values, max_size=12))]
+
+
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_bounded_stream_judges_as_its_fold(family, policy, data):
+    spec, values = data.draw(family_case(family, policy))
+    if family == "ExplicitBounds" and data.draw(st.booleans()):
+        # origins below, at or above 0, in both domains; values up to 2 past the last bound
+        spec = data.draw(bounds_around_zero(data.draw(st.sampled_from(list(Domain)))))
+        assume(not refused(spec, policy))
+        lo, hi = max(0, spec.origin), min(20, spec.cell_at(spec.max_index).upper + 2)
+        values = (st.integers(int(lo), int(hi)) if spec.domain is Domain.INTEGERS
+                  else st.fractions(min_value=lo, max_value=hi, max_denominator=12))
+    ctx, stream = CoarseContext(spec, policy), data.draw(late_maxima(values))
+    gen, _ = bounded(stream)
+    # the horizon is clamped to the file's length, as the CLI clamps it
+    assert_streamed_verdict_matches(ctx, gen, min(data.draw(st.integers(1, 40)), len(stream)))
+
+
+def test_a_bounded_stream_is_read_on_past_a_sum_that_stood_still():
+    ctx = CoarseContext(EpsilonGrowth(10))
+    values = [F(1, 2), F(1, 2), F(5)] + [F(1, 2)] * 97
+    stream, read = bounded(values)
+    trace = ctx.fold(values)
+    # 1/4 + 1/4 stays in cell 1 at step 2, where the first absorbed step would stop ...
+    early = inertness._judge(trace, 100, settles=True)
+    assert (early.n_stable, early.cell_index, early.fixed_value) == (2, 1, F(1, 4))
+    # ... but 5 moves the sum to cell 10, whose margin 1/2 is below rep(5) = 27/5
+    verdict = detect_inert_stream(ctx, stream, 100)
+    assert verdict == detect_inert_trace(trace)
+    assert (verdict.n_stable, verdict.cell_index, verdict.fixed_value) == (3, 10, F(27, 5))
+    assert read == list(range(1, 101))
+
+
+def test_a_bounded_stream_stops_where_its_sum_cell_absorbs_the_bound():
+    ctx = CoarseContext(EpsilonGrowth(10))
+    values = [F(1, 3), F(1, 2), F(2, 5)] * 2000   # cell 1 = [0, 1/2] absorbs rep(1/2) = 1/4
+    stream, read = bounded(values)
+    verdict = detect_inert_stream(ctx, stream, len(values))
+    assert read == [1, 2]
+    assert verdict == detect_inert_trace(ctx.fold(values))
+
+
+@pytest.mark.parametrize("spec, values, error", [
+    # the sum stands still in cell 1 from step 2, and 4 lies past the last bound
+    (ExplicitBounds((0, 1, 3), Domain.REALS), [F(1, 2)] * 5 + [F(4)],
+     (OutOfRangeError, 6, "step 6: 4 is beyond the last explicit bound 3")),
+    # 2 collapses to 3 in cell 2 = (1, 5], and 3 + 3 leaves the layout at step 3
+    (ExplicitBounds((0, 1, 5), Domain.REALS), [F(1, 2), F(2), F(2), F(2)],
+     (OutOfRangeError, 3, "step 3: 6 is beyond the last explicit bound 5")),
+], ids=["bound-past-the-layout", "sum-past-the-layout"])
+def test_a_bounded_stream_fails_where_its_fold_fails(spec, values, error):
+    stream, _ = bounded(values)
+    assert assert_streamed_verdict_matches(CoarseContext(spec), stream, len(values)) == error
+
+
 # ------------------------------------------------------- EpsilonGrowth lookup
 
 def eps_bound(eps, k):
@@ -955,6 +1039,11 @@ def test_rows_with_runs_print_as_value_by_value(runs, fmt):
             f"{reference_format_rational(s)}" for n, x, c, a, s in rows]
 
 
+def test_no_rows_print_the_header_alone():
+    assert [write_rows(FoldStep._fields, FoldTrace(), fmt) for fmt in ("json", "csv", "table")] \
+        == ["", "n,x,x_cell,s,s_cell,absorbed", "n  x  x_cell  s  s_cell  absorbed"]
+
+
 def test_a_run_of_one_value_is_rendered_once(monkeypatch):
     from coarsesum import rationals
     calls = []
@@ -1017,6 +1106,11 @@ def row_tables(draw, fmt):
     for i, kind in enumerate(kinds):   # a Fraction column may hold ints after its first row
         if kind == "fraction" and len(rows) > 1 and draw(st.booleans()):
             rows[-1] = rows[-1][:i] + (draw(st.integers(-9, 9)),) + rows[-1][i + 1:]
+    # then 0, 1, 2 or many rows that hold the last row's objects after their first field,
+    # as a settled fold's rows do, each with a first field of its own
+    last = rows[-1]
+    for _ in range(draw(st.sampled_from([0, 1, 2]) | st.integers(3, 40))):
+        rows.append((draw(ROW_VALUES[kinds[0]]), *last[1:]))
     return head, rows
 
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -5,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (CoarseContext, Domain, EpsilonGrowth, ExplicitBounds, Fibonacci,
-                       FixedWidth, InertVerdict, Policy, SingletonGrid,
-                       constant, detect_inert_stream,
+                       FixedWidth, InertVerdict, Policy, SingletonGrid, coarse_value,
+                       compare_valuations, constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, geometric,
                        harmonic, margin_pos, rep_of_cell)
+from coarsesum import inertness
 
 
 # ------------------------------------------------------- judging fold traces
@@ -331,6 +333,25 @@ def test_verdict_json_shapes(eps10_ctx):
         "outcome": "no_verdict", "N": None, "cell": None, "value": None,
         "horizon": 5, "certified": False,
     }
+
+
+EPS10 = CoarseContext(EpsilonGrowth(10))
+
+
+@pytest.mark.parametrize("value, indent", [
+    (detect_inert_stream(EPS10, constant(F(1, 2)), 30), None),
+    (detect_inert_trace(CoarseContext(SingletonGrid(1)).fold([1] * 5)), None),
+    (detect_inert_stream(EPS10, constant(F(1, 2)), 30, increment_bound=F(1, 2)), None),
+    (coarse_value(10, depth=20), 2),
+    (coarse_value(1, depth=20), None),
+    (compare_valuations(10, 8, trials=50, seed=5, depth=40), 2),
+    (compare_valuations(10, 8, trials=50, seed=5, depth=40), None),
+    ({}, 2),
+], ids=["inert", "no-verdict", "certified", "valuation", "valuation-one-line", "comparison",
+        "comparison-one-line", "empty"])
+def test_the_json_writer_prints_what_json_dumps_prints(value, indent):
+    d = value if isinstance(value, dict) else value.to_json_dict()
+    assert inertness._json(d, indent) == json.dumps(d, indent=indent)
 
 
 @pytest.mark.parametrize("judge, inert", [
