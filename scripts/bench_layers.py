@@ -58,11 +58,14 @@ untimed run per tree and round: the process runs the module through ``runpy``
 and reads its ``VmHWM`` from ``/proc/self/status`` at exit, at the ``os._exit`` that
 ends a command or at the usual exit of help and usage errors (so this entry needs
 Linux).  The child's ``ru_maxrss`` would not do, since exec carries the
-spawner's high-water mark into it.  The trees take turns on each run; the
-start-up commands, one short command per subcommand and one usage error, which
-argparse answers, run ``IMPORT_RUNS`` times per tree and round, the long ones
-once.  A command's ``{name}`` fields name the seeded files and flag text
-of ``fold_inputs``.  Every run of a command must print the stdout of
+spawner's high-water mark into it.  A shift in heap layout alone can raise ``VmHWM``,
+so with two or more trees each command whose ``cli_peak_rss_kb`` has ``risen`` (see
+below) runs once more per tree under ``tracemalloc``, and its peak of traced Python
+memory is written beside it as ``cli_peak_traced_kb``, with its ratio.  The trees take
+turns on each run; the start-up commands, one short command per subcommand and one
+usage error, which argparse answers, run ``IMPORT_RUNS`` times per tree and round, the
+long ones once.  A command's ``{name}`` fields name the seeded files and flag text of
+``fold_inputs``.  Every run of a command must print the stdout of
 its first run on the first tree; the run names each command that differs, and
 exits 1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
 and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark
@@ -137,23 +140,35 @@ CLI_RUNS = {
     "fold --eps 10 --input {small} --format json": 1,
     "fold --eps 10 --input {small} --format table": 1,
     "inert --eps 10 --from-file {small} --horizon 100000": 1,
+    # the same file checked against --bound by its largest value alone, then certified
+    "inert --eps 10 --from-file {small} --horizon 100000 --bound 1/2": 1,
 }
 #: Lines of the ``{pq}`` and ``{small}`` files of the whole-run folds.
 FOLD_LINES = 100_000
-#: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak
-#: resident set in KiB as the last line of stderr: at the ``os._exit`` that ends a command,
-#: which runs no atexit handler, or at the atexit of any other exit.
+#: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak in KiB
+#: as the last line of stderr: at the ``os._exit`` that ends a command, which runs no
+#: atexit handler, or at the atexit of any other exit.  ``TRACED`` picks the peak: the
+#: resident set's ``VmHWM``, or the peak of the Python memory that ``tracemalloc`` traces.
 PEAK_PROBE = """\
-import atexit, os, runpy, sys
+import atexit, os, runpy, sys, tracemalloc
 def peak():
+    if TRACED:
+        print(tracemalloc.get_traced_memory()[1] // 1024, file=sys.stderr, flush=True)
+        return
     with open("/proc/self/status", encoding="ascii") as fh:
         print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
               file=sys.stderr, flush=True)
 exit_now = os._exit
 os._exit = lambda code: (peak(), exit_now(code))
 atexit.register(peak)
+if TRACED:
+    tracemalloc.start()
 runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
 """
+#: The probe of each peak entry.
+PEAKS = {"cli_peak_rss_kb": "TRACED = False\n" + PEAK_PROBE,
+         "cli_peak_traced_kb": "TRACED = True\n" + PEAK_PROBE}
+CLI_FAMILY = "python -m coarsesum.cli "  # the prefix of a whole-process entry's name
 #: The sampled stream of ``sample_trial_us`` and ``fold_step_sampled_us``: the CLI's
 #: default truncation, and the trials of the stpete-sampled workload.
 SAMPLED = {"truncation_depth": 64, "trials": 1500, "seed": 7}
@@ -340,11 +355,11 @@ def import_seconds(src: str) -> float:
     return float(proc.stdout)
 
 
-def cli_run(src: str, command: str, peak: bool = False) -> tuple:
+def cli_run(src: str, command: str, peak: str | None = None) -> tuple:
     """(entry, value, stdout) of one whole ``python -m coarsesum.cli command`` process
-    from ``src``: its ``cli_run_us`` from interpreter start to exit, or with ``peak``
-    its ``cli_peak_rss_kb``, read under ``PEAK_PROBE``."""
-    entry = ("-c", PEAK_PROBE) if peak else ("-m", "coarsesum.cli")
+    from ``src``: its ``cli_run_us`` from interpreter start to exit, or the ``peak``
+    entry of ``PEAKS``, read under ``PEAK_PROBE``."""
+    entry = ("-c", PEAKS[peak]) if peak else ("-m", "coarsesum.cli")
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *entry, *command.split()], env=tree_env(src),
                           capture_output=True)
@@ -352,7 +367,7 @@ def cli_run(src: str, command: str, peak: bool = False) -> tuple:
     if proc.returncode not in (0, 2, 3):  # a usage error and a no-verdict answer are expected
         proc.check_returncode()
     if peak:
-        return "cli_peak_rss_kb", int(proc.stderr.splitlines()[-1]), proc.stdout
+        return peak, int(proc.stderr.splitlines()[-1]), proc.stdout
     return "cli_run_us", seconds * 1e6, proc.stdout
 
 
@@ -388,7 +403,7 @@ def main(argv=None) -> int:
             for label in order:
                 imports[label].append(import_seconds(trees[label]) * 1e6)
         for command, count in CLI_RUNS.items():
-            for peak in [False] * count + [True]:
+            for peak in [None] * count + ["cli_peak_rss_kb"]:
                 for label in order:
                     key, value, out = cli_run(trees[label], command.format(**fields), peak)
                     runs[label][command][key].append(value)
@@ -399,11 +414,10 @@ def main(argv=None) -> int:
                 for family, entries in worker(trees[label], part).items():
                     for key, value in entries.items():
                         samples[label].setdefault(family, {}).setdefault(key, []).append(value)
-    work.cleanup()
     for label, values in imports.items():
         samples[label]["import coarsesum.cli"] = {"import_us": values}
         for command, entries in runs[label].items():
-            samples[label][f"python -m coarsesum.cli {command}"] = entries
+            samples[label][CLI_FAMILY + command] = entries
     result = {label: {family: {key: spread(values) if key.endswith(SPREAD_KEYS) else values[0]
                                for key, values in entries.items()}
                       for family, entries in families.items()}
@@ -418,12 +432,13 @@ def main(argv=None) -> int:
                   f"{CALL_REPEAT} passes / calls (rows: / rows); import: {IMPORT_RUNS} "
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
                   f"per tree and round for each start-up command, 1 for each long command, taken in turns, "
-                  f"and 1 more untimed run of each for its peak RSS",
+                  f"and 1 more untimed run of each for its peak RSS; a command whose peak "
+                  f"RSS has risen: 1 more run per tree for its tracemalloc peak",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": result,
     }
     labels = list(trees)
-    risen = []
+    risen, retrace = [], set()  # rows above RISEN_FLOOR; their commands' risen peaks
     if len(labels) > 1:
         first = labels[0]
         ratios = report[f"ratio_to_{first}"] = {label: {} for label in labels[1:]}
@@ -440,7 +455,21 @@ def main(argv=None) -> int:
                         "paired": {stat: round(paired[stat], 3) for stat in ("q1", "median", "q3")}}
                     if paired["q1"] > RISEN_FLOOR:
                         risen.append(f"{label}: {family}: {key}")
+                        if key == "cli_peak_rss_kb":
+                            retrace.add(family)
+        for family in sorted(retrace):  # one more run per tree, traced
+            command = family[len(CLI_FAMILY):]
+            for label in labels:
+                key, value, out = cli_run(trees[label], command.format(**fields),
+                                          "cli_peak_traced_kb")
+                result[label][family][key] = value
+                if stdout[command] != out:
+                    differing.add((command, label))
+            for label in labels[1:]:
+                ratios[label][family][key] = round(result[label][family][key]
+                                                   / result[first][family][key], 3)
         report["risen"] = risen
+    work.cleanup()
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

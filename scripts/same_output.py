@@ -48,8 +48,11 @@ workload reaches: the largest value after the sum first stood still (on ``--eps`
 also under ``--rep max``, and on real ``--bounds`` from 0 and from below 0), a value
 below 0, a value past the last real bound, which errors at its step, and files on
 ``--grid`` and ``--width``, where a file's stream is read on; then ``fold`` in every
-format over a file whose constant input pins the sum and one whose alternating input
-does; last, the argv that the CLI leaves to argparse: ``--help``, ``fold --help``, the usage error
+format over the files of ``FOLDS``: on ``--eps``, a file whose constant input pins the
+sum and one whose alternating input does; a Fibonacci climb of powers of two, whose
+inputs often land in the sum's cell; and a sum that moves down and back up through the
+same cells on every step (inputs below 0 on real ``--bounds`` from -16); last, the argv
+that the CLI leaves to argparse: ``--help``, ``fold --help``, the usage error
 ``partition --cells 0 --width 3`` (exit 2), the ``=`` form ``inert --eps 10
 --const 1/2 --bound=1/2`` and the abbreviation ``partition --fib --cells 3``.
 Every later tree's stdout, stderr and exit code are compared with the first
@@ -128,11 +131,17 @@ BOUNDS_TEXT = (("partition", "--bounds=-7,+2, 5,21/3,9.0,12", "--cells", "6"),
 
 #: Files of ``inert --from-file`` and ``fold`` that no workload reaches: the largest value
 #: after the sum first stood still, a value below 0, a value past the last bound, values on
-#: a grid and ints, and a sum pinned by constant or alternating input.
+#: a grid and ints, a sum pinned by constant or alternating input, inputs that land in
+#: a climbing sum's cell, and a sum that swings down and back up.
 FILES = {"late": ["1/2", "1/2", "5"] + ["1/2"] * 20, "negative": ["1/2", "-1/2", "1/2", "1/2"],
          "past": ["1/2", "1/2", "60", "1/2"], "halves": ["1/2", "0", "0", "1", "0", "0"],
          "ints": ["1", "1", "2", "1", "1"], "pinned": ["1/2"] * 30,
-         "alternating": ["1/2", "1/3"] * 15}
+         "alternating": ["1/2", "1/3"] * 15, "powers": [str(2**t) for t in range(1, 121)],
+         "swing": ["2"] + ["-6", "-6", "10", "10"] * 8}
+#: ``fold`` files, each in every format, and the family each is folded on.
+FOLDS = ((("--eps", "10"), "pinned"), (("--eps", "10"), "alternating"),
+         (("--fibonacci",), "powers"),
+         (("--bounds=-16,-12,-8,-4,0,4,8,12", "--domain", "real"), "swing"))
 #: ``inert --from-file`` streams, each in both formats: a file of values >= 0 stops where its
 #: sum cell absorbs the largest value on real families that hold 0 with a representative
 #: >= 0 and are not grids, here ``--eps`` (under median and max) and ``--bounds`` from below 0;
@@ -181,9 +190,9 @@ def extra_commands(work: Path) -> list:
         (f"inert {' '.join(flags)} --from-file {{{name}}} --format {fmt}",
          ("inert", *flags, "--from-file", str(files[name]), "--format", fmt))
         for flags, name in FROM_FILE for fmt in formats["inert"]] + [
-        (f"fold --eps 10 --input {{{name}}} --format {fmt}",
-         ("fold", "--eps", "10", "--input", str(files[name]), "--format", fmt))
-        for name in ("pinned", "alternating") for fmt in formats["fold"]] + [
+        (f"fold {' '.join(flags)} --input {{{name}}} --format {fmt}",
+         ("fold", *flags, "--input", str(files[name]), "--format", fmt))
+        for flags, name in FOLDS for fmt in formats["fold"]] + [
         (" ".join(argv), argv) for argv in ARGPARSE]
 
 

@@ -103,8 +103,8 @@ def cmd_inert(args) -> int:
     elif args.geometric is not None:
         gen = inertness.geometric(*args.geometric)
     else:
-        values = _read_values(args.from_file)
-        horizon = min(horizon, len(values))
+        values = _read_values(args.from_file)[:horizon]  # the stream and its bound mark
+        horizon = len(values)
         gen = lambda t: values[t - 1]
         if min(distinct := {id(v): v for v in values}.values()) >= 0:  # one object a text
             gen.bound = max(distinct)  # every value lies in [0, bound], in any order

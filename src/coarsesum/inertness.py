@@ -164,17 +164,18 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     """Judge a generated stream, optionally with the margin certificate.
 
     With ``increment_bound`` b, every value must lie between 0 and b, and a
-    stream that breaks that raises ``ValueError``: a stream with a ``top``
-    (see the streams below) is checked by it alone, any other is read from
-    step 1 to the horizon.  The certificate then applies before any folding,
-    where 0 lies in the family and collapses to a value >= 0, and the first
-    cell whose upward margin strictly exceeds b's collapsed representative is
-    at or above the cell of 0: that cell absorbs the rest of the stream, and
-    the verdict is certified with that cell and its representative, read off
-    its span.  N is that cell's index, not a step, and can exceed the horizon;
-    the fold may settle lower: the constant 1/2 on ``EpsilonGrowth(10)`` is
-    certified at cell 6, value 11/5, but its fold pins at cell 1, value 1/4,
-    from step 2.  Fold without a bound to see where the sums settle.
+    stream that breaks that raises ``ValueError``: a stream that states its
+    largest value, as ``top`` or else ``bound`` (see the streams below), is
+    checked by that value alone, any other is read from step 1 to the horizon.
+    The certificate then applies before any folding, where 0 lies in the
+    family and collapses to a value >= 0, and the first cell whose upward
+    margin strictly exceeds b's collapsed representative is at or above the
+    cell of 0: that cell absorbs the rest of the stream, and the verdict is
+    certified with that cell and its representative, read off its span.  N is
+    that cell's index, not a step, and can exceed the horizon; the fold may
+    settle lower: the constant 1/2 on ``EpsilonGrowth(10)`` is certified at
+    cell 6, value 11/5, but its fold pins at cell 1, value 1/4, from step 2.
+    Fold without a bound to see where the sums settle.
 
     Without a bound, or where the certificate does not apply, the stream is
     folded and judged step by step, with no trace kept, to the verdict
@@ -190,7 +191,7 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    top, p = getattr(gen, "top", None), ctx.partition
+    top, bound, p = getattr(gen, "top", None), getattr(gen, "bound", None), ctx.partition
     # The cell of 0 where 0 lies in the family (the span test keeps the lookups from
     # raising) and collapses to a value >= 0, else False: sums of values >= 0 start at
     # or above that cell and never fall below it.
@@ -198,7 +199,8 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
             and p.index(0))
     if increment_bound is not None:
         increment_bound = _rational("increment_bound", increment_bound)
-        if not (top <= increment_bound if top is not None else
+        most = bound if top is None else top  # the largest value, where the stream states it
+        if not (most <= increment_bound if most is not None else
                 all(0 <= gen(t) <= increment_bound for t in range(1, horizon + 1))):
             raise ValueError(f"increment bound {increment_bound} does not hold for this stream")
         target = zero and first_absorbing_cell(p, ctx.policy, ctx.normalize(increment_bound))
@@ -208,9 +210,9 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
                                 horizon=horizon, certified=True)
     real = zero and p.domain is _REALS and not p.constant_margins  # and not a grid
     settles, absorbs = getattr(gen, "period", None) == 1 or (top is not None and real), None
-    if real and getattr(gen, "bound", None) is not None:
+    if real and bound is not None:
         try:
-            rep = _pick(*p.span(p.index(gen.bound)), ctx.policy)  # rep(bound), scaled
+            rep = _pick(*p.span(p.index(bound)), ctx.policy)  # rep(bound), scaled
         except OutOfRangeError:
             pass  # the bound lies past a finite layout: read on to where the fold fails
         else:  # cell c keeps a sum that adds any value of [0, bound]
@@ -229,12 +231,13 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
 #   first value, ``top``, is the largest and an increment bound is checked
 #   against it alone; on most real families the fold stops at its first
 #   absorbed step;
-# - ``bound`` promises that every value lies in [0, bound], in any order; where
+# - ``bound`` promises that every value lies in [0, bound], in any order, so an
+#   increment bound is checked against it alone where no ``top`` is stated; where
 #   ``top`` stops the fold, the fold stops once its sum sits in a cell that
 #   absorbs the bound (a late maximum can move a sum that has stood still).
 # The factories below set the first two only where their values keep the
-# promise, and ``inert --from-file`` sets ``bound`` on a file of values >= 0;
-# an unmarked stream is read to the horizon.
+# promise, and ``inert --from-file`` sets ``bound`` on its values up to the horizon
+# when they are all >= 0; an unmarked stream is read to the horizon.
 
 def constant(value) -> Callable[[int], Fraction]:
     c = _rational("constant", value)

@@ -24,9 +24,8 @@ from .rationals import write_rows
 from .representatives import Policy, _pick, rep_of_value
 
 
-#: Cells whose representatives one fold keeps at a time.  Absorbed and
-#: pinned streams revisit a handful of cells; a climbing sum meets a new cell
-#: almost every step, so a full memo drops the sums' cells and keeps the inputs'.
+#: Cells that each of a fold's two memos, its sums' and its inputs', holds at a time;
+#: a full memo is emptied whole.  Pinned sums and most inputs revisit a few cells.
 _REP_MEMO_CELLS = 256
 
 
@@ -103,17 +102,18 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
 
     Each step is ``rep_add(s, x)`` computed through cells, on the partition's integer
     scale: the running sum's cell, the input's cell and the cell of the scaled sum of
-    their representatives.  A cell is collapsed once while the memo holds it, a sum's off
-    its span and an input through ``rep_of_value``, and kept as its scaled representative
-    and as a ``Fraction`` for the row; the sum collapsed from a cell lies in that cell.  So from
-    step 2 on, a step's sum and cell depend only on the previous sum's cell and the
-    input's cell: a step that repeats the move of the step before, as every step of a
-    pinned sum does, keeps its result, and an input object repeated from the step before
-    keeps its cell.  A full memo of cells drops the sums' and keeps the inputs', which a
-    climbing sum meets again, until those fill half of it.  Any other input but a
-    ``Fraction`` is read from a memo of its ``Fraction`` and cell, keyed by its value and
-    emptied at ``_REP_MEMO_CELLS`` inputs, so a few distinct values, as sampled payoffs
-    are, are each converted and looked up once; a ``Fraction``'s hash costs more than its lookup.
+    their representatives.  A sum's representative is read off its cell's span and an
+    input's through ``rep_of_value``, but an input in the sum's cell takes the sum's; each
+    lies in its own cell.  Sums and inputs each keep a memo of at most ``_REP_MEMO_CELLS``
+    cells, emptied whole when full: a sum's cell maps to its scaled representative and its
+    ``Fraction`` for the row, and an input's to its scaled representative.  So from step 2
+    on, a step's sum and cell depend only on the previous sum's cell and the input's cell:
+    a step that repeats the move of the step before, as every step of a pinned sum does,
+    keeps its result, and an input object repeated from the step before keeps its cell.
+    Any other input but a ``Fraction`` is read from a memo of its ``Fraction`` and cell,
+    keyed by its value and emptied at ``_REP_MEMO_CELLS`` inputs, so a few distinct values,
+    as sampled payoffs are, are each converted and looked up once; a ``Fraction``'s hash
+    costs more than its lookup.
 
     Inputs are read lazily, so a consumer that stops early reads no further.
     """
@@ -122,26 +122,8 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     span, unscaled = partition.span, partition.unscaled
     make = tuple.__new__  # builds a FoldStep as FoldStep._make does, with no Python frame
-    reps, held = {}, set()  # cell -> (scaled representative, representative); input cells
+    sums, picks = {}, {}  # sum cell -> (scaled pick, pick); input cell -> scaled pick
     inputs = {}  # input that is not a Fraction -> (its Fraction, its cell)
-
-    def collapse(cell, value=None):
-        if len(reps) >= _REP_MEMO_CELLS:  # climbing sums rarely come back, but inputs do
-            if 2 * len(held) >= _REP_MEMO_CELLS:
-                held.clear()
-            kept = [(c, reps[c]) for c in held]
-            reps.clear()
-            reps.update(kept)
-        if value is None:  # a sum's cell
-            scaled = _pick(*span(cell), policy)
-            rep = unscaled(scaled)
-        else:
-            rep = rep_of_value(partition, value, policy)
-            scaled = rep.numerator * (scale // rep.denominator)
-            held.add(cell)
-        hit = reps[cell] = (scaled, rep)
-        return hit
-
     s_cell = moved_from = moved_by = None
     last = object()  # no input is ``last`` before step 1
     for n, raw in enumerate(values, start=1):
@@ -157,12 +139,22 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
                     inputs[raw] = x, (x_cell := index_of(x))
                 else:
                     x, x_cell = hit
-            if n == 1:
-                new_s, new_cell = x, x_cell
+            if n == 1:  # the first sum is the input as given; step 2 adds its cell's pick
+                new_s, new_cell, s_pick = x, x_cell, _pick(*span(x_cell), policy)
             elif s_cell != moved_from or x_cell != moved_by:
-                new_cell = locate((reps.get(s_cell) or collapse(s_cell))[0]
-                                  + (reps.get(x_cell) or collapse(x_cell, x))[0])
-                new_s = (reps.get(new_cell) or collapse(new_cell))[1]
+                if x_cell == s_cell:  # an input in the sum's cell has the sum's pick
+                    x_pick = s_pick
+                elif (x_pick := picks.get(x_cell)) is None:
+                    if len(picks) >= _REP_MEMO_CELLS:
+                        picks.clear()
+                    rep = rep_of_value(partition, x, policy)
+                    x_pick = picks[x_cell] = rep.numerator * (scale // rep.denominator)
+                if (hit := sums.get(new_cell := locate(s_pick + x_pick))) is None:
+                    if len(sums) >= _REP_MEMO_CELLS:
+                        sums.clear()
+                    pick = _pick(*span(new_cell), policy)
+                    hit = sums[new_cell] = pick, unscaled(pick)
+                s_pick, new_s = hit  # the new sum's scaled pick and representative
                 moved_from, moved_by = s_cell, x_cell
             # else this is the move of the step before, whose result new_s, new_cell still hold
         except CoarseError as exc:

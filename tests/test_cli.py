@@ -470,6 +470,19 @@ def test_inert_certifies_a_bound_that_holds_at_its_edge(stream, bound, tmp_path,
     assert json.loads(out)["certified"] is True
 
 
+def test_inert_checks_a_files_bound_on_its_values_up_to_the_horizon(tmp_path, capsys):
+    path = tmp_path / "late.txt"
+    path.write_text("1/2\n1/2\n5\n" + "1/2\n" * 20)
+    argv = ["inert", "--eps", "10", "--from-file", str(path), "--bound", "1/2"]
+    code, out, err = run([*argv, "--horizon", "2"], capsys)
+    assert (code, err) == (0, "")   # the 5 lies past the horizon
+    assert json.loads(out) == {"outcome": "inert", "N": 6, "cell": 6, "value": "11/5",
+                               "horizon": 2, "certified": True}
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: increment bound 1/2 does not hold for this stream\n"
+
+
 @pytest.mark.parametrize("values, first", [(["1", "-1/2"], "-1/2"), (["-1/2", "1/2"], "-1/4")],
                          ids=["ratio", "coefficient"])
 def test_either_geometric_value_may_be_a_negative_rational(values, first, capsys):

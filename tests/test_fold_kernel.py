@@ -561,6 +561,17 @@ def test_a_bounded_stream_stops_where_its_sum_cell_absorbs_the_bound():
     assert verdict == detect_inert_trace(ctx.fold(values))
 
 
+def test_a_bounded_stream_is_checked_against_an_increment_bound_by_its_bound_alone():
+    ctx = CoarseContext(EpsilonGrowth(10))
+    values = [F(1, 3), F(1, 2), F(2, 5)] * 2000
+    stream, read = bounded(values)
+    verdict = detect_inert_stream(ctx, stream, len(values), increment_bound=F(1, 2))
+    assert (verdict.certified, verdict.cell_index, verdict.fixed_value) == (True, 6, F(11, 5))
+    with pytest.raises(ValueError, match="increment bound 2/5 does not hold"):
+        detect_inert_stream(ctx, stream, len(values), increment_bound=F(2, 5))
+    assert read == []
+
+
 @pytest.mark.parametrize("spec, values, error", [
     # the sum stands still in cell 1 from step 2, and 4 lies past the last bound
     (ExplicitBounds((0, 1, 3), Domain.REALS), [F(1, 2)] * 5 + [F(4)],
@@ -793,10 +804,11 @@ def test_a_climbing_fold_collapses_each_input_cell_once_while_the_memo_has_room(
     collapsed = count_collapses(monkeypatch)
     steps = ctx.fold(values)
     monkeypatch.undo()
-    # one collapse per input cell, 84 of them; a memo emptied whole when full made 822
+    # one collapse per input cell, 84 of them; one memo shared with the sums and emptied
+    # whole when full made 822
     assert len(collapsed) <= len(input_cells) < 100
     assert steps == rep_add_fold(ctx, values)
-    # the sums pass many memos' worth of cells; the inputs' fill less than half of one
+    # the sums pass many memos' worth of cells; the inputs' fit in less than half of one
     assert len({step.s_cell for step in steps}) > 4 * ops._REP_MEMO_CELLS
     assert 2 * len(input_cells) < ops._REP_MEMO_CELLS
 
@@ -807,29 +819,85 @@ def spread_ints(n, seed=2):
     return [rng.randint(0, 5000) for _ in range(n)]
 
 
-@pytest.mark.parametrize("spec, draw", [
-    (EpsilonGrowth(10), lambda: epsilon_climb(10**5)),   # the memo keeps the inputs' 84 cells
-    (FixedWidth(1), lambda: spread_ints(3 * 10**4)),
+@pytest.mark.parametrize("spec, draw, few", [
+    (EpsilonGrowth(10), lambda: epsilon_climb(10**5), True),   # inputs in 84 cells
+    (FixedWidth(1), lambda: spread_ints(3 * 10**4), False),    # inputs in about 5000 cells
 ], ids=["inputs-in-few-cells", "inputs-in-many-cells"])
 def test_the_representative_memo_never_holds_more_than_its_bound_over_a_long_climb(
-        spec, draw, monkeypatch):
+        spec, draw, few, monkeypatch):
     ctx, values, collapsed = CoarseContext(spec), draw(), count_collapses(monkeypatch)
     steps = _fold_steps(ctx, values)
     trace = [next(steps)]
-    reps = steps.gi_frame.f_locals["reps"]  # the fold's memo of cells; emptied in place
-    most = 0
+    local = steps.gi_frame.f_locals  # the fold's memos of sum and input cells, emptied in place
+    memos = {name: local[name] for name in ("sums", "picks")}
+    most, emptied, size = ({name: 0 for name in memos} for _ in range(3))
     for step in steps:
         trace.append(step)
-        most = max(most, len(reps))
+        for name, memo in memos.items():
+            emptied[name] += len(memo) < size[name]
+            size[name] = len(memo)
+            most[name] = max(most[name], size[name])
     monkeypatch.undo()
     assert tuple(trace[:20_000]) == rep_add_fold(ctx, values[:20_000])
     assert trace[-1].s_cell > 100 * ops._REP_MEMO_CELLS   # it climbed
-    assert most == ops._REP_MEMO_CELLS   # the memo filled, and was emptied there
+    assert max(most.values()) <= ops._REP_MEMO_CELLS
+    assert most["sums"] == ops._REP_MEMO_CELLS and emptied["sums"]  # filled, emptied there
     input_cells = set(map(spec.index_of, values[1:]))
-    if 2 * len(input_cells) < ops._REP_MEMO_CELLS:
-        assert len(collapsed) <= len(input_cells)   # and kept every input's cell
+    assert (len(input_cells) < ops._REP_MEMO_CELLS) is few
+    if few:   # every input cell stays in the memo, collapsed once
+        assert not emptied["picks"]
+        assert len(collapsed) == len(set(map(spec.index_of, collapsed))) <= len(input_cells)
     else:
-        assert len(collapsed) > len(input_cells)
+        assert most["picks"] == ops._REP_MEMO_CELLS and emptied["picks"]
+
+
+def swinging(ctx, n, seed=3):
+    """n values whose fold swings about 0: each input of 1..9 points back toward 0, so
+    the sum moves down and back up through the same cells."""
+    rng, s, values = random.Random(seed), F(7), [F(7)]
+    for _ in range(n - 1):
+        values.append(F(rng.randint(1, 9)) * (-1 if s > 0 else 1))
+        s = ctx.rep_add(s, values[-1])
+    return values
+
+
+SWINGING = [(ExplicitBounds(tuple(range(-60, 61, 4)), Domain.REALS),),
+            (ExplicitBounds((-20, -4, 0, 3, 6, 9, 12, 15, 18, 21)),)]
+
+
+@pytest.mark.parametrize("spec, policy", under_policies(SWINGING, ["real", "int"]))
+def test_a_sum_that_moves_down_and_back_up_folds_as_rep_add_does(spec, policy):
+    ctx = CoarseContext(spec, policy)
+    values = swinging(ctx, 300)
+    trace = ctx.fold(values)
+    assert trace == rep_add_fold(ctx, values)
+    cells = [step.s_cell for step in trace]
+    moves = list(zip(cells, cells[1:]))
+    assert any(b < a for a, b in moves) and any(b > a for a, b in moves)
+    assert len(set(cells)) < 10   # the sum comes back to cells it left
+
+
+@pytest.mark.parametrize("spec, values", [
+    (FixedWidth(7), [F(1), F(2), F(0)] * 40),              # inputs in the sum's cell
+    (Fibonacci(), [F(1)] + [F(1), F(0)] * 40),             # inputs in two cells take turns
+    (EpsilonGrowth(F(10)), [F(1000)] + [F(1, 2), F(3)] * 40),
+], ids=["fixed-width", "fibonacci", "epsilon"])
+def test_a_pinned_sums_rows_share_one_s_object(spec, values):
+    trace = CoarseContext(spec).fold(values)
+    assert trace == rep_add_fold(CoarseContext(spec), values)
+    assert all(step.absorbed for step in trace[2:])   # pinned from step 2
+    assert len({id(step.s) for step in trace[1:]}) == 1
+
+
+def test_an_input_in_the_sums_cell_takes_the_sums_representative(monkeypatch):
+    ctx, values = CoarseContext(Fibonacci()), [F(2**t) for t in range(1, 401)]
+    collapsed = count_collapses(monkeypatch)
+    trace = ctx.fold(values)
+    monkeypatch.undo()
+    assert trace == rep_add_fold(ctx, values)
+    in_sum_cell = [step.x for prev, step in zip(trace, trace[1:]) if step.x_cell == prev.s_cell]
+    assert len(in_sum_cell) > 100
+    assert not any(v is x for v in collapsed for x in in_sum_cell)
 
 
 def forbid_fraction_arithmetic_and_cells(monkeypatch):
