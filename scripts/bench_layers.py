@@ -64,12 +64,18 @@ below) runs once more per tree under ``tracemalloc``, and its peak of traced Pyt
 memory is written beside it as ``cli_peak_traced_kb``, with its ratio.  The trees take
 turns on each run; the start-up commands, one short command per subcommand and one
 usage error, which argparse answers, run ``IMPORT_RUNS`` times per tree and round, the
-long ones once.  A command's ``{name}`` fields name the seeded files and flag text of
+long ones once.  Start-up is mostly compiling, so the start-up rows -- ``import coarsesum.cli``
+and each command of ``CLI_RUNS`` run ``IMPORT_RUNS`` times -- also time every sample
+from a copy of the tree that ``compileall`` has byte-compiled, in a temporary directory
+and never in the tree itself, right after the sample from the tree: that is
+``cli_bytecode_us``, and ``compile_share`` is 1 minus its median over the median of the
+row's own entry, ``import_us`` or ``cli_run_us``: the share of start-up spent compiling
+coarsesum.  A command's ``{name}`` fields name the seeded files and flag text of
 ``fold_inputs``.  Every run of a command must print the stdout of
 its first run on the first tree; the run names each command that differs, and
-exits 1.  Start-up depends on bytecode caching, so delete ``__pycache__`` in every tree
-and set ``PYTHONDONTWRITEBYTECODE=1`` to time what each command of the benchmark
-pays.
+exits 1.  Start-up depends on bytecode caching, so every child runs with
+``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs each command; delete ``__pycache__``
+in every tree to time what each command of the benchmark pays.
 
 The output JSON holds the machine, the Python version, every tree's entries
 and, with two or more trees, each later tree's medians and minimums divided
@@ -85,10 +91,13 @@ library is used (``timeit``).
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import platform
+import py_compile
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -342,10 +351,23 @@ def worker(src: str, part: str) -> dict:
 
 
 def tree_env(src: str) -> dict:
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
                                                  if env.get("PYTHONPATH") else []))
     return env
+
+
+def byte_compiled(src: str, work: str) -> str:
+    """A copy of ``src``'s ``coarsesum`` package under ``work``, byte-compiled, with no
+    bytecode of ``src``'s own: the tree a start-up row's ``cli_bytecode_us`` runs from."""
+    tree = tempfile.mkdtemp(dir=work)
+    package = os.path.join(tree, "coarsesum")
+    shutil.copytree(os.path.join(src, "coarsesum"), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if not compileall.compile_dir(package, quiet=1,
+                                  invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP):
+        raise RuntimeError(f"{src}: coarsesum does not compile")
+    return tree
 
 
 def import_seconds(src: str) -> float:
@@ -391,37 +413,52 @@ def main(argv=None) -> int:
         label, _, path = item.rpartition("=")
         trees[label or path] = os.path.abspath(path)
     samples = {label: {} for label in trees}  # label -> family -> key -> per-round values
-    imports = {label: [] for label in trees}
-    runs = {label: {command: {"cli_run_us": [], "cli_peak_rss_kb": []} for command in CLI_RUNS}
+    imports = {label: {"import_us": [], "cli_bytecode_us": []} for label in trees}
+    runs = {label: {command: {"cli_run_us": [], "cli_peak_rss_kb": [],
+                              **({"cli_bytecode_us": []} if count == IMPORT_RUNS else {})}
+                    for command, count in CLI_RUNS.items()}
             for label in trees}
     stdout, differing = {}, set()  # command -> the first run's stdout; (command, label)
     work = tempfile.TemporaryDirectory()
     fields = fold_inputs(work.name)
+    compiled = {label: byte_compiled(path, work.name) for label, path in trees.items()}
     for r in range(args.rounds):
         order = list(trees) if r % 2 == 0 else list(reversed(trees))
         for _ in range(IMPORT_RUNS):
             for label in order:
-                imports[label].append(import_seconds(trees[label]) * 1e6)
+                imports[label]["import_us"].append(import_seconds(trees[label]) * 1e6)
+                imports[label]["cli_bytecode_us"].append(import_seconds(compiled[label]) * 1e6)
         for command, count in CLI_RUNS.items():
             for peak in [None] * count + ["cli_peak_rss_kb"]:
                 for label in order:
-                    key, value, out = cli_run(trees[label], command.format(**fields), peak)
-                    runs[label][command][key].append(value)
-                    if stdout.setdefault(command, out) != out:
-                        differing.add((command, label))
+                    # a start-up row's timed run is followed by one from the compiled copy
+                    copies = [(trees[label], None)]
+                    if peak is None and count == IMPORT_RUNS:
+                        copies.append((compiled[label], "cli_bytecode_us"))
+                    for tree, entry in copies:
+                        key, value, out = cli_run(tree, command.format(**fields), peak)
+                        runs[label][command][entry or key].append(value)
+                        if stdout.setdefault(command, out) != out:
+                            differing.add((command, label))
         for part in PARTS:
             for label in order:
                 for family, entries in worker(trees[label], part).items():
                     for key, value in entries.items():
                         samples[label].setdefault(family, {}).setdefault(key, []).append(value)
-    for label, values in imports.items():
-        samples[label]["import coarsesum.cli"] = {"import_us": values}
+    for label, entries in imports.items():
+        samples[label]["import coarsesum.cli"] = entries
         for command, entries in runs[label].items():
             samples[label][CLI_FAMILY + command] = entries
     result = {label: {family: {key: spread(values) if key.endswith(SPREAD_KEYS) else values[0]
                                for key, values in entries.items()}
                       for family, entries in families.items()}
               for label, families in samples.items()}
+    for families in result.values():  # the share of a start-up row's median spent compiling
+        for entries in families.values():
+            if "cli_bytecode_us" in entries:
+                source = entries.get("import_us") or entries["cli_run_us"]
+                entries["compile_share"] = round(
+                    1 - entries["cli_bytecode_us"]["median"] / source["median"], 3)
     report = {
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "processor": cpu_model() or platform.processor() or None, "cpus": os.cpu_count()},
@@ -432,7 +469,8 @@ def main(argv=None) -> int:
                   f"{CALL_REPEAT} passes / calls (rows: / rows); import: {IMPORT_RUNS} "
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
                   f"per tree and round for each start-up command, 1 for each long command, taken in turns, "
-                  f"and 1 more untimed run of each for its peak RSS; a command whose peak "
+                  f"each start-up sample followed by one from a byte-compiled copy of its "
+                  f"tree, and 1 more untimed run of each for its peak RSS; a command whose peak "
                   f"RSS has risen: 1 more run per tree for its tracemalloc peak",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": result,

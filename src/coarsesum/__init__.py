@@ -12,10 +12,9 @@ import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .errors import CoarseError, DomainError, OutOfRangeError, SpecError
-from .ops import CoarseContext, FoldStep, FoldTrace
 from .partitions import Cell, Domain, Partition, build_partition
 from .rationals import format_decimal, format_rational, parse_rational
-from .representatives import Policy, margin_pos, rep_of_cell, rep_of_value
+from .representatives import CoarseContext, Policy, margin_pos, rep_of_cell, rep_of_value
 
 
 def _register_lazily(name: str):
@@ -29,11 +28,13 @@ def _register_lazily(name: str):
 def __getattr__(name: str):  # public names not bound here: partitions' families, the modules' below
     if name not in __all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(next(m for m in (partitions, inertness, stpetersburg) if hasattr(m, name)), name)
+    # each module imports the ones before it, so a read runs no module its owner does not
+    owners = (partitions, ops, inertness, stpetersburg)
+    return getattr(next(m for m in owners if hasattr(m, name)), name)
 
 
-# A command that never reads these two does not compile them.
-inertness, stpetersburg = map(_register_lazily, ("inertness", "stpetersburg"))
+# A command that never reads these three does not compile them: `partition` folds nothing.
+ops, inertness, stpetersburg = map(_register_lazily, ("ops", "inertness", "stpetersburg"))
 __dir__ = lambda: sorted({*globals(), *__all__})
 __version__ = "0.1.0"
 

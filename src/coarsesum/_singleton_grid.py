@@ -1,6 +1,6 @@
 """The SingletonGrid family; see :mod:`coarsesum.partitions`."""
 
-from __future__ import annotations
+from fractions import Fraction
 
 from .errors import DomainError, SpecError
 from .partitions import Domain, Partition, _below, _rational, _settle

@@ -14,20 +14,17 @@ decimals; JSON output renders rationals as ``p/q`` strings, tables render
 them as decimals.
 """
 
-from __future__ import annotations
-
 import gc
 import os
 import sys
 from types import SimpleNamespace
 
-# inertness, stpetersburg and each family of partitions are compiled at their first read
-from . import inertness, partitions, stpetersburg
+# ops, inertness, stpetersburg and each family of partitions are compiled at their first read
+from . import inertness, ops, partitions, stpetersburg
 from .errors import CoarseError
-from .ops import CoarseContext, FoldStep
 # format_decimal is unused here, but the tracer test in bench/tests checks its patch here
 from .rationals import format_decimal, parse_rational, write_rows  # noqa: F401
-from .representatives import Policy, rep_of_cell
+from .representatives import CoarseContext, Policy, rep_of_cell
 
 
 def _partition_from_args(args):
@@ -64,7 +61,8 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _read_values(path: str | None):
+def _read_values(path: str | None, limit: int | None = None):
+    """The numbers of a file or stdin, one a line, parsed up to the first ``limit``."""
     if path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -73,7 +71,7 @@ def _read_values(path: str | None):
     values, parsed = [], {}  # each distinct text is parsed once
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if not stripped or stripped[0] == "#":  # an index costs less than a method call
             continue
         value = parsed.get(stripped)
         if value is None:
@@ -82,6 +80,8 @@ def _read_values(path: str | None):
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
         values.append(value)
+        if len(values) == limit:  # no later line is parsed: a malformed one there fails nothing
+            break
     if not values:
         raise ValueError("no numbers in input")
     return values
@@ -89,7 +89,7 @@ def _read_values(path: str | None):
 
 def cmd_fold(args) -> int:
     ctx = _context_from_args(args)
-    print(write_rows(FoldStep._fields, ctx.fold(_read_values(args.input)), args.format))
+    print(write_rows(ops.FoldStep._fields, ctx.fold(_read_values(args.input)), args.format))
     return 0
 
 
@@ -103,7 +103,7 @@ def cmd_inert(args) -> int:
     elif args.geometric is not None:
         gen = inertness.geometric(*args.geometric)
     else:
-        values = _read_values(args.from_file)[:horizon]  # the stream and its bound mark
+        values = _read_values(args.from_file, horizon)  # the stream and its bound mark
         horizon = len(values)
         gen = lambda t: values[t - 1]
         if min(distinct := {id(v): v for v in values}.values()) >= 0:  # one object a text

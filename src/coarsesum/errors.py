@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 
 class CoarseError(Exception):
     """Base class for every error raised by this package.

@@ -21,17 +21,15 @@ cell the sums never pass, not the cell or step where the fold settles, which
 can lie well below it.  See ``detect_inert_stream``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import count
 from typing import Callable, NamedTuple
 
 from .errors import OutOfRangeError
-from .ops import CoarseContext, FoldTrace, _fold_steps
+from .ops import FoldTrace, _fold_steps
 from .partitions import _REALS, Partition, _rational
 from .rationals import format_decimal, format_rational
-from .representatives import _MAX, Policy, _pick
+from .representatives import _MAX, CoarseContext, Policy, _pick
 
 
 class InertVerdict(NamedTuple):

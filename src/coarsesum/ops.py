@@ -1,27 +1,19 @@
-"""Coarse addition operators and left-associative coarse folds.
+"""Left-associative coarse folds: the one fold kernel and the records it writes.
 
-Both operators collapse every operand to its cell representative before
-adding, then collapse the exact sum once more:
-
-* value form:  x (+) y  =  rep(rep(x) + rep(y))
-* cell form:   i (+) k  =  index of the cell holding rep(cell i) + rep(cell k)
-
-They are commutative but in general not associative, so folds are defined
-strictly left to right; the first partial sum is the first raw input,
+The operators of :class:`CoarseContext` (kept in :mod:`coarsesum.representatives`
+and served here too) are commutative but in general not associative, so folds are
+defined strictly left to right; the first partial sum is the first raw input,
 uncollapsed.  A cell "absorbs" another when their cell sum is the left cell
 itself; once the running sum sits in a cell that absorbs every further
-increment, it stops moving.
+increment, it stops moving.  Only a command that folds compiles this module.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import CoarseError, SpecError
-from .partitions import Partition, _cell_index, _Frozen, _settle
+from .errors import CoarseError
 from .rationals import write_rows
-from .representatives import Policy, _pick, rep_of_value
+from .representatives import CoarseContext, _pick, rep_of_value
 
 
 #: Cells that each of a fold's two memos, its sums' and its inputs', holds at a time;
@@ -50,51 +42,6 @@ class FoldTrace(tuple):
 
     def to_csv(self) -> str:
         return write_rows(FoldStep._fields, self, "csv")
-
-
-class CoarseContext(_Frozen):
-    """A partition plus a representative policy: everything the operators need.
-
-    Every pick lies in its own cell, so a collapse never moves a value to another cell.
-    Min is refused where cells are open below, since their infimum lies in the cell below.
-    """
-
-    _fields = ("partition", "policy")
-
-    def __init__(self, partition: Partition, policy: Policy = Policy.MEDIAN_LOWER):
-        if not isinstance(policy, Policy):
-            raise SpecError(f"policy: expected a Policy member, got {policy!r}")
-        if (policy is Policy.MIN and partition.max_index != 1
-                and not partition.cell_at(2).lower_closed):
-            raise SpecError(f"policy: min is refused on {type(partition).__name__}, whose cells "
-                            "are open below: a cell's infimum lies in the cell below")
-        _settle(self, partition=partition, policy=policy)
-
-    def normalize(self, value) -> Fraction:
-        """rep-of-cell-of: the collapsed form of a value."""
-        return rep_of_value(self.partition, value, self.policy)
-
-    def rep_add(self, x, y) -> Fraction:
-        """Coarse addition on values: collapse, add exactly, collapse again."""
-        return self.normalize(self.normalize(x) + self.normalize(y))
-
-    def cell_add(self, i: int, k: int) -> int:
-        """Coarse addition on cell indexes, read off their integer spans."""
-        span, policy = self.partition.span, self.policy
-        return self.partition.index_scaled(_pick(*span(_cell_index(i)), policy)
-                                           + _pick(*span(_cell_index(k)), policy))
-
-    def fold(self, values: Iterable) -> FoldTrace:
-        """Left-associative coarse partial sums over a finite sequence.
-
-        The first partial sum is the first input as given; later steps
-        collapse.  Raises on an empty sequence, and range and domain errors
-        surfacing mid-fold carry the failing 1-based step index.
-        """
-        trace = FoldTrace(_fold_steps(self, values))
-        if not trace:
-            raise ValueError("cannot fold an empty sequence")
-        return trace
 
 
 def _fold_steps(ctx: CoarseContext, values: Iterable):

@@ -42,8 +42,6 @@ index, so concurrent queries for the same cell always agree.  Explicit
 families are finite and refuse indexes beyond their last cell.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from fractions import Fraction
 from importlib import import_module

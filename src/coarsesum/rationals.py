@@ -6,8 +6,6 @@ decimal rendering used in human-readable tables, and the one writer of rows, kep
 ``_rows`` and compiled at its first call.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 

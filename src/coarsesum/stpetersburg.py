@@ -14,8 +14,6 @@ finite and growing with eps, is the certified value; the fold itself pins
 at sum 1/4, in cell 1, from step 2, for every eps.
 """
 
-from __future__ import annotations
-
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -25,9 +23,9 @@ from typing import NamedTuple
 
 from .errors import SpecError
 from .inertness import InertVerdict, constant, detect_inert_stream, detect_inert_trace
-from .ops import CoarseContext
 from .partitions import EpsilonGrowth
 from .rationals import format_decimal, format_rational
+from .representatives import CoarseContext
 
 #: Deterministic counter-based generator used for all sampling.
 RNG_ALGORITHM = "numpy-philox4x64"

@@ -398,6 +398,25 @@ def test_inert_from_file_clamps_horizon(tmp_path, capsys):
     assert (d["N"], d["cell"], d["value"], d["horizon"]) == (2, 3, "11/1", 5)
 
 
+@pytest.mark.parametrize("tail", ["", "not a number\n", "# a comment\n\n1/0\n"],
+                         ids=["whole", "malformed", "comment-then-malformed"])
+def test_inert_from_file_parses_no_line_past_the_horizon(tail, tmp_path, capsys):
+    # The verdict is that of the fold of the first two values, judged to a horizon of 2;
+    # no line after the second value is parsed, so a malformed one there fails nothing.
+    from coarsesum import detect_inert_trace
+    path = tmp_path / "stream.txt"
+    path.write_text("# two values, then the tail\n1/4\n\n1/4\n" + tail)
+    code, out, err = run(["inert", "--eps", "10", "--from-file", str(path),
+                          "--horizon", "2"], capsys)
+    want = detect_inert_trace(CoarseContext(EpsilonGrowth(10)).fold([F(1, 4)] * 2))
+    assert (code, err, json.loads(out)) == (0, "", want.to_json_dict())
+    assert want.n_stable == 1
+    assert _read_values(str(path), 2) == [F(1, 4)] * 2
+    if tail:  # read to its end, the file fails at its malformed line
+        with pytest.raises(ValueError, match="line (5|7): not a rational"):
+            _read_values(str(path))
+
+
 @pytest.mark.parametrize("lines, bound", [
     (["1/2", "1/2", "5", "1/2"], F(5)),      # the largest value comes after the sum stood still
     (["0", "0"], F(0)),

@@ -146,10 +146,12 @@ def test_cli_import_loads_every_module_and_not_dataclasses():
 
 def test_inertness_and_stpetersburg_run_only_when_a_command_reads_them(tmp_path):
     # registered lazily, a module is run at its first attribute read; until then its
-    # dict holds none of its own names
+    # dict holds none of its own names.  `partition` folds nothing, so it runs none of
+    # the three; the fold kernel in ops runs for every command that folds.
     code = ("import sys, coarsesum.cli as cli\n"
             "def ran():  # a name each module defines, read without running the module\n"
-            "    own = {'inertness': 'harmonic', 'stpetersburg': 'coarse_value'}\n"
+            "    own = {'ops': 'FoldStep', 'inertness': 'harmonic',\n"
+            "           'stpetersburg': 'coarse_value'}\n"
             "    return [m for m, name in own.items() if name in\n"
             "            object.__getattribute__(sys.modules['coarsesum.' + m], '__dict__')]\n"
             "print(ran())\n"
@@ -163,13 +165,42 @@ def test_inertness_and_stpetersburg_run_only_when_a_command_reads_them(tmp_path)
                           check=True)
     assert proc.stdout.splitlines()[0] == "[]"
     assert proc.stderr.splitlines() == [
-        "[]", "[]", "['inertness']", "['inertness', 'stpetersburg']"]
+        "[]", "['ops']", "['ops', 'inertness']", "['ops', 'inertness', 'stpetersburg']"]
 
 
-#: The public names the package serves from its two lazily registered modules, and the
+def test_every_module_imports_and_every_public_name_resolves_in_a_fresh_interpreter():
+    # Annotations are evaluated where they are written, so a name that only an
+    # annotation reads must be imported: each module, each family's included, is
+    # run afresh here, and each public name read.  Reading a fold record runs ops
+    # alone, and the package serves the one CoarseContext of representatives.
+    code = ("import importlib, pkgutil, sys, coarsesum\n"
+            "records = coarsesum.FoldStep, coarsesum.FoldTrace\n"
+            "own = {'ops': 'FoldStep', 'inertness': 'harmonic', 'stpetersburg': 'coarse_value'}\n"
+            "print([m for m, name in own.items() if name in\n"
+            "       object.__getattribute__(sys.modules['coarsesum.' + m], '__dict__')])\n"
+            "for info in pkgutil.iter_modules(coarsesum.__path__):\n"
+            "    importlib.import_module('coarsesum.' + info.name)\n"
+            "    print(info.name)\n"
+            "missing = [n for n in coarsesum.__all__ if getattr(coarsesum, n, None) is None]\n"
+            "print('missing', missing)\n"
+            "from coarsesum import ops, representatives\n"
+            "print(coarsesum.CoarseContext is representatives.CoarseContext is ops.CoarseContext)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "['ops']"
+    assert sorted(lines[1:-2]) == sorted(
+        ["_epsilon_growth", "_explicit_bounds", "_fibonacci", "_fixed_width", "_rows",
+         "_singleton_grid", "_usage", "cli", "errors", "inertness", "ops", "partitions",
+         "rationals", "representatives", "stpetersburg"])
+    assert lines[-2:] == ["missing []", "True"]
+
+
+#: The public names the package serves from its three lazily registered modules, and the
 #: families, which ``partitions`` serves from a module of each family's own.
 LAZY_NAMES = {
     "partitions": ["EpsilonGrowth", "ExplicitBounds", "Fibonacci", "FixedWidth", "SingletonGrid"],
+    "ops": ["FoldStep", "FoldTrace"],
     "inertness": ["InertVerdict", "constant", "detect_inert_stream", "detect_inert_trace",
                   "first_absorbing_cell", "geometric", "harmonic"],
     "stpetersburg": ["INCREMENT_BOUND", "RNG_ALGORITHM", "ComparisonReport",
