@@ -121,9 +121,10 @@ IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
                 "print(time.perf_counter() - t)")
 #: Whole-process commands, and their runs per tree and round: start-up, a short command
 #: of each subcommand (the ``{short}`` file holds 20 lines) and a usage error, then the
-#: long ``inert`` streams that stop at their first absorbed step, the certificate's
-#: scan (600,634 cells) and a climbing fold to the horizon, sampling, as the
-#: benchmark's stpete-sampled workload does and at 1e5 trials, and long folds.
+#: long ``inert`` streams that stop at their first absorbed step, a constant under a
+#: large ``--bound``, which stops at its fixed point and scans for no cell, and a
+#: climbing fold to the horizon, sampling, as the benchmark's stpete-sampled workload
+#: does and at 1e5 trials, and long folds.
 CLI_RUNS = {
     "partition --width 3 --cells 1": IMPORT_RUNS,
     "fold --fibonacci --input {short}": IMPORT_RUNS,

@@ -15,15 +15,19 @@ extra commands follows: ``partition``, ``fold`` and ``inert`` in every
 the row writer is compared under every policy; then ``inert`` in both formats
 on the streams no workload reaches: a geometric stream that settles with and
 without ``--bound``, a constant geometric one, a growing one, the two
-constant streams whose certificate stops at cell 1 because every cell has the
-same margins, the harmonic stream on real ``--bounds`` whose cell of 0 has a
-negative representative, the harmonic and a geometric stream on real
-``--bounds`` from 0, where a stream that states its top stops early, and the
-two ``--bound`` streams on ``--bounds`` below 0 whose certificate no longer
-applies: ``--bounds=-20,-4,0,3,6,9,12,15,18,21 --const 1 --bound 1``, where the
-first absorbing cell lies below the cell of 0, and
+constant streams with ``--bound`` on families whose cells all have the same
+margins, which stop at their fixed point, the harmonic stream on real
+``--bounds`` whose cell of 0 has a negative representative, the harmonic and
+a geometric stream on real ``--bounds`` from 0, where a stream that states its
+top stops early, the two ``--bound`` streams on ``--bounds`` below 0 that only
+their fixed point certifies: ``--bounds=-20,-4,0,3,6,9,12,15,18,21 --const 1
+--bound 1``, where the paper's strict cell lies below the cell of 0, and
 ``--bounds=-53/2,-7,3/2,41/3,23,27 --domain real --const 2 --bound 2``, where 0
-collapses below 0; then ``stpete`` at an ``--eps`` of 1 (also with sampling),
+collapses below 0, streams whose top lies outside the family, which fail at
+step 1 (a top of 1/2 on ``--width``, 1 past real ``--bounds 0,1/2``), and
+``--geometric 64 1/2 --bound 64`` on ``--width 100`` and ``--fibonacci``, which
+fail at step 7 on 1/2, as they do without ``--bound``;
+then ``stpete`` at an ``--eps`` of 1 (also with sampling),
 0 and -1, below the 2 under which the closed form and the margin scan
 disagree, where no workload reaches; then ``stpete`` at ``--eps 10`` sampling
 with ``--truncation 1`` as a table and ``--truncation 3`` as JSON: every workload
@@ -82,10 +86,11 @@ FAMILIES = {
 }
 CLOSED = ("width", "fibonacci", "bounds", "grid")
 #: ``inert`` streams no workload reaches: the geometric settling and growing paths,
-#: the certificate's stop on families whose cells all have the same margins, and
+#: fixed points under a bound on families whose cells all have the same margins,
 #: streams with a top on real explicit cells, where 0's cell collapses below 0 (the
 #: fold falls again at step 6, so it must not stop at its first absorbed step) or to 0,
-#: and bounds whose certificate would name a cell below every sum, or below 0.
+#: bounds whose strict cell lies below every sum, or below 0, tops outside the family,
+#: and bounds on integer families, which are read on to a later value that fails.
 INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          ("--eps", "10", "--geometric", "5", "1/2"), ("--width", "3", "--geometric", "1", "1"),
          ("--eps", "10", "--geometric", "2", "3"), ("--width", "3", "--const", "1", "--bound", "1"),
@@ -96,7 +101,11 @@ INERT = (("--eps", "10", "--geometric", "1", "1/2", "--bound", "1/2"),
          (*FAMILIES["bounds-real"], "--geometric", "5", "1/2"),
          ("--bounds=-20,-4,0,3,6,9,12,15,18,21", "--const", "1", "--bound", "1"),
          ("--bounds=-53/2,-7,3/2,41/3,23,27", "--domain", "real", "--const", "2",
-          "--bound", "2"))
+          "--bound", "2"),
+         ("--width", "3", "--geometric", "1", "1/2"),
+         ("--bounds", "0,1/2", "--domain", "real", "--harmonic"),
+         ("--width", "100", "--geometric", "64", "1/2", "--bound", "64"),
+         ("--fibonacci", "--geometric", "64", "1/2", "--bound", "64"))
 #: Trial counts around the sampler's batch edges: a batch holds at most 4096 blocks of
 #: four words, so draws end one word before, at and one word after one full batch, and
 #: just past two.

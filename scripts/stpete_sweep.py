@@ -2,14 +2,14 @@
 """Sweep the cell-growth rate and tabulate the gamble's absorbing cell.
 
 For each eps the expected-increment stream of the doubling gamble (one exact
-1/2 per round) is valued on the EpsilonGrowth(eps) partition: the closed-form
-absorbing cell floor(eps/2) + 1 is printed next to the strict margin scan and
-the representative of the scanned cell, the certified verdict's value, so the
-table doubles as a regression sweep for their agreement.  Below eps = 2 the
-two differ, and the row says NO.  The sums never
-pass that cell, but it is not where they settle: a fold of the 1/2 stream
-pins at cell 1, value 1/4, from step 2, for every eps.  Optionally draws
-payoffs and folds them for comparison.
+1/2 per round) is valued on the EpsilonGrowth(eps) partition: the paper's
+closed-form absorbing cell floor(eps/2) + 1 is printed next to its strict
+margin scan and the representative of the scanned cell, so the table doubles
+as a regression sweep for their agreement.  Below eps = 2 the two differ, and
+the row says NO.  The sums never pass that cell, but it is not where they
+settle: the last column is the certified value of the fold itself, which pins
+at 1/4, in cell 1, from step 2, for every eps.  Optionally draws payoffs and
+folds them for comparison.
 
 Usage:
     python3 scripts/stpete_sweep.py
@@ -19,7 +19,8 @@ Usage:
 import argparse
 from fractions import Fraction
 
-from coarsesum import coarse_value, compare_valuations, format_decimal, parse_rational
+from coarsesum import (EpsilonGrowth, coarse_value, compare_valuations, format_decimal,
+                       parse_rational, rep_of_cell)
 
 
 def main() -> None:
@@ -40,14 +41,18 @@ def main() -> None:
     if step <= 0 or lo <= 0:
         ap.error("need --step > 0 and --eps-from > 0")
 
+    # formula, scan, agree and the strict cell's rep describe the paper's strict cell
     print(f"{'eps':>8}  {'formula':>7}  {'scan':>4}  {'agree':>5}  "
-          f"{'absorbing rep':>13}  {'classical sum':>13}")
+          f"{'strict cell rep':>15}  {'fold settles at':>15}  {'classical sum':>13}")
     eps = lo
     while eps <= hi:
         r = coarse_value(eps, depth=args.depth)
+        strict = rep_of_cell(EpsilonGrowth(eps).cell_at(r.cell_from_scan))
+        v = r.verdict
+        settles = format_decimal(v.fixed_value) if v.certified else "-"
         print(f"{format_decimal(eps):>8}  {r.cell_from_formula:>7}  "
               f"{r.cell_from_scan:>4}  {'yes' if r.agreement else 'NO':>5}  "
-              f"{format_decimal(r.verdict.fixed_value):>13}  "
+              f"{format_decimal(strict):>15}  {settles:>15}  "
               f"{format_decimal(r.classical_sum):>13}")
         eps += step
 

@@ -61,15 +61,23 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _read_values(path: str | None, limit: int | None = None):
-    """The numbers of a file or stdin, one a line, parsed up to the first ``limit``."""
+def _lines(path: str | None):
+    """The lines of a file or stdin, read as they are asked for: each ends at \\n, \\r\\n or \\r."""
     if path in (None, "-"):
-        text = sys.stdin.read()
+        try:
+            sys.stdin.reconfigure(newline=None)  # as a file is opened
+        except (AttributeError, ValueError):  # a stand-in stream, or one already read from
+            pass
+        yield from iter(sys.stdin.readline, "")  # ``yield from sys.stdin`` would close it
     else:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            yield from fh
+
+
+def _read_values(path: str | None, limit: int | None = None):
+    """The numbers of a file or stdin, one a line, read and parsed up to the first ``limit``."""
     values, parsed = [], {}  # each distinct text is parsed once
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(path), start=1):
         stripped = line.strip()
         if not stripped or stripped[0] == "#":  # an index costs less than a method call
             continue
@@ -80,7 +88,7 @@ def _read_values(path: str | None, limit: int | None = None):
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
         values.append(value)
-        if len(values) == limit:  # no later line is parsed: a malformed one there fails nothing
+        if len(values) == limit:  # no later line is read: a malformed one there fails nothing
             break
     if not values:
         raise ValueError("no numbers in input")
@@ -173,8 +181,8 @@ _COMMANDS = {
         ("--from-file", "stream", dict(metavar="PATH", help="read the stream from a file")),
         ("--horizon", None, dict(type=_count, default=1000, metavar="N",
                                  help="maximum steps to fold (default: 1000)")),
-        ("--bound", None, dict(metavar="B", help="upper bound on the stream values; enables "
-                                                 "the certified margin early exit")),
+        ("--bound", None, dict(metavar="B", help="upper bound on the stream values; "
+                                                 "certifies a verdict that the fold proves")),
         ("--format", None, dict(choices=["json", "table"], default="json"))]),
     "stpete": (cmd_stpete, "value the doubling gamble coarsely", [
         ("--eps", None, dict(required=True, metavar="P/Q", help="cell-growth rate")),

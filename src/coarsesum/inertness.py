@@ -3,29 +3,27 @@
 A stream is inert when its left-associative coarse partial sums stop
 changing: from some step N onward every partial sum is the same value in the
 same cell.  Finite evidence can only certify "constant over the observed
-window"; genuine stabilization is asserted only by the margin certificate,
-which needs an upper bound on future increments.
+window"; genuine stabilization is asserted only where a step of the fold
+proves it, which needs an upper bound b on future increments.
 
-The certificate: collapsing is monotone, so if every input lies in [0, b],
-every collapsed increment is at most the representative of b's cell.  The
-first cell whose upward margin strictly exceeds that representative absorbs
-all further increments.  Where 0 lies in the family and collapses to a value
->= 0, no collapsed increment is negative, so sums never fall below the cell
-of 0; if that first cell is at or above it, running sums can never jump past
-the first cell (margins below it are too small to matter and its width is
-larger than any increment), so they settle in it or below it.  Elsewhere an
-increment can pull the sum down, or the first cell can lie below every sum,
-and the certificate does not apply.  The strict inequality means the
-certificate never fires on an exact boundary tie.  The certificate names a
-cell the sums never pass, not the cell or step where the fold settles, which
-can lie well below it.  See ``detect_inert_stream``.
+One absorption rule gives that proof.  Collapsing is monotone and picks never
+decrease from cell to cell, so where every input lies in [0, b] and 0 lies in
+the family and collapses to a value >= 0, sums never fall below the cell of 0,
+and c*(b), the least cell c at or above it with pick(c) + rep(b) <= hi(c),
+keeps every later sum once one lies in it: a sum at or below c*(b) adds at
+most rep(b) and never passes it, and in it every value of [0, b] is absorbed.
+Below c*(b) the value b always moves the sum up, so the constant b climbs to
+c*(b) and settles there, never behind another stream in [0, b].  The paper's
+absorbing cell asks for a margin strictly above rep(b); an exact tie, as
+1/4 + 1/4 = 1/2 on the first cell of ``EpsilonGrowth``, lets the fold settle
+below it.  See ``detect_inert_stream``.
 """
 
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, NamedTuple
 
-from .errors import OutOfRangeError
+from .errors import CoarseError
 from .ops import FoldTrace, _fold_steps
 from .partitions import _REALS, Partition, _rational
 from .rationals import format_decimal, format_rational
@@ -39,10 +37,10 @@ class InertVerdict(NamedTuple):
     stabilization, so a verdict that is not inert carries growth evidence
     instead, ``increasing_run``: the length of the longest strictly climbing
     run of sum-cell indexes at the end of the window.  ``certified`` is True
-    only for margin-certificate verdicts, which hold for every step the
-    increment bound was checked on: the entire infinite stream when the
-    stream states its ``top``, else the steps up to the horizon; observed
-    verdicts only describe the examined window.
+    only where an increment bound was given and a step of the fold within the
+    horizon proved every later one; N, cell and value are the fold's own and
+    hold wherever the bound was checked (the whole stream if it states its
+    largest value, else up to the horizon).  Observed verdicts describe only the window.
     """
 
     n_stable: int | None = None
@@ -98,34 +96,32 @@ def detect_inert_trace(trace: FoldTrace) -> InertVerdict:
     return _judge(trace, len(trace))
 
 
-def _judge(steps, horizon: int, settles: bool = False, absorbs=None) -> InertVerdict:
+def _judge(steps, horizon: int, settles=False, target=None, certify=False) -> InertVerdict:
     """The one judge of fold steps, read once: see :func:`detect_inert_trace`.
 
     It keeps only the step where the current run of equal sums began and the
-    length of the strictly climbing run of sum cells.  With ``settles``, the
-    first absorbed step n >= 2 pins the sum, and reading stops there: either the
-    inputs are one repeated value, so every later step repeats step n, or they
-    never rise and collapse to values >= 0, so every later r + rep(x) lies
-    between the sum r and r + rep(x_n), both in r's cell.  With ``absorbs``, a
-    test of a sum cell asked again only when the cell moves, reading stops at
-    the first step n >= 2 whose cell passes it: that cell keeps every later sum.
+    length of the strictly climbing run of sum cells.  Reading stops at the first
+    step n >= 2 that proves the rest: with ``settles``, an absorbed step, for either
+    the inputs are one repeated value, so every later step repeats step n, or they
+    never rise and collapse to values >= 0, so every later r + rep(x) lies between
+    the sum r and r + rep(x_n), both in r's cell; or a sum in cell ``target``, a
+    c*(b).  With ``certify`` a proof certifies the verdict, even from N = ``horizon``.
     """
     start = climb = 0
     s = cell = None
-    held = False
+    certified = False
     for n, step in enumerate(steps, start=1):
         if step.s is not s and step.s != s:  # a kept representative is the same object
             start = n
-        if absorbs is not None and step.s_cell != cell:
-            held = absorbs(step.s_cell)
         climb = climb + 1 if cell is not None and step.s_cell > cell else 1
         s, cell = step.s, step.s_cell
-        if settles and step.absorbed or held and n > 1:
+        if n > 1 and (settles and step.absorbed or cell == target):
+            certified = certify
             break
     if not start:
         raise ValueError("cannot judge an empty trace")
-    if start < horizon:
-        return InertVerdict(n_stable=start, cell_index=cell, fixed_value=s, horizon=horizon)
+    if start < horizon or certified:
+        return InertVerdict(start, cell, s, horizon, certified)
     return InertVerdict(horizon=horizon, increasing_run=climb)
 
 
@@ -136,8 +132,8 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep) ->
     which can only happen for bounded-margin families (fixed width, singleton
     grids, max policy, or finite explicit layouts).  It reads any policy on
     any partition; ``CoarseContext`` is where min on cells open below is refused.
-    Sums of values in [0, increment] settle in it or below it only where 0 lies in
-    the family with a representative >= 0, in it or in a cell below.
+    This is the paper's absorbing cell.  A fold settles by the non-strict rule, in
+    c*(b) (see :func:`detect_inert_stream`), so on a tie it settles below this cell.
     """
     inc = Fraction(increment_rep)
     p, q = inc.as_integer_ratio()
@@ -159,33 +155,31 @@ def first_absorbing_cell(partition: Partition, policy: Policy, increment_rep) ->
 
 def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
                         horizon: int, increment_bound=None) -> InertVerdict:
-    """Judge a generated stream, optionally with the margin certificate.
+    """Judge a generated stream as it is folded, with no trace kept.
+
+    The verdict, its N, cell and value, is the one :func:`detect_inert_trace`
+    gives on the fold of ``gen(1) .. gen(horizon)``.  Reading stops at the
+    first step n >= 2 that proves every later sum (see :func:`_judge`): a
+    stream marked with period 1 (see :func:`constant`) stops at its fixed
+    point, the first step whose sum stays in its cell.  So does a stream with
+    a ``top`` on a real family other than a grid that holds 0 with a
+    representative >= 0 (a negative one lets the sum fall again).  There any
+    other stream with a largest value b, stated as ``bound`` (see the streams
+    below) or else ``increment_bound``, stops once its sum lies in c*(b), the
+    least cell c at or above the cell of 0 with pick(c) + rep(b) <= hi(c) on
+    the family's scale (see the module docstring).  c*(b) is where the fold
+    of the constant b settles, read to the horizon at most: a stream in
+    [0, b] reaches no cell within the horizon that the constant b does not,
+    and a scan of cells up to c*(b) would cost its index however short the
+    stream.  Integer families and grids are read to the horizon, since a later
+    value can still fail there, as is a b past a finite layout.
 
     With ``increment_bound`` b, every value must lie between 0 and b, and a
     stream that breaks that raises ``ValueError``: a stream that states its
-    largest value, as ``top`` or else ``bound`` (see the streams below), is
-    checked by that value alone, any other is read from step 1 to the horizon.
-    The certificate then applies before any folding, where 0 lies in the
-    family and collapses to a value >= 0, and the first cell whose upward
-    margin strictly exceeds b's collapsed representative is at or above the
-    cell of 0: that cell absorbs the rest of the stream, and the verdict is
-    certified with that cell and its representative, read off its span.  N is
-    that cell's index, not a step, and can exceed the horizon; the fold may
-    settle lower: the constant 1/2 on ``EpsilonGrowth(10)`` is certified at
-    cell 6, value 11/5, but its fold pins at cell 1, value 1/4, from step 2.
-    Fold without a bound to see where the sums settle.
-
-    Without a bound, or where the certificate does not apply, the stream is
-    folded and judged step by step, with no trace kept, to the verdict
-    :func:`detect_inert_trace` gives on the fold of ``gen(1) .. gen(horizon)``.
-    A stream marked with period 1 (see :func:`constant`) stops at its fixed
-    point, the first step after step 1 whose sum stays in its cell.  So does a
-    stream with a ``top`` on a real family other than a grid that holds 0 with
-    a representative >= 0 (a negative one lets the sum fall again).  There a
-    stream with a ``bound`` b stops at the first step after step 1 whose sum
-    cell c absorbs b, pick(c) + rep(b) <= hi(c) on the family's scale: every
-    later x in [0, b] has 0 <= rep(x) <= rep(b), so every later sum is c's
-    representative again.  A bound past a finite layout stops nothing.
+    largest value is checked by that value alone, any other is read from step
+    1 to the horizon.  The verdict is certified exactly when a proof fires
+    within the horizon: the constant 1/2 on ``EpsilonGrowth(10)`` is certified
+    at cell 1, value 1/4, from step 2.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -195,27 +189,23 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     # or above that cell and never fall below it.
     zero = (p.span(1)[0] <= 0 <= p.span(p.max_index or 1)[1] and ctx.normalize(0) >= 0
             and p.index(0))
+    most = bound if top is None else top  # the largest value, where the stream states it
     if increment_bound is not None:
         increment_bound = _rational("increment_bound", increment_bound)
-        most = bound if top is None else top  # the largest value, where the stream states it
         if not (most <= increment_bound if most is not None else
                 all(0 <= gen(t) <= increment_bound for t in range(1, horizon + 1))):
             raise ValueError(f"increment bound {increment_bound} does not hold for this stream")
-        target = zero and first_absorbing_cell(p, ctx.policy, ctx.normalize(increment_bound))
-        if target and target >= zero:
-            value = p.unscaled(_pick(*p.span(target), ctx.policy))
-            return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
-                                horizon=horizon, certified=True)
+        most = increment_bound if most is None else most
     real = zero and p.domain is _REALS and not p.constant_margins  # and not a grid
-    settles, absorbs = getattr(gen, "period", None) == 1 or (top is not None and real), None
-    if real and bound is not None:
-        try:
-            rep = _pick(*p.span(p.index(bound)), ctx.policy)  # rep(bound), scaled
-        except OutOfRangeError:
-            pass  # the bound lies past a finite layout: read on to where the fold fails
-        else:  # cell c keeps a sum that adds any value of [0, bound]
-            absorbs = lambda c: _pick(*(span := p.span(c)), ctx.policy) + rep <= span[1]
-    return _judge(_fold_steps(ctx, map(gen, range(1, horizon + 1))), horizon, settles, absorbs)
+    target, settles = None, getattr(gen, "period", None) == 1 or top is not None and real
+    if real and most is not None and not settles:  # settling fires at most a step later
+        try:  # c*(b) is where the constant b settles, within the horizon
+            target = next((step.s_cell for step in _fold_steps(ctx, repeat(most, horizon))
+                           if step.absorbed), None)
+        except CoarseError:
+            pass  # b lies past a finite layout, or its sums do: nothing to prove
+    steps = _fold_steps(ctx, map(gen, range(1, horizon + 1)))
+    return _judge(steps, horizon, settles, target, increment_bound is not None)
 
 
 # ------------------------------------------------------------ input streams

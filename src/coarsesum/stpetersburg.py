@@ -6,12 +6,12 @@ happens with probability 2**-n.  Every round therefore contributes exactly
 halves, grows without bound.
 
 Folding the same stream of expected increments coarsely over a growing-cell
-real partition tells a different story: cells eventually become wide enough
-that their upward margin strictly exceeds the collapsed increment 1/4, and
-the margin certificate names the first such cell, floor(eps/2) + 1 for
-cell-growth rate eps >= 2, which the sums never pass.  Its representative,
-finite and growing with eps, is the certified value; the fold itself pins
-at sum 1/4, in cell 1, from step 2, for every eps.
+real partition tells a different story: the sum stops moving.  Cells
+eventually become wide enough that their upward margin strictly exceeds the
+collapsed increment 1/4; the paper's absorbing cell, the first such cell, is
+floor(eps/2) + 1 for cell-growth rate eps >= 2, and the sums never pass it.
+They settle sooner: the first cell [0, 1/2] holds 1/4 + 1/4 on a tie, so the
+fold pins at sum 1/4, in cell 1, from step 2, for every eps, the certified value.
 """
 
 import struct
@@ -22,7 +22,8 @@ from operator import index
 from typing import NamedTuple
 
 from .errors import SpecError
-from .inertness import InertVerdict, constant, detect_inert_stream, detect_inert_trace
+from .inertness import (InertVerdict, constant, detect_inert_stream, detect_inert_trace,
+                        first_absorbing_cell)
 from .partitions import EpsilonGrowth
 from .rationals import format_decimal, format_rational
 from .representatives import CoarseContext
@@ -71,10 +72,10 @@ class ValuationReport(NamedTuple):
 def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     """Value the expected-increment stream on a growth partition.
 
-    ``epsilon`` sets the cell-growth rate.  The closed-form absorbing cell
-    floor(eps/2) + 1 matches the margin scan exactly for eps >= 2; below
-    that the formula undershoots (the first cell's margin is an exact tie,
-    never a strict winner) and the report flags the disagreement.
+    ``epsilon`` sets the cell-growth rate.  The paper's closed-form absorbing cell
+    floor(eps/2) + 1 matches its strict margin scan exactly for eps >= 2; below that
+    the formula undershoots (the first cell's margin is an exact tie, never a strict
+    winner) and the report flags it.  The verdict, 1/4 from step 2, is the fold's own.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -83,8 +84,8 @@ def coarse_value(epsilon, depth: int = 10_000) -> ValuationReport:
     cell_formula = eps // 2 + 1
     verdict = detect_inert_stream(ctx, constant(INCREMENT_BOUND), horizon=depth,
                                   increment_bound=INCREMENT_BOUND)
-    # growth cells widen without bound, so the margin scan always certifies a cell
-    cell_scan = verdict.cell_index
+    # growth cells widen without bound, so the strict margin scan always finds a cell
+    cell_scan = first_absorbing_cell(ctx.partition, ctx.policy, ctx.normalize(INCREMENT_BOUND))
     return ValuationReport(
         epsilon=eps,
         depth=depth,

@@ -87,12 +87,13 @@ def contains():
 
 @pytest.fixture(scope="session")
 def absorbing_by_cells():
-    """The certificate's oracle: the first cell whose ``margin_pos`` strictly exceeds
-    ``inc``, read off ``Cell``s, among every cell of a finite layout or the first 200."""
-    def first(partition, policy, inc):
-        margins = (margin_pos(partition.cell_at(i), policy)
-                   for i in range(1, (partition.max_index or 200) + 1))
-        return next((i for i, m in enumerate(margins, start=1) if m > inc), None)
+    """The absorbing scan's oracle: the first cell from ``start`` on whose ``margin_pos``
+    strictly exceeds ``inc``, or with ``strict`` False reaches it, read off ``Cell``s,
+    among every cell of a finite layout or the first 200."""
+    def first(partition, policy, inc, strict=True, start=1):
+        cells = range(start, (partition.max_index or 200) + 1)
+        margins = ((i, margin_pos(partition.cell_at(i), policy)) for i in cells)
+        return next((i for i, m in margins if (m > inc if strict else m >= inc)), None)
     return first
 
 

@@ -19,9 +19,15 @@ from coarsesum import cli
 from coarsesum.cli import _read_values, build_parser, main
 
 
+def stdin_of(text):
+    """A stand-in for ``sys.stdin`` that reads ``text``: a text stream over bytes that, as
+    stdin does, ends a line at ``\\n`` alone until it is reconfigured."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="\n")
+
+
 def run(argv, capsys, monkeypatch=None, stdin_text=None):
     if stdin_text is not None:
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        monkeypatch.setattr(sys, "stdin", stdin_of(stdin_text))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -312,7 +318,7 @@ LINES = ["1/2", " 1/2", "0.5", "3", "3 ", "007", "2/4", "", "   ", "# note", "#1
 @given(lines=st.lists(st.sampled_from(LINES), max_size=30))
 def test_read_values_parses_each_text_once_with_the_same_values(lines):
     text = "\n".join(lines)
-    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+    with mock.patch.object(sys, "stdin", stdin_of(text)):
         try:
             got = _read_values("-")
         except ValueError as exc:
@@ -339,9 +345,10 @@ def test_a_repeated_bad_line_names_its_first_line(tmp_path, capsys):
 def test_inert_certified_json(capsys):
     code, out, _ = run(["inert", "--eps", "10", "--const", "1/2", "--bound", "1/2"],
                        capsys)
+    # the fold's own verdict: 1/4 + 1/4 stays in cell 1 = c*(1/2) from step 2
     assert code == 0
-    assert json.loads(out) == {"outcome": "inert", "N": 6, "cell": 6,
-                               "value": "11/5", "horizon": 1000, "certified": True}
+    assert json.loads(out) == {"outcome": "inert", "N": 2, "cell": 1,
+                               "value": "1/4", "horizon": 1000, "certified": True}
 
 
 def test_inert_observed_without_bound(capsys):
@@ -355,7 +362,7 @@ def test_inert_table_format(capsys):
     code, out, _ = run(["inert", "--eps", "10", "--const", "1/2", "--bound", "1/2",
                         "--format", "table"], capsys)
     assert code == 0
-    assert out == "inert at cell 6 from step 6, value 2.2 (certified)\n"
+    assert out == "inert at cell 1 from step 2, value 0.25 (certified)\n"
 
 
 def test_inert_no_verdict_exits_three(capsys):
@@ -415,6 +422,45 @@ def test_inert_from_file_parses_no_line_past_the_horizon(tail, tmp_path, capsys)
     if tail:  # read to its end, the file fails at its malformed line
         with pytest.raises(ValueError, match="line (5|7): not a rational"):
             _read_values(str(path))
+
+
+def test_inert_from_file_reads_no_line_past_the_horizon(tmp_path, capsys):
+    # two values, then more than 64 KB of valid lines, then a byte that is not UTF-8:
+    # the file is read as its lines are asked for, so the bad byte is never decoded
+    from coarsesum import detect_inert_trace
+    path = tmp_path / "stream.txt"
+    path.write_bytes(b"1/4\n1/4\n" + b"1/3\n" * 20_000 + b"\xff\n")
+    argv = ["inert", "--eps", "10", "--from-file", str(path)]
+    code, out, err = run([*argv, "--horizon", "2"], capsys)
+    want = detect_inert_trace(CoarseContext(EpsilonGrowth(10)).fold([F(1, 4)] * 2))
+    assert (code, err, json.loads(out)) == (0, "", want.to_json_dict())
+    code, out, err = run([*argv, "--horizon", "30000"], capsys)   # read to the bad byte
+    assert (code, out) == (1, "") and "can't decode byte 0xff" in err
+
+
+def test_inert_from_stdin_reads_to_its_horizon_and_leaves_stdin_open(capsys, monkeypatch):
+    stream = stdin_of("1/4\n1/4\n5\n")
+    monkeypatch.setattr(sys, "stdin", stream)
+    code, out, _ = run(["inert", "--eps", "10", "--from-file", "-", "--horizon", "2"], capsys)
+    assert (code, json.loads(out)["horizon"]) == (0, 2)
+    assert not stream.closed and stream.read() == "5\n"
+    # a stand-in stream that cannot be reconfigured is read as it is
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1/4\n1/4\n"))
+    code, out, _ = run(["inert", "--eps", "10", "--from-file", "-"], capsys)
+    assert (code, json.loads(out)["N"]) == (0, 1)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_line_ends_at_lf_crlf_or_cr_in_a_file_and_on_stdin(newline, tmp_path, monkeypatch):
+    text = newline.join(["1/2", "", "# a comment", " 3 ", "x"]) + newline
+    path = tmp_path / "values.txt"
+    path.write_bytes(text.encode())
+    for source in (str(path), "-"):
+        monkeypatch.setattr(sys, "stdin", stdin_of(text))
+        assert _read_values(source, 2) == [F(1, 2), F(3)]
+        monkeypatch.setattr(sys, "stdin", stdin_of(text))
+        with pytest.raises(ValueError, match="^line 5: not a rational"):
+            _read_values(source)
 
 
 @pytest.mark.parametrize("lines, bound", [
@@ -478,10 +524,10 @@ def test_inert_refuses_a_bound_the_stream_breaks(stream, bound, tmp_path, capsys
     (["--harmonic"], "1"),
     (["--geometric", "1", "1/2"], "1/2"),
     (["--geometric", "0", "3"], "0"),
-    (["--from-file", "late", "--horizon", "1"], "1/2"),  # the 100 lies past the horizon
+    (["--from-file", "late", "--horizon", "2"], "1/2"),  # the 100 lies past the horizon
 ], ids=["const", "harmonic", "geometric", "geometric-zero", "file-horizon"])
 def test_inert_certifies_a_bound_that_holds_at_its_edge(stream, bound, tmp_path, capsys):
-    (tmp_path / "late").write_text("1/2\n100\n")
+    (tmp_path / "late").write_text("1/2\n1/2\n100\n")
     if stream[0] == "--from-file":
         stream = ["--from-file", str(tmp_path / stream[1]), *stream[2:]]
     code, out, err = run(["inert", "--eps", "10", *stream, "--bound", bound], capsys)
@@ -495,11 +541,20 @@ def test_inert_checks_a_files_bound_on_its_values_up_to_the_horizon(tmp_path, ca
     argv = ["inert", "--eps", "10", "--from-file", str(path), "--bound", "1/2"]
     code, out, err = run([*argv, "--horizon", "2"], capsys)
     assert (code, err) == (0, "")   # the 5 lies past the horizon
-    assert json.loads(out) == {"outcome": "inert", "N": 6, "cell": 6, "value": "11/5",
+    # step 2's sum lies in c*(1/2) = cell 1: a proof at the horizon's own step certifies
+    assert json.loads(out) == {"outcome": "inert", "N": 2, "cell": 1, "value": "1/4",
                                "horizon": 2, "certified": True}
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert err == "error: increment bound 1/2 does not hold for this stream\n"
+
+
+@pytest.mark.parametrize("family", [["--width", "100"], ["--fibonacci"]], ids=["width", "fib"])
+def test_a_bound_never_hides_a_step_that_fails(family, capsys):
+    # an integer family is read on past any proof: the 1/2 of step 7 lies in no cell
+    stream = ["inert", *family, "--geometric", "64", "1/2"]
+    for bound in ([], ["--bound", "64"]):
+        assert run([*stream, *bound], capsys) == (1, "", "error: step 7: 1/2 is not an integer\n")
 
 
 @pytest.mark.parametrize("values, first", [(["1", "-1/2"], "-1/2"), (["-1/2", "1/2"], "-1/4")],
@@ -520,7 +575,7 @@ def test_stpete_table(capsys):
     assert "absorbing cell (closed form)         : 6" in out
     assert "absorbing cell (margin scan)         : 6" in out
     assert "agreement                            : yes" in out
-    assert "inert at cell 6 from step 6, value 2.2 (certified)" in out
+    assert "inert at cell 1 from step 2, value 0.25 (certified)" in out
 
 
 def test_stpete_json(capsys):
@@ -528,8 +583,8 @@ def test_stpete_json(capsys):
                         "--format", "json"], capsys)
     assert code == 0
     d = json.loads(out)
-    assert d["cell_from_formula"] == 6 and d["agreement"] is True
-    assert d["verdict"]["value"] == "11/5"
+    assert d["cell_from_formula"] == d["cell_from_scan"] == 6 and d["agreement"] is True
+    assert (d["verdict"]["N"], d["verdict"]["cell"], d["verdict"]["value"]) == (2, 1, "1/4")
 
 
 def test_stpete_small_eps_reports_the_disagreement(capsys):
@@ -644,7 +699,7 @@ def test_negative_trials_is_a_usage_error(capsys):
 def test_signed_flag_values_read_as_with_equals(argv, flag, value, code, capsys, monkeypatch):
     results = []
     for joined in ([flag, value], [f"{flag}={value}"]):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("-4\n3\n3\n"))
+        monkeypatch.setattr(sys, "stdin", stdin_of("-4\n3\n3\n"))
         results.append(run([*argv, *joined], capsys))
     assert results[0] == results[1]
     assert results[0][0] == code

@@ -21,7 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coarsesum import (Cell, CoarseContext, Domain, DomainError, EpsilonGrowth, ExplicitBounds,
-                       Fibonacci, FixedWidth, FoldStep, FoldTrace, InertVerdict,
+                       Fibonacci, FixedWidth, FoldStep, FoldTrace,
                        OutOfRangeError, Partition, Policy, SingletonGrid, SpecError,
                        constant, detect_inert_stream,
                        detect_inert_trace, first_absorbing_cell, format_decimal,
@@ -367,37 +367,57 @@ def test_streams_judge_as_their_folds(family, policy, data):
     assert_streamed_verdict_matches(ctx, lambda t: marked(t), horizon)
 
 
-def fold_sum_cells(ctx, gen, steps):
-    """The sum cells of the first ``steps`` fold steps, up to a step that fails."""
-    cells = set()
-    with contextlib.suppress(OutOfRangeError, DomainError):
-        for step in _fold_steps(ctx, map(gen, range(1, steps + 1))):
-            cells.add(step.s_cell)
-    return cells
+@st.composite
+def streams_bounded_by(draw, values):
+    """A bound b of ``values`` >= 0, and a stream of values in [0, b]: a constant, a
+    periodic one with no mark, one that never rises and states its ``top``, or one
+    in any order that states its ``bound``."""
+    values = values.filter(lambda v: v >= 0)
+    b = draw(values)
+    pool = draw(st.lists(values.filter(lambda v: v <= b), min_size=1, max_size=4))
+    kind = draw(st.sampled_from(["constant", "periodic", "top", "bound"]))
+    if kind == "constant":
+        return b, constant(b)
+    if kind == "top":
+        pool.sort(reverse=True)
+        gen = lambda t: pool[min(t, len(pool)) - 1]
+        gen.top = pool[0]
+        return b, gen
+    gen = lambda t: pool[(t - 1) % len(pool)]
+    if kind == "bound":
+        gen.bound = max(pool)
+    return b, gen
 
 
-@pytest.mark.parametrize("domain", list(Domain), ids=lambda domain: domain.value)
-@settings(max_examples=150)
+@pytest.mark.parametrize("family, policy", FAMILY_POLICIES)
+@settings(max_examples=60)
 @given(data=st.data())
-def test_a_certificate_never_lies_below_the_fold(domain, data):
-    # The certificate holds only where 0 lies in the family with a representative >= 0
-    # and the first absorbing cell is at or above the cell of 0: with the origin below 0
-    # that cell can lie below every sum.  Elsewhere the bound changes nothing.
-    spec = data.draw(bounds_around_zero(domain))
-    policy = data.draw(st.sampled_from([p for p in POLICIES if not refused(spec, p)]))
-    ctx = CoarseContext(spec, policy)
-    lo, hi = max(0, spec.origin), min(20, spec.cell_at(spec.max_index).upper)
-    assume(lo <= hi)
-    values = (st.integers(int(lo), int(hi)) if domain is Domain.INTEGERS
-              else st.fractions(min_value=lo, max_value=hi, max_denominator=12))
-    pool = data.draw(st.lists(values, min_size=1, max_size=4))
-    gen = constant(pool[0]) if len(pool) == 1 else lambda t: pool[(t - 1) % len(pool)]
-    verdict = verdict_or_error(
-        lambda: detect_inert_stream(ctx, gen, 400, increment_bound=max(pool)))
+def test_a_certified_verdict_is_the_folds_own_and_no_sum_passes_c_star(
+        family, policy, data, absorbing_by_cells):
+    spec, values = data.draw(family_case(family, policy))
+    if family == "ExplicitBounds" and data.draw(st.booleans()):
+        # origins below 0 and at 0, in both domains, and values in the layout
+        holds_zero = lambda spec: spec.origin <= 0 <= spec.cell_at(spec.max_index).upper
+        spec = data.draw(bounds_around_zero(data.draw(st.sampled_from(list(Domain))))
+                         .filter(holds_zero))
+        assume(not refused(spec, policy))
+        lo, hi = 0, min(20, spec.cell_at(spec.max_index).upper)
+        values = (st.integers(lo, int(hi)) if spec.domain is Domain.INTEGERS
+                  else st.fractions(min_value=lo, max_value=hi, max_denominator=12))
+    ctx, (b, gen) = CoarseContext(spec, policy), data.draw(streams_bounded_by(values))
+    horizon = data.draw(st.integers(1, 30))
+    verdict = verdict_or_error(lambda: detect_inert_stream(ctx, gen, horizon, increment_bound=b))
+    longer = verdict_or_error(lambda: ctx.fold([gen(t) for t in range(1, 4 * horizon + 1)]))
     if getattr(verdict, "certified", False):
-        assert max(fold_sum_cells(ctx, gen, 400)) <= verdict.cell_index
-    else:
-        assert verdict == verdict_or_error(lambda: detect_inert_stream(ctx, gen, 400))
+        # a proof fired within the horizon: a fold 4x as long neither fails nor moves after N
+        assert isinstance(longer, FoldTrace) and verdict.n_stable <= horizon
+        assert detect_inert_trace(longer)._replace(horizon=horizon, certified=True) == verdict
+        assert all(step.absorbed and step.s == verdict.fixed_value
+                   for step in longer[verdict.n_stable:])
+    if spec.origin <= 0 and ctx.normalize(0) >= 0 and isinstance(longer, FoldTrace):
+        # the zero precondition: no sum passes c*(b), where some cell absorbs rep(b)
+        c_star = absorbing_by_cells(spec, policy, ctx.normalize(b), False, spec.index_of(0))
+        assert c_star is None or max(step.s_cell for step in longer) <= c_star
 
 
 @pytest.mark.parametrize("spec, policy, gen, error, step", [
@@ -566,10 +586,13 @@ def test_a_bounded_stream_is_checked_against_an_increment_bound_by_its_bound_alo
     values = [F(1, 3), F(1, 2), F(2, 5)] * 2000
     stream, read = bounded(values)
     verdict = detect_inert_stream(ctx, stream, len(values), increment_bound=F(1, 2))
-    assert (verdict.certified, verdict.cell_index, verdict.fixed_value) == (True, 6, F(11, 5))
+    # the fold's own verdict: step 2's sum 1/4 lies in c*(1/2) = cell 1
+    assert verdict == detect_inert_trace(ctx.fold(values))._replace(certified=True)
+    assert (verdict.n_stable, verdict.cell_index, verdict.fixed_value) == (2, 1, F(1, 4))
+    assert read == [1, 2]
     with pytest.raises(ValueError, match="increment bound 2/5 does not hold"):
         detect_inert_stream(ctx, stream, len(values), increment_bound=F(2, 5))
-    assert read == []
+    assert read == [1, 2]
 
 
 @pytest.mark.parametrize("spec, values, error", [
@@ -943,15 +966,14 @@ def cell_add_by_cells(partition, policy, i, k):
         return type(exc), str(exc)
 
 
-def certified_by_cells(ctx, bound, horizon, absorbing_by_cells):
-    """The verdict on a constant stream under ``bound``, with the certificate read off cells."""
-    rep_b = rep_of_cell(ctx.partition.cell_of(bound), ctx.policy)
-    target = absorbing_by_cells(ctx.partition, ctx.policy, rep_b)
-    if target is None:
+def certified_by_rep_add(ctx, bound, horizon):
+    """The verdict on a constant stream under ``bound``, from the left fold of ``rep_add``:
+    that fold's own, certified where a step after step 1 is absorbed, its fixed point."""
+    steps = rep_add_fold(ctx, [bound] * horizon)
+    if not isinstance(steps[0], FoldStep):  # the error, with its step and text
         return verdict_or_error(lambda: detect_inert_trace(ctx.fold([bound] * horizon)))
-    value = rep_of_cell(ctx.partition.cell_at(target), ctx.policy)
-    return InertVerdict(n_stable=target, cell_index=target, fixed_value=value,
-                        horizon=horizon, certified=True)
+    fixed = any(step.absorbed for step in steps[1:])
+    return detect_inert_trace(FoldTrace(steps))._replace(certified=fixed)
 
 
 CERTIFIED = [
@@ -965,11 +987,11 @@ CERTIFIED = [
 
 @pytest.mark.parametrize("spec, bounds, policy", under_policies(CERTIFIED, FAMILY_IDS))
 def test_cell_add_and_certified_verdicts_read_spans_and_build_no_cells(
-        spec, bounds, policy, monkeypatch, absorbing_by_cells):
+        spec, bounds, policy, monkeypatch):
     ctx, horizon = CoarseContext(spec, policy), 30
     pairs = [(i, k) for i in range(1, (spec.max_index or 12) + 1) for k in range(1, 13)]
     sums = [cell_add_by_cells(spec, policy, i, k) for i, k in pairs]
-    verdicts = [certified_by_cells(ctx, b, horizon, absorbing_by_cells) for b in bounds]
+    verdicts = [certified_by_rep_add(ctx, b, horizon) for b in bounds]
     forbid_cells(monkeypatch)
     got_sums = []
     for i, k in pairs:
@@ -1248,7 +1270,7 @@ doubling-gamble valuation  (eps = 10, depth = 50)
   absorbing cell (closed form)         : 6
   absorbing cell (margin scan)         : 6
   agreement                            : yes
-  verdict                              : inert at cell 6 from step 6, value 2.2 (certified)
+  verdict                              : inert at cell 1 from step 2, value 0.25 (certified)
   sampled payoffs: trials = 300, seed = 7, rng = numpy-philox4x64, truncation depth = 64
     mean payoff      : 4.74333
     coarse final sum : 1066.2 (cell 146)

