@@ -71,11 +71,15 @@ and never in the tree itself, right after the sample from the tree: that is
 ``cli_bytecode_us``, and ``compile_share`` is 1 minus its median over the median of the
 row's own entry, ``import_us`` or ``cli_run_us``: the share of start-up spent compiling
 coarsesum.  A command's ``{name}`` fields name the seeded files and flag text of
-``fold_inputs``.  Every run of a command must print the stdout of
-its first run on the first tree; the run names each command that differs, and
-exits 1.  Start-up depends on bytecode caching, so every child runs with
-``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs each command; delete ``__pycache__``
-in every tree to time what each command of the benchmark pays.
+``fold_inputs``.  One long command folds the ``{swing}`` file, 7 and -7 in turn, on
+real ``--bounds`` cut every 4 from -60 to 60: its sum leaves its cell on every step and
+comes back to the cells it left, so the fold kernel reads a sum's representative off
+its cell's span on every step: the one input class where a memo of sum cells would pay.
+Every run of a command must print the stdout of its first run on the first tree; the
+run names each command that differs, and exits 1.  Start-up depends on bytecode
+caching, so every child runs with ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs
+each command; delete ``__pycache__`` in every tree to time what each command of the
+benchmark pays.
 
 The output JSON holds the machine, the Python version, every tree's entries
 and, with two or more trees, each later tree's medians and minimums divided
@@ -124,7 +128,7 @@ IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
 #: long ``inert`` streams that stop at their first absorbed step, a constant under a
 #: large ``--bound``, which stops at its fixed point and scans for no cell, and a
 #: climbing fold to the horizon, sampling, as the benchmark's stpete-sampled workload
-#: does and at 1e5 trials, and long folds.
+#: does and at 1e5 trials, and long folds, one of them a sum that swings about 0.
 CLI_RUNS = {
     "partition --width 3 --cells 1": IMPORT_RUNS,
     "fold --fibonacci --input {short}": IMPORT_RUNS,
@@ -152,8 +156,12 @@ CLI_RUNS = {
     "inert --eps 10 --from-file {small} --horizon 100000": 1,
     # the same file checked against --bound by its largest value alone, then certified
     "inert --eps 10 --from-file {small} --horizon 100000 --bound 1/2": 1,
+    # a sum that leaves its cell on every step and comes back to the cells it left: the
+    # {swing} file's 7 and -7 on real cells 4 wide from -60 to 60
+    "fold --bounds " + ",".join(map(str, range(-60, 61, 4))) + " --domain real --input {swing}"
+    " --format csv": 1,
 }
-#: Lines of the ``{pq}`` and ``{small}`` files of the whole-run folds.
+#: Lines of the ``{pq}``, ``{small}`` and ``{swing}`` files of the whole-run folds.
 FOLD_LINES = 100_000
 #: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak in KiB
 #: as the last line of stderr: at the ``os._exit`` that ends a command, which runs no
@@ -210,7 +218,8 @@ def fold_inputs(work: str) -> dict:
     climbing rationals; ``bounds``, the text of ``climbing_bounds``; ``ints``, a file of
     2,000 ints of 25..45, which climb about a cell a step through those bounds; ``short``,
     a file of 20 ints of 0..9; ``small``, a file of ``FOLD_LINES`` rationals p/q in
-    (0, 1/2] with q in 2..9, drawn as fold-absorbing's inert file is."""
+    (0, 1/2] with q in 2..9, drawn as fold-absorbing's inert file is; ``swing``, a file
+    of ``FOLD_LINES`` ints, 7 and -7 in turn."""
     rng = random.Random(33)
     files = {"pq": climbing_rationals(rng, FOLD_LINES),
              "ints": [rng.randint(25, 45) for _ in range(2_000)]}
@@ -218,6 +227,7 @@ def fold_inputs(work: str) -> dict:
     files["short"] = [rng.randint(0, 9) for _ in range(20)]
     files["small"] = [F(rng.randint(1, q // 2), q)
                       for q in (rng.randint(2, 9) for _ in range(FOLD_LINES))]
+    files["swing"] = [7, -7] * (FOLD_LINES // 2)
     for name, values in files.items():
         fields[name] = os.path.join(work, f"{name}.txt")
         with open(fields[name], "w", encoding="utf-8") as fh:

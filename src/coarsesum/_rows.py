@@ -37,7 +37,7 @@ def write_rows(head, rows, fmt: str) -> str:
                          else (rationals.format_rational, "false", "true"))
     columns = [*zip(*rows)]
     run = len(columns[0]) - 1  # rows before the last that hold its objects after the first field
-    for c in sorted(columns[1:], key=lambda c: c[-2:-1] == c[-1:]):  # moved last row: first
+    for c in columns[1:]:
         run = len([*takewhile(partial(is_, c[-1]), islice(reversed(c), 1, run + 1))])
     k, fields, tail = len(columns[0]) - run, [], []  # rows 1..k are written field by field
     for j, (key, c) in enumerate(zip(head, columns)):

@@ -184,11 +184,9 @@ def detect_inert_stream(ctx: CoarseContext, gen: Callable[[int], Fraction],
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     top, bound, p = getattr(gen, "top", None), getattr(gen, "bound", None), ctx.partition
-    # The cell of 0 where 0 lies in the family (the span test keeps the lookups from
-    # raising) and collapses to a value >= 0, else False: sums of values >= 0 start at
-    # or above that cell and never fall below it.
-    zero = (p.span(1)[0] <= 0 <= p.span(p.max_index or 1)[1] and ctx.normalize(0) >= 0
-            and p.index(0))
+    # Whether 0 lies in the family (the span test keeps the lookup from raising) and
+    # collapses to a value >= 0: sums of values >= 0 then never fall below the cell of 0.
+    zero = p.span(1)[0] <= 0 <= p.span(p.max_index or 1)[1] and ctx.normalize(0) >= 0
     most = bound if top is None else top  # the largest value, where the stream states it
     if increment_bound is not None:
         increment_bound = _rational("increment_bound", increment_bound)

@@ -16,8 +16,8 @@ from .rationals import write_rows
 from .representatives import CoarseContext, _pick, rep_of_value
 
 
-#: Cells that each of a fold's two memos, its sums' and its inputs', holds at a time;
-#: a full memo is emptied whole.  Pinned sums and most inputs revisit a few cells.
+#: Entries that each of a fold's two memos of its inputs, by cell and by value, holds at
+#: a time; a full memo is emptied whole.  Most inputs revisit a few cells.
 _REP_MEMO_CELLS = 256
 
 
@@ -48,12 +48,12 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     """The steps of ``ctx.fold(values)``, one at a time: the one fold kernel.
 
     Each step is ``rep_add(s, x)`` computed through cells, on the partition's integer
-    scale: the running sum's cell, the input's cell and the cell of the scaled sum of
-    their representatives.  A sum's representative is read off its cell's span and an
-    input's through ``rep_of_value``, but an input in the sum's cell takes the sum's; each
-    lies in its own cell.  Sums and inputs each keep a memo of at most ``_REP_MEMO_CELLS``
-    cells, emptied whole when full: a sum's cell maps to its scaled representative and its
-    ``Fraction`` for the row, and an input's to its scaled representative.  So from step 2
+    scale: the running sum's cell, the input's cell and the cell of the scaled sum of their
+    representatives.  A sum's representative is read off its cell's span and an input's
+    through ``rep_of_value``, but an input in the sum's cell takes the sum's; each lies in
+    its own cell.  After step 2, a sum's scaled representative and its ``Fraction`` for the
+    row change only when its cell does; input cells map to their scaled representatives in
+    a memo of at most ``_REP_MEMO_CELLS`` cells, emptied whole when full.  So from step 2
     on, a step's sum and cell depend only on the previous sum's cell and the input's cell:
     a step that repeats the move of the step before, as every step of a pinned sum does,
     keeps its result, and an input object repeated from the step before keeps its cell.
@@ -69,7 +69,7 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
     index_of, scale, locate = partition.index, partition.scale, partition.index_scaled
     span, unscaled = partition.span, partition.unscaled
     make = tuple.__new__  # builds a FoldStep as FoldStep._make does, with no Python frame
-    sums, picks = {}, {}  # sum cell -> (scaled pick, pick); input cell -> scaled pick
+    picks = {}  # input cell -> scaled pick
     inputs = {}  # input that is not a Fraction -> (its Fraction, its cell)
     s_cell = moved_from = moved_by = None
     last = object()  # no input is ``last`` before step 1
@@ -96,12 +96,10 @@ def _fold_steps(ctx: CoarseContext, values: Iterable):
                         picks.clear()
                     rep = rep_of_value(partition, x, policy)
                     x_pick = picks[x_cell] = rep.numerator * (scale // rep.denominator)
-                if (hit := sums.get(new_cell := locate(s_pick + x_pick))) is None:
-                    if len(sums) >= _REP_MEMO_CELLS:
-                        sums.clear()
-                    pick = _pick(*span(new_cell), policy)
-                    hit = sums[new_cell] = pick, unscaled(pick)
-                s_pick, new_s = hit  # the new sum's scaled pick and representative
+                new_cell = locate(s_pick + x_pick)
+                if new_cell != s_cell or n == 2:  # a sum that stays keeps its pick, its object
+                    s_pick = _pick(*span(new_cell), policy)
+                    new_s = unscaled(s_pick)
                 moved_from, moved_by = s_cell, x_cell
             # else this is the move of the step before, whose result new_s, new_cell still hold
         except CoarseError as exc:

@@ -1,0 +1,131 @@
+"""An executable spec of ``coarsesum fold``, written from the definitions alone.
+
+Nothing here imports ``coarsesum``.  A family is named by a tuple and stated as the
+sequence of its cells, each ``(lower, upper, closed_below)`` with exact bounds, the
+upper one attained:
+
+* ``("width", w)`` -- the integers ``{w(i-1) .. wi-1}``;
+* ``("fibonacci",)`` -- integer blocks sized 1, 1, 2, 3, 5, ... from 0;
+* ``("eps", e)`` -- real cells ``[0, 1/2]``, then ``(b, b + i/e]`` for cell i;
+* ``("bounds", b, domain)`` -- cells cut at the ascending boundaries b, which may
+  start below 0: integers ``{b[i-1] .. b[i]-1}``, or real ``[b0, b1]`` then
+  ``(b[i-1], b[i]]``;
+* ``("grid", step)`` -- the one-point cells ``{(i-1) * step}``.
+
+A value lies in the one cell that holds it, or the family refuses it.  A policy
+picks a cell's representative: the median is the midpoint of a real cell and the
+lower of an integer cell's two central members; min picks the lower bound, and is
+refused where cells are open below; max picks the upper bound.  Coarse addition is
+x (+) y = rep(rep(x) + rep(y)), and the fold's first sum is its first input as
+given: every step is folded afresh, with no memo.  Rows are written with
+``json.dumps`` and ``csv``; rationals print as ``p/q``.
+"""
+
+import csv
+import io
+import json
+from fractions import Fraction
+from itertools import count, islice
+
+HEAD = ("n", "x", "x_cell", "s", "s_cell", "absorbed")
+
+
+class Refused(ValueError):
+    """The model's error: the command prints nothing on stdout and exits 1."""
+
+
+def cells(family):
+    """The cells of a family, in order, as ``(lower, upper, closed_below)``."""
+    kind, *args = family
+    if kind == "width":
+        w = args[0]
+        return ((Fraction(w * i), Fraction(w * i + w - 1), True) for i in count())
+    if kind == "fibonacci":
+        def fibonacci():
+            lo, size, last = 0, 1, 0
+            while True:
+                yield Fraction(lo), Fraction(lo + size - 1), True
+                lo, size, last = lo + size, size + last, size
+        return fibonacci()
+    if kind == "eps":
+        def growth():
+            lo = Fraction(1, 2)
+            yield Fraction(0), lo, True
+            for i in count(2):
+                yield lo, lo + i / args[0], False
+                lo += i / args[0]
+        return growth()
+    if kind == "bounds":
+        b, real = args[0], args[1] == "real"
+        if real:
+            return ((lo, hi, i == 0) for i, (lo, hi) in enumerate(zip(b, b[1:])))
+        return ((Fraction(lo), Fraction(hi - 1), True) for lo, hi in zip(b, b[1:]))
+    return ((i * args[0], i * args[0], True) for i in count())  # the grid
+
+
+def integer(family) -> bool:
+    return family[0] in ("width", "fibonacci") or family[0] == "bounds" and family[2] == "int"
+
+
+def locate(family, x: Fraction):
+    """(index, cell) of the cell that holds x, or ``Refused``."""
+    for i, (lo, hi, closed) in enumerate(cells(family), start=1):
+        if lo > x:
+            break
+        if (lo < x or closed) and x <= hi and (x.denominator == 1 or not integer(family)):
+            return i, (lo, hi)
+    raise Refused(f"{x} lies in no cell")
+
+
+def rep(family, policy: str, x: Fraction) -> Fraction:
+    lo, hi = locate(family, x)[1]
+    if policy == "min":
+        return lo
+    if policy == "max":
+        return hi
+    return Fraction((lo + hi) // 2) if integer(family) else (lo + hi) / 2
+
+
+def fold(family, policy: str, values: list) -> list:
+    """The rows of the left fold: n, x, x's cell, the sum, its cell, and whether it stayed."""
+    if policy == "min" and not all(closed for _, _, closed in islice(cells(family), 2)):
+        raise Refused("min is refused where cells are open below")
+    rows, s = [], None
+    for n, x in enumerate(values, start=1):
+        x_cell = locate(family, x)[0]
+        s = x if n == 1 else rep(family, policy, rep(family, policy, s) + rep(family, policy, x))
+        s_cell = locate(family, s)[0]
+        rows.append((n, x, x_cell, s, s_cell, n > 1 and s_cell == rows[-1][4]))
+    return rows
+
+
+def text(v, fmt: str):
+    """A field as the row's format writes it: a rational as ``p/q``, a bool in CSV in
+    lower case, anything else as it is."""
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return str(v).lower() if fmt == "csv" and isinstance(v, bool) else v
+
+
+def fold_command(family, policy: str, lines: list, fmt: str) -> tuple:
+    """(exit code, stdout) of ``fold`` on a file of ``lines``: each a number, ``p/q`` or an
+    int, or blank, or a ``#`` comment; the rows as JSON lines or as CSV under a header."""
+    try:
+        values = []
+        for line in map(str.strip, lines):
+            if line and not line.startswith("#"):
+                try:
+                    values.append(Fraction(line))
+                except (ValueError, ZeroDivisionError):
+                    raise Refused(f"not a rational number: {line!r}") from None
+        if not values:
+            raise Refused("no numbers in input")
+        rows = [[text(v, fmt) for v in row] for row in fold(family, policy, values)]
+    except Refused:
+        return 1, ""
+    out = io.StringIO()
+    if fmt == "json":
+        out.writelines(json.dumps(dict(zip(HEAD, row))) + "\n" for row in rows)
+    else:
+        csv.writer(out, lineterminator="\n").writerows([HEAD, *rows])
+    return 0, out.getvalue()

@@ -827,11 +827,12 @@ def test_a_climbing_fold_collapses_each_input_cell_once_while_the_memo_has_room(
     collapsed = count_collapses(monkeypatch)
     steps = ctx.fold(values)
     monkeypatch.undo()
-    # one collapse per input cell, 84 of them; one memo shared with the sums and emptied
-    # whole when full made 822
+    # one collapse per input cell, 84 of them: the inputs' memo holds its own cells, and
+    # no cell a sum passes through takes a place in it
     assert len(collapsed) <= len(input_cells) < 100
     assert steps == rep_add_fold(ctx, values)
-    # the sums pass many memos' worth of cells; the inputs' fit in less than half of one
+    # the sums pass through more cells than four full memos hold; the inputs' cells fit in
+    # less than half of one
     assert len({step.s_cell for step in steps}) > 4 * ops._REP_MEMO_CELLS
     assert 2 * len(input_cells) < ops._REP_MEMO_CELLS
 
@@ -851,27 +852,24 @@ def test_the_representative_memo_never_holds_more_than_its_bound_over_a_long_cli
     ctx, values, collapsed = CoarseContext(spec), draw(), count_collapses(monkeypatch)
     steps = _fold_steps(ctx, values)
     trace = [next(steps)]
-    local = steps.gi_frame.f_locals  # the fold's memos of sum and input cells, emptied in place
-    memos = {name: local[name] for name in ("sums", "picks")}
-    most, emptied, size = ({name: 0 for name in memos} for _ in range(3))
+    picks = steps.gi_frame.f_locals["picks"]  # the fold's memo of input cells, emptied in place
+    most = emptied = size = 0
     for step in steps:
         trace.append(step)
-        for name, memo in memos.items():
-            emptied[name] += len(memo) < size[name]
-            size[name] = len(memo)
-            most[name] = max(most[name], size[name])
+        emptied += len(picks) < size
+        size = len(picks)
+        most = max(most, size)
     monkeypatch.undo()
     assert tuple(trace[:20_000]) == rep_add_fold(ctx, values[:20_000])
     assert trace[-1].s_cell > 100 * ops._REP_MEMO_CELLS   # it climbed
-    assert max(most.values()) <= ops._REP_MEMO_CELLS
-    assert most["sums"] == ops._REP_MEMO_CELLS and emptied["sums"]  # filled, emptied there
+    assert most <= ops._REP_MEMO_CELLS
     input_cells = set(map(spec.index_of, values[1:]))
     assert (len(input_cells) < ops._REP_MEMO_CELLS) is few
     if few:   # every input cell stays in the memo, collapsed once
-        assert not emptied["picks"]
+        assert not emptied
         assert len(collapsed) == len(set(map(spec.index_of, collapsed))) <= len(input_cells)
-    else:
-        assert most["picks"] == ops._REP_MEMO_CELLS and emptied["picks"]
+    else:   # filled, and emptied there
+        assert most == ops._REP_MEMO_CELLS and emptied
 
 
 def swinging(ctx, n, seed=3):

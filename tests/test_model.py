@@ -1,0 +1,106 @@
+"""``coarsesum fold`` checked against the executable spec in ``model.py``: stdout and the
+exit code byte for byte, stderr only as empty or not."""
+
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import model
+from coarsesum.cli import main
+
+
+@st.composite
+def explicit_bounds(draw):
+    """A layout of up to 10 cells, integer or real, cut at 0 with some of its cells below
+    it, or starting about 0, and one cell at least above 0."""
+    domain = draw(st.sampled_from(["int", "real"]))
+    widths = st.integers(1, 8) if domain == "int" else st.builds(F, st.integers(1, 12),
+                                                                 st.integers(1, 3))
+    size = draw(st.integers(1, 10))   # a count drawn first, as a list's size runs short
+    widths = draw(st.lists(widths, min_size=size, max_size=size))
+    below = draw(st.integers(0, size - 1))   # cells below 0
+    bounds = [-sum(widths[:below], F(0)) + (0 if below else draw(st.integers(-1, 1)))]
+    for width in widths:
+        bounds.append(bounds[-1] + width)
+    return "bounds", bounds, domain
+
+
+FAMILIES = st.one_of(
+    st.integers(1, 6).map(lambda w: ("width", w)),
+    st.just(("fibonacci",)),
+    st.sampled_from([F(10), F(1, 3), F(5, 2), F(2)]).map(lambda e: ("eps", e)),
+    explicit_bounds(),
+    st.sampled_from([F(1, 2), F(1, 3), F(1), F(3, 4)]).map(lambda step: ("grid", step)),
+)
+
+
+def flags(family) -> list:
+    kind, *args = family
+    if kind == "fibonacci":
+        return ["--fibonacci"]
+    if kind == "bounds":
+        return ["--bounds", ",".join(map(str, args[0])), "--domain", args[1]]
+    return [f"--{kind}", str(args[0])]
+
+
+@st.composite
+def fold_cases(draw):
+    """A family, a policy, a format, and the lines of a file: ``p/q`` and int lines, with
+    comments and blanks.  On ``--bounds`` the values lie about 0, and on half of the
+    files each points the sum back toward 0, so sums go down and back up through the
+    cells they left.  One file in five may also hold values a step lower, below the
+    origin, or off the integers or the grid, which the family refuses."""
+    family = draw(FAMILIES)
+    kind, off = family[0], draw(st.integers(0, 4)) == 0
+    if kind == "bounds":   # within the widest cell's width of 0, in the layout
+        b, whole = family[1], model.integer(family)
+        reach = math.ceil(max(hi - lo for lo, hi in zip(b, b[1:])))
+        k = st.integers(max(-reach, math.ceil(b[0])) - off, min(reach, math.floor(b[-1]) - whole))
+    else:
+        k = st.integers(-off, draw(st.sampled_from([2, 6, 30])))
+    values = k.map(F) if kind != "grid" else k.map(lambda k: k * family[1])
+    if off or not (model.integer(family) or kind == "grid"):
+        values = st.one_of(values, st.builds(F, k, st.integers(2, 4)))
+    size = draw(st.integers(0, 20))   # a count drawn first, as a list's size runs short
+    values = draw(st.lists(values, min_size=size, max_size=size))
+    policy = draw(st.sampled_from(["median", "min", "max"]))
+    if kind == "bounds" and draw(st.booleans()):   # each value points the sum back to 0
+        s, rep = None, lambda v: model.rep(family, policy, v)
+        for i, v in enumerate(values):
+            values[i] = v = -abs(v) if s is not None and s > 0 else abs(v)
+            try:
+                s = v if s is None else rep(rep(s) + rep(v))
+            except model.Refused:
+                break
+    lines = []
+    for v in values:
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# a comment", "#7", "  # 1/2"]),
+                               max_size=2))
+        m = draw(st.integers(1, 3))
+        lines.append(draw(st.sampled_from([str(v), f"  {v} ",
+                                           f"{v.numerator * m}/{v.denominator * m}"])))
+    return family, policy, draw(st.sampled_from(["json", "csv"])), lines or ["# no numbers"]
+
+
+@pytest.fixture(scope="module")
+def input_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("model") / "values.txt"
+
+
+@settings(max_examples=300)
+@given(case=fold_cases())
+def test_fold_prints_what_the_model_prints(case, input_path):
+    family, policy, fmt, lines = case
+    input_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    argv = ["fold", *flags(family), "--rep", policy, "--input", str(input_path), "--format", fmt]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    want_code, want_out = model.fold_command(family, policy, lines, fmt)
+    assert (code, out.getvalue()) == (want_code, want_out), " ".join(argv)
+    assert bool(err.getvalue()) is (code != 0), " ".join(argv)
