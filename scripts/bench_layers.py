@@ -86,10 +86,15 @@ and, with two or more trees, each later tree's medians and minimums divided
 by the first's, next to the quartiles of the ratio taken sample by sample
 (``paired``: each later tree's sample over the first tree's sample taken beside
 it in the same round).  Drift between two trees' interpreters moves whole
-rounds, so one tree's spread understates it; a row has ``risen`` only when the
-paired ratio's q1 is above ``RISEN_FLOOR``, and the run lists those rows.  The
-list gates nothing: the exit code depends only on differing stdout.  Only the standard
-library is used (``timeit``).
+rounds, so one tree's spread understates it, and on a busy machine a whole run of
+rounds can drift too.  So a ``_us`` row whose paired q1 is above ``RISEN_FLOOR`` is
+timed again: its worker part, the import or its command, once for all of its rows,
+in ``2 * --rounds`` more samples per tree, the trees taking turns.  Its ratio
+gains ``again``, the quartiles of the re-run's paired ratios, and the row has
+``risen`` only if their median is above ``RISEN_FLOOR`` too (see :func:`risen`).
+A ``_kb`` row has risen on its paired q1 alone.  The run lists the rows that have
+risen; the list gates nothing: the exit code depends only on differing stdout.
+Only the standard library is used (``timeit``).
 """
 
 from __future__ import annotations
@@ -187,6 +192,7 @@ runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
 PEAKS = {"cli_peak_rss_kb": "TRACED = False\n" + PEAK_PROBE,
          "cli_peak_traced_kb": "TRACED = True\n" + PEAK_PROBE}
 CLI_FAMILY = "python -m coarsesum.cli "  # the prefix of a whole-process entry's name
+IMPORT_ROW = "import coarsesum.cli"
 #: The sampled stream of ``sample_trial_us`` and ``fold_step_sampled_us``: the CLI's
 #: default truncation, and the trials of the stpete-sampled workload.
 SAMPLED = {"truncation_depth": 64, "trials": 1500, "seed": 7}
@@ -338,6 +344,13 @@ def measure(part: str) -> dict:
     return {part: out}
 
 
+def risen(paired, again=None) -> bool:
+    """Whether a row has risen: the q1 of its paired ratios is above ``RISEN_FLOOR``, and
+    so is the median of ``again``, the paired ratios of its re-run, when it has one."""
+    return (spread(paired)["q1"] > RISEN_FLOOR
+            and (again is None or spread(again)["median"] > RISEN_FLOOR))
+
+
 def spread(values) -> dict:
     """Minimum, quartiles and median of one entry's samples."""
     ordered = sorted(values)
@@ -423,43 +436,56 @@ def main(argv=None) -> int:
     for item in args.src:
         label, _, path = item.rpartition("=")
         trees[label or path] = os.path.abspath(path)
+    labels = list(trees)
     samples = {label: {} for label in trees}  # label -> family -> key -> per-round values
-    imports = {label: {"import_us": [], "cli_bytecode_us": []} for label in trees}
-    runs = {label: {command: {"cli_run_us": [], "cli_peak_rss_kb": [],
-                              **({"cli_bytecode_us": []} if count == IMPORT_RUNS else {})}
-                    for command, count in CLI_RUNS.items()}
-            for label in trees}
     stdout, differing = {}, set()  # command -> the first run's stdout; (command, label)
+    source_of = {}  # family -> the source of ``take`` that times its rows
     work = tempfile.TemporaryDirectory()
     fields = fold_inputs(work.name)
     compiled = {label: byte_compiled(path, work.name) for label, path in trees.items()}
+
+    def take(source, label, into):
+        """One sample of each row of ``source`` from tree ``label``, added to ``into``: a
+        part of ``PARTS``, ``IMPORT_ROW`` or a command of ``CLI_RUNS``, whose start-up
+        rows also run from the byte-compiled copy."""
+        if source in PARTS:
+            taken = worker(trees[label], source)
+        elif source == IMPORT_ROW:
+            taken = {IMPORT_ROW: {"import_us": import_seconds(trees[label]) * 1e6,
+                                  "cli_bytecode_us": import_seconds(compiled[label]) * 1e6}}
+        else:
+            copies = {"cli_run_us": trees[label]}
+            if CLI_RUNS[source] == IMPORT_RUNS:
+                copies["cli_bytecode_us"] = compiled[label]
+            entries = {}
+            for key, tree in copies.items():
+                _, entries[key], out = cli_run(tree, source.format(**fields))
+                if stdout.setdefault(source, out) != out:
+                    differing.add((source, label))
+            taken = {CLI_FAMILY + source: entries}
+        for family, entries in taken.items():
+            source_of[family] = source
+            for key, value in entries.items():
+                into.setdefault(family, {}).setdefault(key, []).append(value)
+
     for r in range(args.rounds):
-        order = list(trees) if r % 2 == 0 else list(reversed(trees))
+        order = labels if r % 2 == 0 else labels[::-1]
         for _ in range(IMPORT_RUNS):
             for label in order:
-                imports[label]["import_us"].append(import_seconds(trees[label]) * 1e6)
-                imports[label]["cli_bytecode_us"].append(import_seconds(compiled[label]) * 1e6)
+                take(IMPORT_ROW, label, samples[label])
         for command, count in CLI_RUNS.items():
-            for peak in [None] * count + ["cli_peak_rss_kb"]:
+            for _ in range(count):
                 for label in order:
-                    # a start-up row's timed run is followed by one from the compiled copy
-                    copies = [(trees[label], None)]
-                    if peak is None and count == IMPORT_RUNS:
-                        copies.append((compiled[label], "cli_bytecode_us"))
-                    for tree, entry in copies:
-                        key, value, out = cli_run(tree, command.format(**fields), peak)
-                        runs[label][command][entry or key].append(value)
-                        if stdout.setdefault(command, out) != out:
-                            differing.add((command, label))
+                    take(command, label, samples[label])
+            for label in order:  # one more, untimed run for the peak
+                key, value, out = cli_run(trees[label], command.format(**fields),
+                                          "cli_peak_rss_kb")
+                samples[label][CLI_FAMILY + command].setdefault(key, []).append(value)
+                if stdout[command] != out:
+                    differing.add((command, label))
         for part in PARTS:
             for label in order:
-                for family, entries in worker(trees[label], part).items():
-                    for key, value in entries.items():
-                        samples[label].setdefault(family, {}).setdefault(key, []).append(value)
-    for label, entries in imports.items():
-        samples[label]["import coarsesum.cli"] = entries
-        for command, entries in runs[label].items():
-            samples[label][CLI_FAMILY + command] = entries
+                take(part, label, samples[label])
     result = {label: {family: {key: spread(values) if key.endswith(SPREAD_KEYS) else values[0]
                                for key, values in entries.items()}
                       for family, entries in families.items()}
@@ -481,31 +507,50 @@ def main(argv=None) -> int:
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
                   f"per tree and round for each start-up command, 1 for each long command, taken in turns, "
                   f"each start-up sample followed by one from a byte-compiled copy of its "
-                  f"tree, and 1 more untimed run of each for its peak RSS; a command whose peak "
+                  f"tree, and 1 more untimed run of each for its peak RSS; a _us row whose "
+                  f"paired q1 is above {RISEN_FLOOR}: its part, import or command timed "
+                  f"{2 * args.rounds} more times per tree, taken in turns; a command whose peak "
                   f"RSS has risen: 1 more run per tree for its tracemalloc peak",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": result,
     }
-    labels = list(trees)
-    risen, retrace = [], set()  # rows above RISEN_FLOOR; their commands' risen peaks
+    risen_rows, retrace = [], set()  # rows that have risen; their commands' risen peaks
     if len(labels) > 1:
         first = labels[0]
         ratios = report[f"ratio_to_{first}"] = {label: {} for label in labels[1:]}
+        flagged = []  # (label, family, key, paired ratios) of each _us row to time again
         for label in labels[1:]:
             for family, entries in result[label].items():
                 for key, value in entries.items():
                     if not key.endswith(SPREAD_KEYS):
                         continue
                     base = result[first][family][key]
-                    paired = spread([a / b for a, b in zip(samples[label][family][key],
-                                                           samples[first][family][key])])
+                    paired = [a / b for a, b in zip(samples[label][family][key],
+                                                    samples[first][family][key])]
                     ratios[label].setdefault(family, {})[key] = {
                         **{stat: round(value[stat] / base[stat], 3) for stat in ("median", "min")},
-                        "paired": {stat: round(paired[stat], 3) for stat in ("q1", "median", "q3")}}
-                    if paired["q1"] > RISEN_FLOOR:
-                        risen.append(f"{label}: {family}: {key}")
+                        "paired": {stat: round(spread(paired)[stat], 3)
+                                   for stat in ("q1", "median", "q3")}}
+                    if not risen(paired):
+                        continue
+                    if key.endswith("_us"):
+                        flagged.append((label, family, key, paired))
+                    else:
+                        risen_rows.append(f"{label}: {family}: {key}")
                         if key == "cli_peak_rss_kb":
                             retrace.add(family)
+        again = {label: {} for label in labels}  # label -> family -> key -> re-run values
+        sources = dict.fromkeys(source_of[family] for _, family, _, _ in flagged)
+        for source in sources:  # each once, for all of its flagged rows
+            for r in range(2 * args.rounds):
+                for label in labels if r % 2 == 0 else labels[::-1]:
+                    take(source, label, again[label])
+        for label, family, key, paired in flagged:
+            rerun = [a / b for a, b in zip(again[label][family][key], again[first][family][key])]
+            ratios[label][family][key]["again"] = {stat: round(spread(rerun)[stat], 3)
+                                                   for stat in ("q1", "median", "q3")}
+            if risen(paired, rerun):
+                risen_rows.append(f"{label}: {family}: {key}")
         for family in sorted(retrace):  # one more run per tree, traced
             command = family[len(CLI_FAMILY):]
             for label in labels:
@@ -517,7 +562,7 @@ def main(argv=None) -> int:
             for label in labels[1:]:
                 ratios[label][family][key] = round(result[label][family][key]
                                                    / result[first][family][key], 3)
-        report["risen"] = risen
+        report["risen"] = risen_rows
     work.cleanup()
     text = json.dumps(report, indent=2)
     if args.out:
@@ -525,7 +570,7 @@ def main(argv=None) -> int:
             fh.write(text + "\n")
     else:
         print(text)
-    for row in risen:
+    for row in risen_rows:
         print(f"risen: {row}", file=sys.stderr)
     for command, label in sorted(differing):
         print(f"{command}: {label} prints other stdout", file=sys.stderr)

@@ -1,4 +1,5 @@
-"""An executable spec of ``coarsesum fold``, written from the definitions alone.
+"""An executable spec of ``coarsesum fold`` and ``coarsesum partition``, written from the
+definitions alone.
 
 Nothing here imports ``coarsesum``.  A family is named by a tuple and stated as the
 sequence of its cells, each ``(lower, upper, closed_below)`` with exact bounds, the
@@ -18,16 +19,21 @@ lower of an integer cell's two central members; min picks the lower bound, and i
 refused where cells are open below; max picks the upper bound.  Coarse addition is
 x (+) y = rep(rep(x) + rep(y)), and the fold's first sum is its first input as
 given: every step is folded afresh, with no memo.  Rows are written with
-``json.dumps`` and ``csv``; rationals print as ``p/q``.
+``json.dumps`` and ``csv``, where rationals print as ``p/q``, or as a table of
+columns padded to their widest text, where rationals print as decimals.
 """
 
 import csv
 import io
 import json
+from decimal import Context, Inexact
 from fractions import Fraction
 from itertools import count, islice
 
 HEAD = ("n", "x", "x_cell", "s", "s_cell", "absorbed")
+CELL_HEAD = ("index", "lower", "upper", "lower_closed", "upper_closed", "rep", "margin_pos",
+             "margin_neg")
+CELL_TABLE_HEAD = ("cell", "interval", "rep", "margin+", "margin-")
 
 
 class Refused(ValueError):
@@ -77,8 +83,8 @@ def locate(family, x: Fraction):
     raise Refused(f"{x} lies in no cell")
 
 
-def rep(family, policy: str, x: Fraction) -> Fraction:
-    lo, hi = locate(family, x)[1]
+def pick(family, policy: str, lo: Fraction, hi: Fraction) -> Fraction:
+    """The representative of the cell from lo to hi."""
     if policy == "min":
         return lo
     if policy == "max":
@@ -86,10 +92,18 @@ def rep(family, policy: str, x: Fraction) -> Fraction:
     return Fraction((lo + hi) // 2) if integer(family) else (lo + hi) / 2
 
 
-def fold(family, policy: str, values: list) -> list:
-    """The rows of the left fold: n, x, x's cell, the sum, its cell, and whether it stayed."""
+def rep(family, policy: str, x: Fraction) -> Fraction:
+    return pick(family, policy, *locate(family, x)[1])
+
+
+def check_policy(family, policy: str) -> None:
     if policy == "min" and not all(closed for _, _, closed in islice(cells(family), 2)):
         raise Refused("min is refused where cells are open below")
+
+
+def fold(family, policy: str, values: list) -> list:
+    """The rows of the left fold: n, x, x's cell, the sum, its cell, and whether it stayed."""
+    check_policy(family, policy)
     rows, s = [], None
     for n, x in enumerate(values, start=1):
         x_cell = locate(family, x)[0]
@@ -107,9 +121,52 @@ def text(v, fmt: str):
     return str(v).lower() if fmt == "csv" and isinstance(v, bool) else v
 
 
+def decimal(v: Fraction) -> str:
+    """A rational as a table prints it: its decimal when that ends, else its six
+    significant digits in ``%g``'s layout, rounded exactly (a decimal that never ends
+    never ties)."""
+    n, d = v.numerator, v.denominator
+    try:  # a decimal that ends has at most as many places as d has bits
+        return f"{Context(len(str(n)) + d.bit_length(), traps=[Inexact]).divide(n, d):f}"
+    except Inexact:
+        pass
+    e = 0  # the place of the leading digit: 10**e <= |v| < 10**(e + 1)
+    while abs(v) >= 10 ** (e + 1):
+        e += 1
+    while abs(v) < Fraction(10) ** e:
+        e -= 1
+    unit = Fraction(10) ** (e - 5)
+    return "%g" % float(round(v / unit) * unit)  # six digits survive the float
+
+
+def table_text(v) -> str:
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    return decimal(v) if isinstance(v, Fraction) else str(v)
+
+
+def write(head, rows: list, fmt: str) -> str:
+    """Rows as JSON lines, as CSV under a header, or as a table under its header: each
+    column padded to its widest text, two spaces apart, and each line cut of trailing
+    spaces."""
+    out = io.StringIO()
+    if fmt == "table":
+        lines = [head, *([table_text(v) for v in row] for row in rows)]
+        widths = [max(map(len, column)) for column in zip(*lines)]
+        out.writelines("  ".join(t.ljust(w) for t, w in zip(line, widths)).rstrip() + "\n"
+                       for line in lines)
+    elif fmt == "json":
+        out.writelines(json.dumps(dict(zip(head, [text(v, fmt) for v in row]))) + "\n"
+                       for row in rows)
+    else:
+        csv.writer(out, lineterminator="\n").writerows(
+            [head, *([text(v, fmt) for v in row] for row in rows)])
+    return out.getvalue()
+
+
 def fold_command(family, policy: str, lines: list, fmt: str) -> tuple:
     """(exit code, stdout) of ``fold`` on a file of ``lines``: each a number, ``p/q`` or an
-    int, or blank, or a ``#`` comment; the rows as JSON lines or as CSV under a header."""
+    int, or blank, or a ``#`` comment."""
     try:
         values = []
         for line in map(str.strip, lines):
@@ -120,12 +177,28 @@ def fold_command(family, policy: str, lines: list, fmt: str) -> tuple:
                     raise Refused(f"not a rational number: {line!r}") from None
         if not values:
             raise Refused("no numbers in input")
-        rows = [[text(v, fmt) for v in row] for row in fold(family, policy, values)]
+        return 0, write(HEAD, fold(family, policy, values), fmt)
     except Refused:
         return 1, ""
-    out = io.StringIO()
-    if fmt == "json":
-        out.writelines(json.dumps(dict(zip(HEAD, row))) + "\n" for row in rows)
-    else:
-        csv.writer(out, lineterminator="\n").writerows([HEAD, *rows])
-    return 0, out.getvalue()
+
+
+def partition_command(family, policy: str, n: int, fmt: str) -> tuple:
+    """(exit code, stdout) of ``partition``: the first n cells, or all of a finite layout,
+    each with its bounds, its representative and the margins from it to either bound; a
+    table writes a cell's interval as ``{lo..hi}`` (``{lo}`` for one integer) or as
+    ``[lo, hi]``, ``(`` where the cell is open below."""
+    try:
+        check_policy(family, policy)
+    except Refused:
+        return 1, ""
+    rows = []
+    for i, (lo, hi, closed) in enumerate(islice(cells(family), n), start=1):
+        r = pick(family, policy, lo, hi)
+        if fmt != "table":
+            rows.append((i, lo, hi, closed, True, r, hi - r, r - lo))
+        elif integer(family):
+            rows.append((i, "{%s}" % lo if lo == hi else "{%s..%s}" % (lo, hi), r, hi - r, r - lo))
+        else:
+            interval = f"{'[' if closed else '('}{decimal(lo)}, {decimal(hi)}]"
+            rows.append((i, interval, r, hi - r, r - lo))
+    return 0, write(CELL_TABLE_HEAD if fmt == "table" else CELL_HEAD, rows, fmt)

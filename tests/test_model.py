@@ -1,5 +1,5 @@
-"""``coarsesum fold`` checked against the executable spec in ``model.py``: stdout and the
-exit code byte for byte, stderr only as empty or not."""
+"""``coarsesum fold`` and ``coarsesum partition`` checked against the executable spec in
+``model.py``: stdout and the exit code byte for byte, stderr only as empty or not."""
 
 import io
 import math
@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import model
@@ -30,6 +30,8 @@ def explicit_bounds(draw):
     return "bounds", bounds, domain
 
 
+FORMATS = ["json", "csv", "table"]
+POLICIES = st.sampled_from(["median", "min", "max"])
 FAMILIES = st.one_of(
     st.integers(1, 6).map(lambda w: ("width", w)),
     st.just(("fibonacci",)),
@@ -54,7 +56,8 @@ def fold_cases(draw):
     comments and blanks.  On ``--bounds`` the values lie about 0, and on half of the
     files each points the sum back toward 0, so sums go down and back up through the
     cells they left.  One file in five may also hold values a step lower, below the
-    origin, or off the integers or the grid, which the family refuses."""
+    origin, or off the integers or the grid, which the family refuses.  Half of the files
+    end in a run of one line, so a pinned sum's rows end in a settled tail."""
     family = draw(FAMILIES)
     kind, off = family[0], draw(st.integers(0, 4)) == 0
     if kind == "bounds":   # within the widest cell's width of 0, in the layout
@@ -68,7 +71,7 @@ def fold_cases(draw):
         values = st.one_of(values, st.builds(F, k, st.integers(2, 4)))
     size = draw(st.integers(0, 20))   # a count drawn first, as a list's size runs short
     values = draw(st.lists(values, min_size=size, max_size=size))
-    policy = draw(st.sampled_from(["median", "min", "max"]))
+    policy = draw(POLICIES)
     if kind == "bounds" and draw(st.booleans()):   # each value points the sum back to 0
         s, rep = None, lambda v: model.rep(family, policy, v)
         for i, v in enumerate(values):
@@ -84,7 +87,9 @@ def fold_cases(draw):
         m = draw(st.integers(1, 3))
         lines.append(draw(st.sampled_from([str(v), f"  {v} ",
                                            f"{v.numerator * m}/{v.denominator * m}"])))
-    return family, policy, draw(st.sampled_from(["json", "csv"])), lines or ["# no numbers"]
+    if values and draw(st.booleans()):  # the last line repeats, as a settled stream's does
+        lines += [lines[-1]] * draw(st.integers(1, 4))
+    return family, policy, draw(st.sampled_from(FORMATS)), lines or ["# no numbers"]
 
 
 @pytest.fixture(scope="module")
@@ -92,15 +97,28 @@ def input_path(tmp_path_factory):
     return tmp_path_factory.mktemp("model") / "values.txt"
 
 
+def run(argv: list) -> tuple:
+    """(exit code, stdout) of ``cli.main``, after checking that stderr holds text exactly
+    when the command fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert bool(err.getvalue()) is (code != 0), " ".join(argv)
+    return code, out.getvalue()
+
+
 @settings(max_examples=300)
 @given(case=fold_cases())
+@example(case=(("eps", F(10)), "median", "table", ["1/2"] * 3))  # a settled table's tail
 def test_fold_prints_what_the_model_prints(case, input_path):
     family, policy, fmt, lines = case
     input_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     argv = ["fold", *flags(family), "--rep", policy, "--input", str(input_path), "--format", fmt]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
-    want_code, want_out = model.fold_command(family, policy, lines, fmt)
-    assert (code, out.getvalue()) == (want_code, want_out), " ".join(argv)
-    assert bool(err.getvalue()) is (code != 0), " ".join(argv)
+    assert run(argv) == model.fold_command(family, policy, lines, fmt), " ".join(argv)
+
+
+@settings(max_examples=200)
+@given(family=FAMILIES, policy=POLICIES, n=st.integers(1, 40), fmt=st.sampled_from(FORMATS))
+def test_partition_prints_what_the_model_prints(family, policy, n, fmt):
+    argv = ["partition", *flags(family), "--rep", policy, "--cells", str(n), "--format", fmt]
+    assert run(argv) == model.partition_command(family, policy, n, fmt), " ".join(argv)
