@@ -10,10 +10,11 @@ Each ``--src [LABEL=]PATH`` names a source tree holding the ``coarsesum``
 package.  Every tree is timed in fresh interpreters of its own, one per part of
 ``PARTS``: one per partition family, and one for the sampler and text entries, so
 that an entry timed late in an interpreter picks up no drift from the parts before
-it.  The trees take turns on each part for ``--rounds`` rounds so that drift on a
-shared machine hits them alike.  Each entry gives its spread over the rounds -- ``min``, ``q1``,
-``median`` and ``q3`` -- so a ratio can be read against the noise.  For every
-partition family the entries are, in microseconds:
+it.  The trees take turns on each part for ``--rounds`` rounds (10 by default: ten
+alternating pairs) so that drift on a shared machine hits them alike.  Each entry
+gives its spread over the rounds -- ``min``, ``q1``, ``median`` and ``q3`` -- so a
+ratio can be read against the noise.  For every partition family the entries are, in
+microseconds:
 
 * ``fold_step_pinned_us``   -- ``CoarseContext.fold`` per step, on a stream
   of one repeated value (one object, as the CLI reads a repeated line) whose
@@ -422,8 +423,8 @@ def main(argv=None) -> int:
     parser.add_argument("--src", action="append", default=[], metavar="[LABEL=]PATH",
                         help="source tree holding the coarsesum package (repeatable)")
     parser.add_argument("--out", help="write the JSON here (default: stdout)")
-    parser.add_argument("--rounds", type=int, default=5,
-                        help="interpreters per tree, taken in turns (default: 5)")
+    parser.add_argument("--rounds", type=int, default=10,
+                        help="interpreters per tree, taken in turns (default: 10)")
     parser.add_argument("--worker", nargs=2, metavar=("PATH", "PART"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:

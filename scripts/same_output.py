@@ -58,7 +58,9 @@ inputs often land in the sum's cell; and a sum that moves down and back up throu
 same cells on every step (inputs below 0 on real ``--bounds`` from -16); last, the argv
 that the CLI leaves to argparse: ``--help``, ``fold --help``, the usage error
 ``partition --cells 0 --width 3`` (exit 2), the ``=`` form ``inert --eps 10
---const 1/2 --bound=1/2`` and the abbreviation ``partition --fib --cells 3``.
+--const 1/2 --bound=1/2``, the abbreviation ``partition --fib --cells 3``, and the
+abbreviation ``partition --bou -4,-1/2,3 --domain real --cells 3 --format csv``, whose
+value argparse reads as a value, though it starts with ``-4``, only by the CLI's rule.
 Every later tree's stdout, stderr and exit code are compared with the first
 tree's.  One line names each command that differs; the last line counts them.
 The exit code is 1 if any command differs, else 0.
@@ -165,10 +167,12 @@ FROM_FILE = ((("--eps", "10"), "late"), (("--eps", "10", "--rep", "max"), "late"
              (("--grid", "1/2"), "halves"), (("--width", "3"), "ints"))
 
 #: Argv that the CLI's direct reader leaves to argparse: help, a usage error, an ``=`` form
-#: and an abbreviation.
+#: and two abbreviations, one with a value that starts with ``-`` and a digit.
 ARGPARSE = (("--help",), ("fold", "--help"), ("partition", "--cells", "0", "--width", "3"),
             ("inert", "--eps", "10", "--const", "1/2", "--bound=1/2"),
-            ("partition", "--fib", "--cells", "3"))
+            ("partition", "--fib", "--cells", "3"),
+            ("partition", "--bou", "-4,-1/2,3", "--domain", "real", "--cells", "3",
+             "--format", "csv"))
 
 
 def extra_commands(work: Path) -> list:

@@ -197,12 +197,19 @@ _COMMANDS = {
 }
 
 
+# Both readers of argv must agree on what a value is: a token that starts with - is one
+# only as - or before a digit or . (-1/2, -4,1,2, -.5).  argparse alone reads only tokens
+# like -1 and -.5 so, and takes -1/2 or -4,1,2 for an unknown option; no flag here starts
+# so, and build_parser gives each of its parsers this pattern.  _read_argv reads the
+# second character, ASCII digits only, and leaves any other token to argparse.
+_NEGATIVE_VALUE = r"-[\d.]"
+
+
 def _read_argv(argv: list):
     """The namespace argparse makes of a well-formed ``argv``, or None to leave ``argv`` to it.
 
     Well formed is a subcommand, then its flags each once, as a switch or ``--flag`` and its
     values, each value passing its converter and choices, and one flag of each required group.
-    A value starts with ``-`` only as ``-`` or before a digit or ``.``, as argparse reads here.
     """
     if not argv or argv[0] not in _COMMANDS:
         return None
@@ -235,9 +242,23 @@ def _read_argv(argv: list):
 
 
 def build_parser():
-    """The argparse parser of every flag in ``_COMMANDS``, with its help and usage errors."""
-    from ._usage import build_parser  # compiled only for help and usage errors
-    return build_parser(_COMMANDS)
+    """The argparse parser of every flag in ``_COMMANDS``, with its help and usage errors;
+    argparse is imported here, so a well-formed command never imports it."""
+    import argparse
+    import re
+    parser = argparse.ArgumentParser(prog="coarsesum", description="Coarse partitions of the "
+                                     "number line and absorption-based coarse addition.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, flags) in _COMMANDS.items():
+        p, groups = sub.add_parser(name, help=text), {}
+        for flag, group, kw in flags:
+            if group and group not in groups:
+                groups[group] = p.add_mutually_exclusive_group(required=True)
+            (groups[group] if group else p).add_argument(flag, **kw)
+        p.set_defaults(func=func)
+    for p in [parser, *sub.choices.values()]:
+        p._negative_number_matcher = re.compile(_NEGATIVE_VALUE)
+    return parser
 
 
 def main(argv=None) -> int:

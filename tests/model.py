@@ -1,4 +1,4 @@
-"""An executable spec of ``coarsesum fold`` and ``coarsesum partition``, written from the
+"""An executable spec of ``coarsesum fold``, ``partition`` and ``inert``, written from the
 definitions alone.
 
 Nothing here imports ``coarsesum``.  A family is named by a tuple and stated as the
@@ -21,6 +21,15 @@ x (+) y = rep(rep(x) + rep(y)), and the fold's first sum is its first input as
 given: every step is folded afresh, with no memo.  Rows are written with
 ``json.dumps`` and ``csv``, where rationals print as ``p/q``, or as a table of
 columns padded to their widest text, where rationals print as decimals.
+
+``inert`` folds a stream to its horizon, or a file to its last number within it, and
+judges the window: inert from step N < horizon if every sum from N on is the last one.
+With a bound b, a stream with a value outside [0, b] is refused, and the verdict is
+certified, from N = horizon too, where a step n >= 2 proves that no later sum moves: a
+step whose sum stays in its cell, on a constant stream (a fixed point), or on a real
+family other than a grid whose cell of 0 collapses to a value >= 0, on a stream that
+never rises; else there, a sum in c*(b), the cell where the fold of the constant b is
+first absorbed within the horizon, b being a file's largest value.
 """
 
 import csv
@@ -164,20 +173,27 @@ def write(head, rows: list, fmt: str) -> str:
     return out.getvalue()
 
 
+def read(lines: list, limit=None) -> list:
+    """The numbers of a file of ``lines``, each a number, ``p/q`` or an int, or blank, or a
+    ``#`` comment, up to the first ``limit``: no line after that number is read."""
+    values = []
+    for line in map(str.strip, lines):
+        if len(values) == limit:
+            break
+        if line and not line.startswith("#"):
+            try:
+                values.append(Fraction(line))
+            except (ValueError, ZeroDivisionError):
+                raise Refused(f"not a rational number: {line!r}") from None
+    if not values:
+        raise Refused("no numbers in input")
+    return values
+
+
 def fold_command(family, policy: str, lines: list, fmt: str) -> tuple:
-    """(exit code, stdout) of ``fold`` on a file of ``lines``: each a number, ``p/q`` or an
-    int, or blank, or a ``#`` comment."""
+    """(exit code, stdout) of ``fold`` on a file of ``lines``."""
     try:
-        values = []
-        for line in map(str.strip, lines):
-            if line and not line.startswith("#"):
-                try:
-                    values.append(Fraction(line))
-                except (ValueError, ZeroDivisionError):
-                    raise Refused(f"not a rational number: {line!r}") from None
-        if not values:
-            raise Refused("no numbers in input")
-        return 0, write(HEAD, fold(family, policy, values), fmt)
+        return 0, write(HEAD, fold(family, policy, read(lines)), fmt)
     except Refused:
         return 1, ""
 
@@ -202,3 +218,64 @@ def partition_command(family, policy: str, n: int, fmt: str) -> tuple:
             interval = f"{'[' if closed else '('}{decimal(lo)}, {decimal(hi)}]"
             rows.append((i, interval, r, hi - r, r - lo))
     return 0, write(CELL_TABLE_HEAD if fmt == "table" else CELL_HEAD, rows, fmt)
+
+
+def stream(source: tuple, horizon: int) -> list:
+    """The values of a stream up to its horizon: ``("const", c)``, ``("harmonic",)``, 1/t,
+    ``("geometric", c, r)``, c * r**t, for t = 1, 2, ..., or ``("file", lines)``."""
+    kind, *args = source
+    if kind == "file":
+        return read(args[0], horizon)
+    if kind == "const":
+        return [args[0]] * horizon
+    if kind == "harmonic":
+        return [Fraction(1, t) for t in range(1, horizon + 1)]
+    return [args[0] * args[1] ** t for t in range(1, horizon + 1)]
+
+
+def inert_command(family, policy: str, source: tuple, horizon: int, bound, fmt: str) -> tuple:
+    """(exit code, stdout) of ``inert`` on a stream ``source`` (see :func:`stream`), with
+    an upper bound ``bound`` on its values or None."""
+    try:
+        check_policy(family, policy)
+        values = stream(source, horizon)
+        if bound is not None and not all(0 <= v <= bound for v in values):
+            raise Refused(f"a value lies outside [0, {bound}]")
+        rows = fold(family, policy, values)
+    except Refused:
+        return 1, ""
+    horizon, sums = len(values), [row[3] for row in rows]
+    n = horizon
+    while n > 1 and sums[n - 2] == sums[-1]:
+        n -= 1
+    certified = False
+    if bound is not None:  # a step n >= 2 that proves every later sum certifies
+        kind, *args = source
+        constant = kind == "const" or kind == "geometric" and (args[0] == 0 or args[1] in (0, 1))
+        falls = values[0] >= 0 and (kind == "harmonic" or constant  # and never rises
+                                    or kind == "geometric" and 0 < args[1] < 1)
+        try:
+            real = family[0] == "eps" or family[0] == "bounds" and family[2] == "real"
+            real = real and rep(family, policy, Fraction(0)) >= 0
+        except Refused:  # 0 lies in no cell
+            real = False
+        target = None
+        if real and not (constant or falls):
+            b = max(values) if kind == "file" else bound
+            try:  # c*(b)
+                target = next((row[4] for row in fold(family, policy, [b] * horizon) if row[5]),
+                              None)
+            except Refused:
+                pass
+        certified = any(row[5] and (constant or real and falls) or row[4] == target
+                        for row in rows[1:])
+    if certified or n < horizon:
+        verdict = dict(outcome="inert", N=n, cell=rows[-1][4], value=text(sums[-1], "json"),
+                       horizon=horizon, certified=certified)
+        line = (f"inert at cell {rows[-1][4]} from step {n}, value {decimal(sums[-1])} "
+                f"({'certified' if certified else 'observed'})")
+    else:
+        verdict = dict(outcome="no_verdict", N=None, cell=None, value=None, horizon=horizon,
+                       certified=False)
+        line = f"no verdict after {horizon} steps"
+    return (0 if verdict["N"] else 3), (json.dumps(verdict) if fmt == "json" else line) + "\n"

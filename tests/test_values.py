@@ -191,7 +191,7 @@ def test_every_module_imports_and_every_public_name_resolves_in_a_fresh_interpre
     assert lines[0] == "['ops']"
     assert sorted(lines[1:-2]) == sorted(
         ["_epsilon_growth", "_explicit_bounds", "_fibonacci", "_fixed_width", "_rows",
-         "_singleton_grid", "_usage", "cli", "errors", "inertness", "ops", "partitions",
+         "_singleton_grid", "cli", "errors", "inertness", "ops", "partitions",
          "rationals", "representatives", "stpetersburg"])
     assert lines[-2:] == ["missing []", "True"]
 
