@@ -134,7 +134,8 @@ IMPORT_PROBE = ("import time; t = time.perf_counter(); import coarsesum.cli; "
 #: long ``inert`` streams that stop at their first absorbed step, a constant under a
 #: large ``--bound``, which stops at its fixed point and scans for no cell, and a
 #: climbing fold to the horizon, sampling, as the benchmark's stpete-sampled workload
-#: does and at 1e5 trials, and long folds, one of them a sum that swings about 0.
+#: does and at 1e5 trials, 1e5 partition rows, and long folds, one of them a sum that
+#: swings about 0.
 CLI_RUNS = {
     "partition --width 3 --cells 1": IMPORT_RUNS,
     "fold --fibonacci --input {short}": IMPORT_RUNS,
@@ -148,6 +149,7 @@ CLI_RUNS = {
     "inert --width 3 --const 3 --horizon 100000": 1,
     "stpete --eps 10 --trials 1500 --seed 7": 1,
     "stpete --eps 10 --depth 10 --trials 100000 --seed 7": 1,
+    "partition --width 3 --cells 100000": 1,
     # folds of seeded files, as fold-climbing's epsilon and explicit commands at scale
     "fold --eps 10 --input {pq} --format csv": 1,
     "fold --eps 10 --input {pq} --format json": 1,

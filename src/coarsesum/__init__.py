@@ -11,8 +11,8 @@ inert.  Everything is computed in exact rational arithmetic.
 import sys
 from importlib.util import LazyLoader, find_spec, module_from_spec
 
-from .errors import CoarseError, DomainError, OutOfRangeError, SpecError
-from .partitions import Cell, Domain, Partition, build_partition
+from .partitions import (Cell, CoarseError, Domain, DomainError, OutOfRangeError, Partition,
+                         SpecError, build_partition)
 from .rationals import format_decimal, format_rational, parse_rational
 from .representatives import CoarseContext, Policy, margin_pos, rep_of_cell, rep_of_value
 

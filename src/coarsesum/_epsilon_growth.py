@@ -3,8 +3,7 @@
 from fractions import Fraction
 from math import isqrt
 
-from .errors import SpecError
-from .partitions import Domain, Partition, _below, _rational, _settle
+from .partitions import Domain, Partition, SpecError, _below, _rational, _settle
 
 
 class EpsilonGrowth(Partition):

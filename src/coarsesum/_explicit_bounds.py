@@ -3,8 +3,8 @@
 from bisect import bisect_right
 from math import lcm
 
-from .errors import OutOfRangeError, SpecError
-from .partitions import _INTEGERS, Domain, Partition, _below, _rational, _settle
+from .partitions import (_INTEGERS, Domain, OutOfRangeError, Partition, SpecError, _below,
+                         _rational, _settle)
 
 
 class ExplicitBounds(Partition):

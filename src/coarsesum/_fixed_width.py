@@ -1,7 +1,6 @@
 """The FixedWidth family; see :mod:`coarsesum.partitions`."""
 
-from .errors import SpecError
-from .partitions import Partition, _below, _settle
+from .partitions import Partition, SpecError, _below, _settle
 
 
 class FixedWidth(Partition):

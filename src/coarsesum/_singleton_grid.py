@@ -2,8 +2,7 @@
 
 from fractions import Fraction
 
-from .errors import DomainError, SpecError
-from .partitions import Domain, Partition, _below, _rational, _settle
+from .partitions import Domain, DomainError, Partition, SpecError, _below, _rational, _settle
 
 
 class SingletonGrid(Partition):

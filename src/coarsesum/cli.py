@@ -21,7 +21,6 @@ from types import SimpleNamespace
 
 # ops, inertness, stpetersburg and each family of partitions are compiled at their first read
 from . import inertness, ops, partitions, stpetersburg
-from .errors import CoarseError
 # format_decimal is unused here, but the tracer test in bench/tests checks its patch here
 from .rationals import format_decimal, parse_rational, write_rows  # noqa: F401
 from .representatives import CoarseContext, Policy, rep_of_cell
@@ -271,17 +270,19 @@ def main(argv=None) -> int:
         # end quietly, and send what is still buffered nowhere when Python exits
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CoarseError, ValueError, OSError) as exc:
+    except (partitions.CoarseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def run() -> None:
-    # The process entry.  What the imports built lives to exit, so no collection need
-    # walk it; main does not freeze, as its in-process callers would keep every later cycle.
-    # Once main returns, its output is flushed and the process ends with no teardown (nor
-    # atexit handlers); a SystemExit or an error out of main exits as usual.
+    # The process entry.  What a command builds holds no cycle and lives to exit, so the
+    # collector is off; the import heap is frozen too, out of the one collection that ends
+    # an exit through SystemExit (help, usage errors).  main does neither, for its in-process
+    # callers.  Once main returns, its output is flushed and the process ends with no
+    # teardown (nor atexit handlers); a SystemExit or an error out of main exits as usual.
     gc.freeze()
+    gc.disable()
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

@@ -23,9 +23,8 @@ from fractions import Fraction
 from itertools import count, repeat
 from typing import Callable, NamedTuple
 
-from .errors import CoarseError
 from .ops import FoldTrace, _fold_steps
-from .partitions import _REALS, Partition, _rational
+from .partitions import _REALS, CoarseError, Partition, _rational
 from .rationals import format_decimal, format_rational
 from .representatives import _MAX, CoarseContext, Policy, _pick
 

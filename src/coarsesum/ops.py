@@ -11,7 +11,7 @@ increment, it stops moving.  Only a command that folds compiles this module.
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import CoarseError
+from .partitions import CoarseError
 from .rationals import write_rows
 from .representatives import CoarseContext, _pick, rep_of_value
 

@@ -39,15 +39,38 @@ back into n/D, and it gives every family the lookup API (``index_of``,
 
 Generated families extend lazily to any index and are pure functions of the
 index, so concurrent queries for the same cell always agree.  Explicit
-families are finite and refuse indexes beyond their last cell.
+families are finite and refuse indexes beyond their last cell.  The package's
+exception types, :class:`CoarseError` and its subclasses, are defined here first.
 """
 
 from enum import Enum
 from fractions import Fraction
 from importlib import import_module
 
-from .errors import DomainError, SpecError
 from .rationals import format_decimal, parse_rational
+
+
+class CoarseError(Exception):
+    """Base class for every error raised by this package.
+
+    ``step`` is the 1-based fold step of an error that surfaced inside a fold.
+    """
+
+    def __init__(self, *args, step: int | None = None):
+        super().__init__(*args)
+        self.step = step
+
+
+class SpecError(CoarseError, ValueError):
+    """A partition description or its policy is invalid; the message names the offending field."""
+
+
+class DomainError(CoarseError, ValueError):
+    """A value does not belong to the partition's domain (wrong grid, below origin, ...)."""
+
+
+class OutOfRangeError(CoarseError):
+    """A value or cell index falls outside the partition's covered range."""
 
 
 class Domain(Enum):

@@ -24,8 +24,7 @@ the partition table prints it.
 from enum import Enum
 from fractions import Fraction
 
-from .errors import SpecError
-from .partitions import _REALS, Cell, Partition, _cell_index, _Frozen, _settle
+from .partitions import _REALS, Cell, Partition, SpecError, _cell_index, _Frozen, _settle
 
 
 class Policy(Enum):

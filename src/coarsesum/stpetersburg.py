@@ -21,10 +21,9 @@ from itertools import islice
 from operator import index
 from typing import NamedTuple
 
-from .errors import SpecError
 from .inertness import (InertVerdict, constant, detect_inert_stream, detect_inert_trace,
                         first_absorbing_cell)
-from .partitions import EpsilonGrowth
+from .partitions import EpsilonGrowth, SpecError
 from .rationals import format_decimal, format_rational
 from .representatives import CoarseContext
 

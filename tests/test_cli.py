@@ -920,35 +920,94 @@ def test_a_reader_that_leaves_early_ends_the_command_quietly(capsys):
     assert header.decode() == capsys.readouterr().out.splitlines(keepends=True)[0]
 
 
-def test_main_in_process_freezes_nothing(tmp_path, capsys):
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_in_process_freezes_nothing(enabled, tmp_path, capsys):
+    # main leaves the collector as it found it, on or off; only run() freezes or turns it off
     path = tmp_path / "values.txt"
     path.write_text("1\n2\n")
-    before = gc.get_freeze_count()
-    assert main(["partition", "--width", "3", "--cells", "1"]) == 0
-    assert main(["fold", "--width", "3", "--input", str(path), "--format", "json"]) == 0
-    assert main(["inert", "--eps", "4", "--harmonic"]) == 0
-    assert main(["stpete", "--eps", "10", "--depth", "3"]) == 0
-    assert gc.get_freeze_count() == before
+    before, was = gc.get_freeze_count(), gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["partition", "--width", "3", "--cells", "1"]) == 0
+        assert main(["fold", "--width", "3", "--input", str(path), "--format", "json"]) == 0
+        assert main(["inert", "--eps", "4", "--harmonic"]) == 0
+        assert main(["stpete", "--eps", "10", "--depth", "3"]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (before, enabled)
+    finally:
+        (gc.enable if was else gc.disable)()
     capsys.readouterr()
 
 
 def test_the_process_entry_freezes_the_import_heap():
-    # the command ends at os._exit, so the probe reads the freeze count at that call
+    # the command ends at os._exit, so the probe reads the collector's state at that call;
+    # the collector is off, and the freeze keeps the import heap out of the collection that
+    # ends an exit through SystemExit
     probe = ("import gc, os, runpy, sys\n"
              "sys.argv = ['coarsesum', 'partition', '--width', '3', '--cells', '1']\n"
-             "print('frozen before', gc.get_freeze_count(), file=sys.stderr)\n"
+             "print('before', gc.isenabled(), gc.get_freeze_count(), file=sys.stderr)\n"
              "exit_now = os._exit\n"
              "def observe(code):\n"
-             "    print('exit', code, 'frozen', gc.get_freeze_count(), file=sys.stderr,\n"
-             "          flush=True)\n"
+             "    print('exit', code, 'enabled', gc.isenabled(), 'frozen',\n"
+             "          gc.get_freeze_count(), file=sys.stderr, flush=True)\n"
              "    exit_now(code)\n"
              "os._exit = observe\n"
              "runpy.run_module('coarsesum.cli', run_name='__main__')\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True)
-    assert "frozen before 0\n" in proc.stderr
-    assert int(re.search(r"^exit 0 frozen (\d+)$", proc.stderr, re.M).group(1)) > 0
+    assert "before True 0\n" in proc.stderr
+    assert int(re.search(r"^exit 0 enabled False frozen (\d+)$", proc.stderr, re.M).group(1)) > 0
     assert proc.stdout.splitlines()[1].split() == ["1", "{0..2}", "1", "1", "1"]
+
+
+#: Every subcommand over every family and format, a stream read from a file, sampled
+#: trials and a command that fails; ``{values}`` is a file of numbers.
+_FAMILY_ARGS = [["--fibonacci"], ["--width", "3"], ["--eps", "10"], ["--grid", "1/2"],
+                ["--bounds", "0,1,5,1000"], ["--bounds", "-1/2,1,5,1000", "--domain", "real"]]
+_LEAK_ARGV = [
+    *(["partition", *fam, "--cells", "30", "--format", fmt]
+      for fam in _FAMILY_ARGS for fmt in ("table", "json", "csv")),
+    *(["fold", *fam, "--input", "{values}", "--format", fmt]
+      for fam in _FAMILY_ARGS for fmt in ("table", "json", "csv")),
+    *(["inert", *fam, *stream, "--horizon", "50", "--format", fmt]
+      for fam in _FAMILY_ARGS for fmt in ("json", "table")
+      for stream in (["--const", "1"], ["--const", "1", "--bound", "1"])),
+    ["inert", "--eps", "10", "--harmonic", "--bound", "1"],
+    ["inert", "--eps", "10", "--from-file", "{values}"],
+    *(["stpete", "--eps", "10", "--depth", "20", "--format", fmt] for fmt in ("table", "json")),
+    ["stpete", "--eps", "10", "--depth", "20", "--trials", "200", "--seed", "3"],
+    ["fold", "--eps", "abc", "--input", "{values}"]]
+
+
+def test_main_leaves_no_cycle_for_the_collector(tmp_path):
+    # run() turns the collector off, so a command must free all it builds by reference
+    # counts: with the collector off, a collection after each command finds nothing.
+    # A usage error is the one exception: argparse's parser tree holds cycles (each
+    # action group refers to its container), 277 objects on CPython 3.11.  That path
+    # ends the process at once, so they never pile up; the bound, with room for other
+    # versions' argparse, keeps them to one parser's worth.
+    values = tmp_path / "values.txt"
+    values.write_text("".join(f"{i % 4}\n" for i in range(1, 60)))
+    argvs = [[a.format(values=values) for a in argv] for argv in _LEAK_ARGV]
+    code = ("import gc, io, json, sys\n"
+            "from contextlib import redirect_stderr, redirect_stdout\n"
+            "gc.disable()\n"
+            "from coarsesum.cli import main\n"
+            "gc.collect()\n"
+            "def found(argv):\n"
+            "    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            main(argv)\n"
+            "        except SystemExit:\n"
+            "            pass\n"
+            "    return gc.collect()\n"
+            "argvs, usage = json.loads(sys.argv[1])\n"
+            "print(json.dumps([[found(argv) for argv in argvs], found(usage)]))\n")
+    usage = ["partition", "--cells", "0", "--width", "3"]
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([argvs, usage])],
+                          capture_output=True, text=True, check=True)
+    counts, usage_count = json.loads(proc.stdout)
+    assert dict(zip(map(" ".join, argvs), counts)) == {" ".join(a): 0 for a in argvs}
+    assert usage_count <= 1000
 
 
 def test_the_console_script_enters_through_run():

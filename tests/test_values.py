@@ -139,8 +139,8 @@ def test_cli_import_loads_every_module_and_not_dataclasses():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split() == ["coarsesum"] + [
-        f"coarsesum.{m}" for m in ("cli", "errors", "inertness", "ops", "partitions",
-                                   "rationals", "representatives", "stpetersburg")]
+        f"coarsesum.{m}" for m in ("cli", "inertness", "ops", "partitions", "rationals",
+                                   "representatives", "stpetersburg")]
 
 
 
@@ -191,7 +191,7 @@ def test_every_module_imports_and_every_public_name_resolves_in_a_fresh_interpre
     assert lines[0] == "['ops']"
     assert sorted(lines[1:-2]) == sorted(
         ["_epsilon_growth", "_explicit_bounds", "_fibonacci", "_fixed_width", "_rows",
-         "_singleton_grid", "cli", "errors", "inertness", "ops", "partitions",
+         "_singleton_grid", "cli", "inertness", "ops", "partitions",
          "rationals", "representatives", "stpetersburg"])
     assert lines[-2:] == ["missing []", "True"]
 
