@@ -65,17 +65,12 @@ below) runs once more per tree under ``tracemalloc``, and its peak of traced Pyt
 memory is written beside it as ``cli_peak_traced_kb``, with its ratio.  The trees take
 turns on each run; the start-up commands, one short command per subcommand and one
 usage error, which argparse answers, run ``IMPORT_RUNS`` times per tree and round, the
-long ones once.  Start-up is mostly compiling, so the start-up rows -- ``import coarsesum.cli``
-and each command of ``CLI_RUNS`` run ``IMPORT_RUNS`` times -- also time every sample
-from a copy of the tree that ``compileall`` has byte-compiled, in a temporary directory
-and never in the tree itself, right after the sample from the tree: that is
-``cli_bytecode_us``, and ``compile_share`` is 1 minus its median over the median of the
-row's own entry, ``import_us`` or ``cli_run_us``: the share of start-up spent compiling
-coarsesum.  A command's ``{name}`` fields name the seeded files and flag text of
-``fold_inputs``.  One long command folds the ``{swing}`` file, 7 and -7 in turn, on
-real ``--bounds`` cut every 4 from -60 to 60: its sum leaves its cell on every step and
-comes back to the cells it left, so the fold kernel reads a sum's representative off
-its cell's span on every step: the one input class where a memo of sum cells would pay.
+long ones once; each sample is one process.  A command's ``{name}`` fields name the
+seeded files and flag text of ``fold_inputs``.  One long command folds the ``{swing}``
+file, 7 and -7 in turn, on real ``--bounds`` cut every 4 from -60 to 60: its sum leaves
+its cell on every step and comes back to the cells it left, so the fold kernel reads a
+sum's representative off its cell's span on every step: the one input class where a
+memo of sum cells would pay.
 Every run of a command must print the stdout of its first run on the first tree; the
 run names each command that differs, and exits 1.  Start-up depends on bytecode
 caching, so every child runs with ``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs
@@ -101,13 +96,10 @@ Only the standard library is used (``timeit``).
 from __future__ import annotations
 
 import argparse
-import compileall
 import json
 import os
 import platform
-import py_compile
 import random
-import shutil
 import statistics
 import subprocess
 import sys
@@ -174,9 +166,10 @@ FOLD_LINES = 100_000
 #: Runs ``python -m coarsesum.cli`` and, at exit, writes the process's own peak in KiB
 #: as the last line of stderr: at the ``os._exit`` that ends a command, which runs no
 #: atexit handler, or at the atexit of any other exit.  ``TRACED`` picks the peak: the
-#: resident set's ``VmHWM``, or the peak of the Python memory that ``tracemalloc`` traces.
+#: resident set's ``VmHWM``, or the peak of the Python memory that ``tracemalloc`` traces;
+#: only the latter imports ``tracemalloc``, so the resident peak counts what the command loads.
 PEAK_PROBE = """\
-import atexit, os, runpy, sys, tracemalloc
+import atexit, os, runpy, sys
 def peak():
     if TRACED:
         print(tracemalloc.get_traced_memory()[1] // 1024, file=sys.stderr, flush=True)
@@ -188,6 +181,7 @@ exit_now = os._exit
 os._exit = lambda code: (peak(), exit_now(code))
 atexit.register(peak)
 if TRACED:
+    import tracemalloc
     tracemalloc.start()
 runpy.run_module("coarsesum.cli", run_name="__main__", alter_sys=True)
 """
@@ -384,19 +378,6 @@ def tree_env(src: str) -> dict:
     return env
 
 
-def byte_compiled(src: str, work: str) -> str:
-    """A copy of ``src``'s ``coarsesum`` package under ``work``, byte-compiled, with no
-    bytecode of ``src``'s own: the tree a start-up row's ``cli_bytecode_us`` runs from."""
-    tree = tempfile.mkdtemp(dir=work)
-    package = os.path.join(tree, "coarsesum")
-    shutil.copytree(os.path.join(src, "coarsesum"), package,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    if not compileall.compile_dir(package, quiet=1,
-                                  invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP):
-        raise RuntimeError(f"{src}: coarsesum does not compile")
-    return tree
-
-
 def import_seconds(src: str) -> float:
     """``import coarsesum.cli`` from ``src``, timed in a fresh interpreter."""
     proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=tree_env(src),
@@ -445,27 +426,19 @@ def main(argv=None) -> int:
     source_of = {}  # family -> the source of ``take`` that times its rows
     work = tempfile.TemporaryDirectory()
     fields = fold_inputs(work.name)
-    compiled = {label: byte_compiled(path, work.name) for label, path in trees.items()}
 
     def take(source, label, into):
         """One sample of each row of ``source`` from tree ``label``, added to ``into``: a
-        part of ``PARTS``, ``IMPORT_ROW`` or a command of ``CLI_RUNS``, whose start-up
-        rows also run from the byte-compiled copy."""
+        part of ``PARTS``, ``IMPORT_ROW`` or a command of ``CLI_RUNS``."""
         if source in PARTS:
             taken = worker(trees[label], source)
         elif source == IMPORT_ROW:
-            taken = {IMPORT_ROW: {"import_us": import_seconds(trees[label]) * 1e6,
-                                  "cli_bytecode_us": import_seconds(compiled[label]) * 1e6}}
+            taken = {IMPORT_ROW: {"import_us": import_seconds(trees[label]) * 1e6}}
         else:
-            copies = {"cli_run_us": trees[label]}
-            if CLI_RUNS[source] == IMPORT_RUNS:
-                copies["cli_bytecode_us"] = compiled[label]
-            entries = {}
-            for key, tree in copies.items():
-                _, entries[key], out = cli_run(tree, source.format(**fields))
-                if stdout.setdefault(source, out) != out:
-                    differing.add((source, label))
-            taken = {CLI_FAMILY + source: entries}
+            key, value, out = cli_run(trees[label], source.format(**fields))
+            if stdout.setdefault(source, out) != out:
+                differing.add((source, label))
+            taken = {CLI_FAMILY + source: {key: value}}
         for family, entries in taken.items():
             source_of[family] = source
             for key, value in entries.items():
@@ -493,12 +466,6 @@ def main(argv=None) -> int:
                                for key, values in entries.items()}
                       for family, entries in families.items()}
               for label, families in samples.items()}
-    for families in result.values():  # the share of a start-up row's median spent compiling
-        for entries in families.values():
-            if "cli_bytecode_us" in entries:
-                source = entries.get("import_us") or entries["cli_run_us"]
-                entries["compile_share"] = round(
-                    1 - entries["cli_bytecode_us"]["median"] / source["median"], 3)
     report = {
         "machine": {"system": platform.system(), "machine": platform.machine(),
                     "processor": cpu_model() or platform.processor() or None, "cpus": os.cpu_count()},
@@ -508,12 +475,12 @@ def main(argv=None) -> int:
                   f"fold steps: min of {FOLD_REPEAT} folds / steps; calls: min of "
                   f"{CALL_REPEAT} passes / calls (rows: / rows); import: {IMPORT_RUNS} "
                   f"interpreters per tree and round, taken in turns; cli runs: {IMPORT_RUNS} "
-                  f"per tree and round for each start-up command, 1 for each long command, taken in turns, "
-                  f"each start-up sample followed by one from a byte-compiled copy of its "
-                  f"tree, and 1 more untimed run of each for its peak RSS; a _us row whose "
-                  f"paired q1 is above {RISEN_FLOOR}: its part, import or command timed "
-                  f"{2 * args.rounds} more times per tree, taken in turns; a command whose peak "
-                  f"RSS has risen: 1 more run per tree for its tracemalloc peak",
+                  f"per tree and round for each start-up command, 1 for each long command, "
+                  f"taken in turns, each sample one process, and 1 more untimed run of each "
+                  f"for its peak RSS; a _us row whose paired q1 is above {RISEN_FLOOR}: its "
+                  f"part, import or command timed {2 * args.rounds} more times per tree, taken "
+                  f"in turns; a command whose peak RSS has risen: 1 more run per tree for its "
+                  f"tracemalloc peak",
         "env": {k: v for k, v in os.environ.items() if k.startswith("PYTHON")},
         "trees": result,
     }

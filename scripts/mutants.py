@@ -29,6 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 FOLD_MODEL = "tests/test_model.py::test_fold_prints_what_the_model_prints"
 INERT_MODEL = "tests/test_model.py::test_inert_prints_what_the_model_prints"
+STPETE_MODEL = "tests/test_model.py::test_stpete_prints_what_the_model_prints"
 
 
 class Mutant(NamedTuple):
@@ -68,6 +69,12 @@ MUTANTS = [
            "            return InertVerdict(1, c, value, horizon, True)\n"
            "    steps = _fold_steps(ctx, map(gen, range(1, horizon + 1)))\n",
            (INERT_MODEL,)),
+    Mutant("sampler-counter-off-by-one-block",
+           "a sampler whose Philox counter starts one block late",
+           "stpetersburg.py",
+           "    for start in range(1, blocks + 1, n):\n",
+           "    for start in range(2, blocks + 2, n):\n",
+           (STPETE_MODEL,)),
     Mutant("grid-without-fraction",
            "a family module whose annotation reads a name it never imports",
            "_singleton_grid.py",

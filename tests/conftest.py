@@ -95,24 +95,3 @@ def absorbing_by_cells():
         margins = ((i, margin_pos(partition.cell_at(i), policy)) for i in cells)
         return next((i for i, m in margins if (m > inc if strict else m >= inc)), None)
     return first
-
-
-@pytest.fixture(scope="session")
-def philox_by_blocks():
-    """The Philox4x64-10 oracle: its raw words without end, one block of four at a time,
-    in the plain arithmetic that the sampler runs in 128-bit lanes of big ints."""
-    m64 = (1 << 64) - 1
-
-    def words(key):
-        k0, k1 = key
-        keys = [((k0 + r * 0x9E3779B97F4A7C15) & m64, (k1 + r * 0xBB67AE8584CAA73B) & m64)
-                for r in range(10)]
-        counter = 0
-        while True:
-            counter += 1
-            c0, c1, c2, c3 = counter, 0, 0, 0
-            for r0, r1 in keys:
-                p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
-                c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ r0, p1 & m64, p0 >> 64 ^ c3 ^ r1, p0 & m64
-            yield from (c0, c1, c2, c3)
-    return words

@@ -1,5 +1,5 @@
-"""An executable spec of ``coarsesum fold``, ``partition`` and ``inert``, written from the
-definitions alone.
+"""An executable spec of ``coarsesum fold``, ``partition``, ``inert`` and ``stpete``, written
+from the definitions alone.
 
 Nothing here imports ``coarsesum``.  A family is named by a tuple and stated as the
 sequence of its cells, each ``(lower, upper, closed_below)`` with exact bounds, the
@@ -30,11 +30,15 @@ step whose sum stays in its cell, on a constant stream (a fixed point), or on a 
 family other than a grid whose cell of 0 collapses to a value >= 0, on a stream that
 never rises; else there, a sum in c*(b), the cell where the fold of the constant b is
 first absorbed within the horizon, b being a file's largest value.
+
+``stpete`` values the doubling gamble, which pays 2**(k-1) when the first tail comes on
+toss k: see :func:`stpete_command`.
 """
 
 import csv
 import io
 import json
+from collections import Counter
 from decimal import Context, Inexact
 from fractions import Fraction
 from itertools import count, islice
@@ -233,21 +237,14 @@ def stream(source: tuple, horizon: int) -> list:
     return [args[0] * args[1] ** t for t in range(1, horizon + 1)]
 
 
-def inert_command(family, policy: str, source: tuple, horizon: int, bound, fmt: str) -> tuple:
-    """(exit code, stdout) of ``inert`` on a stream ``source`` (see :func:`stream`), with
-    an upper bound ``bound`` on its values or None."""
-    try:
-        check_policy(family, policy)
-        values = stream(source, horizon)
-        if bound is not None and not all(0 <= v <= bound for v in values):
-            raise Refused(f"a value lies outside [0, {bound}]")
-        rows = fold(family, policy, values)
-    except Refused:
-        return 1, ""
-    horizon, sums = len(values), [row[3] for row in rows]
-    n = horizon
-    while n > 1 and sums[n - 2] == sums[-1]:
-        n -= 1
+def inert_verdict(family, policy: str, source: tuple, horizon: int, bound) -> tuple:
+    """:func:`judge` of ``inert`` on a stream ``source`` (see :func:`stream`), with an
+    upper bound ``bound`` on its values or None, or ``Refused``."""
+    check_policy(family, policy)
+    values = stream(source, horizon)
+    if bound is not None and not all(0 <= v <= bound for v in values):
+        raise Refused(f"a value lies outside [0, {bound}]")
+    rows, horizon = fold(family, policy, values), len(values)
     certified = False
     if bound is not None:  # a step n >= 2 that proves every later sum certifies
         kind, *args = source
@@ -269,13 +266,107 @@ def inert_command(family, policy: str, source: tuple, horizon: int, bound, fmt: 
                 pass
         certified = any(row[5] and (constant or real and falls) or row[4] == target
                         for row in rows[1:])
+    return judge(rows, certified)
+
+
+def judge(rows: list, certified: bool) -> tuple:
+    """(the verdict as a JSON object, and as a line of text) on the rows of a fold: inert
+    from the first step N from which every sum is the last one, where N is before the last
+    step or the verdict is ``certified``; else no verdict."""
+    horizon, sums = len(rows), [row[3] for row in rows]
+    n = horizon
+    while n > 1 and sums[n - 2] == sums[-1]:
+        n -= 1
     if certified or n < horizon:
         verdict = dict(outcome="inert", N=n, cell=rows[-1][4], value=text(sums[-1], "json"),
                        horizon=horizon, certified=certified)
-        line = (f"inert at cell {rows[-1][4]} from step {n}, value {decimal(sums[-1])} "
-                f"({'certified' if certified else 'observed'})")
-    else:
-        verdict = dict(outcome="no_verdict", N=None, cell=None, value=None, horizon=horizon,
-                       certified=False)
-        line = f"no verdict after {horizon} steps"
+        return verdict, (f"inert at cell {rows[-1][4]} from step {n}, value {decimal(sums[-1])} "
+                         f"({'certified' if certified else 'observed'})")
+    return (dict(outcome="no_verdict", N=None, cell=None, value=None, horizon=horizon,
+                 certified=False), f"no verdict after {horizon} steps")
+
+
+def inert_command(family, policy: str, source: tuple, horizon: int, bound, fmt: str) -> tuple:
+    """(exit code, stdout) of ``inert``: see :func:`inert_verdict`."""
+    try:
+        verdict, line = inert_verdict(family, policy, source, horizon, bound)
+    except Refused:
+        return 1, ""
     return (0 if verdict["N"] else 3), (json.dumps(verdict) if fmt == "json" else line) + "\n"
+
+
+def philox_blocks(key: tuple):
+    """The raw 64-bit words of Philox4x64-10 under ``key`` without end, one block of four at
+    a time: a 256-bit counter, raised by one before each block, goes through ten rounds,
+    the key raised by the Weyl constants before each round after the first."""
+    m64 = (1 << 64) - 1
+    k0, k1 = key
+    keys = [((k0 + r * 0x9E3779B97F4A7C15) & m64, (k1 + r * 0xBB67AE8584CAA73B) & m64)
+            for r in range(10)]
+    for counter in count(1):
+        c0, c1, c2, c3 = counter, 0, 0, 0
+        for r0, r1 in keys:
+            p0, p1 = 0xD2E7470EE14C6C93 * c0, 0xCA5A826395121157 * c2
+            c0, c1, c2, c3 = p1 >> 64 ^ c1 ^ r0, p1 & m64, p0 >> 64 ^ c3 ^ r1, p0 & m64
+        yield from (c0, c1, c2, c3)
+
+
+def rounds(key: tuple, trials: int, truncation: int) -> list:
+    """The tosses of ``trials`` plays of the gamble cut at ``truncation``, as numpy's
+    geometric(1/2) draws them, one word w each: the first k with (w >> 11) / 2**53 at most
+    1 - 2**-k, the odds that the first tail comes by toss k; a play past the truncation
+    counts as its last toss."""
+    out = []
+    for w in islice(philox_blocks(key), trials):
+        u, k = Fraction(w >> 11, 2**53), 1
+        while u > 1 - Fraction(1, 2**k):
+            k += 1
+        out.append(min(k, truncation))
+    return out
+
+
+def stpete_command(eps: Fraction, depth: int, trials: int, seed: int, truncation: int,
+                   fmt: str, key: tuple) -> tuple:
+    """(exit code, stdout) of ``stpete``.  Each toss adds 1/2 to the expectation, so on
+    ``("eps", eps)`` under the median: the paper's absorbing cell floor(eps/2) + 1, the
+    first cell whose upward margin strictly exceeds rep(1/2), and ``inert``'s verdict on the
+    constant 1/2 under ``--bound 1/2`` to ``depth``.  With ``trials``, the payoffs of
+    :func:`rounds` under ``key`` (numpy's ``SeedSequence(seed)`` state), folded and judged
+    with no bound, and the increments folded on the grid of 1/2, where addition is exact."""
+    family, half = ("eps", eps), Fraction(1, 2)
+    classical = depth * half  # the exact sum of the increments
+    scan = next(i for i, (lo, hi, _) in enumerate(cells(family), start=1)
+                if hi - pick(family, "median", lo, hi) > rep(family, "median", half))
+    verdict, line = inert_verdict(family, "median", ("const", half), depth, half)
+    report = {"epsilon": eps, "depth": depth, "classical_sum": classical,
+              "cell_from_formula": eps // 2 + 1, "cell_from_scan": scan,
+              "agreement": scan == eps // 2 + 1}
+    lines = [f"doubling-gamble valuation  (eps = {decimal(eps)}, depth = {depth})",
+             *(f"  {label:36} : {table_text(report[key])}" for label, key in (
+                 ("classical sum of expected increments", "classical_sum"),
+                 ("absorbing cell (closed form)", "cell_from_formula"),
+                 ("absorbing cell (margin scan)", "cell_from_scan"), ("agreement", "agreement"))),
+             f"  {'verdict':36} : {line}"]
+    report = {key: text(v, "json") for key, v in report.items()} | {"verdict": verdict}
+    if trials:
+        drawn = rounds(key, trials, truncation)
+        rows = fold(family, "median", [Fraction(2 ** (k - 1)) for k in drawn])
+        (sampled, sampled_line), (control, control_line) = judge(rows, False), judge(
+            fold(("grid", half), "median", [half] * depth), False)
+        mean, counts = sum(row[1] for row in rows) / trials, sorted(Counter(drawn).items())
+        report = {"valuation": report, "trials": trials, "seed": seed, "rng": "numpy-philox4x64",
+                  "truncation_depth": truncation,
+                  "sampled": {"verdict": sampled, "final_sum": text(rows[-1][3], "json"),
+                              "final_cell": rows[-1][4], "mean": text(mean, "json"),
+                              "round_counts": {str(k): c for k, c in counts}},
+                  "classical": {"verdict": control, "final_sum": text(classical, "json")}}
+        lines += [f"  sampled payoffs: trials = {trials}, seed = {seed}, rng = numpy-philox4x64, "
+                  f"truncation depth = {truncation}",
+                  f"    mean payoff      : {decimal(mean)}",
+                  f"    coarse final sum : {decimal(rows[-1][3])} (cell {rows[-1][4]})",
+                  f"    verdict          : {sampled_line}",
+                  f"    round counts     : {'  '.join(f'{k}:{c}' for k, c in counts)}",
+                  "  exact-addition control (singleton grid):",
+                  f"    verdict          : {control_line}",
+                  f"    final sum        : {decimal(classical)}"]
+    return 0, (json.dumps(report, indent=2) if fmt == "json" else "\n".join(lines)) + "\n"

@@ -1,6 +1,8 @@
-"""The rule by which ``scripts/bench_layers.py`` lists a row as ``risen``."""
+"""The rule by which ``scripts/bench_layers.py`` lists a row as ``risen``, and its peak probe."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _path = Path(__file__).resolve().parents[1] / "scripts" / "bench_layers.py"
@@ -27,3 +29,16 @@ def test_a_row_slower_in_every_sample_has_risen():
     slower = [t * 1.05 for t in first]
     assert bench_layers.risen(paired(slower[:5], first[:5]), paired(slower, first))
     assert not bench_layers.risen(paired(first[:5], first[:5]), paired(first, first))
+
+
+def test_the_resident_peak_probe_loads_only_what_the_command_loads():
+    # tracemalloc is imported only for the traced peak, so VmHWM counts the command alone
+    probe = bench_layers.PEAKS["cli_peak_rss_kb"]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", probe,
+                           "partition", "--width", "3", "--cells", "1"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("cell")
+    *imports, peak = proc.stderr.splitlines()
+    assert int(peak) > 0
+    assert any(line.endswith("| coarsesum") for line in imports)
+    assert not [line for line in imports if "tracemalloc" in line]

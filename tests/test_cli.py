@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -563,6 +564,58 @@ def test_either_geometric_value_may_be_a_negative_rational(values, first, capsys
     code, out, err = run(["inert", "--eps", "10", "--geometric", *values], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: step 1: {first} is below the partition origin 0\n"
+
+
+def cli_process(*argv) -> subprocess.CompletedProcess:
+    """``python -m coarsesum.cli`` with ``argv``, which fails if it runs past 10 s."""
+    return subprocess.run([sys.executable, "-m", "coarsesum.cli", *argv], capture_output=True,
+                          text=True, timeout=10)
+
+
+# One rule ends each run: the fold stops at the first step after step 1 that proves every
+# later sum, and with --bound that step certifies the fold's own N, cell and value.  A
+# constant stream, a constant geometric one included, stops at its fixed point, whatever
+# its bound: --const 1/2 --bound 100000 at step 2, and --const 1000 --bound 1000 after
+# climbing 15366 steps.  A stream that states its top is checked against --bound by that
+# value alone, and stops at its first absorbed step (here on EpsilonGrowth, with and
+# without --bound).
+@pytest.mark.parametrize("stream", [
+    "--eps 10 --const 1/2", "--width 3 --geometric 1 1", "--eps 10 --harmonic --bound 1",
+    "--eps 10 --const 1/2 --bound 1/2", "--eps 10 --geometric 1 1/2 --bound 1/2",
+    "--width 3 --const 1 --bound 1", "--grid 1/2 --const 0 --bound 1/2", "--eps 10 --harmonic",
+    "--eps 10 --geometric 5 1/2", "--eps 10 --const 1/2 --bound 100000",
+    "--eps 10 --const 1000 --bound 1000"])
+def test_a_horizon_of_1e9_steps_ends_at_once_with_the_verdict_of_20000(stream):
+    long, short = (cli_process("inert", *stream.split(), "--horizon", horizon)
+                   for horizon in ("1000000000", "20000"))
+    assert (long.returncode, short.returncode) == (0, 0)
+    long, short = json.loads(long.stdout), json.loads(short.stdout)
+    assert (long.pop("horizon"), short.pop("horizon")) == (10**9, 20000)
+    assert long == short
+
+
+def test_a_file_of_1e5_values_stops_where_its_sum_cell_absorbs_its_largest(tmp_path):
+    # values in (0, 1/2]: the whole file prints the N, cell and value of its own fold; at
+    # --horizon 2 only its first two values are parsed, so a malformed third line
+    # changes nothing, exit code included
+    from coarsesum import detect_inert_trace
+    r = random.Random(1)
+    lines = [f"{r.randint(1, q // 2)}/{q}" for q in (r.randint(2, 9) for _ in range(100_000))]
+    good, bad = tmp_path / "small.txt", tmp_path / "malformed.txt"
+    good.write_text("".join(line + "\n" for line in lines))
+    bad.write_text("".join(line + "\n" for line in [*lines[:2], "not a number", *lines[3:]]))
+    ctx = CoarseContext(EpsilonGrowth(10))
+    runs = {}
+    for horizon, path in (("1000000000", good), ("2", good), ("2", bad)):
+        proc = runs[horizon, path] = cli_process("inert", "--eps", "10", "--from-file", str(path),
+                                                 "--horizon", horizon)
+        values = list(map(parse_rational, lines[:int(horizon)]))
+        want = detect_inert_trace(ctx.fold(values)).to_json_dict()
+        got = json.loads(proc.stdout)
+        assert proc.returncode == 0 and want["N"], horizon
+        assert [got[k] for k in ("N", "cell", "value", "horizon")] == \
+            [want[k] for k in ("N", "cell", "value", "horizon")], horizon
+    assert runs["2", bad].stdout == runs["2", good].stdout
 
 
 # ------------------------------------------------------------------- stpete

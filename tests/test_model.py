@@ -1,5 +1,5 @@
-"""``coarsesum fold``, ``partition`` and ``inert`` checked against the executable spec in
-``model.py``: stdout and the exit code byte for byte, stderr only as empty or not."""
+"""``coarsesum fold``, ``partition``, ``inert`` and ``stpete`` checked against the executable
+spec in ``model.py``: stdout and the exit code byte for byte, stderr only as empty or not."""
 
 import io
 import math
@@ -12,6 +12,11 @@ from hypothesis import strategies as st
 
 import model
 from coarsesum.cli import main
+
+try:
+    import numpy as np
+except ImportError:
+    np = None
 
 
 @st.composite
@@ -122,6 +127,8 @@ def run(argv: list) -> tuple:
 @settings(max_examples=300)
 @given(case=fold_cases())
 @example(case=(("eps", F(10)), "median", "table", ["1/2"] * 3))  # a settled table's tail
+@example(case=(("fibonacci",), "median", "json", ["0", "1", "1"]))  # a sum that moves at step 3
+@example(case=(("fibonacci",), "median", "json", ["6", "2", "2"]))  # a sum that moves, then stays
 def test_fold_prints_what_the_model_prints(case, input_path):
     family, policy, fmt, lines = case
     input_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -188,4 +195,18 @@ def test_inert_prints_what_the_model_prints(case, input_path):
             *map(str, args), "--horizon", str(horizon), "--format", fmt]
     argv += [] if bound is None else ["--bound", str(bound)]
     assert run(argv) == model.inert_command(family, policy, source, horizon, bound, fmt), \
+        " ".join(argv)
+
+
+@pytest.mark.skipif(np is None, reason="numpy is not installed")  # the key is SeedSequence's
+@settings(max_examples=200)
+@given(eps=st.builds(F, st.integers(1, 12), st.integers(1, 3)), depth=st.integers(1, 40),
+       trials=st.integers(0, 12), seed=st.integers(0, 2**40), truncation=st.integers(1, 8),
+       fmt=st.sampled_from(["table", "json"]))
+@example(eps=F(10), depth=5, trials=8, seed=1, truncation=6, fmt="json")  # two Philox blocks
+def test_stpete_prints_what_the_model_prints(eps, depth, trials, seed, truncation, fmt):
+    key = tuple(map(int, np.random.SeedSequence(seed).generate_state(2, np.uint64)))
+    argv = ["stpete", "--eps", str(eps), "--depth", str(depth), "--trials", str(trials),
+            "--seed", str(seed), "--truncation", str(truncation), "--format", fmt]
+    assert run(argv) == model.stpete_command(eps, depth, trials, seed, truncation, fmt, key), \
         " ".join(argv)

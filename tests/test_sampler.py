@@ -5,9 +5,10 @@ one block at a time.
 geometric(1/2) draws in integer arithmetic.  Most tests here compare the key,
 the raw 64-bit words and the payoffs with numpy itself, and are skipped where
 numpy is not installed.  The lane test needs no numpy: it checks the words of
-the batched generator against the ``philox_by_blocks`` oracle, for short draws and
-for draws at the edges of its one batch size of 4096 blocks.  Every draw asks the
-generator for the blocks it fills, as ``sample_gamble`` does.
+the batched generator against ``model.philox_blocks``, the oracle that draws one
+block at a time, for short draws and for draws at the edges of its one batch size
+of 4096 blocks.  Every draw asks the generator for the blocks it fills, as
+``sample_gamble`` does.
 """
 
 from itertools import islice
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import model
 from coarsesum import sample_gamble
 from coarsesum.stpetersburg import _philox_key, _philox_words
 
@@ -38,10 +40,10 @@ def words(key, k):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lane_words_match_one_block_at_a_time(seed, philox_by_blocks):
+def test_lane_words_match_one_block_at_a_time(seed):
     key = _philox_key(seed)
     counts = [*range(10), *BATCH_EDGES]
-    want = list(islice(philox_by_blocks(key), max(counts)))
+    want = list(islice(model.philox_blocks(key), max(counts)))
     for k in counts:
         assert words(key, k) == want[:k], k
 
